@@ -5,7 +5,7 @@ The package animates skinned triangle meshes with conformal versors
 and tears them along scalpel paths, keeping every output deformable.
 """
 
-from . import algebra, animate, cli, cut, errors, quaternions, rig, tear, weights
+from . import algebra, animate, cli, cut, errors, quaternions, rig, section, tear, weights
 from .algebra import (
     Multivector,
     apply_versor,
@@ -104,6 +104,7 @@ __all__ = [
     "errors",
     "quaternions",
     "rig",
+    "section",
     "tear",
     "weights",
 ]

@@ -36,11 +36,11 @@ validated against the model before anything executes.
 
 Artifacts: ``frame_%04d.obj`` (numbered across the whole run),
 ``cut_M1.obj``/``cut_M2.obj``, ``torn.obj``, ``<name>.obj`` for
-exports, and ``metrics.json`` (schema version 1: per-action wall times,
+exports, and ``metrics.json`` (schema version 2: per-action wall times,
 intersection counts, compare error norms; an execution error lands in
 its "error" field and flips the exit status).  An empty action list
 exports the bind-pose mesh as ``bind.obj``.  Outputs are deterministic:
-identical script, rig, and seed produce byte-identical OBJ files.
+identical script and rig produce byte-identical OBJ files.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .rig import (
 )
 from .tear import ScalpelState, tear
 
-METRICS_VERSION = 1
+METRICS_VERSION = 2
 SCRIPT_VERSION = 1
 
 _FIXTURES = {"cylinders": make_cylinders_model, "arm": make_arm_model}
@@ -365,7 +365,7 @@ def _write_metrics(out_dir: Path, payload: dict) -> None:
     (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")
 
 
-def run(rig: str, script_path, out_dir, seed: int = 0, backend: str = "cga", accel: bool = False) -> int:
+def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = False) -> int:
     """Load, validate, execute, and write metrics; returns the exit status."""
     out = Path(out_dir)
     payload = {
@@ -374,7 +374,6 @@ def run(rig: str, script_path, out_dir, seed: int = 0, backend: str = "cga", acc
         "script": str(script_path),
         "backend": backend,
         "accel": accel,
-        "seed": seed,
         "actions": [],
         "error": None,
     }
@@ -400,13 +399,12 @@ def _one_action_run(args, action: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "script.json"
     path.write_text(json.dumps(script, indent=1) + "\n", encoding="utf-8")
-    return run(args.rig, path, out, seed=args.seed, backend=args.backend, accel=args.accel == "on")
+    return run(args.rig, path, out, backend=args.backend, accel=args.accel == "on")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rig", required=True, help="rig path or fixture name (cylinders, arm)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=sorted(SKIN_BACKENDS), default="cga")
     parser.add_argument("--accel", choices=("on", "off"), default="off")
 
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
                 script = bundled_script_path(script)
             except ScriptError:
                 pass  # run() serializes the unreadable-path error into metrics
-        return run(args.rig, script, args.out, seed=args.seed, backend=args.backend, accel=args.accel == "on")
+        return run(args.rig, script, args.out, backend=args.backend, accel=args.accel == "on")
     if args.command == "animate":
         try:
             times = [float(t) for t in args.times.split(",") if t.strip()]
@@ -508,7 +506,7 @@ def main(argv=None) -> int:
         except ScriptError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return run(args.rig, script, args.out, seed=args.seed, backend=args.backend, accel=args.accel == "on")
+        return run(args.rig, script, args.out, backend=args.backend, accel=args.accel == "on")
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -2,23 +2,19 @@
 
 Pipeline:
 
-1. Vertices within eps of the plane (eps = 1e-9 x bbox diagonal) are
-   virtually shifted +2 eps along the plane normal, which removes every
-   coplanarity degeneracy with one rule.  The shifted copy drives
-   classification and intersection only; surviving original vertices
-   keep their true positions.
-2. Vertices classify by the sign of the conformal inner product of
-   their up-projection with the plane.
-3. Each mesh edge whose endpoints straddle the plane yields exactly one
+1. Vertices classify by plane side under the eps-shift rule of
+   section.py (conformal inner product of up(p) with the plane);
+   surviving original vertices keep their true positions.
+2. Each mesh edge whose endpoints straddle the plane yields exactly one
    CutPoint (edge-keyed dedup), discovered in face order, with weights
    interpolated along the edge and truncated to four influences.
-4. Crossed faces (always exactly two crossed edges) re-triangulate into
+3. Crossed faces (always exactly two crossed edges) re-triangulate into
    three children: one triangle on the lone-vertex side and two tiling
    the quad, split along its shorter diagonal.  Ties and near-ties (1e-9
    relative) take the diagonal from the first cut point, which keeps the
    choice stable under rigid motion.  Children inherit the parent's
    winding.
-5. Faces separate by side into M1 (positive) and M2 (negative); both
+4. Faces separate by side into M1 (positive) and M2 (negative); both
    halves receive the full seam of cut points, keep the original bones,
    weights, and clips, and pass load-time validation.  The cut is left
    open: no cap faces.  A plane that misses the mesh returns the
@@ -36,22 +32,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, plane_distances
+from .algebra import Multivector
 from .errors import NonManifoldCut
-from .rig import Mesh, RiggedModel, bbox_diagonal, validate_model
+from .rig import Mesh, RiggedModel, validate_model
+from .section import Section
 from .weights import weight_by_edge
 
 __all__ = [
     "CutPoint",
     "CutResult",
-    "classify_vertices",
     "compute_cut_points",
     "retriangulate_cut_faces",
     "order_cut_polyline",
     "cut",
 ]
-
-_EPS_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,82 +70,28 @@ class CutResult:
     cut_points: tuple
 
 
-def _unit_plane(plane: Multivector):
-    """Plane rescaled to a unit normal, plus the normal itself."""
-    c = np.asarray(plane.coeffs, dtype=np.float64)
-    n = c[1:4]
-    norm = float(np.linalg.norm(n))
-    if norm < 1e-12:
-        raise ValueError("cut plane has a zero normal")
-    if abs(norm - 1.0) > 1e-12:
-        plane = Multivector(c / norm)
-    return plane, n / norm
-
-
-def _vertices_of(mesh_or_points) -> np.ndarray:
-    if isinstance(mesh_or_points, Mesh):
-        return mesh_or_points.vertices
-    return np.asarray(mesh_or_points, dtype=np.float64).reshape(-1, 3)
-
-
-def classify_vertices(mesh, plane: Multivector, eps: float = None) -> np.ndarray:
-    """Side of each vertex: +1 / -1 by conformal inner product, 0 within eps."""
-    verts = _vertices_of(mesh)
-    plane_u, _ = _unit_plane(plane)
-    if eps is None:
-        eps = _EPS_SCALE * bbox_diagonal(verts)
-    if len(verts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    d = plane_distances(verts, plane_u)
-    out = np.where(d > 0.0, 1, -1).astype(np.int64)
-    out[np.abs(d) < eps] = 0
-    return out
-
-
-class _Scan:
-    """Shared classification + edge-intersection pass over one model."""
-
-    def __init__(self, model: RiggedModel, plane: Multivector):
-        mesh = model.mesh
-        plane_u, n_hat = _unit_plane(plane)
-        self.n_hat = n_hat
-        eps = _EPS_SCALE * bbox_diagonal(mesh)
-        work = np.array(mesh.vertices)
-        if len(work):
-            d = plane_distances(work, plane_u)
-            on = np.abs(d) < eps
-            if on.any():
-                work[on] += (2.0 * eps) * n_hat
-                d = plane_distances(work, plane_u)
-            self.signs = np.where(d >= 0.0, 1, -1).astype(np.int64)
-        else:
-            d = np.zeros(0)
-            self.signs = np.zeros(0, dtype=np.int64)
-
-        points: dict = {}
-        edge_faces: dict = {}
-        for fi, (a, b, c) in enumerate(mesh.faces):
-            for u, v in ((a, b), (b, c), (c, a)):
-                if self.signs[u] == self.signs[v]:
-                    continue
-                lo, hi = (int(u), int(v)) if u < v else (int(v), int(u))
-                key = (lo, hi)
-                if key not in points:
-                    lam = d[lo] / (d[lo] - d[hi])
-                    pos = (1.0 - lam) * work[lo] + lam * work[hi]
-                    infl = weight_by_edge(model.weights[lo], model.weights[hi], float(lam))
-                    points[key] = CutPoint(
-                        tuple(float(x) for x in pos), key, float(lam), len(points), tuple(infl)
-                    )
-                edge_faces.setdefault(key, []).append(fi)
-        self.points = points
-        self.edge_faces = edge_faces
+def _scan(model: RiggedModel, plane: Multivector):
+    """Vertex sides plus one CutPoint per straddling edge, in face-scan order."""
+    section = Section(model.mesh.vertices, plane)
+    signs = section.signs
+    points: dict = {}
+    for a, b, c in model.mesh.faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if signs[u] == signs[v]:
+                continue
+            key = (int(u), int(v)) if u < v else (int(v), int(u))
+            if key not in points:
+                lam, pos = section.crossing(*key)
+                infl = weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)
+                points[key] = CutPoint(
+                    tuple(float(x) for x in pos), key, lam, len(points), tuple(infl)
+                )
+    return signs, list(points.values())
 
 
 def compute_cut_points(model: RiggedModel, plane: Multivector) -> list:
     """One CutPoint per edge that straddles the plane, in face-scan order."""
-    scan = _Scan(model, plane)
-    return sorted(scan.points.values(), key=lambda cp: cp.ordinal)
+    return _scan(model, plane)[1]
 
 
 def retriangulate_cut_faces(mesh: Mesh, cut_points: Sequence[CutPoint]) -> np.ndarray:
@@ -270,10 +210,9 @@ def _empty_like(model: RiggedModel) -> RiggedModel:
 def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     """Split a rigged model along a plane into two skinnable halves."""
     mesh = model.mesh
-    scan = _Scan(model, plane)
-    points = sorted(scan.points.values(), key=lambda cp: cp.ordinal)
+    signs, points = _scan(model, plane)
 
-    if not points and (len(scan.signs) == 0 or np.all(scan.signs == scan.signs[0])):
+    if not points and (len(signs) == 0 or np.all(signs == signs[0])):
         # plane misses the mesh entirely: keep the model whole as M1
         return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
 
@@ -281,8 +220,8 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     ext_faces = retriangulate_cut_faces(mesh, points)
 
     n = len(mesh.vertices)
-    pos_orig = np.flatnonzero(scan.signs > 0)
-    neg_orig = np.flatnonzero(scan.signs < 0)
+    pos_orig = np.flatnonzero(signs > 0)
+    neg_orig = np.flatnonzero(signs < 0)
     index_map = {
         1: {int(v): r for r, v in enumerate(pos_orig)},
         -1: {int(v): r for r, v in enumerate(neg_orig)},
@@ -290,7 +229,7 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     base = {1: len(pos_orig), -1: len(neg_orig)}
     faces_out: dict = {1: [], -1: []}
     for tri in ext_faces:
-        side = next(int(scan.signs[v]) for v in tri if v < n)
+        side = next(int(signs[v]) for v in tri if v < n)
         remap = index_map[side]
         faces_out[side].append(
             tuple(remap[int(v)] if v < n else base[side] + (int(v) - n) for v in tri)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -48,7 +47,6 @@ from .algebra import (
     make_dilator,
     make_translator,
     rotor_from_quaternion,
-    transform_points,
 )
 from .errors import (
     HierarchyError,
@@ -69,9 +67,6 @@ __all__ = [
     "trs_versor",
     "trs_matrix",
     "compose_trs",
-    "invert_trs",
-    "matrix_to_versor",
-    "versor_to_matrix",
     "decompose_conformal_matrix",
     "validate_mesh",
     "validate_model",
@@ -80,13 +75,11 @@ __all__ = [
     "model_from_dict",
     "dump_rig",
     "export_obj",
-    "export_obj_sequence",
     "edge_face_incidence",
     "mesh_area",
     "bbox_diagonal",
     "make_cylinders_model",
     "make_arm_model",
-    "make_test_models",
 ]
 
 _QUAT_TOL = 1e-6
@@ -148,14 +141,6 @@ def compose_trs(a: Trs, b: Trs) -> Trs:
     return Trs(tuple(float(x) for x in t), tuple(float(x) for x in q), a.scale * b.scale)
 
 
-def invert_trs(a: Trs) -> Trs:
-    qa = quat.normalize(a.rotation)
-    qi = quat.conjugate(qa)
-    s = 1.0 / a.scale
-    t = -s * quat.rotate(qi, a.translation)
-    return Trs(tuple(float(x) for x in t), tuple(float(x) for x in qi), s)
-
-
 # ---------------------------------------------------------------------------
 # conformal 4x4 matrices
 
@@ -189,23 +174,6 @@ def decompose_conformal_matrix(m) -> Trs:
         )
     q = quat.from_matrix(r)
     return Trs(tuple(float(x) for x in m[:3, 3]), tuple(float(x) for x in q), s)
-
-
-def matrix_to_versor(m) -> Versor:
-    """Conformal versor of a rigid-plus-uniform-scale 4x4 matrix."""
-    return trs_versor(decompose_conformal_matrix(m))
-
-
-def versor_to_matrix(v: Versor) -> np.ndarray:
-    """Homogeneous 4x4 matrix acting like a point-transform versor."""
-    probe = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-    img = transform_points(v, probe)
-    m = np.eye(4)
-    m[:3, 3] = img[0]
-    m[:3, :3] = (img[1:] - img[0]).T
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +647,6 @@ def export_obj(mesh: Mesh, path) -> None:
             fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
 
 
-def export_obj_sequence(meshes: Sequence[Mesh], directory, stem: str = "frame") -> list:
-    """Write frame_0000.obj, frame_0001.obj, ... and return the paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i, mesh in enumerate(meshes):
-        path = os.path.join(directory, "%s_%04d.obj" % (stem, i))
-        export_obj(mesh, path)
-        paths.append(path)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # procedural test fixtures
 
@@ -804,8 +761,3 @@ def make_arm_model() -> RiggedModel:
         joint2_z=2.0 * length / 3.0,
         falloff=length / 3.0,
     )
-
-
-def make_test_models() -> dict:
-    """Both built-in fixtures, keyed by name."""
-    return {"cylinders": make_cylinders_model(), "arm": make_arm_model()}

@@ -21,12 +21,12 @@ endpoints).  Each consecutive pair of states contributes one step:
    step shrinks the straight-line estimate to the target anchor
    (projected onto the plane; the projection distance is kept as a
    path-quality metric).
-4. apply_tear inserts anchors and intermediates as vertices, splits
-   every traversed face by fanning from its entry point (anchors fan
-   from the interior, which also serves shared anchors of chained
-   steps), then duplicates every intermediate into a left/right pair by
-   plane side.  Anchors stay single and pin the tear ends, so the torn
-   mesh remains one connected component.
+4. All traced steps are applied at once: anchors and intermediates
+   become vertices, every traversed face is split by fanning from its
+   entry point (anchors fan from the interior, which also serves shared
+   anchors of chained steps), and every intermediate is duplicated into
+   a left/right pair by plane side.  Anchors stay single and pin the
+   tear ends, so the torn mesh remains one connected component.
 5. open_tear displaces the two copies of each intermediate by +/- delta
    along the plane normal; delta = 0 is the identity and anchors never
    move.
@@ -36,19 +36,18 @@ across their host face, so every new vertex keeps at most four
 influences drawn from its host's bones and the torn model skins with
 every backend.
 
-Vertices that sit within eps of a tear plane (eps = 1e-9 x bbox
-diagonal) are virtually shifted by +2 eps along the plane normal for
-classification, exactly as in planar cutting, which keeps every
-intermediate strictly inside its edge.  Should a face split still
-produce a zero-area child (coincident points within eps), the sliver is
-collapsed: the inserted point merges into the coincident vertex and the
-tear is pinned there.
+Tear planes classify vertices and place intermediates through
+section.py, under the same eps-shift rule as planar cutting, which
+keeps every intermediate strictly inside its edge.  Should a face split
+still produce a zero-area child (coincident points within eps), the
+sliver is collapsed: the inserted point merges into the coincident
+vertex and the tear is pinned there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,6 +60,7 @@ from .errors import (
     PathNotFound,
 )
 from .rig import Mesh, RiggedModel, bbox_diagonal, edge_face_incidence, validate_model
+from .section import Section, section_eps, unit_plane
 from .weights import weight_by_barycentric, weight_by_edge
 
 __all__ = [
@@ -73,12 +73,11 @@ __all__ = [
     "scalpel_hit",
     "build_tear_plane",
     "trace_surface_path",
-    "apply_tear",
     "open_tear",
     "tear",
 ]
 
-_EPS_SCALE = 1e-9
+_BVH_LEAF_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class TearPoint:
 
 @dataclass
 class TearPath:
-    """One traced tear step plus the bookkeeping apply_tear fills in."""
+    """One traced tear step plus the bookkeeping that applying it fills in."""
 
     start: TearAnchor
     end: TearAnchor
@@ -188,7 +187,7 @@ class FaceBVH:
     per-face test over it reproduces the linear scan bit for bit.
     """
 
-    def __init__(self, mesh: Mesh, leaf_size: int = 8):
+    def __init__(self, mesh: Mesh):
         tri = mesh.vertices[mesh.faces]
         pad = 1e-12 * bbox_diagonal(mesh)
         self._lo = tri.min(axis=1) - pad
@@ -201,7 +200,7 @@ class FaceBVH:
             lo = self._lo[ids].min(axis=0)
             hi = self._hi[ids].max(axis=0)
             slot = len(self._nodes)
-            if len(ids) <= leaf_size:
+            if len(ids) <= _BVH_LEAF_SIZE:
                 self._nodes.append((lo, hi, -1, -1, np.sort(ids)))
                 return slot
             self._nodes.append(None)
@@ -263,7 +262,7 @@ def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearA
     p0 = np.asarray(scalpel.tip, dtype=np.float64)
     p1 = np.asarray(scalpel.tail, dtype=np.float64)
     dvec = p1 - p0
-    if np.linalg.norm(dvec) <= _EPS_SCALE * bbox_diagonal(mesh):
+    if np.linalg.norm(dvec) <= section_eps(mesh):
         raise ValueError("scalpel endpoints coincide")
     candidates = range(len(mesh.faces)) if bvh is None else bvh.segment_candidates(p0, p1)
     hits = []
@@ -301,39 +300,26 @@ def build_tear_plane(anchor: TearAnchor, scalpel_next: ScalpelState) -> Multivec
     return make_plane(tuple(n_hat), float(n_hat @ s))
 
 
-def _plane_frame(plane: Multivector):
-    """Unit normal of a plane built by make_plane."""
-    n = np.asarray(plane.coeffs[1:4], dtype=np.float64)
-    return n / np.linalg.norm(n)
-
-
 # --------------------------------------------------------------- path trace
 
 
 def trace_surface_path(
-    mesh: Mesh, plane: Multivector, start: TearAnchor, to: TearAnchor
+    mesh: Mesh, plane: Multivector, start: TearAnchor, to: TearAnchor, incidence: dict
 ) -> tuple:
     """Ordered plane-edge intersections walking from start's face to to's.
 
-    Crosses one new edge per face; at a branch takes the crossing
-    closest to the target anchor (projected onto the plane), breaking
-    ties toward the lower edge key.  Raises PathNotFound when the
-    section leaves the surface or the walk exceeds the face count.
+    `incidence` is edge_face_incidence(mesh.faces).  Crosses one new
+    edge per face; at a branch takes the crossing closest to the target
+    anchor (projected onto the plane), breaking ties toward the lower
+    edge key.  Raises PathNotFound when the section leaves the surface
+    or the walk exceeds the face count.
     """
     if start.face == to.face:
         return ()
-    n_hat = _plane_frame(plane)
-    eps = _EPS_SCALE * bbox_diagonal(mesh)
-    work = np.array(mesh.vertices)
-    dist = plane_distances(work, plane)
-    on = np.abs(dist) < eps
-    if on.any():
-        work[on] += (2.0 * eps) * n_hat
-        dist = plane_distances(work, plane)
-
-    incidence = edge_face_incidence(mesh.faces)
+    section = Section(mesh.vertices, plane)
+    signs = section.signs
     to_pt = np.asarray(to.point, dtype=np.float64)
-    target = to_pt - float(plane_distances(to_pt.reshape(1, 3), plane)[0]) * n_hat
+    target = to_pt - float(plane_distances(to_pt.reshape(1, 3), section.plane)[0]) * section.normal
 
     def crossings(face_id: int, skip):
         face = mesh.faces[face_id]
@@ -341,11 +327,9 @@ def trace_surface_path(
         for k in range(3):
             u, v = int(face[k]), int(face[(k + 1) % 3])
             key = (u, v) if u < v else (v, u)
-            if key == skip or (dist[key[0]] > 0.0) == (dist[key[1]] > 0.0):
+            if key == skip or signs[u] == signs[v]:
                 continue
-            lam = dist[key[0]] / (dist[key[0]] - dist[key[1]])
-            pos = (1.0 - lam) * work[key[0]] + lam * work[key[1]]
-            out.append((key, float(lam), pos))
+            out.append((key, *section.crossing(*key)))
         return out
 
     def pick(cands):
@@ -400,15 +384,16 @@ def _corner_weights(model: RiggedModel, face_id: int):
     return [model.weights[int(v)] for v in model.mesh.faces[face_id]]
 
 
-def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
+def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict) -> RiggedModel:
     """Insert, split, and duplicate for one or more traced paths at once.
 
-    All paths must have been traced against this model's mesh; chained
-    paths share anchor objects and the shared anchor is inserted once.
+    All paths must have been traced against this model's mesh, whose
+    edge_face_incidence is `incidence`; chained paths share anchor
+    objects and the shared anchor is inserted once.
     """
     mesh = model.mesh
     n_orig = len(mesh.vertices)
-    eps = _EPS_SCALE * bbox_diagonal(mesh)
+    eps = section_eps(mesh)
 
     new_positions = []  # node id -> position
     new_weights = []  # node id -> influences
@@ -435,7 +420,6 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
         touched.add(anchor.face)
         return node
 
-    incidence = edge_face_incidence(mesh.faces)
     for path in paths:
         s_node = insert_anchor(path.start)
         e_node = insert_anchor(path.end)
@@ -588,11 +572,6 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     return torn
 
 
-def apply_tear(model: RiggedModel, path: TearPath) -> RiggedModel:
-    """Insert one traced tear step and fill the path's duplication records."""
-    return _apply_paths(model, [path])
-
-
 def open_tear(model: RiggedModel, path: TearPath, delta: float = None) -> RiggedModel:
     """Move each duplicate pair apart by +/- delta along the tear plane normal."""
     if path.duplicates is None:
@@ -604,7 +583,7 @@ def open_tear(model: RiggedModel, path: TearPath, delta: float = None) -> Rigged
         raise ValueError("opening displacement must be non-negative")
     if delta == 0.0 or not path.duplicates:
         return model
-    n_hat = _plane_frame(path.plane)
+    n_hat = unit_plane(path.plane)[1]
     verts = np.array(model.mesh.vertices)
     for left, right in path.duplicates.values():
         verts[left] += delta * n_hat
@@ -631,10 +610,11 @@ def tear(
     mesh = model.mesh
     bvh = FaceBVH(mesh) if accel else None
     anchors = [scalpel_hit(mesh, s, bvh) for s in scalpels]
+    incidence = edge_face_incidence(mesh.faces)
     paths = []
     for i in range(len(scalpels) - 1):
         plane = build_tear_plane(anchors[i], scalpels[i + 1])
-        points = trace_surface_path(mesh, plane, anchors[i], anchors[i + 1])
+        points = trace_surface_path(mesh, plane, anchors[i], anchors[i + 1], incidence)
         proj = abs(
             float(
                 plane_distances(
@@ -643,7 +623,7 @@ def tear(
             )
         )
         paths.append(TearPath(anchors[i], anchors[i + 1], plane, points, proj))
-    torn = _apply_paths(model, paths)
+    torn = _apply_paths(model, paths, incidence)
     for path in paths:
         torn = open_tear(torn, path, delta)
     return TearResult(torn, tuple(paths))

@@ -39,16 +39,15 @@ def obj_bytes(out_dir):
 
 
 def check_metrics_schema(doc):
-    """Schema version 1: fixed top-level fields, per-action records."""
+    """Schema version 2: fixed top-level fields, per-action records."""
     assert set(doc) == {
-        "metrics_version", "rig", "script", "backend", "accel", "seed", "actions", "error",
+        "metrics_version", "rig", "script", "backend", "accel", "actions", "error",
     }
-    assert doc["metrics_version"] == METRICS_VERSION
+    assert doc["metrics_version"] == METRICS_VERSION == 2
     assert isinstance(doc["rig"], str)
     assert isinstance(doc["script"], str)
     assert doc["backend"] in ("cga", "lbs", "dq")
     assert isinstance(doc["accel"], bool)
-    assert isinstance(doc["seed"], int)
     assert isinstance(doc["actions"], list)
     for rec in doc["actions"]:
         assert isinstance(rec["index"], int)
@@ -398,7 +397,7 @@ def test_rerun_is_byte_identical(tmp_path):
     out2 = tmp_path / "b"
     for out in (out1, out2):
         rc = main(["run", "--rig", "cylinders", "--script", "cylinders_cut_deform.json",
-                   "--out", str(out), "--seed", "7"])
+                   "--out", str(out)])
         assert rc == 0
     assert obj_bytes(out1) == obj_bytes(out2)
     m1, m2 = read_metrics(out1), read_metrics(out2)

@@ -18,7 +18,6 @@ from mvskin.algebra import (
 )
 from mvskin.animate import generate_keyframe, global_pose_at, skin_cga, skin_dq, skin_lbs
 from mvskin.cut import (
-    classify_vertices,
     compute_cut_points,
     cut,
     order_cut_polyline,
@@ -37,6 +36,7 @@ from mvskin.rig import (
     mesh_area,
     validate_model,
 )
+from mvskin.section import Section, section_eps
 
 
 def one_bone_model(verts, faces):
@@ -59,6 +59,12 @@ def unit(v):
 # ---------------------------------------------------------------- classification
 
 
+# The cut classifies through mvskin.section; these pin that rule.
+
+# bbox corners that fix eps for single probe points inside [-50, 50]^3
+FRAME = np.array([[-100.0, -100.0, -100.0], [100.0, 100.0, 100.0]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.floats(-50, 50), min_size=6, max_size=6),
@@ -71,21 +77,32 @@ def test_classification_matches_euclidean_signed_distance(flat, d):
     n = unit(n)
     p = np.asarray(flat[3:]).reshape(1, 3)
     plane = make_plane(tuple(n), d)
-    got = classify_vertices(p, plane, eps=1e-9)
+    section = Section(np.vstack([p, FRAME]), plane)
+    eps = section_eps(FRAME)
     want = float((p @ n)[0]) - d
-    if abs(want) < 1e-9:
-        assert got[0] == 0
-    else:
-        assert got[0] == (1 if want > 0 else -1)
+    if abs(want) > 2.0 * eps:
+        assert section.signs[0] == (1 if want > 0 else -1)
+        assert np.array_equal(section.work[0], p[0])
+    elif abs(want) < 0.5 * eps:
+        assert section.signs[0] == 1
 
 
 def test_classification_eps_defaults_to_bbox_scale(cylinders):
-    # the z=0 boundary ring sits exactly on this plane
+    # the z=0 boundary ring sits exactly on this plane and shifts to +1
     plane = make_plane((0.0, 0.0, 1.0), 0.0)
-    sides = classify_vertices(cylinders.mesh, plane)
-    ring = np.abs(cylinders.mesh.vertices[:, 2]) < 1e-12
-    assert np.all(sides[ring] == 0)
-    assert np.all(sides[~ring] == 1)
+    verts = cylinders.mesh.vertices
+    section = Section(verts, plane)
+    eps = 1e-9 * bbox_diagonal(cylinders.mesh)
+    assert section_eps(cylinders.mesh) == eps
+    ring = np.abs(verts[:, 2]) < 1e-12
+    assert ring.sum() == 255
+    assert np.all(section.signs == 1)
+    assert np.allclose(section.work[ring, 2], 2.0 * eps, rtol=1e-6, atol=0.0)
+    assert np.array_equal(section.work[~ring], verts[~ring])
+    # so the plane misses the mesh: no seam, the model stays whole as M1
+    assert compute_cut_points(cylinders, plane) == []
+    res = cut(cylinders, plane)
+    assert res.m1 is cylinders and len(res.m2.mesh.vertices) == 0
 
 
 def test_zero_normal_plane_rejected(cylinders):
@@ -93,7 +110,9 @@ def test_zero_normal_plane_rejected(cylinders):
 
     bad = Multivector(np.zeros(32))
     with pytest.raises(ValueError, match="zero normal"):
-        classify_vertices(cylinders.mesh, bad)
+        Section(cylinders.mesh.vertices, bad)
+    with pytest.raises(ValueError, match="zero normal"):
+        cut(cylinders, bad)
 
 
 # ---------------------------------------------------------------- cut points

@@ -29,13 +29,9 @@ from mvskin.rig import (
     dump_rig,
     edge_face_incidence,
     export_obj,
-    export_obj_sequence,
-    invert_trs,
     load_rig,
     make_arm_model,
     make_cylinders_model,
-    make_test_models,
-    matrix_to_versor,
     mesh_area,
     model_from_dict,
     save_rig,
@@ -43,7 +39,6 @@ from mvskin.rig import (
     trs_versor,
     validate_mesh,
     validate_model,
-    versor_to_matrix,
 )
 
 
@@ -90,7 +85,8 @@ def test_compose_and_invert_match_matrix_algebra():
     for _ in range(100):
         a, b = random_trs(rng), random_trs(rng)
         assert np.allclose(trs_matrix(compose_trs(a, b)), trs_matrix(a) @ trs_matrix(b), atol=1e-10)
-        assert np.allclose(trs_matrix(invert_trs(a)) @ trs_matrix(a), np.eye(4), atol=1e-10)
+        inv = decompose_conformal_matrix(np.linalg.inv(trs_matrix(a)))
+        assert np.allclose(trs_matrix(compose_trs(a, inv)), np.eye(4), atol=1e-10)
 
 
 def test_decompose_conformal_matrix_round_trip():
@@ -102,28 +98,21 @@ def test_decompose_conformal_matrix_round_trip():
         assert back.rotation[0] >= 0  # canonical hemisphere
 
 
-def test_matrix_to_versor_rejects_non_conformal():
+def test_decompose_conformal_matrix_rejects_non_conformal():
     shear = np.eye(4)
     shear[0, 1] = 0.3
     with pytest.raises(NonConformalMatrix):
-        matrix_to_versor(shear)
+        decompose_conformal_matrix(shear)
     reflect = np.diag([-1.0, 1.0, 1.0, 1.0])
     with pytest.raises(NonConformalMatrix):
-        matrix_to_versor(reflect)
+        decompose_conformal_matrix(reflect)
     nonuniform = np.diag([1.0, 2.0, 1.0, 1.0])
     with pytest.raises(NonConformalMatrix):
-        matrix_to_versor(nonuniform)
+        decompose_conformal_matrix(nonuniform)
     projective = np.eye(4)
     projective[3, 0] = 0.1
     with pytest.raises(NonConformalMatrix):
-        matrix_to_versor(projective)
-
-
-def test_versor_to_matrix_round_trip():
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        t = random_trs(rng)
-        assert np.allclose(versor_to_matrix(trs_versor(t)), trs_matrix(t), atol=1e-9)
+        decompose_conformal_matrix(projective)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +386,6 @@ def test_export_obj_exact_bytes(tmp_path):
     assert path.read_text(encoding="utf-8") == expected
 
 
-def test_export_obj_sequence_naming(tmp_path):
-    mesh = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    paths = export_obj_sequence([mesh, mesh, mesh], tmp_path / "frames")
-    names = [p.split("/")[-1] for p in paths]
-    assert names == ["frame_0000.obj", "frame_0001.obj", "frame_0002.obj"]
-
-
 def test_export_obj_is_deterministic(tmp_path):
     mesh = make_cylinders_model().mesh
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -428,11 +410,6 @@ def test_arm_fixture_counts():
     assert len(m.mesh.vertices) == 3069
     assert len(m.mesh.faces) == 5037
     assert len(m.bones) == 3
-
-
-def test_make_test_models_keys():
-    models = make_test_models()
-    assert set(models) == {"cylinders", "arm"}
 
 
 def test_fixture_boundary_edges():

@@ -39,6 +39,11 @@ def cylinders():
     return make_cylinders_model()
 
 
+@pytest.fixture(scope="module")
+def incidence(cylinders):
+    return edge_face_incidence(cylinders.mesh.faces)
+
+
 def boundary_edges(mesh):
     return sum(1 for faces in edge_face_incidence(mesh.faces).values() if len(faces) == 1)
 
@@ -189,20 +194,20 @@ def test_stationary_scalpel_is_degenerate():
 # ---------------------------------------------------------------- path trace
 
 
-def test_same_face_anchors_trace_to_nothing(cylinders):
+def test_same_face_anchors_trace_to_nothing(cylinders, incidence):
     a = scalpel_hit(cylinders.mesh, radial(0.0, 3 * STEP))
     b = TearAnchor(a.point, a.face, a.bary)
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
-    assert trace_surface_path(cylinders.mesh, plane, a, b) == ()
+    assert trace_surface_path(cylinders.mesh, plane, a, b, incidence) == ()
 
 
-def test_adjacent_faces_yield_one_point_on_shared_edge(cylinders):
+def test_adjacent_faces_yield_one_point_on_shared_edge(cylinders, incidence):
     mesh = cylinders.mesh
     a = scalpel_hit(mesh, radial(0.0, 3 * STEP))
     b = scalpel_hit(mesh, radial(1.0, 4 * STEP))
     assert a.face != b.face
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
-    points = trace_surface_path(mesh, plane, a, b)
+    points = trace_surface_path(mesh, plane, a, b, incidence)
     assert len(points) == 1
     shared = set(map(int, mesh.faces[a.face])) & set(map(int, mesh.faces[b.face]))
     assert set(points[0].edge) == shared
@@ -210,15 +215,14 @@ def test_adjacent_faces_yield_one_point_on_shared_edge(cylinders):
     assert 0.0 < points[0].lam < 1.0
 
 
-def test_traced_points_lie_on_plane_in_face_order(cylinders):
+def test_traced_points_lie_on_plane_in_face_order(cylinders, incidence):
     mesh = cylinders.mesh
     a = scalpel_hit(mesh, radial(0.0, 3 * STEP))
     b = scalpel_hit(mesh, radial(1.0, 20 * STEP))
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
-    points = trace_surface_path(mesh, plane, a, b)
+    points = trace_surface_path(mesh, plane, a, b, incidence)
     assert len(points) == 17
     eps = 1e-9 * bbox_diagonal(mesh)
-    incidence = edge_face_incidence(mesh.faces)
     for q in points:
         pos = np.asarray(q.position).reshape(1, 3)
         assert abs(plane_distances(pos, plane)[0]) < eps
@@ -231,24 +235,24 @@ def test_traced_points_lie_on_plane_in_face_order(cylinders):
         assert qb.face in incidence[qb.edge]
 
 
-def test_trace_walks_the_short_way_both_directions(cylinders):
+def test_trace_walks_the_short_way_both_directions(cylinders, incidence):
     mesh = cylinders.mesh
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
     a = scalpel_hit(mesh, radial(0.0, 3 * STEP))
     ccw = scalpel_hit(mesh, radial(1.0, 20 * STEP))
     cw = scalpel_hit(mesh, radial(1.0, (3 - 17) * STEP))
-    assert len(trace_surface_path(mesh, plane, a, ccw)) == 17
-    assert len(trace_surface_path(mesh, plane, a, cw)) == 17
+    assert len(trace_surface_path(mesh, plane, a, ccw, incidence)) == 17
+    assert len(trace_surface_path(mesh, plane, a, cw, incidence)) == 17
 
 
-def test_trace_dead_end_at_boundary(cylinders):
+def test_trace_dead_end_at_boundary(cylinders, incidence):
     mesh = cylinders.mesh
     # a vertical plane section runs off the open tube ends
     a = scalpel_hit(mesh, ScalpelState(0.0, (0.05, 0.5, 10.0), (0.05, 3.0, 10.0)))
     b = scalpel_hit(mesh, ScalpelState(1.0, (0.05, -0.5, 10.0), (0.05, -3.0, 10.0)))
     plane = make_plane((1.0, 0.0, 0.0), 0.05)
     with pytest.raises(PathNotFound, match="boundary"):
-        trace_surface_path(mesh, plane, a, b)
+        trace_surface_path(mesh, plane, a, b, incidence)
 
 
 # ---------------------------------------------------------------- apply/open
@@ -392,6 +396,22 @@ def test_multi_step_tear_chains_through_shared_anchor(cylinders):
     assert abs(mesh_area(res.model.mesh) - total) / total < 1e-9
     # 3 anchors + 22 points + 22 twins
     assert len(res.model.mesh.vertices) == len(cylinders.mesh.vertices) + 3 + 44
+
+
+def test_tear_builds_edge_face_incidence_once(cylinders, monkeypatch):
+    import mvskin.tear as tear_module
+
+    calls = []
+
+    def counting(faces):
+        calls.append(len(faces))
+        return edge_face_incidence(faces)
+
+    monkeypatch.setattr(tear_module, "edge_face_incidence", counting)
+    states = [radial(0.0, 3 * STEP), radial(1.0, 14 * STEP), radial(2.0, 25 * STEP)]
+    res = tear(cylinders, states, delta=0.1)
+    assert len(res.paths) == 2
+    assert calls == [len(cylinders.mesh.faces)]
 
 
 def test_reversed_script_mirrors_the_path(cylinders):
