@@ -1,8 +1,9 @@
-"""Skin the cylinders fixture with all three backends and compare.
+"""Skin the cylinders fixture with all four backends and compare.
 
 Poses the middle joint with a rotation, a translation, and a uniform
 dilation, then reports how far conformal-versor skinning lands from
-the dual-quaternion and matrix references.
+the dual-quaternion and matrix references, and how far projecting the
+summed conformal images (cga_sum) lands from projecting each term (cga).
 """
 
 import math
@@ -43,6 +44,8 @@ def main():
             "%-32s versor vs %-3s  linf %.4f%%  mean %.6f%%"
             % (label, reference, 100 * out["linf_rel"], 100 * out["mean_rel"])
         )
+        out = compare_backends(posed, pose, reference="cga", test="cga_sum")
+        print("%-32s cga_sum vs cga  linf %.4f%%" % ("", 100 * out["linf_rel"]))
 
     # bind pose must be a fixed point of every backend
     from mvskin.animate import SKIN_BACKENDS, bind_pose

@@ -32,6 +32,7 @@ from .animate import (
     generate_keyframe,
     global_pose_at,
     skin_cga,
+    skin_cga_sum,
     skin_dq,
     skin_lbs,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "generate_keyframe",
     "global_pose_at",
     "skin_cga",
+    "skin_cga_sum",
     "skin_dq",
     "skin_lbs",
     "CutResult",

@@ -1,17 +1,19 @@
-"""Keyframe interpolation, pose propagation, and three skinning backends.
+"""Keyframe interpolation, pose propagation, and four skinning backends.
 
 A Pose carries each bone's global transform at a sample time, in two
 equivalent forms evaluated by the same parent-before-child traversal:
 a conformal versor and a homogeneous 4x4 matrix.  Skinning composes the
-pose with each bone's offset (inverse global bind) and blends per vertex:
+pose with each bone's offset (inverse global bind) into a versor S_n and
+a matrix M_n; every backend blends over a vertex's influences (n, w_n)
+in one loop on the model's packed influence table:
 
-  cga  weighted sum of per-influence conformal sandwich results, each
-       down-projected before summation (a sum-then-project variant is
-       available behind a flag),
-  lbs  weighted sum of homogeneous matrix images,
-  dq   normalized linear blend of unit dual quaternions; uniform scale
-       is factored out of each bone matrix and applied to the input
-       point first, since dual quaternions only cover rigid motion.
+  cga      sum_n w_n down(S_n up(v) ~S_n), projected per term: lbs to rounding,
+  cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
+           from cga only where a dilation skews the conformal weights,
+  lbs      sum_n w_n M_n v,
+  dq       normalized linear blend of unit dual quaternions; uniform scale
+           is factored out of each bone matrix and applied to the input
+           point first, since dual quaternions only cover rigid motion.
 
 Sample times outside a track's key range clamp to the nearest key; a
 missing track holds the bone's local bind transform.  Tracks, if any,
@@ -47,6 +49,7 @@ __all__ = [
     "global_pose_at",
     "bind_pose",
     "skin_cga",
+    "skin_cga_sum",
     "skin_lbs",
     "skin_dq",
     "SKIN_BACKENDS",
@@ -68,11 +71,18 @@ class Pose:
 
 @dataclass(frozen=True)
 class SkinnedFrame:
-    """Deformed vertex positions produced by one skinning backend."""
+    """Deformed vertex positions produced by one skinning backend, all finite."""
 
     positions: np.ndarray  # (n, 3)
     backend: str
     time: float
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~np.all(np.isfinite(self.positions), axis=1))
+        if bad.size:
+            raise NumericalFailure(
+                f"{self.backend} skinning produced a non-finite position at vertex {int(bad[0])}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -147,85 +157,58 @@ def bind_pose(model: RiggedModel) -> Pose:
 # skinning backends
 
 
-def _influence_arrays(model: RiggedModel) -> dict:
-    """Per-bone vertex index and weight arrays, keyed by bone id."""
-    gathered: dict = {}
-    for vi, entry in enumerate(model.weights):
-        for bone_id, w in entry:
-            gathered.setdefault(bone_id, ([], []))
-            gathered[bone_id][0].append(vi)
-            gathered[bone_id][1].append(w)
-    return {
-        b: (np.array(idx, dtype=np.intp), np.array(ws, dtype=np.float64))
-        for b, (idx, ws) in gathered.items()
-    }
+def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
+    """Per-vertex sum of w * image(bone, rows) over the packed influences.
 
-
-def _check_finite(positions: np.ndarray, backend: str) -> np.ndarray:
-    bad = np.flatnonzero(~np.all(np.isfinite(positions), axis=1))
-    if bad.size:
-        raise NumericalFailure(
-            f"{backend} skinning produced a non-finite position at vertex {int(bad[0])}"
-        )
-    return positions
-
-
-def skin_cga(model: RiggedModel, pose: Pose, sum_then_project: bool = False) -> SkinnedFrame:
-    """Conformal skinning: blend sandwich images of each vertex.
-
-    Default path down-projects every influence term before the weighted
-    sum; sum_then_project instead sums the conformal points and projects
-    once (the two agree wherever a vertex has a single influence).
+    Bones go in first-use order and each bone's rows ascend, so every
+    backend adds the same terms in the same order.  The output has a
+    row per mesh vertex.
     """
-    verts = model.mesh.vertices
-    out = np.zeros((len(verts), 3))
-    acc = np.zeros((len(verts), 32)) if sum_then_project else None
+    ids, ws = model.influences
+    bones, first = np.unique(ids[ids >= 0], return_index=True)
+    out = np.zeros((len(model.mesh.vertices), width))
     with np.errstate(all="ignore"):
-        lifted = up_points(verts) if len(verts) else np.zeros((0, 32))
-        for bone_id, (idx, ws) in _influence_arrays(model).items():
-            bone = model.bone(bone_id)
-            deform = geometric_product(pose.versors[bone_id], trs_versor(bone.offset))
-            img = lifted[idx] @ sandwich_matrix(deform)
-            if sum_then_project:
-                acc[idx] += ws[:, None] * img
-            else:
-                out[idx] += ws[:, None] * down_points(img)
-        if sum_then_project and len(verts):
-            out = down_points(acc)
-    return SkinnedFrame(_check_finite(out, "cga"), "cga", pose.time)
+        for bone_id in bones[np.argsort(first)].tolist():
+            rows, cols = np.nonzero(ids == bone_id)
+            out[rows] += ws[rows, cols][:, None] * image(bone_id, rows)
+    return out
+
+
+def _sandwich_images(model: RiggedModel, pose: Pose):
+    """image(bone, rows): conformal sandwich images (k, 32) of the lifted rows."""
+    with np.errstate(all="ignore"):
+        lifted = up_points(model.mesh.vertices)
+
+    def image(bone_id, rows):
+        deform = geometric_product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset))
+        return lifted[rows] @ sandwich_matrix(deform)
+
+    return image
+
+
+def skin_cga(model: RiggedModel, pose: Pose) -> SkinnedFrame:
+    """Conformal skinning, projecting each term: sum_n w_n down(S_n up(v))."""
+    sandwich = _sandwich_images(model, pose)
+    out = _blend(model, 3, lambda bone_id, rows: down_points(sandwich(bone_id, rows)))
+    return SkinnedFrame(out, "cga", pose.time)
+
+
+def skin_cga_sum(model: RiggedModel, pose: Pose) -> SkinnedFrame:
+    """Conformal skinning, projecting once: down(sum_n w_n S_n up(v))."""
+    acc = _blend(model, 32, _sandwich_images(model, pose))
+    with np.errstate(all="ignore"):
+        out = down_points(acc)
+    return SkinnedFrame(out, "cga_sum", pose.time)
 
 
 def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
-    """Linear blend skinning with homogeneous matrices."""
-    verts = model.mesh.vertices
-    out = np.zeros((len(verts), 3))
-    with np.errstate(all="ignore"):
-        for bone_id, (idx, ws) in _influence_arrays(model).items():
-            bone = model.bone(bone_id)
-            m = pose.matrices[bone_id] @ trs_matrix(bone.offset)
-            img = verts[idx] @ m[:3, :3].T + m[:3, 3]
-            out[idx] += ws[:, None] * img
-    return SkinnedFrame(_check_finite(out, "lbs"), "lbs", pose.time)
+    """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v."""
 
+    def image(bone_id, rows):
+        m = pose.matrices[bone_id] @ trs_matrix(model.bone(bone_id).offset)
+        return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
 
-def _qmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=1,
-    )
-
-
-def _qrot_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    w, u = q[:, :1], q[:, 1:]
-    uv = np.cross(u, v)
-    return v + 2.0 * w * uv + 2.0 * np.cross(u, uv)
+    return SkinnedFrame(_blend(model, 3, image), "lbs", pose.time)
 
 
 def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
@@ -237,48 +220,36 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     correction pivots on each vertex's largest-weight influence (ties go
     to the lower bone id).
     """
-    verts = model.mesh.vertices
-    n = len(verts)
-
-    real: dict = {}
-    dual: dict = {}
-    scale: dict = {}
+    parts = {}  # bone id -> [real (4), dual (4), scale]
     for b in model.bones:
         m = pose.matrices[b.id] @ trs_matrix(b.offset)
-        a = m[:3, :3]
-        s = float(np.linalg.det(a)) ** (1.0 / 3.0)
-        q = quat.from_matrix(a / s)
-        t = m[:3, 3]
-        real[b.id] = q
-        dual[b.id] = 0.5 * quat.multiply(np.concatenate([[0.0], t]), q)
-        scale[b.id] = s
+        s = float(np.linalg.det(m[:3, :3])) ** (1.0 / 3.0)
+        real = quat.from_matrix(m[:3, :3] / s)
+        dual = 0.5 * quat.multiply(np.concatenate([[0.0], m[:3, 3]]), real)
+        parts[b.id] = np.concatenate([real, dual, [s]])
 
-    pivot_real = np.zeros((n, 4))
-    for vi, entry in enumerate(model.weights):
-        pivot = min(entry, key=lambda bw: (-bw[1], bw[0]))[0]
-        pivot_real[vi] = real[pivot]
+    ids, ws = model.influences
+    tied = (ws == ws.max(axis=1, keepdims=True)) & (ids >= 0)
+    pivot = np.where(tied, ids, np.iinfo(ids.dtype).max).min(axis=1)
+    pivot_real = np.zeros((len(ids), 4))
+    for bone_id, part in parts.items():
+        pivot_real[pivot == bone_id] = part[:4]
 
-    acc_r = np.zeros((n, 4))
-    acc_d = np.zeros((n, 4))
-    s_blend = np.zeros(n)
-    for bone_id, (idx, ws) in _influence_arrays(model).items():
-        sgn = np.where(pivot_real[idx] @ real[bone_id] < 0.0, -1.0, 1.0)
-        acc_r[idx] += (ws * sgn)[:, None] * real[bone_id]
-        acc_d[idx] += (ws * sgn)[:, None] * dual[bone_id]
-        s_blend[idx] += ws * scale[bone_id]
+    def image(bone_id, rows):
+        part = parts[bone_id]
+        sgn = np.where(pivot_real[rows] @ part[:4] < 0.0, -1.0, 1.0)
+        return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
 
-    norm = np.linalg.norm(acc_r, axis=1, keepdims=True)
+    acc = _blend(model, 9, image)
+    norm = np.linalg.norm(acc[:, :4], axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        qr = acc_r / norm
-        qd = acc_d / norm
-        scaled = s_blend[:, None] * verts
-        conj = qr * np.array([1.0, -1.0, -1.0, -1.0])
-        trans = 2.0 * _qmul_rows(qd, conj)[:, 1:]
-        out = _qrot_rows(qr, scaled) + trans
-    return SkinnedFrame(_check_finite(out, "dq"), "dq", pose.time)
+        qr, qd = acc[:, :4] / norm, acc[:, 4:8] / norm
+        trans = 2.0 * quat.multiply(qd, quat.conjugate(qr))[:, 1:]
+        out = quat.rotate(qr, acc[:, 8:] * model.mesh.vertices) + trans
+    return SkinnedFrame(out, "dq", pose.time)
 
 
-SKIN_BACKENDS = {"cga": skin_cga, "lbs": skin_lbs, "dq": skin_dq}
+SKIN_BACKENDS = {"cga": skin_cga, "cga_sum": skin_cga_sum, "lbs": skin_lbs, "dq": skin_dq}
 
 
 def compare_backends(

@@ -36,9 +36,9 @@ validated against the model before anything executes.
 
 Artifacts: ``frame_%04d.obj`` (numbered across the whole run),
 ``cut_M1.obj``/``cut_M2.obj``, ``torn.obj``, ``<name>.obj`` for
-exports, and ``metrics.json`` (schema version 2: per-action wall times,
-intersection counts, compare error norms; an execution error lands in
-its "error" field and flips the exit status).  An empty action list
+exports, and ``metrics.json`` (schema version 3: per-action wall times,
+intersection counts, compare error norms; a failure keeps the finished
+records, names its ``action_index`` and exits nonzero).  An empty action list
 exports the bind-pose mesh as ``bind.obj``.  Outputs are deterministic:
 identical script and rig produce byte-identical OBJ files.
 """
@@ -72,7 +72,7 @@ from .rig import (
 )
 from .tear import ScalpelState, tear
 
-METRICS_VERSION = 2
+METRICS_VERSION = 3
 SCRIPT_VERSION = 1
 
 _FIXTURES = {"cylinders": make_cylinders_model, "arm": make_arm_model}
@@ -277,14 +277,13 @@ def validate_script(model: RiggedModel, doc) -> list:
     return normalized
 
 
-def run_script(model: RiggedModel, actions: list, out_dir: Path, backend: str, accel: bool) -> dict:
-    """Execute validated actions; returns the per-action metrics list."""
+def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, accel: bool):
+    """Execute validated actions, yielding each action's record as it finishes."""
     out_dir.mkdir(parents=True, exist_ok=True)
     skinner = SKIN_BACKENDS[backend]
     frame_counter = 0
     cut_counter = 0
     tear_counter = 0
-    records = []
 
     for i, act in enumerate(actions):
         record = {"index": i, "action": act["action"]}
@@ -350,13 +349,17 @@ def run_script(model: RiggedModel, actions: list, out_dir: Path, backend: str, a
             export_obj(model.mesh, path)
             record.update(files=[path.name])
         record["wall_time_s"] = time.perf_counter() - started
-        records.append(record)
+        yield record
 
     if not actions:
         path = out_dir / "bind.obj"
         export_obj(model.mesh, path)
-        records.append({"index": 0, "action": "export", "files": [path.name], "wall_time_s": 0.0})
-    return records
+        yield {"index": 0, "action": "export", "files": [path.name], "wall_time_s": 0.0}
+
+
+def run_script(model: RiggedModel, actions: list, out_dir: Path, backend: str, accel: bool) -> list:
+    """Execute validated actions; returns the per-action metrics list."""
+    return list(_execute(model, actions, out_dir, backend, accel))
 
 
 def _write_metrics(out_dir: Path, payload: dict) -> None:
@@ -377,15 +380,18 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
         "actions": [],
         "error": None,
     }
+    actions = None
     try:
         if backend not in SKIN_BACKENDS:
             raise ScriptError(f"unknown skinning backend {backend!r}")
         model = load_model(rig)
         doc = json.loads(Path(script_path).read_text(encoding="utf-8"))
         actions = validate_script(model, doc)
-        payload["actions"] = run_script(model, actions, out, backend, accel)
+        for record in _execute(model, actions, out, backend, accel):
+            payload["actions"].append(record)
     except (MvskinError, OSError, ValueError) as exc:
-        payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        index = None if actions is None else len(payload["actions"])
+        payload["error"] = {"type": type(exc).__name__, "message": str(exc), "action_index": index}
         _write_metrics(out, payload)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Unit quaternion helpers, (w, x, y, z) convention."""
+"""Unit quaternion helpers, (w, x, y, z) convention, broadcast over leading axes."""
 
 from __future__ import annotations
 
@@ -29,28 +29,28 @@ def normalize(q) -> np.ndarray:
 
 
 def multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = np.asarray(a, dtype=np.float64)
-    bw, bx, by, bz = np.asarray(b, dtype=np.float64)
-    return np.array(
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def rotate(q, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion."""
+    """Rotate 3-vectors (..., 3) by unit quaternions (..., 4)."""
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    w, u = q[0], q[1:]
+    w, u = q[..., :1], q[..., 1:]
     return v + 2.0 * w * np.cross(u, v) + 2.0 * np.cross(u, np.cross(u, v))
 
 

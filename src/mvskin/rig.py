@@ -33,6 +33,7 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -242,6 +243,18 @@ class RiggedModel:
     def children(self, bone_id: int) -> tuple:
         return tuple(b for b in self.bones if b.parent == bone_id)
 
+    @functools.cached_property
+    def influences(self) -> tuple:
+        """Packed weights, built on first use: (n, 4) bone ids (-1 if empty), (n, 4) weights."""
+        ids = np.full((len(self.weights), 4), -1, dtype=np.int64)
+        ws = np.zeros((len(self.weights), 4))
+        for vi, entry in enumerate(self.weights):
+            ids[vi, : len(entry)] = [bone_id for bone_id, _ in entry]
+            ws[vi, : len(entry)] = [w for _, w in entry]
+        ids.setflags(write=False)
+        ws.setflags(write=False)
+        return ids, ws
+
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):
             return NotImplemented
@@ -325,6 +338,8 @@ def validate_model(model: RiggedModel) -> None:
         raise HierarchyError("skeleton has no bones")
     if len(set(ids)) != len(ids):
         raise HierarchyError(f"duplicate bone ids: {sorted(ids)}")
+    if min(ids) < 0:
+        raise HierarchyError(f"bone {min(ids)}: bone ids must be nonnegative")
     by_id = {b.id: b for b in model.bones}
     roots = [b for b in model.bones if b.parent is None]
     if len(roots) != 1:

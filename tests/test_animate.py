@@ -15,6 +15,7 @@ from mvskin.animate import (
     global_pose_at,
     local_transform_at,
     skin_cga,
+    skin_cga_sum,
     skin_dq,
     skin_lbs,
 )
@@ -194,7 +195,7 @@ def test_bind_pose_fixed_point_all_backends():
         frame = fn(m, pose)
         assert frame.backend == name
         assert np.max(np.abs(frame.positions - m.mesh.vertices)) < 1e-9
-    frame = skin_cga(m, pose, sum_then_project=True)
+    frame = skin_cga_sum(m, pose)
     assert np.max(np.abs(frame.positions - m.mesh.vertices)) < 1e-9
 
 
@@ -208,7 +209,7 @@ def test_single_influence_equivalence_rigid_pose():
     for a in ("lbs", "dq"):
         gap = np.max(np.abs(frames["cga"][single] - frames[a][single]))
         assert gap < 1e-9
-    stp = skin_cga(m, pose, sum_then_project=True).positions
+    stp = skin_cga_sum(m, pose).positions
     assert np.max(np.abs(stp[single] - frames["cga"][single])) < 1e-9
 
 
@@ -222,27 +223,42 @@ def test_one_bone_translation_shifts_everything():
     assert np.allclose(frame.positions, m.mesh.vertices + [3.0, -1.0, 2.0], atol=1e-12)
 
 
-def test_lbs_matches_straight_line_matrix_oracle():
-    rng = np.random.default_rng(4)
-    m = make_cylinders_model()
-    for bone in (1, 2):
-        q = quat.normalize(rng.normal(size=4))
-        m = generate_keyframe(
-            m, "c", bone, Trs(tuple(rng.normal(size=3)), tuple(q), 1.0), 1.0
-        )
-    pose = global_pose_at(m, "c", 1.0)
-    got = skin_lbs(m, pose).positions
+def top_down_model(m):
+    """The same rig with vertices listed in reverse and each weight list reversed."""
+    n = len(m.mesh.vertices)
+    mesh = Mesh(m.mesh.vertices[::-1], (n - 1) - m.mesh.faces)
+    weights = tuple(tuple(reversed(entry)) for entry in reversed(m.weights))
+    return RiggedModel(mesh, m.bones, weights, m.clips)
 
-    # independent straight-line evaluator
-    expect = np.zeros_like(m.mesh.vertices)
-    for vi, entry in enumerate(m.weights):
-        v = np.append(m.mesh.vertices[vi], 1.0)
-        acc = np.zeros(4)
-        for bone_id, w in entry:
-            mm = pose.matrices[bone_id] @ trs_matrix(m.bone(bone_id).offset)
-            acc += w * (mm @ v)
-        expect[vi] = acc[:3]
-    assert np.max(np.abs(got - expect)) < 1e-12
+
+def test_lbs_matches_straight_line_matrix_oracle():
+    # the fixture lists weights in bone-id order and meets bones in id
+    # order; its top-down twin does neither
+    flipped = top_down_model(make_cylinders_model())
+    validate_model(flipped)
+    first_use = list(dict.fromkeys(b for entry in flipped.weights for b, _ in entry))
+    assert first_use != sorted(first_use)
+    assert any([b for b, _ in e] != sorted(b for b, _ in e) for e in flipped.weights)
+    for m in (make_cylinders_model(), flipped):
+        rng = np.random.default_rng(4)
+        for bone in (1, 2):
+            q = quat.normalize(rng.normal(size=4))
+            m = generate_keyframe(
+                m, "c", bone, Trs(tuple(rng.normal(size=3)), tuple(q), 1.0), 1.0
+            )
+        pose = global_pose_at(m, "c", 1.0)
+        got = skin_lbs(m, pose).positions
+
+        # independent straight-line evaluator
+        expect = np.zeros_like(m.mesh.vertices)
+        for vi, entry in enumerate(m.weights):
+            v = np.append(m.mesh.vertices[vi], 1.0)
+            acc = np.zeros(4)
+            for bone_id, w in entry:
+                mm = pose.matrices[bone_id] @ trs_matrix(m.bone(bone_id).offset)
+                acc += w * (mm @ v)
+            expect[vi] = acc[:3]
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_cga_per_term_equals_lbs_for_exact_versor_poses():
@@ -263,7 +279,7 @@ def test_sum_then_project_differs_on_blended_vertices():
     m = keyed(m, "c", 1, 1.0, rotation=tuple(quat.from_axis_angle((1, 0, 0), 1.2)), scale=1.6)
     pose = global_pose_at(m, "c", 1.0)
     default = skin_cga(m, pose).positions
-    projected = skin_cga(m, pose, sum_then_project=True).positions
+    projected = skin_cga_sum(m, pose).positions
     blended = [i for i, e in enumerate(m.weights) if len(e) > 1]
     assert np.max(np.abs(default[blended] - projected[blended])) > 1e-7
     assert np.all(np.isfinite(projected))
@@ -296,29 +312,54 @@ def test_dq_translation_pose_matches_cga():
 
 def test_dq_hemisphere_pivot_on_far_rotations():
     # rotations 80 and 280 degrees about z: quaternion dot < 0, so the
-    # blend must flip one sign before accumulating
-    m = chain_model(2)
-    weights = (((0, 0.5), (1, 0.5)),) + tuple(((0, 1.0),) for _ in m.weights[1:])
-    m = RiggedModel(m.mesh, m.bones, weights, {})
-    q80 = quat.from_axis_angle((0, 0, 1), np.deg2rad(80))
-    q280 = quat.from_axis_angle((0, 0, 1), np.deg2rad(280))
-    m = generate_keyframe(m, "c", 0, Trs(rotation=tuple(q80)), 0.0)
-    m = generate_keyframe(m, "c", 1, Trs(rotation=tuple(q280)), 0.0)
-    pose = global_pose_at(m, "c", 0.0)
-    frame = skin_dq(m, pose)
-    # oracle: hemisphere-aligned blend of the two bone rotors; bone 1 picks
-    # up its offset translation but vertex 0 sits at the origin
-    v = m.mesh.vertices[0]
-    qa = quat.from_matrix(quat.to_matrix(q80))
-    mm = pose.matrices[1] @ trs_matrix(m.bone(1).offset)
-    qb = quat.from_matrix(mm[:3, :3])
-    if np.dot(qa, qb) < 0:
-        qb = -qb
-    blend = 0.5 * qa + 0.5 * qb
-    dual = 0.5 * (0.5 * quat.multiply(np.concatenate([[0.0], mm[:3, 3]]), qb))
-    n = np.linalg.norm(blend)
-    t = 2.0 * quat.multiply(dual / n, quat.conjugate(blend / n))[1:]
-    expect = quat.rotate(blend / n, v) + t
+    # blend must flip one sign before accumulating; the 0.5/0.5 tie is
+    # listed in both orders
+    frames = []
+    for tie in (((0, 0.5), (1, 0.5)), ((1, 0.5), (0, 0.5))):
+        m = chain_model(2)
+        weights = (tie,) + tuple(((0, 1.0),) for _ in m.weights[1:])
+        m = RiggedModel(m.mesh, m.bones, weights, {})
+        q80 = quat.from_axis_angle((0, 0, 1), np.deg2rad(80))
+        q280 = quat.from_axis_angle((0, 0, 1), np.deg2rad(280))
+        m = generate_keyframe(m, "c", 0, Trs(rotation=tuple(q80)), 0.0)
+        m = generate_keyframe(m, "c", 1, Trs(rotation=tuple(q280)), 0.0)
+        pose = global_pose_at(m, "c", 0.0)
+        frames.append(skin_dq(m, pose).positions)
+        # oracle: hemisphere-aligned blend of the two bone rotors; bone 1 picks
+        # up its offset translation but vertex 0 sits at the origin
+        v = m.mesh.vertices[0]
+        qa = quat.from_matrix(quat.to_matrix(q80))
+        mm = pose.matrices[1] @ trs_matrix(m.bone(1).offset)
+        qb = quat.from_matrix(mm[:3, :3])
+        if np.dot(qa, qb) < 0:
+            qb = -qb
+        blend = 0.5 * qa + 0.5 * qb
+        dual = 0.5 * (0.5 * quat.multiply(np.concatenate([[0.0], mm[:3, 3]]), qb))
+        n = np.linalg.norm(blend)
+        t = 2.0 * quat.multiply(dual / n, quat.conjugate(blend / n))[1:]
+        expect = quat.rotate(blend / n, v) + t
+        assert np.allclose(frames[-1][0], expect, atol=1e-12)
+    assert np.array_equal(frames[0], frames[1])
+
+
+@pytest.mark.parametrize("order", [(2, 1, 0), (1, 2, 0), (0, 1, 2)])
+def test_dq_pivot_tie_goes_to_lower_bone_id(order):
+    # bones 1 and 2 rotate +100 and -100 degrees about z and tie at 0.4;
+    # their quaternions sit in opposite hemispheres, while the root's
+    # identity is near both, so the pivot decides which one flips
+    bones = (Bone(0, None), Bone(1, 0), Bone(2, 0))
+    mesh = Mesh([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[0, 1, 2]])
+    share = {0: 0.2, 1: 0.4, 2: 0.4}
+    weights = (tuple((b, share[b]) for b in order), ((0, 1.0),), ((0, 1.0),))
+    m = RiggedModel(mesh, bones, weights, {})
+    validate_model(m)
+    q1 = quat.from_axis_angle((0, 0, 1), np.deg2rad(100))
+    q2 = quat.from_axis_angle((0, 0, 1), np.deg2rad(-100))
+    m = generate_keyframe(m, "c", 1, Trs(rotation=tuple(q1)), 0.0)
+    m = generate_keyframe(m, "c", 2, Trs(rotation=tuple(q2)), 0.0)
+    frame = skin_dq(m, global_pose_at(m, "c", 0.0))
+    blend = 0.2 * np.array([1.0, 0.0, 0.0, 0.0]) + 0.4 * q1 - 0.4 * q2  # pivot on bone 1
+    expect = quat.rotate(blend / np.linalg.norm(blend), mesh.vertices[0])
     assert np.allclose(frame.positions[0], expect, atol=1e-12)
 
 
@@ -351,6 +392,28 @@ def test_numerical_failure_names_vertex():
         skin_lbs(m, pose)
     with pytest.raises(NumericalFailure, match="vertex 1"):
         skin_dq(m, pose)
+
+
+def test_influences_are_packed_once_per_model(monkeypatch):
+    prop = RiggedModel.__dict__["influences"]
+    pack = prop.func
+    packed = []
+    monkeypatch.setattr(prop, "func", lambda model: packed.append(model) or pack(model))
+    m = keyed(make_cylinders_model(), "c", 1, 1.0, rotation=tuple(quat.from_axis_angle((1, 0, 0), 0.6)))
+    assert m.influences is m.influences
+    pose = global_pose_at(m, "c", 1.0)
+    for fn in SKIN_BACKENDS.values():
+        fn(m, pose)
+    compare_backends(m, pose, reference="dq", test="cga_sum")
+    assert len(packed) == 1 and packed[0] is m
+
+    ids, ws = m.influences
+    assert ids.shape == ws.shape == (len(m.weights), 4)
+    assert not ids.flags.writeable and not ws.flags.writeable
+    for vi, entry in enumerate(m.weights):
+        k = len(entry)
+        assert [(int(b), float(w)) for b, w in zip(ids[vi, :k], ws[vi, :k])] == list(entry)
+        assert np.all(ids[vi, k:] == -1) and np.all(ws[vi, k:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

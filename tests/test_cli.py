@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvskin
 from mvskin.cli import (
     METRICS_VERSION,
     SCRIPT_VERSION,
@@ -39,21 +43,25 @@ def obj_bytes(out_dir):
 
 
 def check_metrics_schema(doc):
-    """Schema version 2: fixed top-level fields, per-action records."""
+    """Schema version 3: fixed top-level fields, per-action records, failing index."""
     assert set(doc) == {
         "metrics_version", "rig", "script", "backend", "accel", "actions", "error",
     }
-    assert doc["metrics_version"] == METRICS_VERSION == 2
+    assert doc["metrics_version"] == METRICS_VERSION == 3
     assert isinstance(doc["rig"], str)
     assert isinstance(doc["script"], str)
-    assert doc["backend"] in ("cga", "lbs", "dq")
+    assert doc["backend"] in ("cga", "cga_sum", "lbs", "dq")
     assert isinstance(doc["accel"], bool)
     assert isinstance(doc["actions"], list)
     for rec in doc["actions"]:
         assert isinstance(rec["index"], int)
         assert rec["action"] in ("set_keyframe", "sample", "cut", "tear", "compare", "export")
         assert isinstance(rec["wall_time_s"], float) and rec["wall_time_s"] >= 0.0
-    assert doc["error"] is None or set(doc["error"]) == {"type", "message"}
+    assert [rec["index"] for rec in doc["actions"]] == list(range(len(doc["actions"])))
+    if doc["error"] is not None:
+        assert set(doc["error"]) == {"type", "message", "action_index"}
+        index = doc["error"]["action_index"]
+        assert index is None or index == len(doc["actions"])
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +342,75 @@ def test_runtime_error_is_serialized_with_nonzero_exit(tmp_path):
     check_metrics_schema(metrics)
 
 
+def test_failed_run_keeps_finished_action_records(tmp_path):
+    states = [
+        {"time": 0.0, "tip": [50.0, 50.0, 10.0], "tail": [60.0, 50.0, 10.0]},
+        {"time": 1.0, "tip": [50.0, 50.0, 11.0], "tail": [60.0, 50.0, 11.0]},
+    ]
+    script = write_script(
+        tmp_path / "s.json",
+        [
+            {"action": "export", "name": "a"},
+            {"action": "cut", "plane": {"normal": [0, 0, 1], "d": 10.0}},
+            {"action": "tear", "states": states},
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 1
+    metrics = read_metrics(out)
+    check_metrics_schema(metrics)
+    assert [rec["action"] for rec in metrics["actions"]] == ["export", "cut"]
+    assert metrics["error"]["type"] == "NoIntersection"
+    assert metrics["error"]["action_index"] == 2
+    written = [name for rec in metrics["actions"] for name in rec["files"]]
+    assert written == ["a.obj", "cut_M1.obj", "cut_M2.obj"]
+    assert all((out / name).is_file() for name in written)
+
+
 def test_unreadable_script_reports_error(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--rig", "cylinders", "--script", str(tmp_path / "nope.json"), "--out", str(out)])
     assert rc == 1
-    assert read_metrics(out)["error"] is not None
+    metrics = read_metrics(out)
+    check_metrics_schema(metrics)
+    assert metrics["actions"] == [] and metrics["error"]["action_index"] is None
+
+
+def test_cga_sum_backend_runs_and_compares(tmp_path):
+    bend = {"action": "set_keyframe", "clip": "c", "bone": 1, "time": 1.0,
+            "trs": {"rotation_axis": [1, 0, 0], "rotation_angle": 1.2, "scale": 1.6},
+            "relative_to_bind": True}
+    script = write_script(
+        tmp_path / "s.json",
+        [
+            bend,
+            {"action": "sample", "clip": "c", "times": [1.0]},
+            {"action": "compare", "reference": "cga", "test": "cga_sum", "clip": "c", "time": 1.0},
+        ],
+    )
+    out = tmp_path / "out"
+    rc = main(["run", "--rig", "cylinders", "--script", script, "--out", str(out),
+               "--backend", "cga_sum"])
+    assert rc == 0
+    metrics = read_metrics(out)
+    check_metrics_schema(metrics)
+    assert metrics["backend"] == "cga_sum"
+    rec = metrics["actions"][2]
+    assert rec["reference"] == "cga" and rec["test"] == "cga_sum"
+    assert rec["linf_rel"] > 0.0
+    assert (out / "frame_0000.obj").is_file()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(mvskin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mvskin", "info", "--rig", "cylinders"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "634 vertices" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

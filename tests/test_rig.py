@@ -198,6 +198,21 @@ def test_hierarchy_errors():
         validate_model(cycle)
 
 
+def test_negative_bone_id_rejected_at_load():
+    # -1 marks an empty slot in the packed influence table, and cut and
+    # tear reject negative ids, so the loader must stop them first
+    doc = dump_rig(make_cylinders_model())
+    for bone in doc["bones"]:
+        if bone["id"] == 2:
+            bone["id"] = -5
+    for entry in doc["weights"]:
+        for pair in entry:
+            if pair[0] == 2:
+                pair[0] = -5
+    with pytest.raises(HierarchyError, match="bone -5"):
+        model_from_dict(doc)
+
+
 def test_root_must_bind_at_identity():
     m = tiny_model()
     bones = (Bone(0, None, IDENTITY_TRS, Trs(translation=(1, 0, 0))), m.bones[1])
