@@ -6,10 +6,11 @@ endpoints).  Each consecutive pair of states contributes one step:
 1. scalpel_hit finds where each scalpel segment pierces the surface; a
    proper hit is exactly one transversal face crossing (zero raises
    NoIntersection, two or more AmbiguousIntersection).  The default
-   probe is a linear scan over faces in ascending id order; a FaceBVH
-   accelerator can be passed in and must return bit-identical results,
-   which it guarantees by running the same per-face test on a
-   conservative, ascending candidate set.
+   probe is a linear scan over faces in ascending id order.  A FaceBVH
+   can be passed in instead: one vectorized slab test over the padded
+   per-face boxes keeps the faces the segment can reach, in ascending
+   id order, and the same per-face test runs on those alone, so the
+   result is bit-identical to the scan.
 2. build_tear_plane spans the plane through the current anchor and both
    endpoints of the next scalpel state (right-hand rule normal over
    endpoint deltas); a stationary scalpel leaves the plane undefined
@@ -41,7 +42,9 @@ section.py, under the same eps-shift rule as planar cutting, which
 keeps every intermediate strictly inside its edge.  Should a face split
 still produce a zero-area child (coincident points within eps), the
 sliver is collapsed: the inserted point merges into the coincident
-vertex and the tear is pinned there.
+vertex, is dropped from the mesh, and the tear is pinned there.  Only
+the children of split faces are checked, since no other face holds an
+inserted point.
 """
 
 from __future__ import annotations
@@ -76,8 +79,6 @@ __all__ = [
     "open_tear",
     "tear",
 ]
-
-_BVH_LEAF_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,14 @@ def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
 
 
 class FaceBVH:
-    """Median-split AABB tree over mesh faces.
+    """Padded per-face bounding boxes, probed by one vectorized slab test.
 
-    segment_candidates returns a conservative superset of the faces a
-    segment can cross, in ascending id order, so running the shared
-    per-face test over it reproduces the linear scan bit for bit.
+    There is no tree to build: the mesh changes after every tear, and a
+    tear asks only one query per scalpel state.  segment_candidates
+    returns every face whose padded box the segment meets, in ascending
+    id order.  That is a conservative superset of the faces the segment
+    can cross, so running the shared per-face test over it reproduces
+    the linear scan bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -192,68 +196,24 @@ class FaceBVH:
         pad = 1e-12 * bbox_diagonal(mesh)
         self._lo = tri.min(axis=1) - pad
         self._hi = tri.max(axis=1) + pad
-        centers = 0.5 * (self._lo + self._hi)
-        # nodes: (lo, hi, left, right, leaf face ids or None)
-        self._nodes = []
-
-        def build(ids: np.ndarray) -> int:
-            lo = self._lo[ids].min(axis=0)
-            hi = self._hi[ids].max(axis=0)
-            slot = len(self._nodes)
-            if len(ids) <= _BVH_LEAF_SIZE:
-                self._nodes.append((lo, hi, -1, -1, np.sort(ids)))
-                return slot
-            self._nodes.append(None)
-            axis = int(np.argmax(centers[ids].max(axis=0) - centers[ids].min(axis=0)))
-            order = ids[np.argsort(centers[ids, axis], kind="stable")]
-            mid = len(order) // 2
-            left = build(order[:mid])
-            right = build(order[mid:])
-            self._nodes[slot] = (lo, hi, left, right, None)
-            return slot
-
-        if len(mesh.faces):
-            build(np.arange(len(mesh.faces)))
-
-    @staticmethod
-    def _hits_box(p0, dvec, lo, hi) -> bool:
-        tmin, tmax = 0.0, 1.0
-        for k in range(3):
-            d = dvec[k]
-            if d == 0.0:
-                if p0[k] < lo[k] or p0[k] > hi[k]:
-                    return False
-                continue
-            t1 = (lo[k] - p0[k]) / d
-            t2 = (hi[k] - p0[k]) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            if t1 > tmin:
-                tmin = t1
-            if t2 < tmax:
-                tmax = t2
-            if tmin > tmax:
-                return False
-        return True
 
     def segment_candidates(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        if not self._nodes:
-            return np.zeros(0, dtype=np.int64)
+        """Ids of the faces whose box the segment p0-p1 meets (Kay-Kajiya slabs)."""
+        p0 = np.asarray(p0, dtype=np.float64)
         dvec = np.asarray(p1, dtype=np.float64) - p0
-        out = []
-        stack = [0]
-        while stack:
-            lo, hi, left, right, leaf = self._nodes[stack.pop()]
-            if not self._hits_box(p0, dvec, lo, hi):
+        m = len(self._lo)
+        tmin, tmax = np.zeros(m), np.ones(m)
+        inside = np.ones(m, dtype=bool)
+        for k in range(3):
+            lo, hi, d = self._lo[:, k], self._hi[:, k], dvec[k]
+            if d == 0.0:
+                inside &= (lo <= p0[k]) & (p0[k] <= hi)
                 continue
-            if leaf is not None:
-                out.append(leaf)
-            else:
-                stack.append(right)
-                stack.append(left)
-        if not out:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+            t1 = (lo - p0[k]) / d
+            t2 = (hi - p0[k]) / d
+            np.maximum(tmin, np.minimum(t1, t2), out=tmin)
+            np.minimum(tmax, np.maximum(t1, t2), out=tmax)
+        return np.flatnonzero(inside & (tmin <= tmax))
 
 
 def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearAnchor:
@@ -452,14 +412,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
     )
 
     faces_out = []
-    child_of: dict = {}  # inserted global index -> [face slots]
-
-    def emit(tri):
-        slot = len(faces_out)
-        faces_out.append(list(tri))
-        for v in tri:
-            if v >= n_orig:
-                child_of.setdefault(v, []).append(slot)
+    split_slots = []  # ascending slots of the children that split_face emits
 
     def split_face(fi: int):
         face = [int(v) for v in mesh.faces[fi]]
@@ -504,7 +457,8 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
                     children[idx : idx + 1] = [(a, x, y), (a, y, z), (a, z, x)]
                     break
         for tri in children:
-            emit(tri)
+            split_slots.append(len(faces_out))
+            faces_out.append(list(tri))
 
     for fi in range(len(mesh.faces)):
         if fi in touched:
@@ -512,14 +466,23 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
         else:
             faces_out.append([int(v) for v in mesh.faces[fi]])
 
-    # collapse zero-area slivers by merging the coincident inserted point
+    # collapse zero-area slivers by merging the coincident inserted point;
+    # faces that were not split keep their original corners, and only
+    # inserted points are ever merged, so only split children can collapse
     remap = {}
-    for slot, tri in enumerate(faces_out):
-        a, b, c = (positions[remap.get(v, v)] for v in tri)
+
+    def find(v: int) -> int:
+        while v in remap:
+            v = remap[v]
+        return v
+
+    for slot in split_slots:
+        tri = faces_out[slot]
+        a, b, c = (positions[find(v)] for v in tri)
         if 0.5 * np.linalg.norm(np.cross(b - a, c - a)) >= 1e-12:
             continue
         for i, j in ((0, 1), (1, 2), (2, 0)):
-            vi, vj = remap.get(tri[i], tri[i]), remap.get(tri[j], tri[j])
+            vi, vj = find(tri[i]), find(tri[j])
             if vi == vj:
                 continue
             if np.linalg.norm(positions[vi] - positions[vj]) < eps:
@@ -527,22 +490,36 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
                 if src >= n_orig:
                     remap[src] = dst
                 break
+    weights_all = list(model.weights) + list(new_weights)
     if remap:
-        faces_out = [[remap.get(v, v) for v in tri] for tri in faces_out]
+        # drop the merged points, renumber the rest, and point every path
+        # index at the vertex where the tear is pinned
+        kept = [v for v in range(len(positions)) if v not in remap]
+        renumber = {v: k for k, v in enumerate(kept)}
+
+        def index(v: int) -> int:
+            return renumber[find(v)]
+
+        positions = positions[kept]
+        weights_all = [weights_all[v] for v in kept]
+        faces_out = [[index(v) for v in tri] for tri in faces_out]
         faces_out = [tri for tri in faces_out if len(set(tri)) == 3]
-        child_of = {}
-        for slot, tri in enumerate(faces_out):
-            for v in tri:
-                if v >= n_orig:
-                    child_of.setdefault(v, []).append(slot)
+        split_slots = [slot for slot, tri in enumerate(faces_out) if max(tri) >= n_orig]
+        for path in paths:
+            path.start_index = index(path.start_index)
+            path.end_index = index(path.end_index)
+            path.point_indices = tuple(index(g) for g in path.point_indices)
+    child_of: dict = {}  # inserted index -> [split face slots]
+    for slot in split_slots:
+        for v in faces_out[slot]:
+            if v >= n_orig:
+                child_of.setdefault(v, []).append(slot)
 
     # duplicate every intermediate into a left/right pair by plane side
     pos_rows = [positions[i] for i in range(len(positions))]
-    weights_all = list(model.weights) + list(new_weights)
     for path in paths:
         duplicates = {}
-        for g in path.point_indices or ():
-            g = remap.get(g, g)
+        for g in path.point_indices:
             if g < n_orig or g not in child_of:
                 continue  # collapsed into an original vertex: tear pinned here
             sides = {}
@@ -603,7 +580,8 @@ def tear(
 
     Consecutive scalpel states contribute one tear step each, chained
     through shared anchors.  `accel` probes scalpel hits through a
-    FaceBVH (results are identical to the linear scan).
+    FaceBVH, the per-face box filter, instead of scanning every face;
+    the results are identical to the linear scan.
     """
     if len(scalpels) < 2:
         raise ValueError("a tear needs at least two scalpel states")

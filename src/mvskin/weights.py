@@ -4,8 +4,7 @@ New vertices inherit influences from the corners of the host face (or the
 endpoints of the host edge) by barycentric combination.  The combined list
 may reference up to 12 bones; only the 4 largest weights are kept (ties
 broken toward the lower bone id), the rest are zeroed, and the survivors
-are renormalized to sum to 1.  A pluggable filter hook runs between the
-combination and the truncation; the default is the identity.
+are renormalized to sum to 1.
 
 Per-bone sums use math.fsum, so combining is exactly invariant under
 permutations of the input corners.
@@ -14,21 +13,15 @@ permutations of the input corners.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import WeightSumError
 
-__all__ = ["MAX_INFLUENCES", "identity_filter", "weight_by_barycentric", "weight_by_edge"]
+__all__ = ["MAX_INFLUENCES", "weight_by_barycentric", "weight_by_edge"]
 
 MAX_INFLUENCES = 4
 
 Influences = Sequence[tuple[int, float]]
-WeightFilter = Callable[[list[tuple[int, float]]], Sequence[tuple[int, float]]]
-
-
-def identity_filter(influences: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    """Default weight filter: pass the combined influences through unchanged."""
-    return influences
 
 
 def _check_influences(influences: Influences, name: str) -> None:
@@ -42,7 +35,6 @@ def _check_influences(influences: Influences, name: str) -> None:
 def weight_by_barycentric(
     corner_weights: Sequence[Influences],
     bary: Sequence[float],
-    weight_filter: WeightFilter | None = None,
 ) -> list[tuple[int, float]]:
     """Influences for a point at barycentric `bary` inside a triangle.
 
@@ -50,8 +42,6 @@ def weight_by_barycentric(
     ----------
     corner_weights : three influence lists [(bone, weight), ...]
     bary : barycentric coordinates of the point; nonnegative, sum 1
-    weight_filter : optional hook applied to the combined list before the
-        4-influence truncation
 
     Returns the surviving influences sorted by bone id, summing to 1.
     """
@@ -77,20 +67,13 @@ def weight_by_barycentric(
         for bone, w in corner:
             terms.setdefault(int(bone), []).append(coord * float(w))
     combined = [(b, math.fsum(ts)) for b, ts in sorted(terms.items())]
-    combined = [(b, w) for b, w in combined if w > 0.0]
-
-    hook = weight_filter if weight_filter is not None else identity_filter
-    filtered = [(int(b), float(w)) for b, w in hook(combined)]
-    for bone, w in filtered:
-        if not (math.isfinite(w) and w >= 0.0):
-            raise WeightSumError(f"weight filter produced invalid weight {w!r} on bone {bone}")
 
     # keep the 4 largest weights; ties go to the lower bone id
-    filtered.sort(key=lambda bw: (-bw[1], bw[0]))
-    kept = [(b, w) for b, w in filtered[:MAX_INFLUENCES] if w > 0.0]
+    combined.sort(key=lambda bw: (-bw[1], bw[0]))
+    kept = [(b, w) for b, w in combined[:MAX_INFLUENCES] if w > 0.0]
     total = math.fsum(w for _, w in kept)
     if total <= 0.0:
-        raise WeightSumError("combined influence weights sum to zero after filtering")
+        raise WeightSumError("combined influence weights sum to zero")
     kept = [(b, w / total) for b, w in kept]
     kept.sort(key=lambda bw: bw[0])
     return kept
@@ -100,13 +83,10 @@ def weight_by_edge(
     weights_a: Influences,
     weights_b: Influences,
     lam: float,
-    weight_filter: WeightFilter | None = None,
 ) -> list[tuple[int, float]]:
     """Influences for a point at parameter `lam` along an edge (0 at a, 1 at b)."""
     lam = float(lam)
     if not (math.isfinite(lam) and -1e-9 <= lam <= 1.0 + 1e-9):
         raise ValueError(f"edge parameter must lie in [0, 1], got {lam!r}")
     lam = min(max(lam, 0.0), 1.0)
-    return weight_by_barycentric(
-        [weights_a, weights_b, ()], [1.0 - lam, lam, 0.0], weight_filter
-    )
+    return weight_by_barycentric([weights_a, weights_b, ()], [1.0 - lam, lam, 0.0])

@@ -13,11 +13,18 @@ from mvskin.errors import (
     NoIntersection,
     PathNotFound,
 )
-from mvskin.rig import bbox_diagonal, edge_face_incidence, make_cylinders_model, mesh_area
+from mvskin.rig import (
+    bbox_diagonal,
+    edge_face_incidence,
+    make_arm_model,
+    make_cylinders_model,
+    mesh_area,
+)
 from mvskin.tear import (
     FaceBVH,
     ScalpelState,
     TearAnchor,
+    _face_hit,
     build_tear_plane,
     open_tear,
     scalpel_hit,
@@ -37,6 +44,27 @@ def radial(t, theta, z=10.0, r0=0.5, r1=3.0):
 @pytest.fixture(scope="module")
 def cylinders():
     return make_cylinders_model()
+
+
+@pytest.fixture(scope="module")
+def arm():
+    return make_arm_model()
+
+
+def arm_strokes(seed, n):
+    """Seeded radial scalpels through the arm wall (radius 4, z in 0..40)."""
+    rng = np.random.default_rng(seed)
+    for theta, z in zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(1.0, 39.0, n)):
+        yield radial(0.0, theta, z=z, r0=1.0, r1=6.0)
+
+
+def random_segments(seed, n):
+    """Seeded segments through and around the cylinders."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p0 = rng.uniform((-4, -4, -2), (4, 4, 22))
+        p1 = rng.uniform((-4, -4, -2), (4, 4, 22))
+        yield ScalpelState(0.0, tuple(p0), tuple(p1))
 
 
 @pytest.fixture(scope="module")
@@ -113,47 +141,60 @@ def test_scalpel_hit_rejects_degenerate_segment(cylinders):
         scalpel_hit(cylinders.mesh, dot)
 
 
-def test_bvh_matches_linear_scan_bitwise(cylinders):
+def test_bvh_matches_linear_scan_bitwise(cylinders, arm):
+    for model, states in (
+        (cylinders, random_segments(11, 50)),
+        (arm, arm_strokes(5, 8)),
+    ):
+        mesh = model.mesh
+        bvh = FaceBVH(mesh)
+        for state in states:
+            try:
+                a = scalpel_hit(mesh, state)
+            except NoIntersection:
+                with pytest.raises(NoIntersection):
+                    scalpel_hit(mesh, state, bvh)
+                continue
+            except AmbiguousIntersection as exc:
+                with pytest.raises(AmbiguousIntersection) as exc2:
+                    scalpel_hit(mesh, state, bvh)
+                assert exc2.value.count == exc.count
+                continue
+            b = scalpel_hit(mesh, state, bvh)
+            assert a.face == b.face
+            assert a.point == b.point
+            assert a.bary == b.bary
+
+
+def test_bvh_candidates_cover_all_hit_faces(cylinders, arm):
+    for model, states in (
+        (cylinders, random_segments(7, 30)),
+        (arm, arm_strokes(9, 8)),
+    ):
+        mesh = model.mesh
+        bvh = FaceBVH(mesh)
+        for state in states:
+            p0, p1 = np.asarray(state.tip), np.asarray(state.tail)
+            hit_faces = {
+                fi
+                for fi in range(len(mesh.faces))
+                if _face_hit(mesh.vertices, mesh.faces[fi], p0, p1 - p0) is not None
+            }
+            candidates = bvh.segment_candidates(p0, p1)
+            assert candidates.dtype == np.int64
+            assert np.all(np.diff(candidates) > 0)
+            assert hit_faces <= set(candidates.tolist())
+
+
+def test_bvh_axis_parallel_segment(cylinders):
+    # zero direction components take the inside test, not a 0/0 slab
     mesh = cylinders.mesh
+    state = ScalpelState(0.0, (0.5, 0.07, 10.3), (3.0, 0.07, 10.3))  # along +x only
     bvh = FaceBVH(mesh)
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        p0 = rng.uniform((-4, -4, -2), (4, 4, 22))
-        p1 = rng.uniform((-4, -4, -2), (4, 4, 22))
-        state = ScalpelState(0.0, tuple(p0), tuple(p1))
-        try:
-            a = scalpel_hit(mesh, state)
-        except NoIntersection:
-            with pytest.raises(NoIntersection):
-                scalpel_hit(mesh, state, bvh)
-            continue
-        except AmbiguousIntersection as exc:
-            with pytest.raises(AmbiguousIntersection) as exc2:
-                scalpel_hit(mesh, state, bvh)
-            assert exc2.value.count == exc.count
-            continue
-        b = scalpel_hit(mesh, state, bvh)
-        assert a.face == b.face
-        assert a.point == b.point
-        assert a.bary == b.bary
-
-
-def test_bvh_candidates_cover_all_hit_faces(cylinders):
-    mesh = cylinders.mesh
-    bvh = FaceBVH(mesh)
-    rng = np.random.default_rng(7)
-    from mvskin.tear import _face_hit
-
-    for _ in range(30):
-        p0 = rng.uniform((-4, -4, -2), (4, 4, 22))
-        p1 = rng.uniform((-4, -4, -2), (4, 4, 22))
-        d = p1 - p0
-        hit_faces = {
-            fi
-            for fi in range(len(mesh.faces))
-            if _face_hit(mesh.vertices, mesh.faces[fi], p0, d) is not None
-        }
-        assert hit_faces <= set(bvh.segment_candidates(p0, p1).tolist())
+    with np.errstate(all="raise"):
+        candidates = bvh.segment_candidates(np.asarray(state.tip), np.asarray(state.tail))
+    assert scalpel_hit(mesh, state).face in candidates.tolist()
+    assert scalpel_hit(mesh, state, bvh) == scalpel_hit(mesh, state)
 
 
 # ---------------------------------------------------------------- tear plane
@@ -329,6 +370,31 @@ def test_anchors_pin_the_tear(cylinders):
     for idx in (path.start_index, path.end_index):
         valence = sum(1 for edge in incidence if idx in edge)
         assert valence >= 3
+
+
+def test_sliver_collapse_pins_tear_at_original_vertex(cylinders):
+    # the first anchor lies 2e-14 from corner 286 of face 348, so its fan
+    # leaves a zero-area child and the anchor merges into that corner
+    mesh = cylinders.mesh
+    assert mesh.faces[348].tolist() == [286, 287, 317]
+    a, b, c = mesh.vertices[[286, 287, 317]]
+    normal = np.cross(b - a, c - a)
+    normal /= np.linalg.norm(normal)
+    p = (1.0 - 2e-14) * a + 1e-14 * b + 1e-14 * c
+    nick = ScalpelState(0.0, tuple(p - 0.5 * normal), tuple(p + 0.5 * normal))
+    theta = math.atan2(a[1], a[0]) + 0.6
+    res = tear(cylinders, [nick, radial(1.0, theta, z=a[2] + 1.3, r0=2.5, r1=1.5)], delta=0.0)
+    torn = res.model.mesh
+    path = res.paths[0]
+    assert path.start_index == 286
+    assert np.array_equal(torn.vertices[286], a)
+    n_orig = len(mesh.vertices)
+    assert path.end_index >= n_orig and min(path.point_indices) >= n_orig
+    # no vertex is left behind: every one is used, and every one has weights
+    assert np.array_equal(np.unique(torn.faces), np.arange(len(torn.vertices)))
+    assert len(res.model.weights) == len(torn.vertices)
+    assert len(torn.vertices) == n_orig + 1 + 2 * len(path.points)
+    assert set(path.duplicates) == set(path.point_indices)
 
 
 def test_open_tear_moves_pairs_apart(cylinders):

@@ -120,28 +120,9 @@ def test_edge_equals_degenerate_barycentric():
     assert via_edge == via_bary
 
 
-def test_filter_hook_runs_before_truncation():
-    def drop_bone_zero(influences):
-        return [(b, w) for b, w in influences if b != 0]
-
-    wa = [(0, 0.9), (1, 0.1)]
-    wb = [(2, 1.0)]
-    out = weight_by_edge(wa, wb, 0.5, weight_filter=drop_bone_zero)
-    assert [b for b, _ in out] == [1, 2]
-    assert abs(math.fsum(w for _, w in out) - 1.0) < 1e-12
-
-
-def test_filter_hook_failures_are_typed():
-    def all_zero(influences):
-        return [(b, 0.0) for b, _ in influences]
-
-    def negative(influences):
-        return [(b, -w) for b, w in influences]
-
-    with pytest.raises(WeightSumError):
-        weight_by_edge([(0, 1.0)], [(1, 1.0)], 0.5, weight_filter=all_zero)
-    with pytest.raises(WeightSumError):
-        weight_by_edge([(0, 1.0)], [(1, 1.0)], 0.5, weight_filter=negative)
+def test_zero_total_weights_are_typed():
+    with pytest.raises(WeightSumError, match="sum to zero"):
+        weight_by_edge([(0, 0.0)], [(1, 0.0)], 0.5)
 
 
 def test_parameter_validation():
