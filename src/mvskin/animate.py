@@ -1,11 +1,11 @@
 """Keyframe interpolation, pose propagation, and four skinning backends.
 
-A Pose carries each bone's global transform at a sample time, in two
-equivalent forms evaluated by the same parent-before-child traversal:
-a conformal versor and a homogeneous 4x4 matrix.  Skinning composes the
-pose with each bone's offset (inverse global bind) into a versor S_n and
-a matrix M_n; every backend blends over a vertex's influences (n, w_n)
-in one loop on the model's packed influence table:
+A Pose stores each bone's local transform at a sample time, parents
+first, and derives a global chain on first read: conformal versors for
+cga and cga_sum, homogeneous 4x4 matrices for lbs and dq.  Skinning
+composes the pose with each bone's offset (inverse global bind) into a
+versor S_n or a matrix M_n; every backend blends over a vertex's
+influences (n, w_n) in one loop on the model's packed influence table:
 
   cga      sum_n w_n down(S_n up(v) ~S_n), projected per term: lbs to rounding,
   cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
@@ -17,16 +17,17 @@ in one loop on the model's packed influence table:
 
 Sample times outside a track's key range clamp to the nearest key; a
 missing track holds the bone's local bind transform.  Tracks, if any,
-on the root bone are honored by the traversal; the shipped fixtures
+on the root bone are honored by the chains; the shipped fixtures
 never animate the root, so its pose entry stays the identity.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .rig import (
     Trs,
     TrsKey,
     bbox_diagonal,
+    chain,
+    parent_first,
     trs_matrix,
     trs_versor,
 )
@@ -62,11 +65,22 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Pose:
-    """Per-bone global transforms at one sample time (versor + matrix twins)."""
+    """Each bone's local transform at one sample time, parents first.
+
+    versors and matrices (bone id -> global Versor or (4, 4) ndarray) are
+    each built on first read.
+    """
 
     time: float
-    versors: Mapping  # bone id -> Versor
-    matrices: Mapping  # bone id -> (4, 4) ndarray
+    local: tuple  # of (Bone, Trs) pairs, every parent before its children
+
+    @functools.cached_property
+    def versors(self) -> dict:
+        return chain(self.local, trs_versor, geometric_product)
+
+    @functools.cached_property
+    def matrices(self) -> dict:
+        return chain(self.local, trs_matrix, np.matmul)
 
 
 @dataclass(frozen=True)
@@ -123,29 +137,9 @@ def local_transform_at(
 
 
 def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose:
-    """Parent-before-child propagation of local transforms over the tree."""
-    versors: dict = {}
-    matrices: dict = {}
-    pending = sorted(model.bones, key=lambda b: b.id)
-    done: set = set()
-    while pending:
-        progressed = False
-        for b in list(pending):
-            if b.parent is not None and b.parent not in done:
-                continue
-            local = local_transform_at(model, clip, b.id, time)
-            lv, lm = trs_versor(local), trs_matrix(local)
-            if b.parent is None:
-                versors[b.id], matrices[b.id] = lv, lm
-            else:
-                versors[b.id] = geometric_product(versors[b.parent], lv)
-                matrices[b.id] = matrices[b.parent] @ lm
-            done.add(b.id)
-            pending.remove(b)
-            progressed = True
-        if not progressed:  # unreachable for validated models
-            raise SchemaError("bone hierarchy is not a tree")
-    return Pose(float(time), versors, matrices)
+    """Every bone's interpolated local transform at a time, parents first."""
+    bones = parent_first(model.bones)
+    return Pose(float(time), tuple((b, local_transform_at(model, clip, b.id, time)) for b in bones))
 
 
 def bind_pose(model: RiggedModel) -> Pose:

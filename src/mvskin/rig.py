@@ -65,6 +65,8 @@ __all__ = [
     "Mesh",
     "RiggedModel",
     "IDENTITY_TRS",
+    "parent_first",
+    "chain",
     "trs_versor",
     "trs_matrix",
     "compose_trs",
@@ -233,16 +235,6 @@ class RiggedModel:
                 return b
         raise KeyError(f"no bone with id {bone_id}")
 
-    @property
-    def root(self) -> Bone:
-        for b in self.bones:
-            if b.parent is None:
-                return b
-        raise HierarchyError("skeleton has no root bone")
-
-    def children(self, bone_id: int) -> tuple:
-        return tuple(b for b in self.bones if b.parent == bone_id)
-
     @functools.cached_property
     def influences(self) -> tuple:
         """Packed weights, built on first use: (n, 4) bone ids (-1 if empty), (n, 4) weights."""
@@ -266,6 +258,40 @@ class RiggedModel:
         )
 
 
+def parent_first(bones) -> list:
+    """The bones with every parent before its children, breadth-first from the roots.
+
+    Raises HierarchyError on a parent id that names no bone, or on a bone
+    that no root reaches (its ancestry loops).
+    """
+    ids = {b.id for b in bones}
+    children: dict = {}  # parent id (None for roots) -> [Bone]
+    for b in bones:
+        if b.parent is not None and b.parent not in ids:
+            raise HierarchyError(f"bone {b.id} has unknown parent {b.parent}")
+        children.setdefault(b.parent, []).append(b)
+    order = list(children.get(None, ()))
+    for b in order:  # grows while it is walked
+        order.extend(children.get(b.id, ()))
+    placed = {b.id for b in order}
+    for b in bones:
+        if b.id not in placed:
+            raise HierarchyError(f"bone parentage cycle through bone {b.id}")
+    return order
+
+
+def chain(pairs, leaf, compose) -> dict:
+    """Bone id -> global transform, over (bone, local Trs) pairs given parents first.
+
+    A root gets leaf(local); a child gets compose(its parent's global, leaf(local)).
+    """
+    out: dict = {}
+    for bone, local in pairs:
+        g = leaf(local)
+        out[bone.id] = g if bone.parent is None else compose(out[bone.parent], g)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # mesh utilities
 
@@ -273,9 +299,9 @@ class RiggedModel:
 def edge_face_incidence(faces) -> dict:
     """Map each undirected edge (lo, hi) to the list of faces using it."""
     inc: dict = {}
-    for fi, (a, b, c) in enumerate(np.asarray(faces, dtype=np.int64)):
+    for fi, (a, b, c) in enumerate(np.asarray(faces, dtype=np.int64).tolist()):
         for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(min(u, v)), int(max(u, v)))
+            key = (u, v) if u < v else (v, u)
             inc.setdefault(key, []).append(fi)
     return inc
 
@@ -309,11 +335,10 @@ def validate_mesh(mesh: Mesh) -> None:
             f"but faces reference {int(f.max())}"
         )
     directed = set()
-    for fi, (a, b, c) in enumerate(f):
+    for fi, (a, b, c) in enumerate(f.tolist()):
         if a == b or b == c or a == c:
-            raise MeshError(f"face {fi} repeats a vertex: {(int(a), int(b), int(c))}")
-        for u, w in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(w))
+            raise MeshError(f"face {fi} repeats a vertex: {(a, b, c)}")
+        for key in ((a, b), (b, c), (c, a)):
             if key in directed:
                 raise MeshError(
                     f"directed edge {key} appears twice (face {fi}); mesh is "
@@ -334,46 +359,24 @@ def validate_model(model: RiggedModel) -> None:
 
     # hierarchy: unique ids, one root, parents exist, acyclic
     ids = [b.id for b in model.bones]
+    known = set(ids)
     if len(model.bones) == 0:
         raise HierarchyError("skeleton has no bones")
-    if len(set(ids)) != len(ids):
+    if len(known) != len(ids):
         raise HierarchyError(f"duplicate bone ids: {sorted(ids)}")
     if min(ids) < 0:
         raise HierarchyError(f"bone {min(ids)}: bone ids must be nonnegative")
-    by_id = {b.id: b for b in model.bones}
     roots = [b for b in model.bones if b.parent is None]
     if len(roots) != 1:
         raise HierarchyError(f"skeleton must have exactly one root, found {len(roots)}")
+    order = parent_first(model.bones)  # every parent exists and no ancestry loops
+    if not _versor_is_identity(trs_versor(roots[0].bind), _ROOT_TOL):
+        raise HierarchyError(f"root bone {roots[0].id} must bind at the identity")
+
+    # offsets must invert the global bind transforms, composed parents first
+    global_bind = chain(((b, b.bind) for b in order), trs_versor, geometric_product)
     for b in model.bones:
-        if b.parent is not None and b.parent not in by_id:
-            raise HierarchyError(f"bone {b.id} has unknown parent {b.parent}")
-        seen = {b.id}
-        cur = b
-        while cur.parent is not None:
-            if cur.parent in seen:
-                raise HierarchyError(f"bone parentage cycle through bone {b.id}")
-            seen.add(cur.parent)
-            cur = by_id[cur.parent]
-
-    root = roots[0]
-    rb = trs_versor(root.bind)
-    if not _versor_is_identity(rb, _ROOT_TOL):
-        raise HierarchyError(f"root bone {root.id} must bind at the identity")
-
-    # offsets must invert the global bind transforms
-    global_bind: dict = {}
-
-    def bind_of(bid: int) -> Versor:
-        if bid in global_bind:
-            return global_bind[bid]
-        b = by_id[bid]
-        local = trs_versor(b.bind)
-        g = local if b.parent is None else geometric_product(bind_of(b.parent), local)
-        global_bind[bid] = g
-        return g
-
-    for b in model.bones:
-        prod = geometric_product(trs_versor(b.offset), bind_of(b.id))
+        prod = geometric_product(trs_versor(b.offset), global_bind[b.id])
         if not _versor_is_identity(prod, _OFFSET_TOL):
             raise OffsetError(
                 f"bone {b.id}: offset does not invert the global bind transform"
@@ -393,7 +396,7 @@ def validate_model(model: RiggedModel) -> None:
         bones_seen = set()
         total = math.fsum(w for _, w in entry)
         for bone_id, w in entry:
-            if bone_id not in by_id:
+            if bone_id not in known:
                 raise WeightSumError(f"vertex {vi} references unknown bone {bone_id}")
             if bone_id in bones_seen:
                 raise WeightSumError(f"vertex {vi} lists bone {bone_id} twice")
@@ -406,7 +409,7 @@ def validate_model(model: RiggedModel) -> None:
     # clips
     for name, tracks in model.clips.items():
         for bone_id, keys in tracks.items():
-            if bone_id not in by_id:
+            if bone_id not in known:
                 raise SchemaError(f"clip {name!r} animates unknown bone {bone_id}")
             if len(keys) == 0:
                 raise SchemaError(f"clip {name!r}, bone {bone_id}: empty key list")

@@ -414,8 +414,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
     faces_out = []
     split_slots = []  # ascending slots of the children that split_face emits
 
-    def split_face(fi: int):
-        face = [int(v) for v in mesh.faces[fi]]
+    def split_face(fi: int, face: list):
         polygon = []
         for k in range(3):
             u, v = face[k], face[(k + 1) % 3]
@@ -460,11 +459,11 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
             split_slots.append(len(faces_out))
             faces_out.append(list(tri))
 
-    for fi in range(len(mesh.faces)):
+    for fi, face in enumerate(mesh.faces.tolist()):
         if fi in touched:
-            split_face(fi)
+            split_face(fi, face)
         else:
-            faces_out.append([int(v) for v in mesh.faces[fi]])
+            faces_out.append(face)
 
     # collapse zero-area slivers by merging the coincident inserted point;
     # faces that were not split keep their original corners, and only

@@ -1,11 +1,13 @@
 """Keyframe interpolation, pose propagation, and the skinning backends."""
 
 import logging
+import sys
 
 import numpy as np
 import pytest
 
 import mvskin.quaternions as quat
+import mvskin.rig
 from mvskin.algebra import transform_points
 from mvskin.animate import (
     SKIN_BACKENDS,
@@ -55,6 +57,20 @@ def chain_model(n_bones=3, step=(0.0, 0.0, 1.0)):
     weights = [((i % n_bones, 1.0),) for i in range(len(pts))]
     model = RiggedModel(Mesh(pts, faces), tuple(bones), tuple(weights), {})
     return model
+
+
+def reversed_ids(model):
+    """Copy of a model with bone ids reversed, so every child's id is below its parent's."""
+    top = max(b.id for b in model.bones)
+    bones = sorted(
+        (
+            Bone(top - b.id, None if b.parent is None else top - b.parent, b.offset, b.bind)
+            for b in model.bones
+        ),
+        key=lambda b: b.id,
+    )
+    weights = tuple(tuple((top - i, w) for i, w in entry) for entry in model.weights)
+    return RiggedModel(model.mesh, tuple(bones), weights, {})
 
 
 def keyed(model, clip, bone, time, **trs_fields):
@@ -156,24 +172,54 @@ def test_pose_has_entry_per_bone_and_identity_root():
 
 
 def test_versor_and_matrix_twins_agree_on_random_chain():
-    rng = np.random.default_rng(3)
-    m = chain_model(5)
-    for i in range(5):
-        q = quat.normalize(rng.normal(size=4))
-        m = generate_keyframe(
-            m,
-            "c",
-            i,
-            Trs(tuple(rng.normal(size=3)), tuple(q), float(np.exp(rng.normal() * 0.3))),
-            0.0,
-        )
+    # the second chain lists every child before its parent (root id 4)
+    for m in (chain_model(5), reversed_ids(chain_model(5))):
+        validate_model(m)
+        rng = np.random.default_rng(3)
+        for i in range(5):
+            q = quat.normalize(rng.normal(size=4))
+            m = generate_keyframe(
+                m,
+                "c",
+                i,
+                Trs(tuple(rng.normal(size=3)), tuple(q), float(np.exp(rng.normal() * 0.3))),
+                0.0,
+            )
+        pose = global_pose_at(m, "c", 0.0)
+        pts = rng.normal(size=(100, 3)) * 2
+        for b in range(5):
+            img_v = transform_points(pose.versors[b], pts)
+            mm = pose.matrices[b]
+            img_m = pts @ mm[:3, :3].T + mm[:3, 3]
+            assert np.max(np.abs(img_v - img_m)) < 1e-9
+
+
+def test_each_backend_builds_only_its_own_chain(monkeypatch):
+    calls = {"trs_versor": 0, "trs_matrix": 0}
+    for name in calls:
+        real = getattr(mvskin.rig, name)
+
+        def counted(trs, real=real, name=name):
+            calls[name] += 1
+            return real(trs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("mvskin") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    m = keyed(make_cylinders_model(), "c", 1, 0.0, translation=(1.0, 2.0, 3.0))
+    for backend, unread in (
+        ("lbs", "trs_versor"),
+        ("dq", "trs_versor"),
+        ("cga", "trs_matrix"),
+        ("cga_sum", "trs_matrix"),
+    ):
+        calls.update(trs_versor=0, trs_matrix=0)
+        SKIN_BACKENDS[backend](m, global_pose_at(m, "c", 0.0))
+        assert calls[unread] == 0, backend
     pose = global_pose_at(m, "c", 0.0)
-    pts = rng.normal(size=(100, 3)) * 2
-    for b in range(5):
-        img_v = transform_points(pose.versors[b], pts)
-        mm = pose.matrices[b]
-        img_m = pts @ mm[:3, :3].T + mm[:3, 3]
-        assert np.max(np.abs(img_v - img_m)) < 1e-9
+    calls.update(trs_versor=0, trs_matrix=0)
+    assert pose.versors is pose.versors
+    assert calls == {"trs_versor": len(m.bones), "trs_matrix": 0}
 
 
 def test_bind_pose_versors_act_as_bind():

@@ -198,6 +198,15 @@ def test_hierarchy_errors():
         validate_model(cycle)
 
 
+def test_unknown_parent_above_a_lower_id_is_typed():
+    # bone 1 hangs from bone 2, whose parent does not exist
+    m = make_cylinders_model()
+    b1, b2 = m.bones[1], m.bones[2]
+    bones = (m.bones[0], Bone(1, 2, b1.offset, b1.bind), Bone(2, 99, b2.offset, b2.bind))
+    with pytest.raises(HierarchyError, match="bone 2 has unknown parent 99"):
+        validate_model(RiggedModel(m.mesh, bones, m.weights))
+
+
 def test_negative_bone_id_rejected_at_load():
     # -1 marks an empty slot in the packed influence table, and cut and
     # tear reject negative ids, so the loader must stop them first
