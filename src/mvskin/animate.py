@@ -174,7 +174,7 @@ def _sandwich_images(model: RiggedModel, pose: Pose):
         lifted = up_points(model.mesh.vertices)
 
     def image(bone_id, rows):
-        deform = geometric_product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset))
+        deform = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
         return lifted[rows] @ sandwich_matrix(deform)
 
     return image
@@ -199,7 +199,7 @@ def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v."""
 
     def image(bone_id, rows):
-        m = pose.matrices[bone_id] @ trs_matrix(model.bone(bone_id).offset)
+        m = pose.matrices[bone_id] @ model.bone(bone_id).offset_matrix
         return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
 
     return SkinnedFrame(_blend(model, 3, image), "lbs", pose.time)
@@ -216,7 +216,7 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """
     parts = {}  # bone id -> [real (4), dual (4), scale]
     for b in model.bones:
-        m = pose.matrices[b.id] @ trs_matrix(b.offset)
+        m = pose.matrices[b.id] @ b.offset_matrix
         s = float(np.linalg.det(m[:3, :3])) ** (1.0 / 3.0)
         real = quat.from_matrix(m[:3, :3] / s)
         dual = 0.5 * quat.multiply(np.concatenate([[0.0], m[:3, 3]]), real)

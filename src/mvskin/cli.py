@@ -98,6 +98,10 @@ def bundled_script_path(name: str) -> Path:
 def _vec3(value, where: str):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScriptError(f"{where} must be a 3-vector")
+    return _finite(value, where)
+
+
+def _finite(value, where: str) -> tuple:
     try:
         out = tuple(float(x) for x in value)
     except (TypeError, ValueError):
@@ -105,6 +109,12 @@ def _vec3(value, where: str):
     if not all(math.isfinite(x) for x in out):
         raise ScriptError(f"{where} must be finite")
     return out
+
+
+def _check_nonzero(vector: tuple, where: str) -> None:
+    # the norm as the quaternion code computes it, so an underflow counts as zero
+    if not 0.0 < float(np.linalg.norm(vector)) < math.inf:
+        raise ScriptError(f"{where} must have a finite non-zero length")
 
 
 def _number(value, where: str) -> float:
@@ -132,11 +142,14 @@ def _parse_trs(obj, where: str) -> Trs:
         quat = obj["rotation"]
         if not isinstance(quat, (list, tuple)) or len(quat) != 4:
             raise ScriptError(f"{where}.rotation must be [w, x, y, z]")
-        rotation = tuple(float(x) for x in quat)
+        # non-unit quaternions are normalized where they are used
+        rotation = _finite(quat, f"{where}.rotation")
+        _check_nonzero(rotation, f"{where}.rotation")
     elif has_axis:
         if "rotation_axis" not in obj or "rotation_angle" not in obj:
             raise ScriptError(f"{where} needs both rotation_axis and rotation_angle")
         axis = _vec3(obj["rotation_axis"], f"{where}.rotation_axis")
+        _check_nonzero(axis, f"{where}.rotation_axis")
         angle = _number(obj["rotation_angle"], f"{where}.rotation_angle")
         rotation = tuple(float(x) for x in from_axis_angle(axis, angle))
     else:

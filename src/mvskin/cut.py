@@ -1,34 +1,37 @@
 """Planar cuts of skinned meshes into two deformable halves.
 
-Pipeline:
+A cut is one walk over the faces, after the vertices classify by plane
+side under the eps-shift rule of section.py (conformal inner product of
+up(p) with the plane); surviving original vertices keep their true
+positions.  Each face is handled where the walk meets it:
 
-1. Vertices classify by plane side under the eps-shift rule of
-   section.py (conformal inner product of up(p) with the plane);
-   surviving original vertices keep their true positions.
-2. Each mesh edge whose endpoints straddle the plane yields exactly one
-   CutPoint (edge-keyed dedup), discovered in face order, with weights
-   interpolated along the edge and truncated to four influences.
-3. Crossed faces (always exactly two crossed edges) re-triangulate into
-   three children: one triangle on the lone-vertex side and two tiling
-   the quad, split along its shorter diagonal.  Ties and near-ties (1e-9
-   relative) take the diagonal from the first cut point, which keeps the
-   choice stable under rigid motion.  Children inherit the parent's
-   winding.
-4. Faces separate by side into M1 (positive) and M2 (negative); both
-   halves receive the full seam of cut points, keep the original bones,
-   weights, and clips, and pass load-time validation.  The cut is left
-   open: no cap faces.  A plane that misses the mesh returns the
-   original model as M1 and an empty M2, whichever side it lies on.
+* A face whose corners share a side goes to that half: M1 (positive) or
+  M2 (negative).
+* A crossed face always has exactly two straddling edges.  Each
+  straddling edge yields exactly one CutPoint the first time the walk
+  meets it, so ordinals follow face-scan order; its weights interpolate
+  along the edge, truncated to four influences.  The face splits into
+  three children: one triangle on the lone-vertex side and two tiling
+  the quad on the other, split along its shorter diagonal.  Ties and
+  near-ties (1e-9 relative) take the diagonal from the first cut point,
+  which keeps the choice stable under rigid motion.  Children inherit
+  the parent's winding.  The face also links its two cut points, and
+  counts as a border of both cut edges.
 
-The seam is also reported as ordered polylines: chains of CutPoints in
-which consecutive entries share a cut face, closed where the section
-loops around the surface and open where it runs off a boundary.
+Both halves receive the full seam of cut points, keep the original
+bones, weights, and clips, and pass load-time validation.  The cut is
+left open: no cap faces.  A plane that misses the mesh returns the
+original model as M1 and an empty M2, whichever side it lies on.
+
+The seam is also reported as ordered polylines, chained from the links
+the walk recorded: runs of CutPoints in which consecutive entries share
+a cut face, closed where the section loops around the surface and open
+where it runs off a boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,14 +41,7 @@ from .rig import Mesh, RiggedModel, validate_model
 from .section import Section
 from .weights import weight_by_edge
 
-__all__ = [
-    "CutPoint",
-    "CutResult",
-    "compute_cut_points",
-    "retriangulate_cut_faces",
-    "order_cut_polyline",
-    "cut",
-]
+__all__ = ["CutPoint", "CutResult", "cut"]
 
 
 @dataclass(frozen=True)
@@ -70,108 +66,13 @@ class CutResult:
     cut_points: tuple
 
 
-def _scan(model: RiggedModel, plane: Multivector):
-    """Vertex sides plus one CutPoint per straddling edge, in face-scan order."""
-    section = Section(model.mesh.vertices, plane)
-    signs = section.signs
-    points: dict = {}
-    for a, b, c in model.mesh.faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if signs[u] == signs[v]:
-                continue
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            if key not in points:
-                lam, pos = section.crossing(*key)
-                infl = weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)
-                points[key] = CutPoint(
-                    tuple(float(x) for x in pos), key, lam, len(points), tuple(infl)
-                )
-    return signs, list(points.values())
-
-
-def compute_cut_points(model: RiggedModel, plane: Multivector) -> list:
-    """One CutPoint per edge that straddles the plane, in face-scan order."""
-    return _scan(model, plane)[1]
-
-
-def retriangulate_cut_faces(mesh: Mesh, cut_points: Sequence[CutPoint]) -> np.ndarray:
-    """Face list over the extended vertex array (originals, then cut points).
-
-    Uncut faces pass through with identity indices; each crossed face
-    becomes three triangles with the parent's winding.
-    """
-    n = len(mesh.vertices)
-    by_edge = {cp.edge: cp for cp in cut_points}
-    if by_edge:
-        ext = np.vstack([mesh.vertices] + [np.asarray(cp.position) for cp in cut_points])
-    else:
-        ext = mesh.vertices
-    out = []
-    for face in mesh.faces:
-        cyc = [int(i) for i in face]
-        crossed = []
-        for k in range(3):
-            u, v = cyc[k], cyc[(k + 1) % 3]
-            key = (u, v) if u < v else (v, u)
-            if key in by_edge:
-                crossed.append(key)
-        if not crossed:
-            out.append(tuple(cyc))
-            continue
-        if len(crossed) != 2:
-            raise ValueError(
-                f"face {cyc} has {len(crossed)} cut edges; a planar cut crosses 0 or 2"
-            )
-        lone = (set(crossed[0]) & set(crossed[1])).pop()
-        i = cyc.index(lone)
-        lv, av, bv = cyc[i], cyc[(i + 1) % 3], cyc[(i + 2) % 3]
-        pa = n + by_edge[(min(lv, av), max(lv, av))].ordinal
-        pb = n + by_edge[(min(lv, bv), max(lv, bv))].ordinal
-        out.append((lv, pa, pb))
-        # quad (pa, av, bv, pb): split along its shorter diagonal; ties and
-        # near-ties (1e-9 relative) take the first diagonal so the choice is
-        # stable under rigid motion of the whole model
-        d1 = np.linalg.norm(ext[pa] - ext[bv])
-        d2 = np.linalg.norm(ext[av] - ext[pb])
-        if d1 <= d2 + 1e-9 * (d1 + d2):
-            out.append((pa, av, bv))
-            out.append((pa, bv, pb))
-        else:
-            out.append((pa, av, pb))
-            out.append((av, bv, pb))
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
-
-
-def order_cut_polyline(cut_points: Sequence[CutPoint], mesh: Mesh) -> tuple:
-    """Chains of CutPoints in face-adjacency order.
+def _chains(links: list) -> list:
+    """Ordinal chains over the links (ordinal -> neighbor ordinals).
 
     Open chains start at their lowest-ordinal endpoint; closed chains
     start at their lowest-ordinal point and step toward the lower
-    neighbor.  Raises NonManifoldCut when a cut edge borders more than
-    two faces.
+    neighbor.
     """
-    by_edge = {cp.edge: cp for cp in cut_points}
-    if not by_edge:
-        return ()
-    touched: dict = {cp.edge: 0 for cp in cut_points}
-    links: dict = {cp.ordinal: [] for cp in cut_points}
-    for face in mesh.faces:
-        cyc = [int(i) for i in face]
-        here = []
-        for k in range(3):
-            u, v = cyc[k], cyc[(k + 1) % 3]
-            key = (u, v) if u < v else (v, u)
-            if key in by_edge:
-                here.append(by_edge[key])
-                touched[key] += 1
-        if len(here) == 2:
-            links[here[0].ordinal].append(here[1].ordinal)
-            links[here[1].ordinal].append(here[0].ordinal)
-    for key, count in touched.items():
-        if count > 2:
-            raise NonManifoldCut(f"cut edge {key} borders {count} faces")
-
-    by_ordinal = {cp.ordinal: cp for cp in cut_points}
     visited: set = set()
     chains = []
 
@@ -186,16 +87,13 @@ def order_cut_polyline(cut_points: Sequence[CutPoint], mesh: Mesh) -> tuple:
             prev, cur = cur, (nxt[0] if nxt else None)
         return chain
 
-    for start in sorted(o for o, nb in links.items() if len(nb) <= 1):
-        if start in visited:
-            continue
-        first = links[start][0] if links[start] else None
-        chains.append(walk(start, first))
-    for start in sorted(links):
-        if start in visited:
-            continue
-        chains.append(walk(start, min(links[start])))
-    return tuple(tuple(by_ordinal[o] for o in chain) for chain in chains)
+    for start, nb in enumerate(links):
+        if len(nb) <= 1 and start not in visited:
+            chains.append(walk(start, nb[0] if nb else None))
+    for start, nb in enumerate(links):
+        if start not in visited:
+            chains.append(walk(start, min(nb)))
+    return chains
 
 
 def _empty_like(model: RiggedModel) -> RiggedModel:
@@ -208,47 +106,87 @@ def _empty_like(model: RiggedModel) -> RiggedModel:
 
 
 def cut(model: RiggedModel, plane: Multivector) -> CutResult:
-    """Split a rigged model along a plane into two skinnable halves."""
-    mesh = model.mesh
-    signs, points = _scan(model, plane)
+    """Split a rigged model along a plane into two skinnable halves.
 
-    if not points and (len(signs) == 0 or np.all(signs == signs[0])):
+    Raises NonManifoldCut when a cut edge borders more than two faces.
+    """
+    mesh = model.mesh
+    section = Section(mesh.vertices, plane)
+    positive = section.signs > 0
+    if positive.all() or not positive.any():
         # plane misses the mesh entirely: keep the model whole as M1
         return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
 
-    polylines = order_cut_polyline(points, mesh)
-    ext_faces = retriangulate_cut_faces(mesh, points)
-
-    n = len(mesh.vertices)
-    pos_orig = np.flatnonzero(signs > 0)
-    neg_orig = np.flatnonzero(signs < 0)
-    index_map = {
-        1: {int(v): r for r, v in enumerate(pos_orig)},
-        -1: {int(v): r for r, v in enumerate(neg_orig)},
-    }
-    base = {1: len(pos_orig), -1: len(neg_orig)}
+    side_of = section.signs.tolist()
+    # rank[v]: v's position among the original vertices on its side
+    rank = (np.where(positive, np.cumsum(positive), np.cumsum(~positive)) - 1).tolist()
+    base = {1: int(positive.sum()), -1: int((~positive).sum())}
     faces_out: dict = {1: [], -1: []}
-    for tri in ext_faces:
-        side = next(int(signs[v]) for v in tri if v < n)
-        remap = index_map[side]
-        faces_out[side].append(
-            tuple(remap[int(v)] if v < n else base[side] + (int(v) - n) for v in tri)
-        )
+    ordinal_of: dict = {}  # cut edge (lo, hi) -> ordinal
+    points: list = []
+    positions: list = []  # per ordinal: the crossing as an array
+    borders: list = []  # per ordinal: faces bordering the cut edge
+    links: list = []  # per ordinal: ordinals sharing a cut face
+    verts = mesh.vertices
+    for face in mesh.faces.tolist():
+        s = [side_of[v] for v in face]
+        if s[0] == s[1] == s[2]:
+            faces_out[s[0]].append((rank[face[0]], rank[face[1]], rank[face[2]]))
+            continue
+        on_edge = [None, None, None]  # ordinal of the cut point on edge k -> k+1
+        for k in range(3):
+            if s[k] == s[k - 2]:
+                continue
+            u, v = face[k], face[k - 2]
+            key = (u, v) if u < v else (v, u)
+            o = ordinal_of.get(key)
+            if o is None:
+                o = ordinal_of[key] = len(points)
+                lam, pos = section.crossing(*key)
+                infl = weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)
+                points.append(CutPoint(tuple(float(x) for x in pos), key, lam, o, tuple(infl)))
+                positions.append(pos)
+                borders.append(0)
+                links.append([])
+            borders[o] += 1
+            on_edge[k] = o
+        a, b = (o for o in on_edge if o is not None)
+        links[a].append(b)
+        links[b].append(a)
+
+        # the lone vertex is the corner whose side the other two do not share
+        i = 0 if s[1] == s[2] else (1 if s[0] == s[2] else 2)
+        lv, av, bv = face[i], face[i - 2], face[i - 1]
+        pa, pb = on_edge[i], on_edge[i - 1]
+        lone, quad = s[i], -s[i]
+        faces_out[lone].append((rank[lv], base[lone] + pa, base[lone] + pb))
+        # quad (pa, av, bv, pb): split along its shorter diagonal; ties and
+        # near-ties (1e-9 relative) take the first diagonal so the choice is
+        # stable under rigid motion of the whole model
+        qa, qb, ra, rb = base[quad] + pa, base[quad] + pb, rank[av], rank[bv]
+        d1 = np.linalg.norm(positions[pa] - verts[bv])
+        d2 = np.linalg.norm(verts[av] - positions[pb])
+        if d1 <= d2 + 1e-9 * (d1 + d2):
+            faces_out[quad] += [(qa, ra, rb), (qa, rb, qb)]
+        else:
+            faces_out[quad] += [(qa, ra, qb), (ra, rb, qb)]
+
+    for o, count in enumerate(borders):
+        if count > 2:
+            raise NonManifoldCut(f"cut edge {points[o].edge} borders {count} faces")
+    polylines = tuple(tuple(points[o] for o in chain) for chain in _chains(links))
 
     cut_positions = np.array([cp.position for cp in points]).reshape(-1, 3)
-    cut_weights = [cp.influences for cp in points]
+    cut_weights = tuple(cp.influences for cp in points)
     halves = {}
-    for side, originals in ((1, pos_orig), (-1, neg_orig)):
-        verts = (
-            np.vstack([mesh.vertices[originals], cut_positions])
-            if len(originals) or len(cut_positions)
-            else np.zeros((0, 3))
-        )
-        weights = tuple(model.weights[int(v)] for v in originals) + tuple(cut_weights)
+    for side in (1, -1):
         half = RiggedModel(
-            Mesh(verts, np.array(faces_out[side], dtype=np.int64).reshape(-1, 3)),
+            Mesh(
+                np.vstack([verts[section.signs == side], cut_positions]),
+                np.array(faces_out[side], dtype=np.int64).reshape(-1, 3),
+            ),
             model.bones,
-            weights,
+            tuple(w for w, on in zip(model.weights, side_of) if on == side) + cut_weights,
             model.clips,
         )
         validate_model(half)

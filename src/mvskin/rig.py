@@ -196,6 +196,18 @@ class Bone:
     offset: Trs = IDENTITY_TRS
     bind: Trs = IDENTITY_TRS
 
+    @functools.cached_property
+    def offset_versor(self) -> Versor:
+        """trs_versor(offset), built on first use."""
+        return trs_versor(self.offset)
+
+    @functools.cached_property
+    def offset_matrix(self) -> np.ndarray:
+        """trs_matrix(offset), built on first use; read-only."""
+        m = trs_matrix(self.offset)
+        m.setflags(write=False)
+        return m
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -370,13 +382,17 @@ def validate_model(model: RiggedModel) -> None:
     if len(roots) != 1:
         raise HierarchyError(f"skeleton must have exactly one root, found {len(roots)}")
     order = parent_first(model.bones)  # every parent exists and no ancestry loops
+    # bone transforms are well formed before any versor is built from them
+    for b in model.bones:
+        _check_trs_fields(b.offset, f"bone {b.id} offset")
+        _check_trs_fields(b.bind, f"bone {b.id} bind")
     if not _versor_is_identity(trs_versor(roots[0].bind), _ROOT_TOL):
         raise HierarchyError(f"root bone {roots[0].id} must bind at the identity")
 
     # offsets must invert the global bind transforms, composed parents first
     global_bind = chain(((b, b.bind) for b in order), trs_versor, geometric_product)
     for b in model.bones:
-        prod = geometric_product(trs_versor(b.offset), global_bind[b.id])
+        prod = geometric_product(b.offset_versor, global_bind[b.id])
         if not _versor_is_identity(prod, _OFFSET_TOL):
             raise OffsetError(
                 f"bone {b.id}: offset does not invert the global bind transform"
@@ -423,9 +439,6 @@ def validate_model(model: RiggedModel) -> None:
                     )
                 prev = k.time
                 _check_trs_fields(k.trs, f"clip {name!r}, bone {bone_id}")
-    for b in model.bones:
-        _check_trs_fields(b.offset, f"bone {b.id} offset")
-        _check_trs_fields(b.bind, f"bone {b.id} bind")
 
 
 def _check_trs_fields(trs: Trs, where: str) -> None:

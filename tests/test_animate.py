@@ -207,15 +207,20 @@ def test_each_backend_builds_only_its_own_chain(monkeypatch):
             if mod.__name__.startswith("mvskin") and getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counted)
     m = keyed(make_cylinders_model(), "c", 1, 0.0, translation=(1.0, 2.0, 3.0))
-    for backend, unread in (
-        ("lbs", "trs_versor"),
-        ("dq", "trs_versor"),
-        ("cga", "trs_matrix"),
-        ("cga_sum", "trs_matrix"),
+    for backend, built, unread in (
+        ("lbs", "trs_matrix", "trs_versor"),
+        ("dq", "trs_matrix", "trs_versor"),
+        ("cga", "trs_versor", "trs_matrix"),
+        ("cga_sum", "trs_versor", "trs_matrix"),
     ):
         calls.update(trs_versor=0, trs_matrix=0)
         SKIN_BACKENDS[backend](m, global_pose_at(m, "c", 0.0))
         assert calls[unread] == 0, backend
+        # bone offsets are built once per bone: a second frame on a new
+        # pose builds only that pose's chain
+        calls.update(trs_versor=0, trs_matrix=0)
+        SKIN_BACKENDS[backend](m, global_pose_at(m, "c", 0.0))
+        assert calls == {built: len(m.bones), unread: 0}, backend
     pose = global_pose_at(m, "c", 0.0)
     calls.update(trs_versor=0, trs_matrix=0)
     assert pose.versors is pose.versors

@@ -97,6 +97,24 @@ def test_validate_rejects_zero_normal(cylinders):
         validate_script(cylinders, doc)
 
 
+def test_validate_rejects_bad_rotations(cylinders):
+    for trs, field in (
+        ({"rotation_axis": [0, 0, 0], "rotation_angle": 0.5}, "trs.rotation_axis"),
+        ({"rotation": ["a", 0, 0, 0]}, "trs.rotation"),
+        ({"rotation": [0, 0, 0, 0]}, "trs.rotation"),
+        ({"rotation": [float("nan"), 0, 0, 0]}, "trs.rotation"),
+    ):
+        doc = {
+            "script_version": 1,
+            "actions": [{"action": "set_keyframe", "clip": "c", "bone": 1, "time": 0.0, "trs": trs}],
+        }
+        with pytest.raises(ScriptError, match=rf"{field} must"):
+            validate_script(cylinders, doc)
+    # a non-unit quaternion is still accepted
+    doc["actions"][0]["trs"] = {"rotation": [2, 0, 0, 0]}
+    validate_script(cylinders, doc)
+
+
 def test_validate_rejects_single_scalpel_state(cylinders):
     doc = {
         "script_version": 1,

@@ -1,5 +1,6 @@
 """Planar cutting: classification, seam construction, and half assembly."""
 
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,17 @@ from mvskin.algebra import (
     sandwich_matrix,
     transform_points,
 )
-from mvskin.animate import generate_keyframe, global_pose_at, skin_cga, skin_dq, skin_lbs
-from mvskin.cut import (
-    compute_cut_points,
-    cut,
-    order_cut_polyline,
-    retriangulate_cut_faces,
+from mvskin.animate import (
+    SKIN_BACKENDS,
+    generate_keyframe,
+    global_pose_at,
+    skin_cga,
+    skin_dq,
+    skin_lbs,
 )
-from mvskin.errors import NonManifoldCut
+from mvskin.cli import bundled_script_path, validate_script
+from mvskin.cut import cut
+from mvskin.errors import MvskinError, NonManifoldCut
 from mvskin.rig import (
     IDENTITY_TRS,
     Bone,
@@ -36,7 +40,9 @@ from mvskin.rig import (
     mesh_area,
     validate_model,
 )
+from mvskin.quaternions import from_axis_angle
 from mvskin.section import Section, section_eps
+from mvskin.tear import tear
 
 
 def one_bone_model(verts, faces):
@@ -100,8 +106,8 @@ def test_classification_eps_defaults_to_bbox_scale(cylinders):
     assert np.allclose(section.work[ring, 2], 2.0 * eps, rtol=1e-6, atol=0.0)
     assert np.array_equal(section.work[~ring], verts[~ring])
     # so the plane misses the mesh: no seam, the model stays whole as M1
-    assert compute_cut_points(cylinders, plane) == []
     res = cut(cylinders, plane)
+    assert res.cut_points == ()
     assert res.m1 is cylinders and len(res.m2.mesh.vertices) == 0
 
 
@@ -122,7 +128,7 @@ def test_cut_point_count_matches_edge_scan(cylinders):
     mesh = cylinders.mesh
     for n, d in (((0.0, 0.0, 1.0), 10.0), (unit((1.0, 0.5, 2.0)), 6.0)):
         plane = make_plane(tuple(n), d)
-        points = compute_cut_points(cylinders, plane)
+        points = cut(cylinders, plane).cut_points
         dist = mesh.vertices @ np.asarray(n) - d
         crossing = sum(
             1 for (lo, hi) in edge_face_incidence(mesh.faces) if dist[lo] * dist[hi] < 0
@@ -136,7 +142,7 @@ def test_cut_points_lie_on_plane_with_interior_lambda(cylinders):
     n = unit((0.3, -0.2, 1.0))
     plane = make_plane(tuple(n), 7.0)
     eps = 1e-9 * bbox_diagonal(cylinders.mesh)
-    points = compute_cut_points(cylinders, plane)
+    points = cut(cylinders, plane).cut_points
     assert points
     for cp in points:
         assert 0.0 < cp.lam < 1.0
@@ -145,7 +151,7 @@ def test_cut_points_lie_on_plane_with_interior_lambda(cylinders):
 
 def test_cut_point_weights_come_from_edge_endpoints(cylinders):
     plane = make_plane((0.0, 0.0, 1.0), 7.5)
-    for cp in compute_cut_points(cylinders, plane):
+    for cp in cut(cylinders, plane).cut_points:
         lo, hi = cp.edge
         host = {b for b, _ in cylinders.weights[lo]} | {b for b, _ in cylinders.weights[hi]}
         bones = [b for b, _ in cp.influences]
@@ -158,22 +164,43 @@ def test_cut_point_weights_come_from_edge_endpoints(cylinders):
 # ---------------------------------------------------------------- retriangulation
 
 
+def original_faces(half, n_cut):
+    """The half's faces whose corners are all original vertices, in order."""
+    n_orig = len(half.mesh.vertices) - n_cut
+    return [f for f in half.mesh.faces.tolist() if max(f) < n_orig]
+
+
 def test_uncut_faces_pass_through_unchanged(cylinders):
-    faces = retriangulate_cut_faces(cylinders.mesh, [])
-    assert np.array_equal(faces, cylinders.mesh.faces)
+    res = cut(cylinders, make_plane((0.0, 0.0, 1.0), 100.0))
+    assert np.array_equal(res.m1.mesh.faces, cylinders.mesh.faces)
+    # under a real cut, each face off the plane keeps its corners, winding
+    # and scan order in its half; only crossed faces gain seam vertices
+    res = cut(cylinders, make_plane((0.0, 0.0, 1.0), 10.0))
+    v = cylinders.mesh.vertices
+    above = v[:, 2] > 10.0
+    for half, side in ((res.m1, True), (res.m2, False)):
+        want = [v[f].tolist() for f in cylinders.mesh.faces if np.all(above[f] == side)]
+        got = [half.mesh.vertices[f].tolist() for f in original_faces(half, len(res.cut_points))]
+        assert got == want
 
 
 def test_cut_face_becomes_three_children(cylinders):
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
-    points = compute_cut_points(cylinders, plane)
-    faces = retriangulate_cut_faces(cylinders.mesh, points)
+    res = cut(cylinders, plane)
+    n_faces = len(res.m1.mesh.faces) + len(res.m2.mesh.faces)
     dist = cylinders.mesh.vertices[:, 2] - 10.0
     crossed = sum(
         1
         for f in cylinders.mesh.faces
         if len({dist[v] > 0 for v in f}) == 2
     )
-    assert len(faces) == len(cylinders.mesh.faces) + 2 * crossed
+    assert n_faces == len(cylinders.mesh.faces) + 2 * crossed
+
+
+# In the one-triangle models below vertex 0 is the lone vertex, below the
+# plane: M2 holds it as vertex 0 and the seam as 1, 2; M1 holds vertices
+# 1, 2 as 0, 1 and the seam as 2, 3.  Cut points are edge (0, 1) first,
+# edge (0, 2) second.
 
 
 def test_quad_split_prefers_shorter_diagonal():
@@ -182,16 +209,16 @@ def test_quad_split_prefers_shorter_diagonal():
         [(0.0, 0.0, -1.0), (4.0, 0.0, 1.0), (-1.0, 0.0, 1.0)], [(0, 1, 2)]
     )
     plane = make_plane((0.0, 0.0, 1.0), 0.0)
-    points = compute_cut_points(model, plane)
-    assert len(points) == 2
-    faces = retriangulate_cut_faces(model.mesh, points)
-    # cut points: edge (0,1) first, edge (0,2) second
-    pa, pb = 3, 4
-    ext = np.vstack([model.mesh.vertices, [p.position for p in points]])
-    d_pa_b = np.linalg.norm(ext[pa] - ext[2])
-    d_a_pb = np.linalg.norm(ext[1] - ext[pb])
+    res = cut(model, plane)
+    assert len(res.cut_points) == 2
+    pa, pb = (np.asarray(cp.position) for cp in res.cut_points)
+    v = model.mesh.vertices
+    d_pa_b = np.linalg.norm(pa - v[2])
+    d_a_pb = np.linalg.norm(v[1] - pb)
     assert d_pa_b < d_a_pb
-    assert faces.tolist() == [[0, pa, pb], [pa, 1, 2], [pa, 2, pb]]
+    assert res.m2.mesh.faces.tolist() == [[0, 1, 2]]
+    # (pa, 1, 2), (pa, 2, pb) in the original numbering
+    assert res.m1.mesh.faces.tolist() == [[2, 0, 1], [2, 1, 3]]
 
 
 def test_quad_split_tie_is_deterministic():
@@ -200,9 +227,9 @@ def test_quad_split_tie_is_deterministic():
         [(0.0, 0.0, 0.0), (2.0, 0.0, 1.0), (-2.0, 0.0, 1.0)], [(0, 1, 2)]
     )
     plane = make_plane((0.0, 0.0, 1.0), 0.5)
-    points = compute_cut_points(model, plane)
-    faces = retriangulate_cut_faces(model.mesh, points)
-    assert faces.tolist() == [[0, 3, 4], [3, 1, 2], [3, 2, 4]]
+    res = cut(model, plane)
+    assert res.m2.mesh.faces.tolist() == [[0, 1, 2]]
+    assert res.m1.mesh.faces.tolist() == [[2, 0, 1], [2, 1, 3]]
 
 
 def test_children_keep_parent_winding():
@@ -210,14 +237,17 @@ def test_children_keep_parent_winding():
         [(0.0, 0.0, -1.0), (3.0, 0.0, 1.0), (-1.0, 0.0, 2.0)], [(0, 1, 2)]
     )
     plane = make_plane((0.0, 0.0, 1.0), 0.0)
-    points = compute_cut_points(model, plane)
-    faces = retriangulate_cut_faces(model.mesh, points)
-    ext = np.vstack([model.mesh.vertices, [p.position for p in points]])
+    res = cut(model, plane)
     v = model.mesh.vertices
     parent_n = np.cross(v[1] - v[0], v[2] - v[0])
-    for tri in faces:
-        child_n = np.cross(ext[tri[1]] - ext[tri[0]], ext[tri[2]] - ext[tri[0]])
-        assert np.dot(child_n, parent_n) > 0
+    children = 0
+    for half in (res.m1, res.m2):
+        ext = half.mesh.vertices
+        for tri in half.mesh.faces:
+            child_n = np.cross(ext[tri[1]] - ext[tri[0]], ext[tri[2]] - ext[tri[0]])
+            assert np.dot(child_n, parent_n) > 0
+            children += 1
+    assert children == 3
 
 
 # ---------------------------------------------------------------- polylines
@@ -287,10 +317,7 @@ def test_nonmanifold_cut_edge_is_reported():
         {},
     )
     plane = make_plane((0.0, 0.0, 1.0), 0.0)
-    points = compute_cut_points(model, plane)
     with pytest.raises(NonManifoldCut, match=r"edge \(0, 1\) borders 3 faces"):
-        order_cut_polyline(points, mesh)
-    with pytest.raises(NonManifoldCut):
         cut(model, plane)
 
 
@@ -423,3 +450,69 @@ def test_second_cut_of_a_half_still_works(cylinders):
     total = mesh_area(first.m1.mesh)
     got = mesh_area(second.m1.mesh) + mesh_area(second.m2.mesh)
     assert abs(got - total) / total < 1e-6
+
+
+# ---------------------------------------------------------------- chained cuts
+
+
+@pytest.fixture(scope="module")
+def torn(cylinders):
+    """cylinders after the tear of the bundled cylinders_tear.json."""
+    doc = json.loads(bundled_script_path("cylinders_tear.json").read_text())
+    act = validate_script(cylinders, doc)[0]
+    model = tear(cylinders, act["states"], delta=act["delta"]).model
+    assert len(model.mesh.vertices) > len(cylinders.mesh.vertices)
+    return model
+
+
+# a plane: unnormalized normal, offset in half bbox diagonals from the centre
+planes = st.tuples(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 1e-3),
+    st.floats(-1.2, 1.2),
+)
+
+
+def plane_through(model, normal, t):
+    v = model.mesh.vertices
+    n = unit(normal)
+    centre = 0.5 * (v.min(axis=0) + v.max(axis=0))
+    return make_plane(tuple(n), float(n @ centre) + t * 0.5 * bbox_diagonal(v))
+
+
+def bent(model):
+    """The model keyed at t=1 with every child bone turned and scaled."""
+    q = tuple(from_axis_angle((0.0, 1.0, 0.0), 0.6))
+    for b in model.bones:
+        if b.parent is not None:
+            model = generate_keyframe(model, "bent", b.id, Trs(b.bind.translation, q, 1.2), 1.0)
+    return model
+
+
+def sound_halves(model, plane):
+    """The non-empty halves of a cut, each checked sound; none if the cut raises typed."""
+    try:
+        res = cut(model, plane)
+    except MvskinError:
+        return []
+    halves = [h for h in (res.m1, res.m2) if len(h.mesh.faces)]
+    for half in halves:
+        validate_model(half)
+        assert max(len(w) for w in half.weights) <= 4
+        posed = bent(half)
+        pose = global_pose_at(posed, "bent", 1.0)
+        for backend in SKIN_BACKENDS.values():
+            assert np.all(np.isfinite(backend(posed, pose).positions))
+    return halves
+
+
+@settings(max_examples=60, deadline=None)
+@given(planes, planes)
+def test_cut_then_cut_stays_sound(cylinders, first, second):
+    for half in sound_halves(cylinders, plane_through(cylinders, *first)):
+        sound_halves(half, plane_through(half, *second))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planes)
+def test_tear_then_cut_stays_sound(torn, plane):
+    sound_halves(torn, plane_through(torn, *plane))

@@ -327,6 +327,15 @@ def test_unknown_fields_rejected():
         model_from_dict(doc)
 
 
+def test_zero_bone_quaternion_is_typed():
+    # checked before the bind versors compose, which cannot normalize it
+    for field in ("bind_trs", "offset_trs"):
+        doc = dump_rig(make_cylinders_model())
+        doc["bones"][1][field]["rotation_quat"] = [0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(SchemaError, match="bone 1 (bind|offset)"):
+            model_from_dict(doc)
+
+
 def test_schema_version_and_required_fields():
     doc = dump_rig(tiny_model())
     doc["rig_version"] = 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvskin.algebra import make_plane
-from mvskin.cut import compute_cut_points
+from mvskin.cut import cut
 from mvskin.rig import edge_face_incidence, make_cylinders_model
 from mvskin.section import Section, section_eps
 from mvskin.tear import TearAnchor, trace_surface_path
@@ -67,7 +67,7 @@ def test_tear_walk_and_cut_agree_bitwise_on_shared_edges(tx, ty, z, share):
     n = np.array([tx, ty, 1.0])
     n /= np.linalg.norm(n)
     plane = make_plane(tuple(n), z)
-    cut_points = {cp.edge: cp for cp in compute_cut_points(CYLINDERS, plane)}
+    cut_points = {cp.edge: cp for cp in cut(CYLINDERS, plane).cut_points}
     assert cut_points
     crossed = sorted({f for edge in cut_points for f in INCIDENCE[edge]})
     start = _face_centroid_anchor(crossed[0])
