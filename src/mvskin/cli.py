@@ -59,7 +59,7 @@ from .algebra import make_plane
 from .animate import SKIN_BACKENDS, compare_backends, generate_keyframe, global_pose_at
 from .cut import cut
 from .errors import MvskinError, ScriptError
-from .quaternions import from_axis_angle
+from .quaternions import from_axis_angle, normalize
 from .rig import (
     Mesh,
     RiggedModel,
@@ -77,7 +77,15 @@ SCRIPT_VERSION = 1
 
 _FIXTURES = {"cylinders": make_cylinders_model, "arm": make_arm_model}
 
-_ACTIONS = ("set_keyframe", "sample", "cut", "tear", "compare", "export")
+# each script action and the fields it may carry besides "action"
+_ACTION_FIELDS = {
+    "set_keyframe": {"clip", "bone", "time", "trs", "relative_to_bind"},
+    "sample": {"clip", "times"},
+    "cut": {"plane"},
+    "tear": {"states", "delta"},
+    "compare": {"reference", "test", "clip", "time"},
+    "export": {"name"},
+}
 
 
 def load_model(rig: str) -> RiggedModel:
@@ -142,9 +150,10 @@ def _parse_trs(obj, where: str) -> Trs:
         quat = obj["rotation"]
         if not isinstance(quat, (list, tuple)) or len(quat) != 4:
             raise ScriptError(f"{where}.rotation must be [w, x, y, z]")
-        # non-unit quaternions are normalized where they are used
+        # normalized here, so the keyed clip passes validate_model
         rotation = _finite(quat, f"{where}.rotation")
         _check_nonzero(rotation, f"{where}.rotation")
+        rotation = tuple(float(x) for x in normalize(rotation))
     elif has_axis:
         if "rotation_axis" not in obj or "rotation_angle" not in obj:
             raise ScriptError(f"{where} needs both rotation_axis and rotation_angle")
@@ -181,14 +190,13 @@ def validate_script(model: RiggedModel, doc) -> list:
         if not isinstance(raw, dict):
             raise ScriptError(f"{where} must be an object")
         kind = raw.get("action")
-        if kind not in _ACTIONS:
+        if not isinstance(kind, str) or kind not in _ACTION_FIELDS:
             raise ScriptError(f"{where}: unknown action {kind!r}")
-        fields = set(raw) - {"action"}
+        unknown = set(raw) - {"action"} - _ACTION_FIELDS[kind]
+        if unknown:
+            raise ScriptError(f"{where} has unknown fields {sorted(unknown)}")
         act = {"action": kind}
         if kind == "set_keyframe":
-            allowed = {"clip", "bone", "time", "trs", "relative_to_bind"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             clip = raw.get("clip")
             if not isinstance(clip, str) or not clip:
                 raise ScriptError(f"{where}.clip must be a non-empty string")
@@ -207,9 +215,6 @@ def validate_script(model: RiggedModel, doc) -> list:
             act["relative_to_bind"] = relative
             known_clips.add(clip)
         elif kind == "sample":
-            allowed = {"clip", "times"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             clip = raw.get("clip")
             if not isinstance(clip, str):
                 raise ScriptError(f"{where}.clip must be a string")
@@ -221,23 +226,17 @@ def validate_script(model: RiggedModel, doc) -> list:
             act["clip"] = clip
             act["times"] = [_number(t, f"{where}.times[{k}]") for k, t in enumerate(times)]
         elif kind == "cut":
-            allowed = {"plane"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             plane = raw.get("plane")
             if not isinstance(plane, dict) or set(plane) != {"normal", "d"}:
                 raise ScriptError(f"{where}.plane needs exactly normal and d")
             normal = _vec3(plane["normal"], f"{where}.plane.normal")
             norm = math.sqrt(sum(x * x for x in normal))
-            if norm < 1e-12:
-                raise ScriptError(f"{where}.plane.normal must be non-zero")
+            if not 1e-12 <= norm < math.inf:  # the squares can overflow
+                raise ScriptError(f"{where}.plane.normal must have a finite non-zero length")
             d = _number(plane["d"], f"{where}.plane.d")
             act["normal"] = tuple(x / norm for x in normal)
             act["d"] = d / norm
         elif kind == "tear":
-            allowed = {"states", "delta"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             states = raw.get("states")
             if not isinstance(states, list) or len(states) < 2:
                 raise ScriptError(f"{where}.states needs at least two scalpel states")
@@ -263,9 +262,6 @@ def validate_script(model: RiggedModel, doc) -> list:
             else:
                 act["delta"] = None
         elif kind == "compare":
-            allowed = {"reference", "test", "clip", "time"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             for key in ("reference", "test"):
                 backend = raw.get(key, "dq" if key == "reference" else "cga")
                 if backend not in SKIN_BACKENDS:
@@ -279,9 +275,6 @@ def validate_script(model: RiggedModel, doc) -> list:
             act["clip"] = clip
             act["time"] = _number(raw.get("time", 0.0), f"{where}.time")
         elif kind == "export":
-            allowed = {"name"}
-            if fields - allowed:
-                raise ScriptError(f"{where} has unknown fields {sorted(fields - allowed)}")
             name = raw.get("name", "model")
             if not isinstance(name, str) or not name or "/" in name or "\\" in name:
                 raise ScriptError(f"{where}.name must be a plain file stem")

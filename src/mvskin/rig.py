@@ -78,7 +78,6 @@ __all__ = [
     "model_from_dict",
     "dump_rig",
     "export_obj",
-    "edge_face_incidence",
     "mesh_area",
     "bbox_diagonal",
     "make_cylinders_model",
@@ -306,16 +305,6 @@ def chain(pairs, leaf, compose) -> dict:
 
 # ---------------------------------------------------------------------------
 # mesh utilities
-
-
-def edge_face_incidence(faces) -> dict:
-    """Map each undirected edge (lo, hi) to the list of faces using it."""
-    inc: dict = {}
-    for fi, (a, b, c) in enumerate(np.asarray(faces, dtype=np.int64).tolist()):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            inc.setdefault(key, []).append(fi)
-    return inc
 
 
 def mesh_area(mesh: Mesh) -> float:

@@ -18,16 +18,19 @@ endpoints).  Each consecutive pair of states contributes one step:
 3. trace_surface_path walks the plane section across the surface from
    the current anchor's face to the next one's, crossing one new edge
    per face and emitting an intermediate point on every crossed edge.
-   Of the two ways around a closed body it takes the one whose first
-   step shrinks the straight-line estimate to the target anchor
-   (projected onto the plane; the projection distance is kept as a
-   path-quality metric).
+   Its edge-to-face map covers only the faces the plane crosses, the
+   only ones the walk can reach.  Of the two ways around a closed body
+   it takes the one whose first step shrinks the straight-line estimate
+   to the target anchor (projected onto the plane; the projection
+   distance is kept as a path-quality metric).
 4. All traced steps are applied at once: anchors and intermediates
    become vertices, every traversed face is split by fanning from its
    entry point (anchors fan from the interior, which also serves shared
    anchors of chained steps), and every intermediate is duplicated into
-   a left/right pair by plane side.  Anchors stay single and pin the
-   tear ends, so the torn mesh remains one connected component.
+   a left/right pair by plane side.  The traversed faces are read from
+   the paths: the anchor faces and the face each crossing enters, which
+   is the next point's face.  Anchors stay single and pin the tear
+   ends, so the torn mesh remains one connected component.
 5. open_tear displaces the two copies of each intermediate by +/- delta
    along the plane normal; delta = 0 is the identity and anchors never
    move.
@@ -62,7 +65,7 @@ from .errors import (
     NoIntersection,
     PathNotFound,
 )
-from .rig import Mesh, RiggedModel, bbox_diagonal, edge_face_incidence, validate_model
+from .rig import Mesh, RiggedModel, bbox_diagonal, validate_model
 from .section import Section, section_eps, unit_plane
 from .weights import weight_by_barycentric, weight_by_edge
 
@@ -113,16 +116,14 @@ class TearAnchor:
 class TearPoint:
     """Plane-edge intersection along a traced path.
 
-    `face` is the face being exited when the edge is crossed; `bary`
-    expresses the point in that face's corner order; `lam` runs from
-    edge[0] toward edge[1].
+    `face` is the face being exited when the edge is crossed; `lam`
+    runs from edge[0] toward edge[1].
     """
 
     position: tuple
     face: int
     edge: tuple
     lam: float
-    bary: tuple
 
 
 @dataclass
@@ -209,8 +210,11 @@ class FaceBVH:
             if d == 0.0:
                 inside &= (lo <= p0[k]) & (p0[k] <= hi)
                 continue
-            t1 = (lo - p0[k]) / d
-            t2 = (hi - p0[k]) / d
+            # a subnormal d overflows t to +/-inf, the right limit: the
+            # segment moves too little along k to reach that slab face
+            with np.errstate(over="ignore"):
+                t1 = (lo - p0[k]) / d
+                t2 = (hi - p0[k]) / d
             np.maximum(tmin, np.minimum(t1, t2), out=tmin)
             np.minimum(tmax, np.maximum(t1, t2), out=tmax)
         return np.flatnonzero(inside & (tmin <= tmax))
@@ -263,13 +267,14 @@ def build_tear_plane(anchor: TearAnchor, scalpel_next: ScalpelState) -> Multivec
 # --------------------------------------------------------------- path trace
 
 
-def trace_surface_path(
-    mesh: Mesh, plane: Multivector, start: TearAnchor, to: TearAnchor, incidence: dict
-) -> tuple:
+def trace_surface_path(mesh: Mesh, plane: Multivector, start: TearAnchor, to: TearAnchor) -> tuple:
     """Ordered plane-edge intersections walking from start's face to to's.
 
-    `incidence` is edge_face_incidence(mesh.faces).  Crosses one new
-    edge per face; at a branch takes the crossing closest to the target
+    The walk needs topology only where the plane crosses: it maps each
+    straddling edge to the faces on it, built over the crossed faces
+    alone (every face on a straddling edge is itself crossed, so each
+    list is complete and in ascending face id).  Crosses one new edge
+    per face; at a branch takes the crossing closest to the target
     anchor (projected onto the plane), breaking ties toward the lower
     edge key.  Raises PathNotFound when the section leaves the surface
     or the walk exceeds the face count.
@@ -281,26 +286,26 @@ def trace_surface_path(
     to_pt = np.asarray(to.point, dtype=np.float64)
     target = to_pt - float(plane_distances(to_pt.reshape(1, 3), section.plane)[0]) * section.normal
 
+    crossed = np.flatnonzero(np.ptp(signs[mesh.faces], axis=1) != 0)
+    side = signs.tolist()
+    face_edges: dict = {}  # crossed face -> its straddling edges, in corner order
+    edge_faces: dict = {}  # straddling edge -> the faces on it
+    for fi, (a, b, c) in zip(crossed.tolist(), mesh.faces[crossed].tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            if side[u] != side[v]:
+                key = (u, v) if u < v else (v, u)
+                face_edges.setdefault(fi, []).append(key)
+                edge_faces.setdefault(key, []).append(fi)
+
     def crossings(face_id: int, skip):
-        face = mesh.faces[face_id]
-        out = []
-        for k in range(3):
-            u, v = int(face[k]), int(face[(k + 1) % 3])
-            key = (u, v) if u < v else (v, u)
-            if key == skip or signs[u] == signs[v]:
-                continue
-            out.append((key, *section.crossing(*key)))
-        return out
+        return [
+            (key, *section.crossing(*key))
+            for key in face_edges.get(face_id, ())
+            if key != skip
+        ]
 
     def pick(cands):
         return min(cands, key=lambda c: (float(np.linalg.norm(c[2] - target)), c[0]))
-
-    def bary_on_edge(face_id: int, key, lam: float) -> tuple:
-        corners = [int(x) for x in mesh.faces[face_id]]
-        b = [0.0, 0.0, 0.0]
-        b[corners.index(key[0])] = 1.0 - lam
-        b[corners.index(key[1])] = lam
-        return tuple(b)
 
     cands = crossings(start.face, None)
     if not cands:
@@ -312,12 +317,8 @@ def trace_surface_path(
     key, lam, pos = pick(cands)
     budget = len(mesh.faces)
     while True:
-        points.append(
-            TearPoint(
-                tuple(float(x) for x in pos), face_id, key, lam, bary_on_edge(face_id, key, lam)
-            )
-        )
-        neighbours = [f for f in incidence.get(key, ()) if f != face_id]
+        points.append(TearPoint(tuple(float(x) for x in pos), face_id, key, lam))
+        neighbours = [f for f in edge_faces[key] if f != face_id]
         if not neighbours:
             raise PathNotFound(
                 f"tear plane section leaves the surface at boundary edge {key}"
@@ -344,12 +345,16 @@ def _corner_weights(model: RiggedModel, face_id: int):
     return [model.weights[int(v)] for v in model.mesh.faces[face_id]]
 
 
-def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict) -> RiggedModel:
+def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     """Insert, split, and duplicate for one or more traced paths at once.
 
-    All paths must have been traced against this model's mesh, whose
-    edge_face_incidence is `incidence`; chained paths share anchor
-    objects and the shared anchor is inserted once.
+    All paths must have been traced against this model's mesh; chained
+    paths share anchor objects and the shared anchor is inserted once.
+    The topology comes from the paths themselves: the face a crossing
+    enters is the next point's face (the end anchor's after the last
+    point), and the faces to split are the anchor faces plus every
+    entered face, since each crossing exits the face the one before it
+    entered.
     """
     mesh = model.mesh
     n_orig = len(mesh.vertices)
@@ -360,8 +365,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
     anchor_nodes: dict = {}  # id(anchor) -> node id
     interior: dict = {}  # face id -> [node ids]
     on_edge: dict = {}  # (lo, hi) -> [(node id, lam)]
-    centers: dict = {}  # face id -> node id (fan hub)
-    touched: set = set()
+    centers: dict = {}  # face id -> node id (fan hub); exactly the faces to split
 
     def insert_anchor(anchor: TearAnchor) -> int:
         if id(anchor) in anchor_nodes:
@@ -377,14 +381,14 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
         )
         anchor_nodes[id(anchor)] = node
         interior.setdefault(anchor.face, []).append(node)
-        touched.add(anchor.face)
         return node
 
     for path in paths:
         s_node = insert_anchor(path.start)
         e_node = insert_anchor(path.end)
         q_nodes = []
-        for q in path.points:
+        entered = [q.face for q in path.points[1:]] + [path.end.face]
+        for q, face in zip(path.points, entered):
             node = len(new_positions)
             new_positions.append(np.asarray(q.position, dtype=np.float64))
             lo, hi = q.edge
@@ -393,10 +397,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
             )
             on_edge.setdefault(q.edge, []).append((node, q.lam))
             q_nodes.append(node)
-            for f in incidence[q.edge]:
-                touched.add(f)
-                if f != q.face:
-                    centers.setdefault(f, node)  # entry point of the next face
+            centers.setdefault(face, node)  # entry point of the next face
         path.start_index = n_orig + s_node
         path.end_index = n_orig + e_node
         path.point_indices = tuple(n_orig + q for q in q_nodes)
@@ -460,7 +461,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath], incidence: dict)
             faces_out.append(list(tri))
 
     for fi, face in enumerate(mesh.faces.tolist()):
-        if fi in touched:
+        if fi in centers:
             split_face(fi, face)
         else:
             faces_out.append(face)
@@ -587,11 +588,10 @@ def tear(
     mesh = model.mesh
     bvh = FaceBVH(mesh) if accel else None
     anchors = [scalpel_hit(mesh, s, bvh) for s in scalpels]
-    incidence = edge_face_incidence(mesh.faces)
     paths = []
     for i in range(len(scalpels) - 1):
         plane = build_tear_plane(anchors[i], scalpels[i + 1])
-        points = trace_surface_path(mesh, plane, anchors[i], anchors[i + 1], incidence)
+        points = trace_surface_path(mesh, plane, anchors[i], anchors[i + 1])
         proj = abs(
             float(
                 plane_distances(
@@ -600,7 +600,7 @@ def tear(
             )
         )
         paths.append(TearPath(anchors[i], anchors[i + 1], plane, points, proj))
-    torn = _apply_paths(model, paths, incidence)
+    torn = _apply_paths(model, paths)
     for path in paths:
         torn = open_tear(torn, path, delta)
     return TearResult(torn, tuple(paths))

@@ -74,8 +74,22 @@ def test_validate_rejects_wrong_version(cylinders):
 
 
 def test_validate_rejects_unknown_action(cylinders):
-    doc = {"script_version": 1, "actions": [{"action": "explode"}]}
-    with pytest.raises(ScriptError, match="unknown action"):
+    for kind in ("explode", None, ["cut"]):
+        doc = {"script_version": 1, "actions": [{"action": kind}]}
+        with pytest.raises(ScriptError, match="unknown action"):
+            validate_script(cylinders, doc)
+
+
+def test_validate_rejects_unknown_fields_per_action(cylinders):
+    doc = {
+        "script_version": 1,
+        "actions": [{"action": "export", "name": "m", "plane": {}, "clip": "c"}],
+    }
+    with pytest.raises(ScriptError, match=r"actions\[0\] has unknown fields \['clip', 'plane'\]"):
+        validate_script(cylinders, doc)
+    # a field that another action allows is still unknown here
+    doc["actions"] = [{"action": "cut", "plane": {"normal": [0, 0, 1], "d": 1.0}, "name": "m"}]
+    with pytest.raises(ScriptError, match=r"unknown fields \['name'\]"):
         validate_script(cylinders, doc)
 
 
@@ -89,12 +103,14 @@ def test_validate_rejects_unknown_bone(cylinders):
 
 
 def test_validate_rejects_zero_normal(cylinders):
-    doc = {
-        "script_version": 1,
-        "actions": [{"action": "cut", "plane": {"normal": [0, 0, 0], "d": 1.0}}],
-    }
-    with pytest.raises(ScriptError, match="non-zero"):
-        validate_script(cylinders, doc)
+    # the squared length of [1e200, 0, 0] overflows to inf
+    for normal in ([0, 0, 0], [1e200, 0, 0]):
+        doc = {
+            "script_version": 1,
+            "actions": [{"action": "cut", "plane": {"normal": normal, "d": 1.0}}],
+        }
+        with pytest.raises(ScriptError, match="non-zero"):
+            validate_script(cylinders, doc)
 
 
 def test_validate_rejects_bad_rotations(cylinders):
@@ -110,9 +126,24 @@ def test_validate_rejects_bad_rotations(cylinders):
         }
         with pytest.raises(ScriptError, match=rf"{field} must"):
             validate_script(cylinders, doc)
-    # a non-unit quaternion is still accepted
+    # a non-unit quaternion is accepted and normalized
     doc["actions"][0]["trs"] = {"rotation": [2, 0, 0, 0]}
-    validate_script(cylinders, doc)
+    assert validate_script(cylinders, doc)[0]["trs"].rotation == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_non_unit_keyframe_quaternion_then_cut(tmp_path):
+    """A keyed clip with a non-unit quaternion still passes the cut's model check."""
+    script = write_script(
+        tmp_path / "s.json",
+        [
+            {"action": "set_keyframe", "clip": "c", "bone": 1, "time": 0.0,
+             "trs": {"rotation": [2, 0, 0, 0]}},
+            {"action": "cut", "plane": {"normal": [0, 0, 1], "d": 10.0}},
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
+    assert read_metrics(out)["error"] is None
 
 
 def test_validate_rejects_single_scalpel_state(cylinders):
