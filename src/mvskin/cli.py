@@ -46,6 +46,7 @@ identical script and rig produce byte-identical OBJ files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -391,6 +392,9 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
         if backend not in SKIN_BACKENDS:
             raise ScriptError(f"unknown skinning backend {backend!r}")
         model = load_model(rig)
+        # the loaded model and the imported modules live for the whole run:
+        # keep full collections from walking them again inside the actions
+        gc.freeze()
         doc = json.loads(Path(script_path).read_text(encoding="utf-8"))
         actions = validate_script(model, doc)
         for record in _execute(model, actions, out, backend, accel):
@@ -401,6 +405,8 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
         _write_metrics(out, payload)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
     _write_metrics(out, payload)
     return 0
 

@@ -34,6 +34,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -87,6 +88,9 @@ __all__ = [
 _QUAT_TOL = 1e-6
 _OFFSET_TOL = 1e-6
 _ROOT_TOL = 1e-6
+# export_obj rows per % and write: ~8 KiB of text, io.DEFAULT_BUFFER_SIZE.
+# Formatting a whole mesh at once raised peak RSS by its ~100 KB temporaries.
+_OBJ_BLOCK_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -324,28 +328,44 @@ def bbox_diagonal(mesh_or_vertices) -> float:
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Check the triangle soup is an orientable manifold with boundary."""
+    """Check the triangle soup is an orientable manifold with boundary.
+
+    Faces are checked in order; the first face that repeats a vertex or
+    repeats an earlier directed edge is the one named.
+    """
     v, f = mesh.vertices, mesh.faces
-    if len(v) and not np.all(np.isfinite(v)):
+    n = len(v)
+    if n and not np.all(np.isfinite(v)):
         raise MeshError("mesh has non-finite vertex coordinates")
     if len(f) == 0:
         return
-    if f.min() < 0 or f.max() >= len(v):
+    outside = (f < 0) | (f >= n)
+    if outside.any():
+        fi = int(np.argmax(outside.any(axis=1)))
+        index = int(f[fi, np.argmax(outside[fi])])
         raise MeshError(
-            f"face index out of range: mesh has {len(v)} vertices "
-            f"but faces reference {int(f.max())}"
+            f"face index out of range: mesh has {n} vertices "
+            f"but face {fi} references {index}"
         )
-    directed = set()
-    for fi, (a, b, c) in enumerate(f.tolist()):
-        if a == b or b == c or a == c:
-            raise MeshError(f"face {fi} repeats a vertex: {(a, b, c)}")
-        for key in ((a, b), (b, c), (c, a)):
-            if key in directed:
-                raise MeshError(
-                    f"directed edge {key} appears twice (face {fi}); mesh is "
-                    "non-manifold or inconsistently wound"
-                )
-            directed.add(key)
+    repeats = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
+    first_repeat = int(np.argmax(repeats)) if repeats.any() else len(f)
+    # directed edges (a, b), (b, c), (c, a) of the faces before it, in scan
+    # order, each as head * n + tail
+    before = f[:first_repeat]
+    keys = (before * n + before[:, [1, 2, 0]]).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    seconds = order[1:][ranked[1:] == ranked[:-1]]
+    if len(seconds):
+        at = int(seconds.min())
+        key = divmod(int(keys[at]), n)
+        raise MeshError(
+            f"directed edge {key} appears twice (face {at // 3}); mesh is "
+            "non-manifold or inconsistently wound"
+        )
+    if first_repeat < len(f):
+        face = tuple(f[first_repeat].tolist())
+        raise MeshError(f"face {first_repeat} repeats a vertex: {face}")
 
 
 def _versor_is_identity(v: Versor, tol: float) -> bool:
@@ -474,6 +494,27 @@ def _parse_trs(obj, where: str, allow_time: bool = False):
     return t, q, s
 
 
+def _parse_rows(rows, key: str, kinds: set, dtype) -> np.ndarray:
+    """(k, 3) array of a list of 3-element rows whose entries' types are in kinds."""
+    try:
+        # exact types: bool is an int subclass but no coordinate or index
+        ok = (
+            isinstance(rows, Sequence)
+            and not isinstance(rows, str)
+            and set(map(len, rows)) <= {3}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= kinds
+        )
+    except TypeError:  # a row without a length
+        ok = False
+    if not ok:
+        what = " or ".join(sorted(t.__name__ for t in kinds))
+        raise SchemaError(f"rig: malformed {key} (expected a list of 3-element rows of {what})")
+    try:
+        return np.array(rows, dtype=dtype).reshape(-1, 3)
+    except OverflowError as exc:
+        raise SchemaError(f"rig: malformed {key} ({exc})") from None
+
+
 def model_from_dict(doc: Mapping) -> RiggedModel:
     """Build and validate a RiggedModel from a parsed rig document."""
     if not isinstance(doc, Mapping):
@@ -486,14 +527,8 @@ def model_from_dict(doc: Mapping) -> RiggedModel:
         if key not in doc:
             raise SchemaError(f"rig: missing required field {key!r}")
 
-    try:
-        vertices = np.array(doc["vertices"], dtype=np.float64).reshape(-1, 3)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"rig: malformed vertices ({exc})") from None
-    try:
-        faces = np.array(doc["faces"], dtype=np.int64).reshape(-1, 3)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"rig: malformed faces ({exc})") from None
+    vertices = _parse_rows(doc["vertices"], "vertices", {float, int}, np.float64)
+    faces = _parse_rows(doc["faces"], "faces", {int}, np.int64)
 
     bones = []
     if not isinstance(doc["bones"], Sequence):
@@ -659,12 +694,20 @@ def save_rig(model: RiggedModel, path) -> None:
 
 
 def export_obj(mesh: Mesh, path) -> None:
-    """Write a minimal OBJ file: v lines at full precision, 1-based faces."""
+    """Write a minimal OBJ file: v lines at full precision, 1-based faces.
+
+    Rows are formatted and written in blocks of at most _OBJ_BLOCK_ROWS,
+    one % and one write per block; the bytes are those of one
+    "v %.17g %.17g %.17g" or "f %d %d %d" line per row.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write("v %.17g %.17g %.17g\n" % (x, y, z))
-        for a, b, c in mesh.faces:
-            fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+        for line, rows in (
+            ("v %.17g %.17g %.17g\n", mesh.vertices),
+            ("f %d %d %d\n", mesh.faces + 1),
+        ):
+            for start in range(0, len(rows), _OBJ_BLOCK_ROWS):
+                block = rows[start : start + _OBJ_BLOCK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

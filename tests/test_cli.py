@@ -1,5 +1,6 @@
 """Batch driver tests: script validation, artifacts, metrics, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -414,6 +415,17 @@ def test_failed_run_keeps_finished_action_records(tmp_path):
     written = [name for rec in metrics["actions"] for name in rec["files"]]
     assert written == ["a.obj", "cut_M1.obj", "cut_M2.obj"]
     assert all((out / name).is_file() for name in written)
+
+
+def test_run_leaves_no_frozen_objects(tmp_path):
+    good = write_script(tmp_path / "good.json", [{"action": "export", "name": "a"}])
+    bad = write_script(
+        tmp_path / "bad.json", [{"action": "sample", "clip": "nope", "times": [0.0]}]
+    )
+    assert main(["run", "--rig", "cylinders", "--script", good, "--out", str(tmp_path / "a")]) == 0
+    assert gc.get_freeze_count() == 0
+    assert main(["run", "--rig", "cylinders", "--script", bad, "--out", str(tmp_path / "b")]) == 1
+    assert gc.get_freeze_count() == 0
 
 
 def test_unreadable_script_reports_error(tmp_path):

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
 from mvskin.algebra import transform_points
 from mvskin.errors import (
     HierarchyError,
     MeshError,
+    MvskinError,
     NonConformalMatrix,
     OffsetError,
     SchemaError,
@@ -145,6 +149,8 @@ def test_validate_mesh_rejects_degenerate_face():
 def test_validate_mesh_rejects_out_of_range_index():
     with pytest.raises(MeshError, match="out of range"):
         validate_mesh(Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]]))
+    with pytest.raises(MeshError, match="out of range: mesh has 3 vertices but face 1 references -1"):
+        validate_mesh(Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 1, -1]]))
 
 
 def test_validate_mesh_rejects_inconsistent_winding():
@@ -160,6 +166,79 @@ def test_validate_mesh_rejects_inconsistent_winding():
 def test_validate_mesh_rejects_nonfinite_vertex():
     with pytest.raises(MeshError, match="non-finite"):
         validate_mesh(Mesh([[0, 0, np.nan], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]]))
+
+
+def validate_mesh_by_loop(mesh):
+    """Reference for validate_mesh: one Python pass over the faces in order."""
+    v, f = mesh.vertices, mesh.faces
+    if len(v) and not np.all(np.isfinite(v)):
+        raise MeshError("mesh has non-finite vertex coordinates")
+    for fi, face in enumerate(f.tolist()):
+        for index in face:
+            if not 0 <= index < len(v):
+                raise MeshError(
+                    f"face index out of range: mesh has {len(v)} vertices "
+                    f"but face {fi} references {index}"
+                )
+    directed = set()
+    for fi, (a, b, c) in enumerate(f.tolist()):
+        if a == b or b == c or a == c:
+            raise MeshError(f"face {fi} repeats a vertex: {(a, b, c)}")
+        for key in ((a, b), (b, c), (c, a)):
+            if key in directed:
+                raise MeshError(
+                    f"directed edge {key} appears twice (face {fi}); mesh is "
+                    "non-manifold or inconsistently wound"
+                )
+            directed.add(key)
+
+
+def mesh_check_outcome(check, mesh):
+    try:
+        check(mesh)
+    except MvskinError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def small_soups(draw):
+    n = draw(st.integers(1, 8))
+    faces = draw(st.lists(st.lists(st.integers(-1, n), min_size=3, max_size=3), max_size=12))
+    vertices = draw(arrays(np.float64, (n, 3), elements=st.floats(-2, 2)))
+    return Mesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_soups())
+def test_validate_mesh_matches_loop_on_small_soups(mesh):
+    want = mesh_check_outcome(validate_mesh_by_loop, mesh)
+    assert mesh_check_outcome(validate_mesh, mesh) == want
+
+
+FIXTURE_MESHES = {"cylinders": make_cylinders_model().mesh, "arm": make_arm_model().mesh}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(FIXTURE_MESHES)),
+    st.sampled_from(["none", "repeat", "edge"]),
+    st.data(),
+)
+def test_validate_mesh_matches_loop_on_fixtures(name, injected, data):
+    mesh = FIXTURE_MESHES[name]
+    faces = mesh.faces.copy()
+    k = data.draw(st.integers(0, len(faces) - 1))
+    if injected == "repeat":
+        faces[k, data.draw(st.integers(1, 2))] = faces[k, 0]
+    elif injected == "edge":
+        j = data.draw(st.integers(0, len(faces) - 1))
+        faces[k, :2] = faces[j, :2]
+    injected_mesh = Mesh(mesh.vertices, faces)
+    want = mesh_check_outcome(validate_mesh_by_loop, injected_mesh)
+    assert mesh_check_outcome(validate_mesh, injected_mesh) == want
+    if injected == "none":
+        assert want is None
 
 
 def test_mesh_area_and_bbox():
@@ -390,6 +469,26 @@ def test_load_rig_bad_json(tmp_path):
         load_rig(path)
 
 
+@pytest.mark.parametrize(
+    "key, rows",
+    [
+        ("faces", [[0, 1, 2], [2, 1, 0.7]]),  # loaded as vertex 0
+        ("faces", [[0, 1, 2], [2, 1, 2**70]]),  # OverflowError
+        ("faces", [0, 1, 2, 2, 1, 3]),  # loaded as two rows
+        ("faces", [[0, 1, 2], [2, True, 3]]),
+        ("vertices", [[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 10**400]]),  # OverflowError
+        ("vertices", [0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1]),  # loaded as four rows
+        ("vertices", [[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, "1"]]),
+        ("vertices", [[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, False]]),
+    ],
+)
+def test_geometry_rows_must_be_numeric_triples(key, rows):
+    doc = dump_rig(tiny_model())
+    doc[key] = rows
+    with pytest.raises(SchemaError, match=f"rig: malformed {key}"):
+        model_from_dict(doc)
+
+
 def test_malformed_geometry_fields():
     doc = dump_rig(tiny_model())
     doc["vertices"] = [[0, 0], [1, 1]]
@@ -416,6 +515,36 @@ def test_export_obj_exact_bytes(tmp_path):
         "f 1 2 3\n"
     )
     assert path.read_text(encoding="utf-8") == expected
+
+
+def export_obj_by_line(mesh, path):
+    """Reference for export_obj: one write per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for x, y, z in mesh.vertices:
+            fh.write("v %.17g %.17g %.17g\n" % (x, y, z))
+        for a, b, c in mesh.faces:
+            fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+
+
+ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 127, 128, 129, 300]), st.integers(0, 300))
+SPECIAL_COORDINATES = np.array([-0.0, 0.1, 5e-324, -2.2250738585072e-309, 1e308, -1e308])
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(ROW_COUNTS, ROW_COUNTS, st.integers(0, 2**32 - 1))
+def test_export_obj_matches_per_line_writer(tmp_path, n_vertices, n_faces, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_vertices, 3)
+    any_double = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    special = rng.choice(SPECIAL_COORDINATES, size=shape)
+    vertices = np.where(rng.random(shape) < 0.5, special, any_double)
+    faces = rng.integers(0, 2 ** rng.integers(1, 41), size=(n_faces, 3))
+    mesh = Mesh(vertices, faces)
+    export_obj(mesh, tmp_path / "blocks.obj")
+    export_obj_by_line(mesh, tmp_path / "lines.obj")
+    assert (tmp_path / "blocks.obj").read_bytes() == (tmp_path / "lines.obj").read_bytes()
 
 
 def test_export_obj_is_deterministic(tmp_path):
