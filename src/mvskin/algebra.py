@@ -69,6 +69,8 @@ __all__ = [
     "down",
     "up_points",
     "down_points",
+    "up_block",
+    "down_block",
     "make_rotor",
     "rotor_from_quaternion",
     "make_translator",
@@ -79,6 +81,7 @@ __all__ = [
     "normalize_versor",
     "blend_linear",
     "sandwich_matrix",
+    "sandwich_block",
     "transform_points",
     "plane_distances",
 ]
@@ -175,9 +178,41 @@ _POINT_EPS = 1e-12
 _VERSOR_EPS = 1e-14
 
 
-def _product_pair(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # result[k] = sum_ij a[i] b[j] table[i, j, k]
-    return b @ np.tensordot(a, table, axes=(0, 0))
+def _gather(table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with _gathered((index, sign), x) == np.tensordot(x, table, axes=(0, axis)).
+
+    Each slot that the contraction leaves holds at most one nonzero of
+    `table` along `axis`, so its sum is one signed coefficient of x.
+    """
+    moved = np.moveaxis(table, axis, 0)
+    index = np.argmax(moved != 0.0, axis=0)
+    sign = np.take_along_axis(moved, index[None], axis=0)[0]
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
+
+
+# x -> a x as a (j, k) matrix for each table; see _product_pair.
+_GP_LEFT = _gather(GP_TENSOR, 0)
+_OUTER_LEFT = _gather(_OUTER_TENSOR, 0)
+_LC_LEFT = _gather(_LC_TENSOR, 0)
+# y -> y b as a (t, k) matrix: the geometric product contracted on its right factor.
+_GP_RIGHT = _gather(GP_TENSOR, 1)
+# Rows and columns of the grade-1 block e1..e5 (see sandwich_block), contiguous.
+_G1 = slice(1, 6)
+_G1_LEFT = tuple(np.ascontiguousarray(x[_G1]) for x in _GP_LEFT)
+_G1_RIGHT = tuple(np.ascontiguousarray(x[:, _G1]) for x in _GP_RIGHT)
+
+
+def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
+    # + 0.0 turns -0 into the +0 that the tensordot's sum gives
+    index, sign = gather
+    return x[index] * sign + 0.0
+
+
+def _product_pair(left: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # result[k] = sum_ij a[i] b[j] table[i, j, k], with left = _gather(table, 0)
+    return b @ _gathered(left, a)
 
 
 class Multivector:
@@ -345,21 +380,21 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Full geometric product ab."""
     a = _as_mv(a, "a")
     b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(GP_TENSOR, a.coeffs, b.coeffs))
+    return Multivector._wrap(_product_pair(_GP_LEFT, a.coeffs, b.coeffs))
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product a ^ b (grade-raising part of ab)."""
     a = _as_mv(a, "a")
     b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(_OUTER_TENSOR, a.coeffs, b.coeffs))
+    return Multivector._wrap(_product_pair(_OUTER_LEFT, a.coeffs, b.coeffs))
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     """Left contraction a . b (grade-lowering part of ab)."""
     a = _as_mv(a, "a")
     b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(_LC_TENSOR, a.coeffs, b.coeffs))
+    return Multivector._wrap(_product_pair(_LC_LEFT, a.coeffs, b.coeffs))
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -432,14 +467,22 @@ def down(X: Multivector) -> np.ndarray:
 
 def up_points(points: np.ndarray) -> np.ndarray:
     """Vectorized up(): (N, 3) Euclidean points to (N, 32) conformal points."""
+    block = up_block(points)
+    out = np.zeros((len(block), DIM))
+    out[:, _G1] = block
+    return out
+
+
+def up_block(points: np.ndarray) -> np.ndarray:
+    """up_points() on the only blades a point has: (N, 3) to (N, 5) e1..e5 coefficients."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    out = np.zeros((pts.shape[0], DIM))
-    out[:, 1:4] = pts
+    out = np.empty((pts.shape[0], 5))
+    out[:, :3] = pts
     q = np.einsum("ni,ni->n", pts, pts)
-    out[:, _E4] = 0.5 * (q - 1.0)
-    out[:, _E5] = 0.5 * (q + 1.0)
+    out[:, 3] = 0.5 * (q - 1.0)  # e4
+    out[:, 4] = 0.5 * (q + 1.0)  # e5
     return out
 
 
@@ -448,13 +491,24 @@ def down_points(X: np.ndarray) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != DIM:
         raise ValueError(f"X must have shape (N, {DIM}), got {arr.shape}")
-    w = arr[:, _E5] - arr[:, _E4]
+    return down_block(arr[:, _G1])
+
+
+def down_block(X: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+    """down_points() of (N, 5) e1..e5 coefficients.
+
+    A point at infinity is named by its row, or by ids[row] when ids
+    gives each row's vertex number.
+    """
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"X must have shape (N, 5), got {arr.shape}")
+    w = arr[:, 4] - arr[:, 3]  # coefficient of no
     bad = np.flatnonzero(np.abs(w) <= _POINT_EPS)
     if bad.size:
-        raise PointAtInfinity(
-            f"point {int(bad[0])}: no-coefficient {w[bad[0]]:.3e} is too small"
-        )
-    return arr[:, 1:4] / w[:, None]
+        name = int(bad[0] if ids is None else ids[bad[0]])
+        raise PointAtInfinity(f"point {name}: no-coefficient {w[bad[0]]:.3e} is too small")
+    return arr[:, :3] / w[:, None]
 
 
 # -- versor constructors -----------------------------------------------------
@@ -538,7 +592,7 @@ def versor_inverse(V: Versor) -> Versor:
     """Inverse via reversal: reverse(V) / <V * reverse(V)>_0."""
     V = _as_mv(V, "V")
     rev = V.coeffs * _REVERSE_SIGNS
-    norm = float(_product_pair(GP_TENSOR, V.coeffs, rev)[0])
+    norm = float(_product_pair(_GP_LEFT, V.coeffs, rev)[0])
     if abs(norm) < _VERSOR_EPS:
         raise SingularVersor(f"scalar norm {norm:.3e} is below {_VERSOR_EPS:g}")
     return Multivector._wrap(rev / norm)
@@ -548,7 +602,7 @@ def normalize_versor(V: Versor) -> Versor:
     """Scale V so that the scalar part of V * reverse(V) is 1."""
     V = _as_mv(V, "V")
     rev = V.coeffs * _REVERSE_SIGNS
-    norm2 = float(_product_pair(GP_TENSOR, V.coeffs, rev)[0])
+    norm2 = float(_product_pair(_GP_LEFT, V.coeffs, rev)[0])
     if not (norm2 > _VERSOR_EPS and math.isfinite(norm2)):
         raise DegenerateBlend(
             f"versor norm squared {norm2:.3e} is not a usable positive scalar"
@@ -561,8 +615,8 @@ def apply_versor(V: Versor, X: Multivector) -> Multivector:
     V = _as_mv(V, "V")
     X = _as_mv(X, "X")
     W = versor_inverse(V)
-    vx = _product_pair(GP_TENSOR, V.coeffs, X.coeffs)
-    return Multivector._wrap(_product_pair(GP_TENSOR, vx, W.coeffs))
+    vx = _product_pair(_GP_LEFT, V.coeffs, X.coeffs)
+    return Multivector._wrap(_product_pair(_GP_LEFT, vx, W.coeffs))
 
 
 def blend_linear(pairs: Sequence[tuple[float, Versor]]) -> Versor:
@@ -600,14 +654,28 @@ def sandwich_matrix(V: Versor) -> np.ndarray:
     """
     V = _as_mv(V, "V")
     W = versor_inverse(V)
-    left = np.tensordot(V.coeffs, GP_TENSOR, axes=(0, 0))   # (j, k): x -> Vx
-    right = np.tensordot(GP_TENSOR, W.coeffs, axes=(1, 0))  # (t, k): y -> yW
-    return left @ right
+    return _sandwich(V.coeffs, W.coeffs, _GP_LEFT, _GP_RIGHT)
+
+
+def sandwich_block(V: Versor) -> np.ndarray:
+    """The (5, 5) grade-1 block of sandwich_matrix(V), rows and columns e1..e5.
+
+    A sandwich preserves grade, so this block is all it does to a point:
+    up_block(p) @ sandwich_block(V) equals (up_points(p) @ sandwich_matrix(V))[:, 1:6].
+    """
+    V = _as_mv(V, "V")
+    W = versor_inverse(V)
+    return _sandwich(V.coeffs, W.coeffs, _G1_LEFT, _G1_RIGHT)
+
+
+def _sandwich(v: np.ndarray, w: np.ndarray, left: tuple, right: tuple) -> np.ndarray:
+    # (x -> v x) @ (y -> y w), each gathered from GP_TENSOR
+    return _gathered(left, v) @ _gathered(right, w)
 
 
 def transform_points(V: Versor, points: np.ndarray) -> np.ndarray:
     """Apply a versor sandwich to (N, 3) Euclidean points: up, sandwich, down."""
-    return down_points(up_points(points) @ sandwich_matrix(V))
+    return down_block(up_block(points) @ sandwich_block(V))
 
 
 def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:

@@ -245,10 +245,14 @@ class RiggedModel:
     clips: Mapping[str, Mapping[int, tuple]] = field(default_factory=dict)
 
     def bone(self, bone_id: int) -> Bone:
-        for b in self.bones:
-            if b.id == bone_id:
-                return b
-        raise KeyError(f"no bone with id {bone_id}")
+        try:
+            return self._bone_by_id[bone_id]
+        except (KeyError, TypeError):
+            raise KeyError(f"no bone with id {bone_id}") from None
+
+    @functools.cached_property
+    def _bone_by_id(self) -> dict:
+        return {b.id: b for b in reversed(self.bones)}  # the first of equal ids wins
 
     @functools.cached_property
     def influences(self) -> tuple:
@@ -261,6 +265,24 @@ class RiggedModel:
         ids.setflags(write=False)
         ws.setflags(write=False)
         return ids, ws
+
+    @functools.cached_property
+    def bone_groups(self) -> tuple:
+        """(bone id, rows, weights) per influencing bone, built on first use.
+
+        Bones go in the order of their first use in the packed influences;
+        rows ascend and weights[i] is row rows[i]'s weight for the bone.
+        """
+        ids, ws = self.influences
+        bones, first = np.unique(ids[ids >= 0], return_index=True)
+        groups = []
+        for bone_id in bones[np.argsort(first)].tolist():
+            rows, cols = np.nonzero(ids == bone_id)
+            weights = ws[rows, cols]
+            rows.setflags(write=False)
+            weights.setflags(write=False)
+            groups.append((bone_id, rows, weights))
+        return tuple(groups)
 
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):

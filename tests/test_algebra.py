@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvskin.algebra as algebra
 from mvskin.algebra import (
     BLADE_INDEX,
     BLADE_TUPLES,
@@ -26,6 +27,7 @@ from mvskin.algebra import (
     apply_versor,
     blend_linear,
     down,
+    down_block,
     down_points,
     e1,
     e2,
@@ -46,9 +48,11 @@ from mvskin.algebra import (
     plane_distances,
     reverse,
     rotor_from_quaternion,
+    sandwich_block,
     sandwich_matrix,
     transform_points,
     up,
+    up_block,
     up_points,
     versor_inverse,
 )
@@ -475,6 +479,101 @@ def test_sandwich_matrix_agrees_with_apply_versor():
     V = make_translator([1, 2, -1]) * make_rotor([1, 0, 0], 0.5) * make_dilator(0.8)
     X = up([0.4, -2.0, 1.1])
     assert rel_err(X.coeffs @ sandwich_matrix(V), apply_versor(V, X).coeffs) < 1e-12
+
+
+# -- gathered kernels against the dense contractions -----------------------------
+# Every comparison is byte for byte: the gathers must reproduce the tensordot
+# and 32-column results exactly, signed zeros included.
+
+
+def random_versor(rng):
+    axis = rng.normal(size=3)
+    V = make_translator(rng.normal(scale=3.0, size=3)) * make_rotor(
+        axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi)
+    )
+    return V * make_dilator(rng.uniform(0.5, 2.0))
+
+
+def random_sparse(rng):
+    c = rng.normal(size=DIM) * (rng.random(DIM) < 0.4)
+    c[rng.random(DIM) < 0.15] = -0.0
+    return c
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dense_sandwich_matrix(V):
+    W = versor_inverse(V).coeffs
+    return np.tensordot(V.coeffs, algebra.GP_TENSOR, axes=(0, 0)) @ np.tensordot(
+        algebra.GP_TENSOR, W, axes=(1, 0)
+    )
+
+
+@pytest.mark.parametrize(
+    "left, table",
+    [
+        (algebra._GP_LEFT, algebra.GP_TENSOR),
+        (algebra._OUTER_LEFT, algebra._OUTER_TENSOR),
+        (algebra._LC_LEFT, algebra._LC_TENSOR),
+    ],
+    ids=["geometric", "outer", "left_contraction"],
+)
+def test_product_pair_gather_matches_tensordot(left, table):
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        a, b = random_sparse(rng), random_sparse(rng)
+        assert same_bytes(algebra._product_pair(left, a, b), b @ np.tensordot(a, table, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_gathered_contraction_matches_tensordot(axis):
+    # one nonzero per slot is what lets a gather replace each contraction
+    rng = np.random.default_rng(4)
+    for table in (algebra.GP_TENSOR, algebra._OUTER_TENSOR, algebra._LC_TENSOR):
+        assert np.count_nonzero(table, axis=axis).max() == 1
+        gather = algebra._gather(table, axis)
+        for _ in range(100):
+            x = random_sparse(rng)
+            dense = np.tensordot(table, x, axes=(axis, 0)) if axis else np.tensordot(x, table, axes=(0, 0))
+            assert same_bytes(algebra._gathered(gather, x), dense)
+
+
+def test_sandwich_matrix_and_block_match_dense_contraction():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        V = random_versor(rng)
+        full = sandwich_matrix(V)
+        assert same_bytes(full, dense_sandwich_matrix(V))
+        assert same_bytes(sandwich_block(V), full[1:6, 1:6])
+
+
+def test_block_images_match_full_images():
+    rng = np.random.default_rng(7)
+    pts = rng.normal(scale=10.0, size=(200, 3))
+    pts[:5] = 0.0
+    pts[5:10] = -0.0
+    assert same_bytes(up_block(pts), up_points(pts)[:, 1:6])
+    for _ in range(50):
+        V = random_versor(rng)
+        images = up_block(pts) @ sandwich_block(V)
+        full = up_points(pts) @ sandwich_matrix(V)
+        assert same_bytes(images, full[:, 1:6])
+        assert same_bytes(down_block(images), down_points(full))
+        assert same_bytes(transform_points(V, pts), down_points(full))
+
+
+def test_down_block_names_the_failing_row_or_its_id():
+    X = up_block(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+    X[1] = ninf.coeffs[1:6]
+    with pytest.raises(PointAtInfinity, match="point 1:"):
+        down_block(X)
+    with pytest.raises(PointAtInfinity, match="point 41:"):
+        down_block(X, np.array([7, 41]))
+    with pytest.raises(ValueError):
+        down_block(np.zeros((2, DIM)))
 
 
 # -- hypothesis properties ------------------------------------------------------

@@ -1,14 +1,24 @@
 """Keyframe interpolation, pose propagation, and the skinning backends."""
 
+import json
 import logging
+import re
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import mvskin.quaternions as quat
 import mvskin.rig
-from mvskin.algebra import transform_points
+from mvskin.algebra import (
+    GP_TENSOR,
+    down_points,
+    geometric_product,
+    transform_points,
+    up_points,
+    versor_inverse,
+)
 from mvskin.animate import (
     SKIN_BACKENDS,
     bind_pose,
@@ -21,7 +31,8 @@ from mvskin.animate import (
     skin_dq,
     skin_lbs,
 )
-from mvskin.errors import NumericalFailure, SchemaError
+from mvskin.cli import validate_script
+from mvskin.errors import NumericalFailure, PointAtInfinity, SchemaError
 from mvskin.rig import (
     Bone,
     IDENTITY_TRS,
@@ -29,11 +40,13 @@ from mvskin.rig import (
     RiggedModel,
     Trs,
     TrsKey,
+    make_arm_model,
     make_cylinders_model,
     trs_matrix,
     trs_versor,
     validate_model,
 )
+from mvskin.tear import tear
 
 
 def chain_model(n_bones=3, step=(0.0, 0.0, 1.0)):
@@ -465,6 +478,108 @@ def test_influences_are_packed_once_per_model(monkeypatch):
         k = len(entry)
         assert [(int(b), float(w)) for b, w in zip(ids[vi, :k], ws[vi, :k])] == list(entry)
         assert np.all(ids[vi, k:] == -1) and np.all(ws[vi, k:] == 0.0)
+
+
+def chain_tube_model(n_bones=16, rings=24, segments=8):
+    """A tube along a straight chain, every vertex weighted to its four nearest bones."""
+    length = float(n_bones)
+    bones = [Bone(0, None)]
+    for i in range(1, n_bones):
+        bones.append(Bone(i, i - 1, Trs(translation=(0.0, 0.0, -float(i))), Trs(translation=(0.0, 0.0, 1.0))))
+    vertices, weights = [], []
+    for k in range(rings):
+        z = length * k / (rings - 1)
+        for j in range(segments):
+            a = 2.0 * np.pi * (j + 0.5 * (k % 2)) / segments
+            vertices.append((np.cos(a), np.sin(a), z))
+            near = sorted(range(n_bones), key=lambda i: (abs(z - i - 0.5), i))[:4]
+            raw = np.array([np.exp(-((z - i - 0.5) ** 2)) + 1e-3 for i in near])
+            raw /= raw.sum()
+            weights.append(tuple(zip(near, raw.tolist())))
+    faces = [
+        (k * segments + j, k * segments + (j + 1) % segments, (k + 1) * segments + j)
+        for k in range(rings - 1)
+        for j in range(segments)
+    ]
+    return RiggedModel(Mesh(vertices, faces), tuple(bones), tuple(weights), {})
+
+
+def random_pose(model, rng):
+    for b in model.bones[1:]:
+        trs = Trs(tuple(rng.normal(size=3)), tuple(quat.normalize(rng.normal(size=4))),
+                  float(rng.uniform(0.7, 1.4)))
+        model = generate_keyframe(model, "r", b.id, trs, 1.0)
+    return model, global_pose_at(model, "r", 1.0)
+
+
+def dense_conformal_frame(model, pose, project_each):
+    """The 32-column conformal skinning path, with dense tensordot sandwiches."""
+    lifted = up_points(model.mesh.vertices)
+    ids, ws = model.influences
+    bones, first = np.unique(ids[ids >= 0], return_index=True)
+    out = np.zeros((len(lifted), 3 if project_each else 32))
+    with np.errstate(all="ignore"):
+        for bone_id in bones[np.argsort(first)].tolist():
+            rows, cols = np.nonzero(ids == bone_id)
+            V = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
+            W = versor_inverse(V).coeffs
+            sandwich = np.tensordot(V.coeffs, GP_TENSOR, axes=(0, 0)) @ np.tensordot(
+                GP_TENSOR, W, axes=(1, 0)
+            )
+            X = lifted[rows] @ sandwich
+            out[rows] += ws[rows, cols][:, None] * (down_points(X) if project_each else X)
+        return out if project_each else down_points(out)
+
+
+@pytest.mark.parametrize("name", ["cylinders", "arm", "tube16"])
+def test_conformal_frames_match_dense_32_column_path(name):
+    model = {"cylinders": make_cylinders_model, "arm": make_arm_model, "tube16": chain_tube_model}[name]()
+    if name == "tube16":
+        assert len(model.bones) >= 16 and all(len(e) == 4 for e in model.weights)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        posed, pose = random_pose(model, rng)
+        for fn, project_each in ((skin_cga, True), (skin_cga_sum, False)):
+            got = fn(posed, pose).positions
+            expect = dense_conformal_frame(posed, pose, project_each)
+            assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cylinders", "cylinders_reversed", "arm", "tube16"])
+def test_bone_groups_follow_first_use_order(name):
+    if name == "cylinders_reversed":
+        model = reversed_ids(make_cylinders_model())
+    else:
+        model = {"cylinders": make_cylinders_model, "arm": make_arm_model, "tube16": chain_tube_model}[name]()
+    ids, ws = model.influences
+    bones, first = np.unique(ids[ids >= 0], return_index=True)
+    expect = []
+    for bone_id in bones[np.argsort(first)].tolist():
+        rows, cols = np.nonzero(ids == bone_id)
+        expect.append((bone_id, rows, ws[rows, cols]))
+    groups = model.bone_groups
+    assert groups is model.bone_groups
+    assert [g[0] for g in groups] == [e[0] for e in expect]
+    for (bone_id, rows, weights), (_, rows_e, weights_e) in zip(groups, expect):
+        assert type(bone_id) is int
+        assert rows.tobytes() == rows_e.tobytes() and weights.tobytes() == weights_e.tobytes()
+        assert not rows.flags.writeable and not weights.flags.writeable
+
+
+def test_cga_point_at_infinity_names_the_mesh_vertex():
+    # a delta the script schema accepts throws torn vertices past |p| = 1e8,
+    # where the e4/e5 embedding loses the no-coefficient
+    doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
+    doc["actions"] = doc["actions"][:1]
+    doc["actions"][0]["delta"] = 1e20
+    m = make_cylinders_model()
+    (act,) = validate_script(m, doc)
+    torn = tear(m, act["states"], delta=act["delta"]).model
+    for fn in (skin_cga, skin_cga_sum):
+        with pytest.raises(PointAtInfinity) as info:
+            fn(torn, bind_pose(torn))
+        vertex = int(re.match(r"point (\d+):", str(info.value)).group(1))
+        assert np.linalg.norm(torn.mesh.vertices[vertex]) > 1e8
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,11 @@ from mvskin.cli import (
     bundled_script_path,
     load_model,
     main,
+    run_script,
     validate_script,
 )
-from mvskin.errors import ScriptError
-from mvskin.rig import Trs, compose_trs, make_cylinders_model
+from mvskin.errors import MvskinError, ScriptError
+from mvskin.rig import Trs, compose_trs, make_arm_model, make_cylinders_model
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +392,20 @@ def test_runtime_error_is_serialized_with_nonzero_exit(tmp_path):
     metrics = read_metrics(out)
     assert metrics["error"]["type"] == "NoIntersection"
     check_metrics_schema(metrics)
+
+
+@pytest.mark.parametrize("backend", ["cga", "cga_sum", "lbs", "dq"])
+def test_overflowing_scale_ends_in_typed_error_without_warnings(tmp_path, backend):
+    arm = make_arm_model()
+    actions = validate_script(arm, {"script_version": SCRIPT_VERSION, "actions": [
+        *({"action": "set_keyframe", "clip": "c", "bone": b, "time": 1.0, "trs": {"scale": 1e300}}
+          for b in (1, 2)),
+        {"action": "sample", "clip": "c", "times": [1.0]},
+    ]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MvskinError):
+            run_script(arm, actions, tmp_path, backend, False)
 
 
 def test_failed_run_keeps_finished_action_records(tmp_path):

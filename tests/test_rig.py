@@ -252,6 +252,19 @@ def test_mesh_area_and_bbox():
 # model validation
 
 
+def test_bone_lookup_by_id():
+    m = make_arm_model()
+    for b in m.bones:
+        assert m.bone(b.id) is b
+    assert m.bone(np.int64(1)) is m.bones[1]
+    for bad in (99, -1, "1", [1]):
+        with pytest.raises(KeyError, match="no bone with id"):
+            m.bone(bad)
+    # equal ids resolve to the first bone, as a scan in order would
+    twin = RiggedModel(m.mesh, (Bone(0, None), Bone(1, 0), Bone(1, None)), m.weights)
+    assert twin.bone(1) is twin.bones[1]
+
+
 def test_validate_model_accepts_tiny():
     tiny_model()
 
