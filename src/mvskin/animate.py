@@ -5,7 +5,8 @@ first, and derives a global chain on first read: conformal versors for
 cga and cga_sum, homogeneous 4x4 matrices for lbs and dq.  Skinning
 composes the pose with each bone's offset (inverse global bind) into a
 versor S_n or a matrix M_n; every backend blends over a vertex's
-influences (n, w_n) in one loop on the model's packed influence table:
+influences (n, w_n) in one loop on the model's weights, the packed
+(n, 4) SkinWeights table that is their only stored form:
 
   cga      sum_n w_n down(S_n up(v) ~S_n), projected per term: lbs to rounding,
   cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
@@ -163,7 +164,7 @@ def bind_pose(model: RiggedModel) -> Pose:
 
 
 def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
-    """Per-vertex sum of w * image(bone, rows) over the packed influences.
+    """Per-vertex sum of w * image(bone, rows) over the model's weights.
 
     The terms come from the model's cached bone groups: bones in
     first-use order, each bone's rows ascending, so every backend adds
@@ -236,12 +237,14 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
             dual = 0.5 * quat.multiply(np.concatenate([[0.0], m[:3, 3]]), real)
             parts[b.id] = np.concatenate([real, dual, [s]])
 
-    ids, ws = model.influences
+    ids, ws = model.weights.ids, model.weights.ws
     tied = (ws == ws.max(axis=1, keepdims=True)) & (ids >= 0)
     pivot = np.where(tied, ids, np.iinfo(ids.dtype).max).min(axis=1)
-    pivot_real = np.zeros((len(ids), 4))
-    for bone_id, part in parts.items():
-        pivot_real[pivot == bone_id] = part[:4]
+    # one gather from the real parts stacked by bone id; no pivot bone reads the zero row
+    known = np.array([*sorted(parts), np.iinfo(ids.dtype).max])
+    at = np.searchsorted(known, pivot)
+    reals = np.array([parts[b][:4] for b in known[:-1].tolist()] + [np.zeros(4)])
+    pivot_real = reals[np.where(known[at] == pivot, at, -1)]
 
     def image(bone_id, rows):
         part = parts[bone_id]

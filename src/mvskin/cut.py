@@ -52,7 +52,7 @@ class CutPoint:
     edge: tuple  # (lo, hi) original vertex indices
     lam: float  # interpolation parameter from lo toward hi, in (0, 1)
     ordinal: int  # creation rank; the seam vertex index is len(side) + ordinal
-    influences: tuple
+    weights: tuple  # (bone, w) pairs, at most four
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     polylines = tuple(tuple(points[o] for o in chain) for chain in _chains(links))
 
     cut_positions = np.array([cp.position for cp in points]).reshape(-1, 3)
-    cut_weights = tuple(cp.influences for cp in points)
+    cut_weights = [cp.weights for cp in points]
     halves = {}
     for side in (1, -1):
         half = RiggedModel(
@@ -186,7 +186,7 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
                 np.array(faces_out[side], dtype=np.int64).reshape(-1, 3),
             ),
             model.bones,
-            tuple(w for w, on in zip(model.weights, side_of) if on == side) + cut_weights,
+            model.weights.take(section.signs == side).extend(cut_weights),
             model.clips,
         )
         validate_model(half)

@@ -17,6 +17,9 @@ A rig file is a JSON document:
                  "rotation_quat": [...], "scale": 1.0}, ...]}, ...]}
     }
 
+Numbers must be JSON numbers and ids JSON integers, not strings or
+booleans.  A model stores the weights as one packed SkinWeights table.
+
 Unknown fields are rejected.  TRS dictionaries may omit fields, which then
 default to the identity component; a key's "t" is required.  "offset_trs" and
 "offset_matrix" are mutually exclusive; a matrix offset must be a conformal
@@ -58,6 +61,7 @@ from .errors import (
     SchemaError,
     WeightSumError,
 )
+from .weights import SkinWeights
 
 __all__ = [
     "Trs",
@@ -241,8 +245,12 @@ class RiggedModel:
 
     mesh: Mesh
     bones: tuple  # of Bone, sorted by id
-    weights: tuple  # per vertex: tuple of (bone_id, weight) pairs
+    weights: SkinWeights  # per-vertex tuples of (bone_id, weight) pairs are packed once
     clips: Mapping[str, Mapping[int, tuple]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.weights, SkinWeights):
+            object.__setattr__(self, "weights", SkinWeights.pack(self.weights))
 
     def bone(self, bone_id: int) -> Bone:
         try:
@@ -255,25 +263,13 @@ class RiggedModel:
         return {b.id: b for b in reversed(self.bones)}  # the first of equal ids wins
 
     @functools.cached_property
-    def influences(self) -> tuple:
-        """Packed weights, built on first use: (n, 4) bone ids (-1 if empty), (n, 4) weights."""
-        ids = np.full((len(self.weights), 4), -1, dtype=np.int64)
-        ws = np.zeros((len(self.weights), 4))
-        for vi, entry in enumerate(self.weights):
-            ids[vi, : len(entry)] = [bone_id for bone_id, _ in entry]
-            ws[vi, : len(entry)] = [w for _, w in entry]
-        ids.setflags(write=False)
-        ws.setflags(write=False)
-        return ids, ws
-
-    @functools.cached_property
     def bone_groups(self) -> tuple:
         """(bone id, rows, weights) per influencing bone, built on first use.
 
-        Bones go in the order of their first use in the packed influences;
+        Bones go in the order of their first use in the weights table;
         rows ascend and weights[i] is row rows[i]'s weight for the bone.
         """
-        ids, ws = self.influences
+        ids, ws = self.weights.ids, self.weights.ws
         bones, first = np.unique(ids[ids >= 0], return_index=True)
         groups = []
         for bone_id in bones[np.argsort(first)].tolist():
@@ -435,23 +431,20 @@ def validate_model(model: RiggedModel) -> None:
             f"weights cover {len(model.weights)} vertices but the mesh has "
             f"{len(model.mesh.vertices)}"
         )
-    for vi, entry in enumerate(model.weights):
-        if len(entry) == 0:
-            raise WeightSumError(f"vertex {vi} has no influences")
-        if len(entry) > 4:
-            raise WeightSumError(f"vertex {vi} has {len(entry)} influences (limit 4)")
-        bones_seen = set()
-        total = math.fsum(w for _, w in entry)
-        for bone_id, w in entry:
-            if bone_id not in known:
-                raise WeightSumError(f"vertex {vi} references unknown bone {bone_id}")
-            if bone_id in bones_seen:
-                raise WeightSumError(f"vertex {vi} lists bone {bone_id} twice")
-            bones_seen.add(bone_id)
-            if not (math.isfinite(w) and w >= 0.0):
-                raise WeightSumError(f"vertex {vi} has invalid weight {w!r} on bone {bone_id}")
-        if abs(total - 1.0) > 1e-6:
-            raise WeightSumError(f"vertex {vi} weights sum to {total!r}, not 1")
+    # one pass flags a superset of the bad rows (an empty row sums to 0;
+    # the sum has a 1e-12 margin for rounding), then the exact per-vertex
+    # checks name the first bad row
+    ids, ws = model.weights.ids, model.weights.ws
+    ordered = np.sort(ids, axis=1)
+    with np.errstate(all="ignore"):
+        suspect = (
+            ((ids != -1) & ~np.isin(ids, list(known))).any(axis=1)
+            | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != -1)).any(axis=1)
+            | ~(np.isfinite(ws) & (ws >= 0.0)).all(axis=1)
+            | (np.abs(ws.sum(axis=1) - 1.0) > 1e-6 - 1e-12)
+        )
+    for vi in np.flatnonzero(suspect).tolist():
+        _check_vertex_weights(vi, model.weights[vi], known)
 
     # clips
     for name, tracks in model.clips.items():
@@ -470,6 +463,26 @@ def validate_model(model: RiggedModel) -> None:
                     )
                 prev = k.time
                 _check_trs_fields(k.trs, f"clip {name!r}, bone {bone_id}")
+
+
+def _check_vertex_weights(vi: int, entry: tuple, known: set) -> None:
+    if len(entry) == 0:
+        raise WeightSumError(f"vertex {vi} has no influences")
+    bones_seen = set()
+    for bone_id, w in entry:
+        if bone_id not in known:
+            raise WeightSumError(f"vertex {vi} references unknown bone {bone_id}")
+        if bone_id in bones_seen:
+            raise WeightSumError(f"vertex {vi} lists bone {bone_id} twice")
+        bones_seen.add(bone_id)
+        if not (math.isfinite(w) and w >= 0.0):
+            raise WeightSumError(f"vertex {vi} has invalid weight {w!r} on bone {bone_id}")
+    try:  # every weight is finite and nonnegative, but their sum may overflow
+        total = math.fsum(w for _, w in entry)
+    except OverflowError:
+        total = math.inf
+    if abs(total - 1.0) > 1e-6:
+        raise WeightSumError(f"vertex {vi} weights sum to {total!r}, not 1")
 
 
 def _check_trs_fields(trs: Trs, where: str) -> None:
@@ -495,44 +508,51 @@ def _reject_unknown(obj: Mapping, allowed: set, where: str) -> None:
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
+def _is(value, *kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)  # bool is an int
+
+
+def _number(value, where: str) -> float:
+    """A JSON number (int or float; not bool or str) as a float."""
+    if not _is(value, int, float):
+        raise SchemaError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where} is out of float range") from None
+
+
 def _parse_trs(obj, where: str, allow_time: bool = False):
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     allowed = {"translation", "rotation_quat", "scale"} | ({"t"} if allow_time else set())
     _reject_unknown(obj, allowed, where)
-    t = obj.get("translation", (0.0, 0.0, 0.0))
-    q = obj.get("rotation_quat", (1.0, 0.0, 0.0, 0.0))
-    s = obj.get("scale", 1.0)
-    try:
-        t = tuple(float(x) for x in t)
-        q = tuple(float(x) for x in q)
-        s = float(s)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: malformed TRS ({exc})") from None
-    if len(t) != 3:
-        raise SchemaError(f"{where}: translation needs 3 components, got {len(t)}")
-    if len(q) != 4:
-        raise SchemaError(f"{where}: rotation_quat needs 4 components, got {len(q)}")
-    return t, q, s
+    parts = []
+    for name, default in (("translation", (0.0,) * 3), ("rotation_quat", (1.0, 0.0, 0.0, 0.0))):
+        value = obj.get(name, default)
+        if not isinstance(value, Sequence) or isinstance(value, str) or len(value) != len(default):
+            raise SchemaError(f"{where}: {name} needs a list of {len(default)} numbers")
+        parts.append(tuple(_number(x, f"{where}: {name}") for x in value))
+    return (*parts, _number(obj.get("scale", 1.0), f"{where}: scale"))
 
 
-def _parse_rows(rows, key: str, kinds: set, dtype) -> np.ndarray:
-    """(k, 3) array of a list of 3-element rows whose entries' types are in kinds."""
+def _parse_rows(rows, key: str, kinds: set, dtype, width: int = 3) -> np.ndarray:
+    """(k, width) array of a list of width-element rows whose entries' types are in kinds."""
     try:
         # exact types: bool is an int subclass but no coordinate or index
         ok = (
             isinstance(rows, Sequence)
             and not isinstance(rows, str)
-            and set(map(len, rows)) <= {3}
+            and set(map(len, rows)) <= {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= kinds
         )
     except TypeError:  # a row without a length
         ok = False
     if not ok:
         what = " or ".join(sorted(t.__name__ for t in kinds))
-        raise SchemaError(f"rig: malformed {key} (expected a list of 3-element rows of {what})")
+        raise SchemaError(f"rig: malformed {key} (expected a list of {width}-element rows of {what})")
     try:
-        return np.array(rows, dtype=dtype).reshape(-1, 3)
+        return np.array(rows, dtype=dtype).reshape(-1, width)
     except OverflowError as exc:
         raise SchemaError(f"rig: malformed {key} ({exc})") from None
 
@@ -561,26 +581,20 @@ def model_from_dict(doc: Mapping) -> RiggedModel:
         _reject_unknown(
             entry, {"id", "parent", "offset_trs", "offset_matrix", "bind_trs"}, f"bone #{bi}"
         )
-        try:
-            bone_id = int(entry["id"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"bone #{bi}: missing or malformed id") from None
+        bone_id = entry.get("id")
+        if not _is(bone_id, int):
+            raise SchemaError(f"bone #{bi}: missing or malformed id (an integer)")
         parent = entry.get("parent")
-        if parent is not None:
-            try:
-                parent = int(parent)
-            except (TypeError, ValueError):
-                raise SchemaError(f"bone {bone_id}: malformed parent") from None
+        if parent is not None and not _is(parent, int):
+            raise SchemaError(f"bone {bone_id}: malformed parent (an integer or null)")
         if "offset_trs" in entry and "offset_matrix" in entry:
             raise SchemaError(f"bone {bone_id}: offset_trs and offset_matrix are exclusive")
         if "offset_trs" in entry:
             t, q, s = _parse_trs(entry["offset_trs"], f"bone {bone_id} offset_trs")
             offset = Trs(t, q, s)
         elif "offset_matrix" in entry:
-            try:
-                m = np.array(entry["offset_matrix"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bone {bone_id}: malformed offset_matrix ({exc})") from None
+            where = f"bone {bone_id} offset_matrix"
+            m = _parse_rows(entry["offset_matrix"], where, {float, int}, np.float64, 4)
             try:
                 offset = decompose_conformal_matrix(m)
             except NonConformalMatrix as exc:
@@ -597,20 +611,16 @@ def model_from_dict(doc: Mapping) -> RiggedModel:
 
     if not isinstance(doc["weights"], Sequence):
         raise SchemaError("rig: weights must be a list")
-    weights = []
     for vi, entry in enumerate(doc["weights"]):
         if not isinstance(entry, Sequence):
             raise SchemaError(f"weights for vertex {vi}: expected a list of [bone, w] pairs")
-        pairs = []
         for item in entry:
             if not isinstance(item, Sequence) or len(item) != 2:
                 raise SchemaError(f"weights for vertex {vi}: expected [bone, w] pairs")
-            try:
-                pairs.append((int(item[0]), float(item[1])))
-            except (TypeError, ValueError):
-                raise SchemaError(f"weights for vertex {vi}: malformed pair {item!r}") from None
-        weights.append(tuple(pairs))
-
+            if not (_is(item[0], int) and _is(item[1], int, float)):
+                raise SchemaError(
+                    f"weights for vertex {vi}: malformed pair {item!r} (expected [integer, number])"
+                )
     clips: dict = {}
     raw_clips = doc.get("clips", {})
     if not isinstance(raw_clips, Mapping):
@@ -623,10 +633,11 @@ def model_from_dict(doc: Mapping) -> RiggedModel:
             if not isinstance(track, Mapping):
                 raise SchemaError(f"clip {name!r} track #{ti}: expected an object")
             _reject_unknown(track, {"bone", "keys"}, f"clip {name!r} track #{ti}")
-            try:
-                bone_id = int(track["bone"])
-            except (KeyError, TypeError, ValueError):
-                raise SchemaError(f"clip {name!r} track #{ti}: missing or malformed bone") from None
+            bone_id = track.get("bone")
+            if not _is(bone_id, int):
+                raise SchemaError(
+                    f"clip {name!r} track #{ti}: missing or malformed bone (an integer)"
+                )
             if bone_id in clip:
                 raise SchemaError(f"clip {name!r}: duplicate track for bone {bone_id}")
             raw_keys = track.get("keys")
@@ -636,15 +647,13 @@ def model_from_dict(doc: Mapping) -> RiggedModel:
             for key in raw_keys:
                 if not isinstance(key, Mapping) or "t" not in key:
                     raise SchemaError(f"clip {name!r}, bone {bone_id}: every key needs a time 't'")
-                t, q, s = _parse_trs(key, f"clip {name!r}, bone {bone_id} key", allow_time=True)
-                try:
-                    keys.append(TrsKey(float(key["t"]), t, q, s))
-                except (TypeError, ValueError):
-                    raise SchemaError(f"clip {name!r}, bone {bone_id}: malformed key time") from None
+                where = f"clip {name!r}, bone {bone_id} key"
+                t, q, s = _parse_trs(key, where, allow_time=True)
+                keys.append(TrsKey(_number(key["t"], f"{where} time 't'"), t, q, s))
             clip[bone_id] = tuple(keys)
         clips[name] = clip
 
-    model = RiggedModel(Mesh(vertices, faces), tuple(bones), tuple(weights), clips)
+    model = RiggedModel(Mesh(vertices, faces), tuple(bones), doc["weights"], clips)
     validate_model(model)
     return model
 
@@ -669,10 +678,13 @@ def _trs_to_dict(trs: Trs) -> dict:
 
 def dump_rig(model: RiggedModel) -> dict:
     """Rig document (plain dict) of a model; inverse of model_from_dict."""
+    ids, ws = model.weights.ids, model.weights.ws
+    used = ids != -1  # each row's slots fill from slot 0
+    pairs = iter([[b, w] for b, w in zip(ids[used].tolist(), ws[used].tolist())])
     doc = {
         "rig_version": 1,
-        "vertices": [[float(x) for x in v] for v in model.mesh.vertices],
-        "faces": [[int(i) for i in f] for f in model.mesh.faces],
+        "vertices": model.mesh.vertices.tolist(),
+        "faces": model.mesh.faces.tolist(),
         "bones": [
             {
                 "id": b.id,
@@ -682,7 +694,7 @@ def dump_rig(model: RiggedModel) -> dict:
             }
             for b in model.bones
         ],
-        "weights": [[[int(b), float(w)] for b, w in entry] for entry in model.weights],
+        "weights": [list(itertools.islice(pairs, k)) for k in used.sum(axis=1).tolist()],
         "clips": {
             name: [
                 {

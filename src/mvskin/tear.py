@@ -490,7 +490,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
                 if src >= n_orig:
                     remap[src] = dst
                 break
-    weights_all = list(model.weights) + list(new_weights)
+    rows = list(range(len(positions)))  # weight row of each vertex, new rows after the model's
     if remap:
         # drop the merged points, renumber the rest, and point every path
         # index at the vertex where the tear is pinned
@@ -501,7 +501,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             return renumber[find(v)]
 
         positions = positions[kept]
-        weights_all = [weights_all[v] for v in kept]
+        rows = kept
         faces_out = [[index(v) for v in tri] for tri in faces_out]
         faces_out = [tri for tri in faces_out if len(set(tri)) == 3]
         split_slots = [slot for slot, tri in enumerate(faces_out) if max(tri) >= n_orig]
@@ -533,7 +533,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
                 continue  # chord not two-sided here; nothing to separate
             twin = len(pos_rows)
             pos_rows.append(pos_rows[g])
-            weights_all.append(weights_all[g])
+            rows.append(rows[g])
             for slot in right:
                 faces_out[slot] = [twin if v == g else v for v in faces_out[slot]]
             duplicates[g] = (g, twin)
@@ -542,7 +542,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     torn = RiggedModel(
         Mesh(np.vstack(pos_rows), np.array(faces_out, dtype=np.int64).reshape(-1, 3)),
         model.bones,
-        tuple(weights_all),
+        model.weights.extend(new_weights).take(rows),
         model.clips,
     )
     validate_model(torn)

@@ -1,4 +1,8 @@
-"""Skin-weight re-binding for vertices created by cuts and tears.
+"""Packed skin weights, and their re-binding for vertices created by cuts and tears.
+
+A model stores its weights once, as a SkinWeights table: (n, 4) bone ids
+with -1 in an empty slot, and (n, 4) weights.  It reads as a sequence of
+per-vertex (bone, w) tuples.
 
 New vertices inherit influences from the corners of the host face (or the
 endpoints of the host edge) by barycentric combination.  The combined list
@@ -12,16 +16,103 @@ permutations of the input corners.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Sequence
+
+import numpy as np
 
 from .errors import WeightSumError
 
-__all__ = ["MAX_INFLUENCES", "weight_by_barycentric", "weight_by_edge"]
+__all__ = ["MAX_INFLUENCES", "SkinWeights", "weight_by_barycentric", "weight_by_edge"]
 
 MAX_INFLUENCES = 4
 
 Influences = Sequence[tuple[int, float]]
+
+
+class SkinWeights:
+    """Read-only packed weights: ids (n, 4) int64, -1 in an empty slot; ws (n, 4) float64.
+
+    Row vi reads as the tuple of its (bone, w) pairs, empty slots left out.
+    """
+
+    __slots__ = ("ids", "ws")
+
+    def __init__(self, ids: np.ndarray, ws: np.ndarray):
+        ids.setflags(write=False)
+        ws.setflags(write=False)
+        self.ids, self.ws = ids, ws
+
+    @classmethod
+    def pack(cls, entries: Sequence[Influences]) -> "SkinWeights":
+        """Table of per-vertex (bone, w) tuples, each filled from slot 0.
+
+        Raises WeightSumError on a row the table cannot hold: more than
+        four pairs, a bone id of -1 or outside int64, a weight beyond float64.
+        """
+        lengths = np.fromiter(map(len, entries), np.int64, len(entries))
+        pairs = list(itertools.chain.from_iterable(entries))
+        bones, weights = zip(*pairs) if pairs else ((), ())
+        try:
+            flat_ids = np.array(bones, dtype=np.int64)
+            flat_ws = np.array(weights, dtype=np.float64)
+            storable = lengths.max(initial=0) <= MAX_INFLUENCES and not (flat_ids == -1).any()
+        except OverflowError:
+            storable = False
+        if not storable:
+            raise _unstorable(entries)
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        cols = np.arange(len(pairs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        ids = np.full((len(lengths), MAX_INFLUENCES), -1, dtype=np.int64)
+        ws = np.zeros((len(lengths), MAX_INFLUENCES))
+        ids[rows, cols] = flat_ids
+        ws[rows, cols] = flat_ws
+        return cls(ids, ws)
+
+    def take(self, rows) -> "SkinWeights":
+        """The table of the given rows (an index array or a boolean mask)."""
+        return SkinWeights(self.ids[rows], self.ws[rows])
+
+    def extend(self, entries: Sequence[Influences]) -> "SkinWeights":
+        """This table with the packed entries appended."""
+        more = SkinWeights.pack(entries)
+        return SkinWeights(np.vstack([self.ids, more.ids]), np.vstack([self.ws, more.ws]))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, vi) -> tuple:
+        vi = operator.index(vi)  # one row; not a slice
+        return _pairs(self.ids[vi].tolist(), self.ws[vi].tolist())
+
+    def __iter__(self):
+        return map(_pairs, self.ids.tolist(), self.ws.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SkinWeights):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.ws, other.ws)
+
+
+def _pairs(ids: list, ws: list) -> tuple:
+    return tuple((b, w) for b, w in zip(ids, ws) if b != -1)
+
+
+def _unstorable(entries) -> WeightSumError:
+    """The error naming the first row that SkinWeights cannot hold."""
+    for vi, entry in enumerate(entries):
+        if len(entry) > MAX_INFLUENCES:
+            return WeightSumError(f"vertex {vi} has {len(entry)} influences (limit 4)")
+        for bone, w in entry:
+            if bone == -1 or not -(2**63) <= bone < 2**63:
+                return WeightSumError(f"vertex {vi} references unknown bone {bone}")
+            try:
+                float(w)
+            except OverflowError:
+                return WeightSumError(f"vertex {vi} has invalid weight {w!r} on bone {bone}")
+    return WeightSumError("weights do not fit the (n, 4) table")
 
 
 def _check_influences(influences: Influences, name: str) -> None:

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -15,6 +16,7 @@ from mvskin.algebra import (
     GP_TENSOR,
     down_points,
     geometric_product,
+    make_plane,
     transform_points,
     up_points,
     versor_inverse,
@@ -32,6 +34,7 @@ from mvskin.animate import (
     skin_lbs,
 )
 from mvskin.cli import validate_script
+from mvskin.cut import cut
 from mvskin.errors import NumericalFailure, PointAtInfinity, SchemaError
 from mvskin.rig import (
     Bone,
@@ -46,7 +49,8 @@ from mvskin.rig import (
     trs_versor,
     validate_model,
 )
-from mvskin.tear import tear
+from mvskin.tear import open_tear, tear
+from mvskin.weights import SkinWeights
 
 
 def chain_model(n_bones=3, step=(0.0, 0.0, 1.0)):
@@ -381,7 +385,7 @@ def test_dq_hemisphere_pivot_on_far_rotations():
     frames = []
     for tie in (((0, 0.5), (1, 0.5)), ((1, 0.5), (0, 0.5))):
         m = chain_model(2)
-        weights = (tie,) + tuple(((0, 1.0),) for _ in m.weights[1:])
+        weights = (tie,) + tuple(((0, 1.0),) for _ in range(len(m.weights) - 1))
         m = RiggedModel(m.mesh, m.bones, weights, {})
         q80 = quat.from_axis_angle((0, 0, 1), np.deg2rad(80))
         q280 = quat.from_axis_angle((0, 0, 1), np.deg2rad(280))
@@ -458,26 +462,32 @@ def test_numerical_failure_names_vertex():
         skin_dq(m, pose)
 
 
-def test_influences_are_packed_once_per_model(monkeypatch):
-    prop = RiggedModel.__dict__["influences"]
-    pack = prop.func
+def test_edits_pack_only_the_rows_they_add(monkeypatch):
+    # every model holds one SkinWeights table; an edit slices the one it
+    # has and packs only the weights of the vertices it creates
+    m = make_cylinders_model()
+    doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
+    (act,) = validate_script(m, doc)
     packed = []
-    monkeypatch.setattr(prop, "func", lambda model: packed.append(model) or pack(model))
-    m = keyed(make_cylinders_model(), "c", 1, 1.0, rotation=tuple(quat.from_axis_angle((1, 0, 0), 0.6)))
-    assert m.influences is m.influences
-    pose = global_pose_at(m, "c", 1.0)
-    for fn in SKIN_BACKENDS.values():
-        fn(m, pose)
-    compare_backends(m, pose, reference="dq", test="cga_sum")
-    assert len(packed) == 1 and packed[0] is m
+    pack = SkinWeights.pack.__func__
+    monkeypatch.setattr(
+        SkinWeights, "pack", classmethod(lambda cls, entries: packed.append(len(entries)) or pack(cls, entries))
+    )
 
-    ids, ws = m.influences
-    assert ids.shape == ws.shape == (len(m.weights), 4)
-    assert not ids.flags.writeable and not ws.flags.writeable
-    for vi, entry in enumerate(m.weights):
-        k = len(entry)
-        assert [(int(b), float(w)) for b, w in zip(ids[vi, :k], ws[vi, :k])] == list(entry)
-        assert np.all(ids[vi, k:] == -1) and np.all(ws[vi, k:] == 0.0)
+    posed = keyed(m, "c", 1, 1.0, rotation=tuple(quat.from_axis_angle((1, 0, 0), 0.6)))
+    assert posed.weights is m.weights and packed == []
+    assert replace(m, clips={}).weights is m.weights and packed == []
+
+    halves = cut(m, make_plane((0.0, 0.0, 1.0), 10.0))
+    added = len(halves.m1.weights) + len(halves.m2.weights) - len(m.weights)
+    assert 0 < sum(packed) <= added
+
+    packed.clear()
+    res = tear(m, act["states"], delta=0.0)
+    assert 0 < sum(packed) <= len(res.model.weights) - len(m.weights)
+    packed.clear()
+    (path,) = res.paths
+    assert open_tear(res.model, path, 0.5).weights is res.model.weights and packed == []
 
 
 def chain_tube_model(n_bones=16, rings=24, segments=8):
@@ -515,7 +525,7 @@ def random_pose(model, rng):
 def dense_conformal_frame(model, pose, project_each):
     """The 32-column conformal skinning path, with dense tensordot sandwiches."""
     lifted = up_points(model.mesh.vertices)
-    ids, ws = model.influences
+    ids, ws = model.weights.ids, model.weights.ws
     bones, first = np.unique(ids[ids >= 0], return_index=True)
     out = np.zeros((len(lifted), 3 if project_each else 32))
     with np.errstate(all="ignore"):
@@ -551,7 +561,7 @@ def test_bone_groups_follow_first_use_order(name):
         model = reversed_ids(make_cylinders_model())
     else:
         model = {"cylinders": make_cylinders_model, "arm": make_arm_model, "tube16": chain_tube_model}[name]()
-    ids, ws = model.influences
+    ids, ws = model.weights.ids, model.weights.ws
     bones, first = np.unique(ids[ids >= 0], return_index=True)
     expect = []
     for bone_id in bones[np.argsort(first)].tolist():

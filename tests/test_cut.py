@@ -160,11 +160,11 @@ def test_cut_point_weights_come_from_edge_endpoints(cylinders):
     for cp in cut(cylinders, plane).cut_points:
         lo, hi = cp.edge
         host = {b for b, _ in cylinders.weights[lo]} | {b for b, _ in cylinders.weights[hi]}
-        bones = [b for b, _ in cp.influences]
+        bones = [b for b, _ in cp.weights]
         assert set(bones) <= host
         assert len(bones) <= 4
-        assert abs(math.fsum(w for _, w in cp.influences) - 1.0) < 1e-9
-        assert all(w > 0 for _, w in cp.influences)
+        assert abs(math.fsum(w for _, w in cp.weights) - 1.0) < 1e-9
+        assert all(w > 0 for _, w in cp.weights)
 
 
 # ---------------------------------------------------------------- retriangulation

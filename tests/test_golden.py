@@ -14,13 +14,20 @@ moves a single coordinate shows up here.  If a change is intentional, regenerate
       mvskin run --rig arm --script arm_tear.json --backend $b --out /tmp/g3-$b
       sha256sum /tmp/g3-$b/frame_0000.obj
     done
+
+RIG_GOLDEN pins the rig documents (`json.dumps(dump_rig(model))`) of the
+models the cut and tear actions of the same runs produce, so the skin
+weights a cut or tear stores are frozen as well as the mesh.
 """
 
 import hashlib
+import json
 
 import pytest
 
+import mvskin.cli as cli
 from mvskin.cli import main
+from mvskin.rig import dump_rig
 
 # test id -> (script, rig, backend, {artifact: sha256})
 GOLDEN = {
@@ -59,3 +66,43 @@ def test_bundled_script_artifacts_match_golden_digests(case, tmp_path):
     for name, want in digests.items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == want, f"{case}: {name} drifted from its golden digest"
+
+
+# script -> (rig, {model: sha256 of json.dumps(dump_rig(model))})
+RIG_GOLDEN = {
+    "cylinders_cut_deform.json": ("cylinders", {
+        "cut_M1": "a984af8b703f11d105c8ca6e1500680cb201d2a2ff78db2a890047d3c317daf5",
+        "cut_M2": "42c2fc55edb9d87bb73dc57edfdbeee21e5d507aa245c2c6e172241705536afc",
+    }),
+    "cylinders_tear.json": ("cylinders", {
+        "torn": "89e4262890e5eb5fd3c07ed29edc4bae7b48af28e1fe8a27200d68e9ddf8f6d9",
+    }),
+    "arm_tear.json": ("arm", {
+        "torn": "2c26221bfd88ce12fd83399f19a0dbc9bc8c84fa5511d3b6e2089f9f6bee4505",
+    }),
+}
+
+
+@pytest.mark.parametrize("script", sorted(RIG_GOLDEN))
+def test_cut_and_torn_rig_documents_match_golden_digests(script, tmp_path, monkeypatch):
+    rig, digests = RIG_GOLDEN[script]
+    models = {}
+    real_cut, real_tear = cli.cut, cli.tear
+
+    def cut(*args, **kwargs):
+        result = real_cut(*args, **kwargs)
+        models.update(cut_M1=result.m1, cut_M2=result.m2)
+        return result
+
+    def tear(*args, **kwargs):
+        result = real_tear(*args, **kwargs)
+        models.update(torn=result.model)
+        return result
+
+    monkeypatch.setattr(cli, "cut", cut)
+    monkeypatch.setattr(cli, "tear", tear)
+    assert main(["run", "--rig", rig, "--script", script, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(models) == sorted(digests)
+    for name, want in digests.items():
+        got = hashlib.sha256(json.dumps(dump_rig(models[name])).encode()).hexdigest()
+        assert got == want, f"{script}: the {name} rig document drifted from its golden digest"

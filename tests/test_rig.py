@@ -357,6 +357,96 @@ def test_weight_validation_errors():
         validate_model(with_weights(tuple(bad)))
 
 
+def per_vertex_weight_check(weights, known):
+    """validate_model's weight checks as a plain loop over (bone, w) tuples."""
+    for vi, entry in enumerate(weights):
+        if len(entry) == 0:
+            raise WeightSumError(f"vertex {vi} has no influences")
+        if len(entry) > 4:
+            raise WeightSumError(f"vertex {vi} has {len(entry)} influences (limit 4)")
+        bones_seen = set()
+        total = math.fsum(w for _, w in entry)
+        for bone_id, w in entry:
+            if bone_id not in known:
+                raise WeightSumError(f"vertex {vi} references unknown bone {bone_id}")
+            if bone_id in bones_seen:
+                raise WeightSumError(f"vertex {vi} lists bone {bone_id} twice")
+            bones_seen.add(bone_id)
+            if not (math.isfinite(w) and w >= 0.0):
+                raise WeightSumError(f"vertex {vi} has invalid weight {w!r} on bone {bone_id}")
+        if abs(total - 1.0) > 1e-6:
+            raise WeightSumError(f"vertex {vi} weights sum to {total!r}, not 1")
+
+
+def corrupt(entry, kind, pick, value):
+    """One weight corruption of a vertex's (bone, w) tuple."""
+    k = pick % len(entry)
+    if kind == "empty":
+        return ()
+    if kind == "five":
+        return tuple((b, 0.2) for b in (0, 1, 2, value % 5 + 3, 9))
+    if kind == "bone":  # an unknown or negative bone
+        return entry[:k] + ((value, entry[k][1]),) + entry[k + 1:]
+    if kind == "repeat":
+        b, w = entry[k]
+        return entry[:k] + ((b, 0.5 * w), (b, 0.5 * w)) + entry[k + 1:]
+    if kind == "weight":
+        return entry[:k] + ((entry[k][0], value),) + entry[k + 1:]
+    if kind == "negative":  # the sum stays 1
+        return ((0, -value), (1, 1.0 + value))
+    # sum: the last weight makes the total 1 +/- 1e-6, or one ulp either side
+    rest = math.fsum(w for _, w in entry[:-1])
+    target = (1.0 + 1e-6) if value > 0 else (1.0 - 1e-6)
+    target = [math.nextafter(target, -2.0), target, math.nextafter(target, 2.0)][abs(value) % 3]
+    return entry[:-1] + ((entry[-1][0], target - rest),)
+
+
+CORRUPTION = st.one_of(
+    st.tuples(st.just("empty"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("five"), st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.just("bone"), st.integers(0, 3), st.sampled_from([-1, -5, 3, 7, 2**40])),
+    st.tuples(st.just("repeat"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("weight"), st.integers(0, 3),
+              st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1e-300, 0.0, 1.0])),
+    st.tuples(st.just("negative"), st.integers(0, 3), st.sampled_from([5e-324, 1e-300, 0.2])),
+    st.tuples(st.just("sum"), st.integers(0, 3), st.integers(-3, 3).filter(bool)),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.tuples(st.integers(0, 633), CORRUPTION), min_size=1, max_size=4,
+             unique_by=lambda c: c[0])
+)
+def test_validate_model_names_the_same_bad_vertex_as_a_per_vertex_loop(corruptions):
+    # a row the table cannot hold (five pairs, bone -1) fails when the model
+    # is built, ahead of any other bad row, so it comes first in vertex order
+    def unstorable(c):
+        kind, _, value = c[1]
+        return kind == "five" or (kind == "bone" and value == -1)
+
+    corruptions = sorted(corruptions)
+    corruptions = [c for c in corruptions[:1] if unstorable(c)] + [
+        c for c in corruptions if not unstorable(c)
+    ]
+    m = make_cylinders_model()
+    weights = list(m.weights)
+    for vi, (kind, pick, value) in corruptions:
+        weights[vi] = corrupt(weights[vi], kind, pick, value)
+
+    def outcome(check):
+        try:
+            check()
+        except WeightSumError as exc:
+            return type(exc), str(exc)
+        return None
+
+    known = {b.id for b in m.bones}
+    want = outcome(lambda: per_vertex_weight_check(weights, known))
+    got = outcome(lambda: validate_model(RiggedModel(m.mesh, m.bones, tuple(weights))))
+    assert got == want
+
+
 def test_clip_validation_errors():
     keys = (TrsKey(0.0), TrsKey(1.0, translation=(1, 0, 0)))
     tiny_model({"ok": {1: keys}})
@@ -499,6 +589,53 @@ def test_geometry_rows_must_be_numeric_triples(key, rows):
     doc = dump_rig(tiny_model())
     doc[key] = rows
     with pytest.raises(SchemaError, match=f"rig: malformed {key}"):
+        model_from_dict(doc)
+
+
+def clipped_doc():
+    return dump_rig(tiny_model({"c": {1: (TrsKey(0.0), TrsKey(1.0, translation=(1, 0, 0)))}}))
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("weights", 2, 0, 0), 0.9, "vertex 2: malformed pair"),  # was read as bone 0
+        (("weights", 2, 0, 1), "0.5", "vertex 2: malformed pair"),
+        (("weights", 0, 0, 1), True, "vertex 0: malformed pair"),  # was read as 1.0
+        (("weights", 2, 0, 0), "0", "vertex 2: malformed pair"),
+        (("weights", 2, 1, 0), True, "vertex 2: malformed pair"),  # was read as bone 1
+        (("bones", 1, "id"), 1.6, "bone #1: missing or malformed id"),  # was read as 1
+        (("bones", 1, "parent"), "0", "bone 1: malformed parent"),
+        (("clips", "c", 0, "bone"), 1.2, "track #0: missing or malformed bone"),
+        (("clips", "c", 0, "keys", 0, "t"), "0.5", "key time 't' must be a number"),
+        (("clips", "c", 0, "keys", 0, "scale"), "1", "key: scale must be a number"),
+        (("bones", 1, "bind_trs", "translation"), [0, 0, "1"], "bind_trs: translation must be"),
+    ],
+)
+def test_rig_fields_need_exact_json_types(path, value, match):
+    doc = clipped_doc()
+    model_from_dict(json.loads(json.dumps(doc)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError, match=match):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        ([[2**70, 1.0]], f"vertex 0 references unknown bone {2**70}"),
+        ([[0, 10**400]], "vertex 0 has invalid weight"),
+        ([[0, math.inf], [1, -math.inf]], "vertex 0 has invalid weight inf"),  # was fsum's ValueError
+        ([[0, 1e308], [1, 1e308]], "vertex 0 weights sum to inf"),  # was fsum's OverflowError
+    ],
+)
+def test_extreme_weights_are_typed(entry, match):
+    doc = dump_rig(tiny_model())
+    doc["weights"][0] = entry
+    with pytest.raises(WeightSumError, match=match):
         model_from_dict(doc)
 
 

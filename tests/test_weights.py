@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvskin.errors import WeightSumError
-from mvskin.weights import MAX_INFLUENCES, weight_by_barycentric, weight_by_edge
+from mvskin.weights import MAX_INFLUENCES, SkinWeights, weight_by_barycentric, weight_by_edge
 
 
 def oracle_combine(corners, bary):
@@ -170,3 +170,37 @@ def test_edge_rebinding_always_valid(wa, wb, lam):
     assert 1 <= len(out) <= MAX_INFLUENCES
     assert abs(math.fsum(w for _, w in out) - 1.0) < 1e-9
     assert all(w > 0 for _, w in out)
+
+
+# ---------------------------------------------------------------------------
+# packed table
+
+
+def test_skin_weights_pack_reads_back_as_tuples():
+    entries = [((0, 1.0),), ((2, 0.25), (0, 0.75)), (), ((5, 0.1), (4, 0.2), (3, 0.3), (-5, 0.4))]
+    table = SkinWeights.pack(entries)
+    assert table.ids.tolist() == [[0, -1, -1, -1], [2, 0, -1, -1], [-1] * 4, [5, 4, 3, -5]]
+    assert table.ws.tolist() == [[1.0, 0, 0, 0], [0.25, 0.75, 0, 0], [0.0] * 4, [0.1, 0.2, 0.3, 0.4]]
+    assert not table.ids.flags.writeable and not table.ws.flags.writeable
+    assert len(table) == 4 and list(table) == [tuple(e) for e in entries]
+    assert table[1] == ((2, 0.25), (0, 0.75)) and table[-1] == entries[-1]
+    assert all(type(b) is int and type(w) is float for e in table for b, w in e)
+    assert table == SkinWeights.pack(entries) and table != SkinWeights.pack(entries[:3])
+    assert table.take([3, 0, 0]) == SkinWeights.pack([entries[3], entries[0], entries[0]])
+    assert table.take(np.array([True, False, False, True])) == SkinWeights.pack(entries[::3])
+    assert table.extend([((1, 1.0),)]) == SkinWeights.pack(entries + [((1, 1.0),)])
+    assert len(SkinWeights.pack([])) == 0 and table.take([]).extend([]) == SkinWeights.pack([])
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        (tuple((b, 0.2) for b in range(5)), "vertex 1 has 5 influences"),
+        (((0, 0.5), (-1, 0.5)), "vertex 1 references unknown bone -1"),
+        (((2**70, 1.0),), f"vertex 1 references unknown bone {2**70}"),
+        (((0, 10**400),), "vertex 1 has invalid weight"),
+    ],
+)
+def test_skin_weights_reject_rows_the_table_cannot_hold(row, match):
+    with pytest.raises(WeightSumError, match=match):
+        SkinWeights.pack([((0, 1.0),), row, ((7, 0.0),)])
