@@ -18,7 +18,7 @@ from mvskin.algebra import (
     make_rotor,
     make_translator,
     plane_distances,
-    sandwich_matrix,
+    sandwich_block,
     transform_points,
     up,
     versor_inverse,
@@ -58,11 +58,10 @@ def main():
     halfway = blend_linear([(0.5, make_rotor((0, 0, 1), 0.0)), (0.5, R)])
     print("half-blended 90deg rotor rotates (1,0,0) to", down(apply_versor(halfway, up((1, 0, 0)))))
 
-    # the sandwich collapses to a single 32x32 matrix for batch points
-    mat = sandwich_matrix(M)
-    batch = transform_points(M, pts)
-    print("\nbatch transform of 3 points via sandwich matrix (%s):" % (mat.shape,))
-    print(batch)
+    # a sandwich keeps grade, so on points it is one 5x5 matrix on e1..e5
+    block = sandwich_block(M)
+    print("\nbatch transform of 3 points via sandwich block (%s):" % (block.shape,))
+    print(transform_points(M, pts))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .algebra import (
     make_rotor,
     make_translator,
     plane_distances,
-    sandwich_matrix,
     transform_points,
     up,
     up_points,
@@ -65,7 +64,6 @@ __all__ = [
     "make_rotor",
     "make_translator",
     "plane_distances",
-    "sandwich_matrix",
     "transform_points",
     "up",
     "up_points",

@@ -13,6 +13,11 @@ Blades are ordered by grade, then lexicographically by generator index:
 multivector is a read-only float64 vector of the 32 blade coefficients
 in that order.
 
+A blade is a bitmask of its generators, so the product of two blades is
+the blade of their XOR times a sign (Dorst, Fontijne & Mann, ch. 19).  The
+32x32 tables CAYLEY_BLADES and CAYLEY_SIGNS hold that rule once; every
+product and the grade-1 sandwich block are signed gathers read from them.
+
 Versor conventions (each one pinned by a matrix oracle in the tests):
 
 * rotor       make_rotor(u, a) = cos(a/2) - sin(a/2) * B, where B is the
@@ -47,7 +52,6 @@ __all__ = [
     "BLADE_NAMES",
     "BLADE_INDEX",
     "GRADES",
-    "GP_TENSOR",
     "CAYLEY_SIGNS",
     "CAYLEY_BLADES",
     "Multivector",
@@ -80,7 +84,6 @@ __all__ = [
     "versor_inverse",
     "normalize_versor",
     "blend_linear",
-    "sandwich_matrix",
     "sandwich_block",
     "transform_points",
     "plane_distances",
@@ -101,23 +104,12 @@ _NAME_INDEX = {n: i for i, n in enumerate(BLADE_NAMES)}
 GRADES = np.array([len(t) for t in BLADE_TUPLES], dtype=np.int64)
 
 
-def _mask_of(t: tuple[int, ...]) -> int:
-    m = 0
-    for g in t:
-        m |= 1 << (g - 1)
-    return m
-
-
-def _tuple_of(mask: int) -> tuple[int, ...]:
-    return tuple(g + 1 for g in range(5) if mask >> g & 1)
-
-
-def _blade_product(ma: int, mb: int) -> tuple[float, int]:
-    """Product of two basis blades given as generator bitmasks.
+def _blade_product(ma: int, mb: int) -> float:
+    """Sign of the product of two basis blades given as generator bitmasks.
 
     The sign counts the transpositions needed to interleave the two sorted
     generator lists, then repeated generators contract with their metric
-    square.  Returns (sign, result_mask).
+    square.  The product blade itself is ma ^ mb.
     """
     a = ma >> 1
     swaps = 0
@@ -129,37 +121,16 @@ def _blade_product(ma: int, mb: int) -> tuple[float, int]:
     for g in range(5):
         if common >> g & 1:
             sign *= _SQUARES[g]
-    return sign, ma ^ mb
+    return sign
 
 
-def _build_gp_tensor() -> np.ndarray:
-    gp = np.zeros((DIM, DIM, DIM))
-    for i, ta in enumerate(BLADE_TUPLES):
-        for j, tb in enumerate(BLADE_TUPLES):
-            sign, mask = _blade_product(_mask_of(ta), _mask_of(tb))
-            gp[i, j, BLADE_INDEX[_tuple_of(mask)]] = sign
-    gp.flags.writeable = False
-    return gp
-
-
-GP_TENSOR = _build_gp_tensor()
-
-# 2-D Cayley table views: blade index and sign of each basis-pair product.
-CAYLEY_BLADES = np.argmax(GP_TENSOR != 0.0, axis=2)
-CAYLEY_SIGNS = np.take_along_axis(
-    GP_TENSOR, CAYLEY_BLADES[:, :, None], axis=2
-)[:, :, 0].copy()
+# Cayley table: the product of blades i and j is the blade of mask_i ^ mask_j
+# times the sign _blade_product gives.
+_MASKS = [sum(1 << (g - 1) for g in t) for t in BLADE_TUPLES]
+CAYLEY_BLADES = np.argsort(_MASKS)[np.bitwise_xor.outer(_MASKS, _MASKS)]
+CAYLEY_SIGNS = np.array([[_blade_product(ma, mb) for mb in _MASKS] for ma in _MASKS])
 CAYLEY_BLADES.flags.writeable = False
 CAYLEY_SIGNS.flags.writeable = False
-
-# Grade-filtered tables.  On an orthogonal basis the outer product keeps a
-# basis pair iff the product grade is the grade sum, and the left
-# contraction iff it is the grade difference.
-_OUT_GRADE = GRADES[CAYLEY_BLADES]
-_OUTER_TENSOR = GP_TENSOR * (_OUT_GRADE == GRADES[:, None] + GRADES[None, :])[:, :, None]
-_LC_TENSOR = GP_TENSOR * (_OUT_GRADE == GRADES[None, :] - GRADES[:, None])[:, :, None]
-_OUTER_TENSOR.flags.writeable = False
-_LC_TENSOR.flags.writeable = False
 
 _REVERSE_SIGNS = np.array([(-1.0) ** (k * (k - 1) // 2) for k in GRADES])
 _REVERSE_SIGNS.flags.writeable = False
@@ -178,30 +149,38 @@ _POINT_EPS = 1e-12
 _VERSOR_EPS = 1e-14
 
 
-def _gather(table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with _gathered((index, sign), x) == np.tensordot(x, table, axes=(0, axis)).
+_J = np.arange(DIM)[:, None]
 
-    Each slot that the contraction leaves holds at most one nonzero of
-    `table` along `axis`, so its sum is one signed coefficient of x.
+
+def _left(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) of x -> a x as a (j, k) matrix, over the (i, j) blade pairs keep selects.
+
+    The blade i with i * j = k is CAYLEY_BLADES[j, k].  A slot that keep
+    drops reads a[0] * +0.0, so every slot sums to one signed coefficient.
     """
-    moved = np.moveaxis(table, axis, 0)
-    index = np.argmax(moved != 0.0, axis=0)
-    sign = np.take_along_axis(moved, index[None], axis=0)[0]
+    kept = keep[CAYLEY_BLADES, _J]
+    index = np.where(kept, CAYLEY_BLADES, 0)
+    sign = np.where(kept, CAYLEY_SIGNS[CAYLEY_BLADES, _J], 0.0)
     index.flags.writeable = False
     sign.flags.writeable = False
     return index, sign
 
 
-# x -> a x as a (j, k) matrix for each table; see _product_pair.
-_GP_LEFT = _gather(GP_TENSOR, 0)
-_OUTER_LEFT = _gather(_OUTER_TENSOR, 0)
-_LC_LEFT = _gather(_LC_TENSOR, 0)
-# y -> y b as a (t, k) matrix: the geometric product contracted on its right factor.
-_GP_RIGHT = _gather(GP_TENSOR, 1)
-# Rows and columns of the grade-1 block e1..e5 (see sandwich_block), contiguous.
+# On an orthogonal basis the outer product keeps a basis pair iff the
+# product grade is the grade sum, and the left contraction iff it is the
+# grade difference.
+_OUT_GRADE = GRADES[CAYLEY_BLADES]
+_GP_LEFT = _left(np.full((DIM, DIM), True))
+_OUTER_LEFT = _left(_OUT_GRADE == GRADES[:, None] + GRADES[None, :])
+_LC_LEFT = _left(_OUT_GRADE == GRADES[None, :] - GRADES[:, None])
+# Rows and columns of the grade-1 block e1..e5 (see sandwich_block), contiguous:
+# x -> v x restricted to rows e1..e5, and y -> y w restricted to columns e1..e5.
 _G1 = slice(1, 6)
 _G1_LEFT = tuple(np.ascontiguousarray(x[_G1]) for x in _GP_LEFT)
-_G1_RIGHT = tuple(np.ascontiguousarray(x[:, _G1]) for x in _GP_RIGHT)
+_G1_RIGHT = (
+    np.ascontiguousarray(CAYLEY_BLADES[:, _G1]),
+    CAYLEY_SIGNS[_J, CAYLEY_BLADES[:, _G1]],
+)
 
 
 def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
@@ -211,7 +190,7 @@ def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def _product_pair(left: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # result[k] = sum_ij a[i] b[j] table[i, j, k], with left = _gather(table, 0)
+    # result[k] = sum_j b[j] a[left.index[j, k]] * left.sign[j, k]
     return b @ _gathered(left, a)
 
 
@@ -436,17 +415,7 @@ def _check_vec3(v, name: str) -> np.ndarray:
 
 def up(p: Sequence[float]) -> Multivector:
     """Embed a Euclidean point: up(p) = p + 0.5*p^2*ninf + no."""
-    arr = _check_vec3(p, "p")
-    return Multivector._wrap(_up_one(arr))
-
-
-def _up_one(arr: np.ndarray) -> np.ndarray:
-    c = np.zeros(DIM)
-    c[1:4] = arr
-    q = float(arr @ arr)
-    c[_E4] = 0.5 * (q - 1.0)  # no + 0.5*q*ninf, expressed on e4/e5
-    c[_E5] = 0.5 * (q + 1.0)
-    return c
+    return Multivector._wrap(up_points(_check_vec3(p, "p")[None])[0])
 
 
 def down(X: Multivector) -> np.ndarray:
@@ -455,14 +424,7 @@ def down(X: Multivector) -> np.ndarray:
     Normalizes the no-coefficient to 1 and reads off the e1..e3 part.
     Raises PointAtInfinity when that coefficient is below 1e-12.
     """
-    X = _as_mv(X, "X")
-    c = X.coeffs
-    w = c[_E5] - c[_E4]  # coefficient of no
-    if abs(w) <= _POINT_EPS:
-        raise PointAtInfinity(
-            f"no-coefficient {w:.3e} is too small for a finite projection"
-        )
-    return np.array([c[1], c[2], c[3]]) / w
+    return down_block(_as_mv(X, "X").coeffs[None, _G1])[0]
 
 
 def up_points(points: np.ndarray) -> np.ndarray:
@@ -646,31 +608,17 @@ def blend_linear(pairs: Sequence[tuple[float, Versor]]) -> Versor:
 
 # -- vectorized helpers ------------------------------------------------------
 
-def sandwich_matrix(V: Versor) -> np.ndarray:
-    """Matrix M of the sandwich map: apply_versor(V, X).coeffs == X.coeffs @ M.
-
-    Row convention so that a stack of conformal points (N, 32) transforms
-    as points @ M in one shot.
-    """
-    V = _as_mv(V, "V")
-    W = versor_inverse(V)
-    return _sandwich(V.coeffs, W.coeffs, _GP_LEFT, _GP_RIGHT)
-
-
 def sandwich_block(V: Versor) -> np.ndarray:
-    """The (5, 5) grade-1 block of sandwich_matrix(V), rows and columns e1..e5.
+    """The (5, 5) matrix of the sandwich X -> V X V^-1 on grade 1, rows and columns e1..e5.
 
     A sandwich preserves grade, so this block is all it does to a point:
-    up_block(p) @ sandwich_block(V) equals (up_points(p) @ sandwich_matrix(V))[:, 1:6].
+    up_block(p) @ sandwich_block(V) is the e1..e5 part of apply_versor(V, up(p)).
+    It is (x -> v x) on rows e1..e5 times (y -> y w) on columns e1..e5,
+    each a signed gather of the Cayley table.
     """
     V = _as_mv(V, "V")
     W = versor_inverse(V)
-    return _sandwich(V.coeffs, W.coeffs, _G1_LEFT, _G1_RIGHT)
-
-
-def _sandwich(v: np.ndarray, w: np.ndarray, left: tuple, right: tuple) -> np.ndarray:
-    # (x -> v x) @ (y -> y w), each gathered from GP_TENSOR
-    return _gathered(left, v) @ _gathered(right, w)
+    return _gathered(_G1_LEFT, V.coeffs) @ _gathered(_G1_RIGHT, W.coeffs)
 
 
 def transform_points(V: Versor, points: np.ndarray) -> np.ndarray:
@@ -685,5 +633,6 @@ def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:
     a unit-normal plane equals the Euclidean signed distance.
     """
     plane = _as_mv(plane, "plane")
-    contraction_to_scalar = _LC_TENSOR[:, :, 0] @ plane.coeffs  # (32,)
+    # <x . plane>_0 = sum_i x[i] plane[i] CAYLEY_SIGNS[i, i]; + 0.0 turns -0 into +0
+    contraction_to_scalar = CAYLEY_SIGNS.diagonal() * plane.coeffs + 0.0
     return up_points(points) @ contraction_to_scalar

@@ -111,13 +111,7 @@ def _vec3(value, where: str):
 
 
 def _finite(value, where: str) -> tuple:
-    try:
-        out = tuple(float(x) for x in value)
-    except (TypeError, ValueError):
-        raise ScriptError(f"{where} must be numeric") from None
-    if not all(math.isfinite(x) for x in out):
-        raise ScriptError(f"{where} must be finite")
-    return out
+    return tuple(_number(x, where) for x in value)
 
 
 def _check_nonzero(vector: tuple, where: str) -> None:
@@ -127,9 +121,13 @@ def _check_nonzero(vector: tuple, where: str) -> None:
 
 
 def _number(value, where: str) -> float:
+    """A JSON number (int or float; not bool or str) as a finite float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScriptError(f"{where} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ScriptError(f"{where} must be finite")
     return out

@@ -81,7 +81,7 @@ class AmbiguousIntersection(MvskinError):
 
 
 class DegenerateTearStep(MvskinError):
-    """Consecutive scalpel states are (near-)collinear; no tear plane exists."""
+    """A scalpel's endpoints coincide, or a step is (near-)collinear; no segment or tear plane exists."""
 
 
 class PathNotFound(MvskinError):

@@ -5,7 +5,8 @@ endpoints).  Each consecutive pair of states contributes one step:
 
 1. scalpel_hit finds where each scalpel segment pierces the surface; a
    proper hit is exactly one transversal face crossing (zero raises
-   NoIntersection, two or more AmbiguousIntersection).  The default
+   NoIntersection, two or more AmbiguousIntersection; coincident
+   endpoints raise DegenerateTearStep).  The default
    probe is a linear scan over faces in ascending id order.  A FaceBVH
    can be passed in instead: one vectorized slab test over the padded
    per-face boxes keeps the faces the segment can reach, in ascending
@@ -226,8 +227,11 @@ def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearA
     p0 = np.asarray(scalpel.tip, dtype=np.float64)
     p1 = np.asarray(scalpel.tail, dtype=np.float64)
     dvec = p1 - p0
-    if np.linalg.norm(dvec) <= section_eps(mesh):
-        raise ValueError("scalpel endpoints coincide")
+    length = float(np.linalg.norm(dvec))
+    if length <= section_eps(mesh):
+        raise DegenerateTearStep(
+            f"scalpel endpoints coincide: |tail - tip| = {length:.3e} spans no segment"
+        )
     candidates = range(len(mesh.faces)) if bvh is None else bvh.segment_candidates(p0, p1)
     hits = []
     for fi in candidates:

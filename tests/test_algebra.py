@@ -1,11 +1,12 @@
 """Algebra kernel tests.
 
-The blade-product oracle here is written independently of the package:
-blades are generator index tuples, products are computed by bubble-sorting
-the concatenated tuple (counting sign flips) and contracting adjacent
-duplicates with the metric.  The package's Cayley table must match it
-exactly, and every versor constructor is checked against a plain matrix
-or quaternion oracle.
+The blade-product oracle (cga_oracle) is written independently of the
+package: blades are generator index tuples, products are computed by
+bubble-sorting the concatenated tuple (counting sign flips) and
+contracting adjacent duplicates with the metric.  The package's Cayley
+table and every gather derived from it must match the oracle's dense
+tables exactly, and every versor constructor is checked against a plain
+matrix or quaternion oracle.
 """
 
 import math
@@ -49,7 +50,6 @@ from mvskin.algebra import (
     reverse,
     rotor_from_quaternion,
     sandwich_block,
-    sandwich_matrix,
     transform_points,
     up,
     up_block,
@@ -58,30 +58,7 @@ from mvskin.algebra import (
 )
 from mvskin.errors import DegenerateBlend, PointAtInfinity, SingularVersor
 
-METRIC = {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: -1.0}
-
-
-def oracle_blade_product(a: tuple, b: tuple) -> tuple[float, tuple]:
-    """Naive product of two basis blades: sort generators, contract pairs."""
-    seq = list(a) + list(b)
-    sign = 1.0
-    # bubble sort; each adjacent swap of distinct generators flips the sign
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    # contract adjacent duplicates with their metric square
-    out = []
-    k = 0
-    while k < len(seq):
-        if k + 1 < len(seq) and seq[k] == seq[k + 1]:
-            sign *= METRIC[seq[k]]
-            k += 2
-        else:
-            out.append(seq[k])
-            k += 1
-    return sign, tuple(out)
+from cga_oracle import GP, LC, OUTER, argmax_gather, dense_sandwich_matrix, oracle_blade_product
 
 
 def rotation_matrix(axis, angle):
@@ -340,9 +317,7 @@ def test_constructor_validation():
 
 def left_mult_matrix(v_coeffs):
     """Matrix L with L @ x = coefficients of v * x (test-only oracle)."""
-    from mvskin.algebra import GP_TENSOR
-
-    return np.tensordot(v_coeffs, GP_TENSOR, axes=(0, 0)).T
+    return np.tensordot(v_coeffs, GP, axes=(0, 0)).T
 
 
 def test_versor_inverse_matches_linear_solve():
@@ -475,10 +450,12 @@ def test_plane_transforms_covariantly_under_rigid_motion():
     assert rel_err(plane_distances(moved_pts, moved_plane), pts @ n - 1.0) < 1e-10
 
 
-def test_sandwich_matrix_agrees_with_apply_versor():
+def test_sandwich_block_agrees_with_apply_versor():
     V = make_translator([1, 2, -1]) * make_rotor([1, 0, 0], 0.5) * make_dilator(0.8)
-    X = up([0.4, -2.0, 1.1])
-    assert rel_err(X.coeffs @ sandwich_matrix(V), apply_versor(V, X).coeffs) < 1e-12
+    p = np.array([0.4, -2.0, 1.1])
+    moved = apply_versor(V, up(p)).coeffs
+    assert rel_err(up_block(p[None])[0] @ sandwich_block(V), moved[1:6]) < 1e-12
+    assert rel_err(moved[GRADES != 1], 0.0) < 1e-12
 
 
 # -- gathered kernels against the dense contractions -----------------------------
@@ -505,19 +482,12 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def dense_sandwich_matrix(V):
-    W = versor_inverse(V).coeffs
-    return np.tensordot(V.coeffs, algebra.GP_TENSOR, axes=(0, 0)) @ np.tensordot(
-        algebra.GP_TENSOR, W, axes=(1, 0)
-    )
-
-
 @pytest.mark.parametrize(
     "left, table",
     [
-        (algebra._GP_LEFT, algebra.GP_TENSOR),
-        (algebra._OUTER_LEFT, algebra._OUTER_TENSOR),
-        (algebra._LC_LEFT, algebra._LC_TENSOR),
+        (algebra._GP_LEFT, GP),
+        (algebra._OUTER_LEFT, OUTER),
+        (algebra._LC_LEFT, LC),
     ],
     ids=["geometric", "outer", "left_contraction"],
 )
@@ -528,26 +498,46 @@ def test_product_pair_gather_matches_tensordot(left, table):
         assert same_bytes(algebra._product_pair(left, a, b), b @ np.tensordot(a, table, axes=(0, 0)))
 
 
+def test_gathers_equal_argmax_gathers_of_the_oracle_table():
+    # element for element, signed zeros included: a dropped slot reads index 0, sign +0.0
+    expected = {
+        "_GP_LEFT": argmax_gather(GP, 0),
+        "_OUTER_LEFT": argmax_gather(OUTER, 0),
+        "_LC_LEFT": argmax_gather(LC, 0),
+        "_G1_LEFT": tuple(x[1:6] for x in argmax_gather(GP, 0)),
+        "_G1_RIGHT": tuple(x[:, 1:6] for x in argmax_gather(GP, 1)),
+    }
+    for name, (index, sign) in expected.items():
+        got_index, got_sign = getattr(algebra, name)
+        assert same_bytes(got_index, index) and got_index.dtype == index.dtype, name
+        assert same_bytes(got_sign, sign) and got_sign.dtype == sign.dtype, name
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_gathered_contraction_matches_tensordot(axis):
     # one nonzero per slot is what lets a gather replace each contraction
     rng = np.random.default_rng(4)
-    for table in (algebra.GP_TENSOR, algebra._OUTER_TENSOR, algebra._LC_TENSOR):
+    for table in (GP, OUTER, LC):
         assert np.count_nonzero(table, axis=axis).max() == 1
-        gather = algebra._gather(table, axis)
+    if axis:
+        cases = [(algebra._G1_RIGHT, lambda x: np.tensordot(GP, x, axes=(1, 0))[:, 1:6])]
+    else:
+        cases = [
+            (left, lambda x, table=table: np.tensordot(x, table, axes=(0, 0)))
+            for left, table in ((algebra._GP_LEFT, GP), (algebra._OUTER_LEFT, OUTER), (algebra._LC_LEFT, LC))
+        ]
+        cases.append((algebra._G1_LEFT, lambda x: np.tensordot(x, GP, axes=(0, 0))[1:6]))
+    for gather, dense in cases:
         for _ in range(100):
             x = random_sparse(rng)
-            dense = np.tensordot(table, x, axes=(axis, 0)) if axis else np.tensordot(x, table, axes=(0, 0))
-            assert same_bytes(algebra._gathered(gather, x), dense)
+            assert same_bytes(algebra._gathered(gather, x), dense(x))
 
 
-def test_sandwich_matrix_and_block_match_dense_contraction():
+def test_sandwich_block_matches_dense_contraction():
     rng = np.random.default_rng(6)
     for _ in range(200):
         V = random_versor(rng)
-        full = sandwich_matrix(V)
-        assert same_bytes(full, dense_sandwich_matrix(V))
-        assert same_bytes(sandwich_block(V), full[1:6, 1:6])
+        assert same_bytes(sandwich_block(V), dense_sandwich_matrix(V)[1:6, 1:6])
 
 
 def test_block_images_match_full_images():
@@ -559,7 +549,7 @@ def test_block_images_match_full_images():
     for _ in range(50):
         V = random_versor(rng)
         images = up_block(pts) @ sandwich_block(V)
-        full = up_points(pts) @ sandwich_matrix(V)
+        full = up_points(pts) @ dense_sandwich_matrix(V)
         assert same_bytes(images, full[:, 1:6])
         assert same_bytes(down_block(images), down_points(full))
         assert same_bytes(transform_points(V, pts), down_points(full))
@@ -574,6 +564,41 @@ def test_down_block_names_the_failing_row_or_its_id():
         down_block(X, np.array([7, 41]))
     with pytest.raises(ValueError):
         down_block(np.zeros((2, DIM)))
+
+
+# -- one embedding: the single-point and batch routes agree byte for byte --------
+
+def test_up_matches_up_points_bytes():
+    pts = np.random.default_rng(8).normal(scale=10.0, size=(5000, 3))
+    for p in pts:
+        assert up(p).coeffs.tobytes() == up_points(p[None])[0].tobytes()
+
+
+def test_down_matches_down_points_row_for_row():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(300, DIM))
+    X[:100] = up_points(rng.normal(scale=10.0, size=(100, 3)))
+    for row, expect in zip(X, down_points(X)):
+        assert same_bytes(down(Multivector(row)), expect)
+    X[7] = ninf.coeffs
+    with pytest.raises(PointAtInfinity, match="point 7:"):
+        down_points(X)
+    with pytest.raises(PointAtInfinity):
+        down(Multivector(X[7]))
+    with pytest.raises(ValueError):
+        down("not a multivector")
+
+
+def test_plane_distances_match_dense_contraction():
+    rng = np.random.default_rng(10)
+    pts = rng.normal(scale=10.0, size=(200, 3))
+    pts[:5] = 0.0
+    pts[5:10] = -0.0
+    planes = [make_plane(n, d) for n in ((0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (0.6, -0.0, -0.8),
+                                          (-0.0, -0.0, 1.0), (-0.0, 1.0, 0.0)) for d in (0.0, -0.0, 2.5)]
+    for plane in planes:
+        dense = up_points(pts) @ (LC[:, :, 0] @ plane.coeffs)
+        assert same_bytes(plane_distances(pts, plane), dense)
 
 
 # -- hypothesis properties ------------------------------------------------------

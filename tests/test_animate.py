@@ -13,13 +13,11 @@ import pytest
 import mvskin.quaternions as quat
 import mvskin.rig
 from mvskin.algebra import (
-    GP_TENSOR,
     down_points,
     geometric_product,
     make_plane,
     transform_points,
     up_points,
-    versor_inverse,
 )
 from mvskin.animate import (
     SKIN_BACKENDS,
@@ -51,6 +49,8 @@ from mvskin.rig import (
 )
 from mvskin.tear import open_tear, tear
 from mvskin.weights import SkinWeights
+
+from cga_oracle import dense_sandwich_matrix
 
 
 def chain_model(n_bones=3, step=(0.0, 0.0, 1.0)):
@@ -532,11 +532,7 @@ def dense_conformal_frame(model, pose, project_each):
         for bone_id in bones[np.argsort(first)].tolist():
             rows, cols = np.nonzero(ids == bone_id)
             V = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
-            W = versor_inverse(V).coeffs
-            sandwich = np.tensordot(V.coeffs, GP_TENSOR, axes=(0, 0)) @ np.tensordot(
-                GP_TENSOR, W, axes=(1, 0)
-            )
-            X = lifted[rows] @ sandwich
+            X = lifted[rows] @ dense_sandwich_matrix(V)
             out[rows] += ws[rows, cols][:, None] * (down_points(X) if project_each else X)
         return out if project_each else down_points(out)
 

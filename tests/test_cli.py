@@ -134,6 +134,43 @@ def test_validate_rejects_bad_rotations(cylinders):
     assert validate_script(cylinders, doc)[0]["trs"].rotation == (1.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["translation", "rotation", "rotation_axis", "normal", "tip", "tail"])
+def test_validate_rejects_strings_and_booleans_in_vectors(cylinders, field):
+    # the same rule as for scalars: an int or a float, never a bool or a string
+    good = {"translation": [1, 0, 0], "rotation": [1, 0, 0, 0], "rotation_axis": [0, 0, 1],
+            "normal": [0, 0, 1], "tip": [-20.0, 0.0, 10.0], "tail": [-5.0, 0.0, 10.0]}
+    for bad_element in ("1", True, False, None, 10**400):
+        vec = list(good[field])
+        vec[1] = bad_element
+        if field == "normal":
+            action = {"action": "cut", "plane": {"normal": vec, "d": 10.0}}
+        elif field in ("tip", "tail"):
+            states = [{"time": 0.0, **{k: good[k] for k in ("tip", "tail")}},
+                      {"time": 1.0, "tip": [-20.0, 0.0, 12.0], "tail": [-5.0, 0.0, 12.0]}]
+            states[0][field] = vec
+            action = {"action": "tear", "states": states}
+        else:
+            trs = {field: vec, **({"rotation_angle": 0.5} if field == "rotation_axis" else {})}
+            action = {"action": "set_keyframe", "clip": "c", "bone": 1, "time": 0.0, "trs": trs}
+        with pytest.raises(ScriptError, match=rf"\.{field} must be"):
+            validate_script(cylinders, {"script_version": 1, "actions": [action]})
+
+
+def test_coincident_scalpel_endpoints_end_in_a_typed_error(tmp_path):
+    states = [
+        {"time": 0.0, "tip": [-20.0, 0.0, 10.0], "tail": [-20.0, 0.0, 10.0]},
+        {"time": 1.0, "tip": [-20.0, 0.0, 12.0], "tail": [-5.0, 0.0, 12.0]},
+    ]
+    script = write_script(tmp_path / "s.json", [{"action": "tear", "states": states}])
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 1
+    metrics = read_metrics(out)
+    check_metrics_schema(metrics)
+    assert metrics["error"]["type"] == "DegenerateTearStep"
+    assert "scalpel endpoints coincide" in metrics["error"]["message"]
+    assert metrics["error"]["action_index"] == 0
+
+
 def test_non_unit_keyframe_quaternion_then_cut(tmp_path):
     """A keyed clip with a non-unit quaternion still passes the cut's model check."""
     script = write_script(

@@ -14,7 +14,6 @@ from mvskin.algebra import (
     make_plane,
     make_rotor,
     make_translator,
-    sandwich_matrix,
     transform_points,
 )
 from mvskin.animate import (
@@ -405,7 +404,6 @@ def test_cut_commutes_with_rigid_motion(cylinders):
     plane = make_plane((0.0, 0.0, 1.0), 10.0)
     rotor = make_rotor(tuple(unit((1.0, 2.0, 2.0))), 0.7)
     versor = geometric_product(make_translator((1.0, -2.0, 3.0)), rotor)
-    mat = sandwich_matrix(versor)
     moved = RiggedModel(
         Mesh(transform_points(versor, cylinders.mesh.vertices), cylinders.mesh.faces),
         cylinders.bones,

@@ -159,7 +159,7 @@ def test_scalpel_hit_through_both_walls(cylinders):
 
 def test_scalpel_hit_rejects_degenerate_segment(cylinders):
     dot = ScalpelState(0.0, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="coincide"):
+    with pytest.raises(DegenerateTearStep, match="scalpel endpoints coincide"):
         scalpel_hit(cylinders.mesh, dot)
 
 
