@@ -277,6 +277,14 @@ def validate_script(model: RiggedModel, doc) -> list:
             name = raw.get("name", "model")
             if not isinstance(name, str) or not name or "/" in name or "\\" in name:
                 raise ScriptError(f"{where}.name must be a plain file stem")
+            if "\x00" in name:
+                raise ScriptError(f"{where}.name must not contain a NUL character")
+            try:
+                size = len(f"{name}.obj".encode())
+            except UnicodeEncodeError:  # a lone surrogate, which JSON allows
+                raise ScriptError(f"{where}.name is not valid Unicode text") from None
+            if size > 255:  # the usual file name limit
+                raise ScriptError(f"{where}.name is too long: the .obj name exceeds 255 bytes")
             act["name"] = name
         normalized.append(act)
     return normalized
@@ -464,7 +472,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "info":
-        model = load_model(args.rig)
+        try:
+            model = load_model(args.rig)
+        except (MvskinError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(
             f"{len(model.mesh.vertices)} vertices, {len(model.mesh.faces)} faces, "
             f"{len(model.bones)} bones"

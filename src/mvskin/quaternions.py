@@ -1,4 +1,9 @@
-"""Unit quaternion helpers, (w, x, y, z) convention, broadcast over leading axes."""
+"""Unit quaternion helpers, (w, x, y, z) convention.
+
+multiply, conjugate and rotate broadcast over leading axes.  normalize,
+nlerp, to_matrix, from_matrix and from_axis_angle take one quaternion
+(one matrix, one axis); normalize rejects any other shape.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +26,10 @@ __all__ = [
 
 
 def normalize(q) -> np.ndarray:
+    """One quaternion of shape (4,) scaled to unit norm."""
     q = np.asarray(q, dtype=np.float64)
+    if q.shape != (4,):
+        raise ValueError(f"normalize takes one quaternion of shape (4,), got shape {q.shape}")
     n = float(np.linalg.norm(q))
     if n == 0.0 or not math.isfinite(n):
         raise ValueError(f"cannot normalize quaternion with norm {n!r}")

@@ -24,9 +24,10 @@ endpoints).  Each consecutive pair of states contributes one step:
    it takes the one whose first step shrinks the straight-line estimate
    to the target anchor (projected onto the plane; the projection
    distance is kept as a path-quality metric).
-4. All traced steps are applied at once: anchors and intermediates
-   become vertices, every traversed face is split by fanning from its
-   entry point (anchors fan from the interior, which also serves shared
+4. All traced steps are applied at once, in one vertex index space:
+   anchors and intermediates get their final vertex index as they are
+   inserted, every traversed face is split by _fan_split from its entry
+   point (anchors fan from the interior, which also serves shared
    anchors of chained steps), and every intermediate is duplicated into
    a left/right pair by plane side.  The traversed faces are read from
    the paths: the anchor faces and the face each crossing enters, which
@@ -47,8 +48,8 @@ keeps every intermediate strictly inside its edge.  Should a face split
 still produce a zero-area child (coincident points within eps), the
 sliver is collapsed: the inserted point merges into the coincident
 vertex, is dropped from the mesh, and the tear is pinned there.  Only
-the children of split faces are checked, since no other face holds an
-inserted point.
+the children of split faces, recorded as they are emitted, are checked
+and duplicated, since no other face holds an inserted point.
 """
 
 from __future__ import annotations
@@ -345,8 +346,41 @@ def trace_surface_path(mesh: Mesh, plane: Multivector, start: TearAnchor, to: Te
 # --------------------------------------------------------------- application
 
 
-def _corner_weights(model: RiggedModel, face_id: int):
-    return [model.weights[int(v)] for v in model.mesh.faces[face_id]]
+def _fan_split(face, hub: int, anchors, on_edge: dict, positions: np.ndarray) -> list:
+    """Children of one traversed face, fanned from its hub.
+
+    The ring walks the face's corners with the points on each edge in
+    winding order.  An anchor hub fans over the whole ring, an entry
+    point on the ring over the rest of it.  Each other anchor in the face
+    splits the child that holds it (found by lstsq) into three.
+    """
+    ring = []
+    for k in range(3):
+        u, v = face[k], face[(k + 1) % 3]
+        ring.append(u)
+        key = (u, v) if u < v else (v, u)
+        along = sorted(on_edge.get(key, ()), key=lambda it: (it[1] if u < v else 1.0 - it[1], it[0]))
+        ring.extend(g for g, _ in along)
+    if hub in anchors:
+        children = [(hub, ring[t], ring[(t + 1) % len(ring)]) for t in range(len(ring))]
+    else:
+        at = ring.index(hub)
+        ring = ring[at:] + ring[:at]
+        children = [(hub, ring[t], ring[t + 1]) for t in range(1, len(ring) - 1)]
+    for a in [a for a in anchors if a != hub]:
+        p = positions[a]
+        for idx, (x, y, z) in enumerate(children):
+            va, vb, vc = positions[x], positions[y], positions[z]
+            m = np.column_stack([vb - va, vc - va])
+            try:
+                uv, *_ = np.linalg.lstsq(m, p - va, rcond=None)
+            except np.linalg.LinAlgError:
+                continue
+            u, v = float(uv[0]), float(uv[1])
+            if u >= -1e-9 and v >= -1e-9 and u + v <= 1.0 + 1e-9:
+                children[idx : idx + 1] = [(a, x, y), (a, y, z), (a, z, x)]
+                break
+    return children
 
 
 def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
@@ -359,114 +393,64 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     point), and the faces to split are the anchor faces plus every
     entered face, since each crossing exits the face the one before it
     entered.
+
+    Each inserted point gets its final vertex index when it is inserted;
+    `rows` maps every output vertex to its row of the extended position
+    and weight tables.  Split children are recorded as they are emitted.
     """
     mesh = model.mesh
     n_orig = len(mesh.vertices)
     eps = section_eps(mesh)
 
-    new_positions = []  # node id -> position
-    new_weights = []  # node id -> influences
-    anchor_nodes: dict = {}  # id(anchor) -> node id
-    interior: dict = {}  # face id -> [node ids]
-    on_edge: dict = {}  # (lo, hi) -> [(node id, lam)]
-    centers: dict = {}  # face id -> node id (fan hub); exactly the faces to split
+    new_positions = []  # k-th inserted vertex -> position
+    new_weights = []  # k-th inserted vertex -> influences
+    anchor_index: dict = {}  # id(anchor) -> vertex index
+    interior: dict = {}  # face id -> [anchor vertex indices]
+    on_edge: dict = {}  # (lo, hi) -> [(vertex index, lam)]
+    hubs: dict = {}  # face id -> fan hub vertex index; exactly the faces to split
+
+    def insert(position, influences) -> int:
+        new_positions.append(np.asarray(position, dtype=np.float64))
+        new_weights.append(influences)
+        return n_orig + len(new_positions) - 1
 
     def insert_anchor(anchor: TearAnchor) -> int:
-        if id(anchor) in anchor_nodes:
-            return anchor_nodes[id(anchor)]
-        for node in interior.get(anchor.face, ()):
-            if np.linalg.norm(np.asarray(anchor.point) - new_positions[node]) < eps:
-                anchor_nodes[id(anchor)] = node
-                return node
-        node = len(new_positions)
-        new_positions.append(np.asarray(anchor.point, dtype=np.float64))
-        new_weights.append(
-            weight_by_barycentric(_corner_weights(model, anchor.face), anchor.bary)
-        )
-        anchor_nodes[id(anchor)] = node
-        interior.setdefault(anchor.face, []).append(node)
-        return node
+        if id(anchor) in anchor_index:
+            return anchor_index[id(anchor)]
+        for g in interior.get(anchor.face, ()):
+            if np.linalg.norm(np.asarray(anchor.point) - new_positions[g - n_orig]) < eps:
+                anchor_index[id(anchor)] = g
+                return g
+        corners = [model.weights[int(v)] for v in mesh.faces[anchor.face]]
+        g = insert(anchor.point, weight_by_barycentric(corners, anchor.bary))
+        anchor_index[id(anchor)] = g
+        interior.setdefault(anchor.face, []).append(g)
+        return g
 
     for path in paths:
-        s_node = insert_anchor(path.start)
-        e_node = insert_anchor(path.end)
-        q_nodes = []
+        path.start_index = insert_anchor(path.start)
+        path.end_index = insert_anchor(path.end)
+        indices = []
         entered = [q.face for q in path.points[1:]] + [path.end.face]
         for q, face in zip(path.points, entered):
-            node = len(new_positions)
-            new_positions.append(np.asarray(q.position, dtype=np.float64))
             lo, hi = q.edge
-            new_weights.append(
-                weight_by_edge(model.weights[lo], model.weights[hi], q.lam)
-            )
-            on_edge.setdefault(q.edge, []).append((node, q.lam))
-            q_nodes.append(node)
-            centers.setdefault(face, node)  # entry point of the next face
-        path.start_index = n_orig + s_node
-        path.end_index = n_orig + e_node
-        path.point_indices = tuple(n_orig + q for q in q_nodes)
+            g = insert(q.position, weight_by_edge(model.weights[lo], model.weights[hi], q.lam))
+            on_edge.setdefault(q.edge, []).append((g, q.lam))
+            indices.append(g)
+            hubs.setdefault(face, g)  # entry point of the next face
+        path.point_indices = tuple(indices)
 
     # interior anchors always win the fan hub of their face
-    for face, nodes in interior.items():
-        centers[face] = nodes[0]
+    hubs.update((face, anchors[0]) for face, anchors in interior.items())
 
-    positions = (
-        np.vstack([mesh.vertices] + [p.reshape(1, 3) for p in new_positions])
-        if new_positions
-        else np.array(mesh.vertices)
-    )
-
+    positions = np.vstack([mesh.vertices, *new_positions])
     faces_out = []
-    split_slots = []  # ascending slots of the children that split_face emits
-
-    def split_face(fi: int, face: list):
-        polygon = []
-        for k in range(3):
-            u, v = face[k], face[(k + 1) % 3]
-            polygon.append(u)
-            key = (u, v) if u < v else (v, u)
-            pts = on_edge.get(key, ())
-            if pts:
-                along = sorted(
-                    pts, key=lambda it: (it[1] if u == key[0] else 1.0 - it[1], it[0])
-                )
-                polygon.extend(n_orig + node for node, _ in along)
-        hub_node = centers[fi]
-        hub = n_orig + hub_node
-        anchors_here = [n_orig + a for a in interior.get(fi, [])]
-        if hub in anchors_here:
-            ring = polygon
-            children = [
-                (hub, ring[t], ring[(t + 1) % len(ring)]) for t in range(len(ring))
-            ]
-            pending = [a for a in anchors_here if a != hub]
-        else:
-            at = polygon.index(hub)
-            ring = polygon[at:] + polygon[:at]
-            children = [(hub, ring[t], ring[t + 1]) for t in range(1, len(ring) - 1)]
-            pending = list(anchors_here)
-        # remaining interior points (two anchors sharing one face): split
-        # the child that contains each one
-        for a in pending:
-            p = positions[a]
-            for idx, (x, y, z) in enumerate(children):
-                va, vb, vc = positions[x], positions[y], positions[z]
-                m = np.column_stack([vb - va, vc - va])
-                try:
-                    uv, *_ = np.linalg.lstsq(m, p - va, rcond=None)
-                except np.linalg.LinAlgError:
-                    continue
-                u, v = float(uv[0]), float(uv[1])
-                if u >= -1e-9 and v >= -1e-9 and u + v <= 1.0 + 1e-9:
-                    children[idx : idx + 1] = [(a, x, y), (a, y, z), (a, z, x)]
-                    break
-        for tri in children:
-            split_slots.append(len(faces_out))
-            faces_out.append(list(tri))
-
+    split_slots = []  # ascending slots of the split children
     for fi, face in enumerate(mesh.faces.tolist()):
-        if fi in centers:
-            split_face(fi, face)
+        if fi in hubs:
+            children = _fan_split(face, hubs[fi], interior.get(fi, ()), on_edge, positions)
+            split_slots.extend(range(len(faces_out), len(faces_out) + len(children)))
+            faces_out.extend(list(tri) for tri in children)
         else:
             faces_out.append(face)
 
@@ -487,28 +471,26 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             continue
         for i, j in ((0, 1), (1, 2), (2, 0)):
             vi, vj = find(tri[i]), find(tri[j])
-            if vi == vj:
-                continue
-            if np.linalg.norm(positions[vi] - positions[vj]) < eps:
+            if vi != vj and np.linalg.norm(positions[vi] - positions[vj]) < eps:
                 src, dst = (vi, vj) if vi > vj else (vj, vi)
                 if src >= n_orig:
                     remap[src] = dst
                 break
-    rows = list(range(len(positions)))  # weight row of each vertex, new rows after the model's
+    rows = list(range(len(positions)))  # row of each output vertex
     if remap:
-        # drop the merged points, renumber the rest, and point every path
-        # index at the vertex where the tear is pinned
-        kept = [v for v in range(len(positions)) if v not in remap]
-        renumber = {v: k for k, v in enumerate(kept)}
+        # drop the merged points, renumber the rest (the original vertices
+        # keep their indices), drop the children that lost a corner, and
+        # point every path index at the vertex where the tear is pinned
+        rows = [v for v in rows if v not in remap]
+        renumber = {v: k for k, v in enumerate(rows)}
 
         def index(v: int) -> int:
             return renumber[find(v)]
 
-        positions = positions[kept]
-        rows = kept
-        faces_out = [[index(v) for v in tri] for tri in faces_out]
-        faces_out = [tri for tri in faces_out if len(set(tri)) == 3]
-        split_slots = [slot for slot, tri in enumerate(faces_out) if max(tri) >= n_orig]
+        for slot in split_slots:
+            tri = [index(v) for v in faces_out[slot]]
+            faces_out[slot] = tri if len(set(tri)) == 3 else None
+        split_slots = [slot for slot in split_slots if faces_out[slot]]
         for path in paths:
             path.start_index = index(path.start_index)
             path.end_index = index(path.end_index)
@@ -520,31 +502,28 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
                 child_of.setdefault(v, []).append(slot)
 
     # duplicate every intermediate into a left/right pair by plane side
-    pos_rows = [positions[i] for i in range(len(positions))]
     for path in paths:
         duplicates = {}
         for g in path.point_indices:
             if g < n_orig or g not in child_of:
                 continue  # collapsed into an original vertex: tear pinned here
-            sides = {}
+            left, right = [], []
             for slot in child_of[g]:
-                pts = np.vstack([pos_rows[v] for v in faces_out[slot]])
+                pts = positions[[rows[v] for v in faces_out[slot]]]
                 s = float(np.sum(plane_distances(pts, path.plane)))
-                sides[slot] = 1 if s >= 0.0 else -1
-            right = [slot for slot, s in sides.items() if s < 0]
-            left = [slot for slot, s in sides.items() if s > 0]
+                (left if s >= 0.0 else right).append(slot)
             if not right or not left:
                 continue  # chord not two-sided here; nothing to separate
-            twin = len(pos_rows)
-            pos_rows.append(pos_rows[g])
+            twin = len(rows)
             rows.append(rows[g])
             for slot in right:
                 faces_out[slot] = [twin if v == g else v for v in faces_out[slot]]
             duplicates[g] = (g, twin)
         path.duplicates = duplicates
 
+    faces = np.array([tri for tri in faces_out if tri], dtype=np.int64).reshape(-1, 3)
     torn = RiggedModel(
-        Mesh(np.vstack(pos_rows), np.array(faces_out, dtype=np.int64).reshape(-1, 3)),
+        Mesh(positions[rows], faces),
         model.bones,
         model.weights.extend(new_weights).take(rows),
         model.clips,

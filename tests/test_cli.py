@@ -23,7 +23,7 @@ from mvskin.cli import (
     validate_script,
 )
 from mvskin.errors import MvskinError, ScriptError
-from mvskin.rig import Trs, compose_trs, make_arm_model, make_cylinders_model
+from mvskin.rig import Trs, compose_trs, dump_rig, make_arm_model, make_cylinders_model
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +225,26 @@ def test_validate_normalizes_plane(cylinders):
     assert act["d"] == 10.0
 
 
+def test_validate_rejects_export_name_with_nul_or_lone_surrogate(cylinders):
+    doc = json.loads('{"script_version": 1, "actions": [{"action": "export", "name": "a\\u0000b"}]}')
+    with pytest.raises(ScriptError, match="NUL"):
+        validate_script(cylinders, doc)
+    doc = json.loads('{"script_version": 1, "actions": [{"action": "export", "name": "a\\ud800"}]}')
+    with pytest.raises(ScriptError, match="not valid Unicode"):
+        validate_script(cylinders, doc)
+
+
+def test_validate_rejects_export_name_over_255_bytes(cylinders):
+    def doc(name):
+        return {"script_version": 1, "actions": [{"action": "export", "name": name}]}
+
+    assert validate_script(cylinders, doc("m" * 251))[0]["name"] == "m" * 251
+    with pytest.raises(ScriptError, match="255 bytes"):
+        validate_script(cylinders, doc("m" * 252))
+    with pytest.raises(ScriptError, match="255 bytes"):
+        validate_script(cylinders, doc("\u00e9" * 126))  # 252 bytes in UTF-8
+
+
 def test_validate_rejects_quat_and_axis_angle_together(cylinders):
     doc = {
         "script_version": 1,
@@ -273,6 +293,17 @@ def test_info_prints_fixture_statistics(capsys):
     assert "634 vertices, 758 faces" in capsys.readouterr().out
     assert main(["info", "--rig", "arm"]) == 0
     assert "3069 vertices, 5037 faces" in capsys.readouterr().out
+
+
+def test_info_reports_a_bad_rig_without_a_traceback(tmp_path, capsys):
+    assert main(["info", "--rig", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    doc = dump_rig(make_cylinders_model())
+    doc["rig_version"] = 2
+    rig = tmp_path / "v2.json"
+    rig.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["info", "--rig", str(rig)]) == 1
+    assert capsys.readouterr().err == "error: unsupported rig_version 2 (expected 1)\n"
 
 
 # ---------------------------------------------------------------------------

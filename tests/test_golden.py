@@ -18,16 +18,25 @@ moves a single coordinate shows up here.  If a change is intentional, regenerate
 RIG_GOLDEN pins the rig documents (`json.dumps(dump_rig(model))`) of the
 models the cut and tear actions of the same runs produce, so the skin
 weights a cut or tear stores are frozen as well as the mesh.
+
+TEAR_GOLDEN pins one digest over a seeded batch of tears, including
+sliver collapses and faces that hold two anchors, which the bundled
+scripts never reach.
 """
 
 import hashlib
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
 import mvskin.cli as cli
 from mvskin.cli import main
-from mvskin.rig import dump_rig
+from mvskin.errors import MvskinError
+from mvskin.rig import dump_rig, make_arm_model, make_cylinders_model
+from mvskin.tear import ScalpelState, tear
 
 # test id -> (script, rig, backend, {artifact: sha256})
 GOLDEN = {
@@ -106,3 +115,96 @@ def test_cut_and_torn_rig_documents_match_golden_digests(script, tmp_path, monke
     for name, want in digests.items():
         got = hashlib.sha256(json.dumps(dump_rig(models[name])).encode()).hexdigest()
         assert got == want, f"{script}: the {name} rig document drifted from its golden digest"
+
+
+def radial(t, theta, z, r0, r1):
+    """Scalpel segment through a tube wall at angle theta, from radius r0 to r1."""
+    c, s = math.cos(theta), math.sin(theta)
+    return ScalpelState(t, (r0 * c, r0 * s, z), (r1 * c, r1 * s, z))
+
+
+def nick(t, mesh, face, bary):
+    """Unit scalpel segment piercing a face along its normal at a barycentric point."""
+    a, b, c = mesh.vertices[mesh.faces[face]]
+    normal = np.cross(b - a, c - a)
+    normal /= np.linalg.norm(normal)
+    p = np.asarray(bary) @ np.array([a, b, c])
+    return ScalpelState(t, tuple(p - 0.5 * normal), tuple(p + 0.5 * normal))
+
+
+def tear_batch(models):
+    """(model name, scalpel states, delta) of every tear in the pinned batch.
+
+    Seeded radial 2-4 state strokes on both tubes; nicks 1e-14 from a face
+    corner, whose fan leaves a zero-area child; and three-state strokes
+    whose first and last anchors share one face.
+    """
+    rng = np.random.default_rng(1402)
+    deltas = itertools.cycle([None, 0.0, 0.3])
+    for name, count, z_max, r0, r1 in (("cylinders", 60, 20.0, 0.5, 3.0), ("arm", 15, 40.0, 1.0, 6.0)):
+        for _ in range(count):
+            theta, step = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.2, 1.2)
+            z = rng.uniform(1.0, z_max - 1.0)
+            states = []
+            for k in range(int(rng.integers(2, 5))):
+                states.append(radial(float(k), theta + k * step, z, r0, r1))
+                z = float(np.clip(z + rng.uniform(-2.0, 2.0), 1.0, z_max - 1.0))
+            yield name, states, next(deltas)
+    mesh = models["cylinders"].mesh
+    for _ in range(24):
+        face = int(rng.integers(len(mesh.faces)))
+        corners = np.roll([1.0 - 2e-14, 1e-14, 1e-14], int(rng.integers(3)))
+        a = mesh.vertices[mesh.faces[face][np.argmax(corners)]]
+        theta = math.atan2(a[1], a[0]) + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.0)
+        z = float(a[2] + rng.uniform(-1.5, 1.5))
+        states = [nick(0.0, mesh, face, corners), radial(1.0, theta, z, 2.5, 1.5)]
+        yield "cylinders", states, next(deltas)
+    for _ in range(6):
+        face = int(rng.integers(len(mesh.faces)))
+        a = mesh.vertices[mesh.faces[face][0]]
+        theta = math.atan2(a[1], a[0]) + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+        z = float(np.clip(a[2] + rng.uniform(-2.0, 2.0), 1.0, 19.0))
+        states = [
+            nick(0.0, mesh, face, (0.6, 0.2, 0.2)),
+            radial(1.0, theta, z, 2.5, 1.5),
+            nick(2.0, mesh, face, (0.2, 0.2, 0.6)),
+        ]
+        yield "cylinders", states, next(deltas)
+
+
+# sha256 over every tear's vertices, faces, weight table and path records
+# (a typed error enters as its type name), for tear_batch with accel on
+TEAR_GOLDEN = "b3cc9d5932672cc85f848fb39b24cc1b8e8fbde62584d0c67a42aabcc257e038"
+
+
+def test_seeded_tear_batch_matches_golden_digest():
+    models = {"cylinders": make_cylinders_model(), "arm": make_arm_model()}
+    digest = hashlib.sha256()
+    collapses = two_anchor_faces = 0
+    for name, states, delta in tear_batch(models):
+        try:
+            res = tear(models[name], states, delta=delta, accel=True)
+        except MvskinError as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        mesh, weights = res.model.mesh, res.model.weights
+        for array in (mesh.vertices, mesh.faces, weights.ids, weights.ws):
+            digest.update(repr(array.shape).encode() + array.tobytes())
+        n_orig = len(models[name].mesh.vertices)
+        anchors = {}  # anchor face -> the vertex indices its anchors got
+        for path in res.paths:
+            record = (
+                int(path.start_index),
+                int(path.end_index),
+                [int(g) for g in path.point_indices],
+                sorted((int(g), (int(l), int(r))) for g, (l, r) in path.duplicates.items()),
+                path.projection_distance,
+            )
+            digest.update(repr(record).encode())
+            collapses += path.start_index < n_orig or path.end_index < n_orig
+            for anchor, index in ((path.start, path.start_index), (path.end, path.end_index)):
+                anchors.setdefault(anchor.face, set()).add(index)
+        two_anchor_faces += any(len(indices) > 1 for indices in anchors.values())
+    assert collapses > 0, "the batch no longer reaches a sliver collapse"
+    assert two_anchor_faces > 0, "the batch no longer splits a face around two anchors"
+    assert digest.hexdigest() == TEAR_GOLDEN, "a seeded tear drifted from its golden digest"

@@ -517,6 +517,14 @@ def test_zero_bone_quaternion_is_typed():
             model_from_dict(doc)
 
 
+def test_normalize_takes_one_quaternion():
+    assert np.array_equal(quat.normalize([2.0, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
+    # a stack would be divided by its Frobenius norm, not row by row
+    for bad in ([[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]], [1.0, 0.0, 0.0], 1.0):
+        with pytest.raises(ValueError, match="shape \\(4,\\)"):
+            quat.normalize(bad)
+
+
 def test_schema_version_and_required_fields():
     doc = dump_rig(tiny_model())
     doc["rig_version"] = 2
