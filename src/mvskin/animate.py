@@ -220,35 +220,38 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
 
     Each deformation matrix splits into rigid * scale; the blended scale
     multiplies the rest position first, then the hemisphere-corrected
-    normalized dual-quaternion blend applies the rigid part.  Hemisphere
-    correction pivots on each vertex's largest-weight influence (ties go
-    to the lower bone id).  A bone matrix without a finite positive
-    determinant, as an overflowing pose gives, raises NumericalFailure.
+    normalized dual-quaternion blend applies the rigid part.  One stacked
+    pass over the bone matrices (one det, one from_matrix, one multiply)
+    gives every bone's part.  Hemisphere correction pivots on each vertex's
+    largest-weight influence (ties go to the lower bone id).  The first
+    bone matrix in model.bones without a finite positive determinant, as
+    an overflowing pose gives, raises NumericalFailure.
     """
-    parts = {}  # bone id -> [real (4), dual (4), scale]
+    bones = model.bones
+    slot = {b.id: i for i, b in enumerate(bones)}  # the last of equal ids wins
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
-        for b in model.bones:
-            m = pose.matrices[b.id] @ b.offset_matrix
-            det = float(np.linalg.det(m[:3, :3]))
-            if not 0.0 < det < np.inf:
-                raise NumericalFailure(f"dq skinning: bone {b.id} has no finite positive scale (det {det:.3e})")
-            s = det ** (1.0 / 3.0)
-            real = quat.from_matrix(m[:3, :3] / s)
-            dual = 0.5 * quat.multiply(np.concatenate([[0.0], m[:3, 3]]), real)
-            parts[b.id] = np.concatenate([real, dual, [s]])
+        m = np.array([pose.matrices[b.id] @ b.offset_matrix for b in bones]).reshape(-1, 4, 4)
+        det = np.linalg.det(m[:, :3, :3])
+        ok = (0.0 < det) & (det < np.inf)
+        if not ok.all():
+            b = int(np.argmin(ok))
+            raise NumericalFailure(f"dq skinning: bone {bones[b].id} has no finite positive scale (det {det[b]:.3e})")
+        scale = np.array([d ** (1.0 / 3.0) for d in det.tolist()])  # Python's pow, as numpy's ** rounds apart
+        real = quat.from_matrix(m[:, :3, :3] / scale[:, None, None])
+        dual = 0.5 * quat.multiply(np.concatenate([np.zeros((len(bones), 1)), m[:, :3, 3]], axis=1), real)
+        parts = np.column_stack([real, dual, scale])
 
     ids, ws = model.weights.ids, model.weights.ws
-    tied = (ws == ws.max(axis=1, keepdims=True)) & (ids >= 0)
-    pivot = np.where(tied, ids, np.iinfo(ids.dtype).max).min(axis=1)
-    # one gather from the real parts stacked by bone id; no pivot bone reads the zero row
-    known = np.array([*sorted(parts), np.iinfo(ids.dtype).max])
-    at = np.searchsorted(known, pivot)
-    reals = np.array([parts[b][:4] for b in known[:-1].tolist()] + [np.zeros(4)])
-    pivot_real = reals[np.where(known[at] == pivot, at, -1)]
+    # reduced column by column: numpy reduces a 4-wide axis 1 with one loop call per row
+    tied = (ws == functools.reduce(np.maximum, ws.T)[:, None]) & (ids >= 0)
+    pivot = functools.reduce(np.minimum, np.where(tied, ids, np.iinfo(ids.dtype).max).T)
+    # the real part of each distinct pivot bone, by slot; a row with no pivot bone reads zeros
+    pivots, pivot_of_row = np.unique(pivot, return_inverse=True)
+    pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
     def image(bone_id, rows):
-        part = parts[bone_id]
-        sgn = np.where(pivot_real[rows] @ part[:4] < 0.0, -1.0, 1.0)
+        part = parts[slot[bone_id]]
+        sgn = np.where(pivot_real[pivot_of_row[rows]] @ part[:4] < 0.0, -1.0, 1.0)
         return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
 
     acc = _blend(model, 9, image)

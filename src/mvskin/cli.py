@@ -376,7 +376,6 @@ def run_script(model: RiggedModel, actions: list, out_dir: Path, backend: str, a
 
 
 def _write_metrics(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, indent=1, sort_keys=False)
     (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")
 
@@ -384,6 +383,11 @@ def _write_metrics(out_dir: Path, payload: dict) -> None:
 def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = False) -> int:
     """Load, validate, execute, and write metrics; returns the exit status."""
     out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # no directory, so nowhere to write metrics.json either
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     payload = {
         "metrics_version": METRICS_VERSION,
         "rig": str(rig),
@@ -420,9 +424,13 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
 def _one_action_run(args, action: dict) -> int:
     script = {"script_version": SCRIPT_VERSION, "actions": [action]}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "script.json"
-    path.write_text(json.dumps(script, indent=1) + "\n", encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(script, indent=1) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return run(args.rig, path, out, backend=args.backend, accel=args.accel == "on")
 
 
@@ -509,7 +517,7 @@ def main(argv=None) -> int:
     if args.command == "tear":
         try:
             states = json.loads(Path(args.states).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             print(f"error: cannot read scalpel states: {exc}", file=sys.stderr)
             return 2
         action = {"action": "tear", "states": states}

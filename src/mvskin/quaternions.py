@@ -1,8 +1,8 @@
 """Unit quaternion helpers, (w, x, y, z) convention.
 
-multiply, conjugate and rotate broadcast over leading axes.  normalize,
-nlerp, to_matrix, from_matrix and from_axis_angle take one quaternion
-(one matrix, one axis); normalize rejects any other shape.
+multiply, conjugate, rotate and from_matrix broadcast over leading axes.
+normalize, nlerp, to_matrix and from_axis_angle take one quaternion (one
+axis); normalize rejects any other shape.
 """
 
 from __future__ import annotations
@@ -87,40 +87,35 @@ def to_matrix(q) -> np.ndarray:
 
 
 def from_matrix(m) -> np.ndarray:
-    """Quaternion of a rotation matrix, canonicalized so w >= 0."""
+    """Quaternions (..., 4) of rotation matrices (..., 3, 3), canonicalized so w >= 0.
+
+    Shepperd's method: the formula led by w when the trace is positive, else
+    by the imaginary part of the largest diagonal entry (the first of equal ones).
+    """
     m = np.asarray(m, dtype=np.float64)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    q = normalize(q)
-    if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_negative(q)):
-        q = -q
-    return q
-
-
-def _first_nonzero_negative(q) -> bool:
-    for c in q[1:]:
-        if c != 0.0:
-            return c < 0.0
-    return False
+    a = m.reshape(-1, 3, 3)
+    i = np.arange(len(a))
+    m00, m11, m22 = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
+    tr = m00 + m11 + m22
+    radicands = np.stack([tr + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11], axis=1)
+    k = np.where(tr > 0.0, 0, 1 + a.diagonal(axis1=1, axis2=2).argmax(axis=1))
+    s = np.sqrt(radicands[i, k]) * 2.0
+    # formula k: component k is s / 4 and component j is num[k, j] / s; w pairs
+    # with the antisymmetric part of the matrix, x, y and z with the symmetric part
+    num = np.zeros((len(a), 4, 4))
+    num[:, 1:, 1:] = a + a.transpose(0, 2, 1)
+    num[:, 0, 1:] = num[:, 1:, 0] = (a - a.transpose(0, 2, 1))[:, [2, 0, 1], [1, 2, 0]]
+    q = num[i, k] / s[:, None]
+    q[i, k] = 0.25 * s
+    n = np.sqrt(np.vecdot(q, q))  # the bytes of the one-quaternion norm, as axis=-1 norms are not
+    ok = (0.0 < n) & (n < np.inf)
+    if not ok.all():
+        raise ValueError(f"cannot normalize quaternion with norm {float(n[~ok][0])!r}")
+    q /= n[:, None]
+    # w < 0, or w == 0 with a negative first nonzero imaginary part: negate
+    lead = q[i, (q != 0.0).argmax(axis=1)]
+    np.negative(q, out=q, where=(lead < 0.0)[:, None])
+    return q.reshape(*m.shape[:-2], 4)
 
 
 def from_axis_angle(axis, angle: float) -> np.ndarray:

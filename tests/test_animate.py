@@ -431,6 +431,50 @@ def test_dq_pivot_tie_goes_to_lower_bone_id(order):
     assert np.allclose(frame.positions[0], expect, atol=1e-12)
 
 
+def test_dq_frame_does_not_depend_on_bone_order():
+    # RiggedModel.bones is documented as sorted by id, but nothing enforces it
+    posed, _ = random_pose(make_arm_model(), np.random.default_rng(5))
+    flipped = replace(posed, bones=posed.bones[::-1])
+    a = skin_dq(posed, global_pose_at(posed, "r", 1.0)).positions
+    b = skin_dq(flipped, global_pose_at(flipped, "r", 1.0)).positions
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("backend", sorted(SKIN_BACKENDS))
+def test_bone_id_at_int64_max_skins_like_its_original(backend):
+    # the largest int64 id is a legal bone id; it must not collide with any
+    # "no bone" marker a backend keeps
+    top = 2**63 - 1
+    m = keyed(make_cylinders_model(), "c", 1, 0.5, rotation=tuple(quat.from_axis_angle((0, 1, 1), 0.7)))
+    m = keyed(m, "c", 2, 0.5, rotation=tuple(quat.from_axis_angle((1, 0, 0), 2.9)), scale=1.3)
+    doc = mvskin.rig.dump_rig(m)
+    renamed = json.loads(json.dumps(doc))
+    for b in renamed["bones"]:
+        b["id"] = top if b["id"] == 2 else b["id"]
+        b["parent"] = top if b["parent"] == 2 else b["parent"]
+    renamed["weights"] = [[[top if bone == 2 else bone, w] for bone, w in row] for row in renamed["weights"]]
+    for track in renamed["clips"]["c"]:
+        track["bone"] = top if track["bone"] == 2 else track["bone"]
+    base, big = mvskin.rig.model_from_dict(doc), mvskin.rig.model_from_dict(renamed)
+    assert [b.id for b in big.bones] == [0, 1, top]
+    skin = SKIN_BACKENDS[backend]
+    a = skin(base, global_pose_at(base, "c", 0.5)).positions
+    b = skin(big, global_pose_at(big, "c", 0.5)).positions
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_dq_overflow_names_the_first_bad_bone_in_bones_order(flip):
+    m = make_arm_model()
+    for bone in (1, 2):
+        m = keyed(m, "c", bone, 1.0, scale=1e300)
+    if flip:
+        m = replace(m, bones=m.bones[::-1])
+    first = 2 if flip else 1
+    with pytest.raises(NumericalFailure, match=f"dq skinning: bone {first} has no finite positive scale"):
+        skin_dq(m, global_pose_at(m, "c", 1.0))
+
+
 def test_weight_partition_property():
     # every influence carrying the same global deformation moves the vertex
     # by exactly that transform

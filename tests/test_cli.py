@@ -674,6 +674,29 @@ def test_tear_subcommand_reads_states_file(tmp_path):
     assert read_metrics(out)["actions"][0]["intersection_points"] == 17
 
 
+def test_tear_states_that_are_not_utf8_exit_2(tmp_path, capsys):
+    state_file = tmp_path / "states.json"
+    state_file.write_bytes(b"\xff\xfe[\x00]\x00")
+    rc = main(["tear", "--rig", "cylinders", "--states", str(state_file), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scalpel states: ") and "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--script", "cylinders_tear.json"],
+    ["cut", "--normal", "0,0,1", "--d", "10"],
+])
+def test_out_naming_an_existing_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main([command[0], "--rig", "cylinders", "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_bench_subcommand_reports_tear_metrics(tmp_path):
     out = tmp_path / "out"
     rc = main(["bench", "--rig", "cylinders", "--out", str(out), "--accel", "on"])

@@ -1,0 +1,79 @@
+"""The broadcasting quaternion extraction against its one-matrix oracle."""
+
+import numpy as np
+import pytest
+
+import mvskin.quaternions as quat
+
+from quaternion_oracle import scalar_from_matrix, shepperd_branch
+
+
+def assert_same_bytes(got, expect):
+    assert got.shape == expect.shape
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def half_turn(axis):
+    """The rotation by pi about an axis, 2 u u^T - I: exactly symmetric, so w is exactly 0."""
+    u = np.asarray(axis, dtype=np.float64)
+    u = u / np.linalg.norm(u)
+    return 2.0 * np.outer(u, u) - np.eye(3)
+
+
+AXES = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (0, 1, -1), (1, 0, -1), (1, 1, 1), (-1, 1, 1), (1, -1, 1),
+    (-0.3, 0.9, 0.3), (-0.2, -0.3, 0.9), (0.4, -0.2, 0.9), (-0.9, 0.3, 0.2),
+]
+
+
+def seeded_rotations(n, seed=3):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    # a uniform scale divided back out by the cube root of the determinant,
+    # as dq skinning does, leaves rotations that are off by a few ulps
+    scaled = [s * quat.to_matrix(x) for s, x in zip(rng.uniform(0.5, 2.0, size=n), q)]
+    return np.array([m / float(np.linalg.det(m)) ** (1.0 / 3.0) for m in scaled])
+
+
+def test_from_matrix_matches_the_scalar_oracle_on_seeded_rotations():
+    ms = seeded_rotations(4000)
+    assert (np.bincount([shepperd_branch(m) for m in ms], minlength=4) > 500).all()
+    expect = np.array([scalar_from_matrix(m) for m in ms])
+    assert_same_bytes(quat.from_matrix(ms), expect)
+    assert_same_bytes(quat.from_matrix(ms.reshape(40, 100, 3, 3)), expect.reshape(40, 100, 4))
+
+
+def test_from_matrix_matches_the_scalar_oracle_on_half_turns_and_identity():
+    ms = [np.eye(3)]
+    for axis in AXES:
+        ms.append(half_turn(axis))
+        for angle in (np.pi, -np.pi):
+            ms.append(quat.to_matrix(quat.from_axis_angle(axis, angle)))
+    ms = np.array(ms)
+    expect = np.array([scalar_from_matrix(m) for m in ms])
+    # w == 0 leaves the sign to the first nonzero imaginary part; for some
+    # half-turns that part comes out of Shepperd's formula negative, so the
+    # component the formula led with (0.25 s > 0) ends up negated
+    zero_w = expect[:, 0] == 0.0
+    assert zero_w.sum() == len(AXES)
+    assert any(q[shepperd_branch(m)] < 0.0 for m, q in zip(ms[zero_w], expect[zero_w]))
+    assert_same_bytes(quat.from_matrix(ms), expect)
+    assert_same_bytes(np.array([quat.from_matrix(m) for m in ms]), expect)
+
+
+def test_stacked_call_equals_one_matrix_calls():
+    ms = np.concatenate([seeded_rotations(300, seed=11), [half_turn(a) for a in AXES]])
+    one_at_a_time = np.array([quat.from_matrix(m) for m in ms])
+    assert quat.from_matrix(ms[0]).shape == (4,)
+    assert_same_bytes(quat.from_matrix(ms), one_at_a_time)
+    assert quat.from_matrix(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
+def test_from_matrix_rejects_unnormalizable_input_like_the_oracle():
+    bad = np.array([np.eye(3), np.full((3, 3), np.nan)])
+    with pytest.raises(ValueError, match="cannot normalize quaternion with norm nan"):
+        quat.from_matrix(bad)
+    with pytest.raises(ValueError, match="cannot normalize quaternion with norm nan"):
+        scalar_from_matrix(bad[1])
