@@ -22,7 +22,9 @@ applies the 5x5 grade-1 block of its sandwich matrix (sandwich_block),
 not the full 32x32 map; the products behind that block gather the one
 Cayley-table term of each slot rather than contracting the table.  Every
 backend walks the model's cached bone groups (bone, rows, weights), so a
-frame does no per-bone search of the influence table.  In-process, one
+frame does no per-bone search of the influence table; the lifted rest
+vertices and each vertex's dq pivot bone are cached per model the same
+way.  In-process, one
 BLAS thread, a 2-vCPU VM (median of three best-of-7 runs): skinning a cga
 frame went from 3.1 to 0.9 ms on the arm and from 12.3 to 4.6 ms on a
 64-bone tube with four influences per vertex, with every output byte kept.
@@ -44,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import quaternions as quat
-from .algebra import down_block, geometric_product, sandwich_block, up_block
+from .algebra import down_block, geometric_product, sandwich_block
 from .errors import NumericalFailure, SchemaError
 from .rig import (
     RiggedModel,
@@ -104,8 +106,8 @@ class SkinnedFrame:
     time: float
 
     def __post_init__(self):
-        bad = np.flatnonzero(~np.all(np.isfinite(self.positions), axis=1))
-        if bad.size:
+        if not np.isfinite(self.positions).all():  # name the first bad vertex only on failure
+            bad = np.flatnonzero(~np.all(np.isfinite(self.positions), axis=1))
             raise NumericalFailure(
                 f"{self.backend} skinning produced a non-finite position at vertex {int(bad[0])}"
             )
@@ -180,8 +182,7 @@ def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
 
 def _sandwich_images(model: RiggedModel, pose: Pose):
     """image(bone, rows): grade-1 sandwich images (k, 5), on e1..e5, of the lifted rows."""
-    with np.errstate(all="ignore"):
-        lifted = up_block(model.mesh.vertices)
+    lifted = model.lifted_vertices
 
     def image(bone_id, rows):
         deform = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
@@ -241,12 +242,8 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
         dual = 0.5 * quat.multiply(np.concatenate([np.zeros((len(bones), 1)), m[:, :3, 3]], axis=1), real)
         parts = np.column_stack([real, dual, scale])
 
-    ids, ws = model.weights.ids, model.weights.ws
-    # reduced column by column: numpy reduces a 4-wide axis 1 with one loop call per row
-    tied = (ws == functools.reduce(np.maximum, ws.T)[:, None]) & (ids >= 0)
-    pivot = functools.reduce(np.minimum, np.where(tied, ids, np.iinfo(ids.dtype).max).T)
     # the real part of each distinct pivot bone, by slot; a row with no pivot bone reads zeros
-    pivots, pivot_of_row = np.unique(pivot, return_inverse=True)
+    pivots, pivot_of_row = model.pivot_bones
     pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
     def image(bone_id, rows):

@@ -62,7 +62,6 @@ from .cut import cut
 from .errors import MvskinError, ScriptError
 from .quaternions import from_axis_angle, normalize
 from .rig import (
-    Mesh,
     RiggedModel,
     Trs,
     compose_trs,
@@ -313,7 +312,7 @@ def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, acc
                 pose = global_pose_at(model, act["clip"], t)
                 frame = skinner(model, pose)
                 path = out_dir / f"frame_{frame_counter:04d}.obj"
-                export_obj(Mesh(frame.positions, model.mesh.faces), path)
+                export_obj(model.mesh, path, frame.positions)
                 files.append(path.name)
                 frame_counter += 1
             record.update(clip=act["clip"], times=act["times"], files=files)

@@ -52,6 +52,7 @@ from .algebra import (
     make_dilator,
     make_translator,
     rotor_from_quaternion,
+    up_block,
 )
 from .errors import (
     HierarchyError,
@@ -92,8 +93,9 @@ __all__ = [
 _QUAT_TOL = 1e-6
 _OFFSET_TOL = 1e-6
 _ROOT_TOL = 1e-6
-# export_obj rows per % and write: ~8 KiB of text, io.DEFAULT_BUFFER_SIZE.
-# Formatting a whole mesh at once raised peak RSS by its ~100 KB temporaries.
+# OBJ rows per % and per write, for vertices and for a mesh's cached face
+# block alike: ~8 KiB of text, io.DEFAULT_BUFFER_SIZE.  Formatting a whole
+# mesh with one % raised peak RSS by its ~100 KB temporaries.
 _OBJ_BLOCK_ROWS = 128
 
 
@@ -231,6 +233,15 @@ class Mesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
 
+    @functools.cached_property
+    def obj_face_block(self) -> tuple:
+        """The OBJ "f a b c" lines (1-based) of the faces, built on first export.
+
+        A tuple of strings of at most _OBJ_BLOCK_ROWS lines each; every
+        export of this mesh writes the same block.
+        """
+        return tuple(_obj_blocks("f %d %d %d\n", self.faces + 1))
+
     def __eq__(self, other):
         if not isinstance(other, Mesh):
             return NotImplemented
@@ -279,6 +290,32 @@ class RiggedModel:
             weights.setflags(write=False)
             groups.append((bone_id, rows, weights))
         return tuple(groups)
+
+    @functools.cached_property
+    def lifted_vertices(self) -> np.ndarray:
+        """up_block(mesh.vertices), the rest vertices' e1..e5 coefficients; read-only."""
+        with np.errstate(all="ignore"):
+            lifted = up_block(self.mesh.vertices)
+        lifted.setflags(write=False)
+        return lifted
+
+    @functools.cached_property
+    def pivot_bones(self) -> tuple:
+        """(pivots, pivot_of_row): each vertex's dual-quaternion pivot bone, read-only.
+
+        A row's pivot is its largest-weight influence, ties going to the
+        lower bone id; pivots holds the distinct pivot ids ascending and
+        pivot_of_row[i] is the slot of row i's pivot in it.  A row with
+        no influence pivots on the id dtype's maximum.
+        """
+        ids, ws = self.weights.ids, self.weights.ws
+        # reduced column by column: numpy reduces a 4-wide axis 1 with one loop call per row
+        tied = (ws == functools.reduce(np.maximum, ws.T)[:, None]) & (ids >= 0)
+        pivot = functools.reduce(np.minimum, np.where(tied, ids, np.iinfo(ids.dtype).max).T)
+        pivots, pivot_of_row = np.unique(pivot, return_inverse=True)
+        pivots.setflags(write=False)
+        pivot_of_row.setflags(write=False)
+        return pivots, pivot_of_row
 
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):
@@ -727,21 +764,34 @@ def save_rig(model: RiggedModel, path) -> None:
 # OBJ export
 
 
-def export_obj(mesh: Mesh, path) -> None:
+def _obj_blocks(line: str, rows: np.ndarray):
+    """Text of one `line % row` per row, in blocks of at most _OBJ_BLOCK_ROWS rows."""
+    for start in range(0, len(rows), _OBJ_BLOCK_ROWS):
+        block = rows[start : start + _OBJ_BLOCK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def export_obj(mesh: Mesh, path, vertices=None) -> None:
     """Write a minimal OBJ file: v lines at full precision, 1-based faces.
 
-    Rows are formatted and written in blocks of at most _OBJ_BLOCK_ROWS,
-    one % and one write per block; the bytes are those of one
-    "v %.17g %.17g %.17g" or "f %d %d %d" line per row.
+    vertices (default mesh.vertices) gives the v lines, so a deformed
+    frame of a mesh is written without building a Mesh for it; it must
+    have the shape of mesh.vertices.  The bytes are those of one
+    "v %.17g %.17g %.17g" line per vertex and one "f %d %d %d" line per
+    face.  Vertices are formatted in blocks of at most _OBJ_BLOCK_ROWS
+    rows, one % and one write per block.  The f lines come from
+    mesh.obj_face_block, formatted on the first export of the mesh and
+    reused by every later one: every frame of a model shares its mesh,
+    and a cut or torn model has a new mesh that formats its own block.
     """
+    vertices = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
+    if vertices.shape != mesh.vertices.shape:
+        raise ValueError(f"vertices must have shape {mesh.vertices.shape}, got {vertices.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line, rows in (
-            ("v %.17g %.17g %.17g\n", mesh.vertices),
-            ("f %d %d %d\n", mesh.faces + 1),
-        ):
-            for start in range(0, len(rows), _OBJ_BLOCK_ROWS):
-                block = rows[start : start + _OBJ_BLOCK_ROWS]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for block in _obj_blocks("v %.17g %.17g %.17g\n", vertices):
+            fh.write(block)
+        for block in mesh.obj_face_block:
+            fh.write(block)
 
 
 # ---------------------------------------------------------------------------

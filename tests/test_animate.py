@@ -17,6 +17,7 @@ from mvskin.algebra import (
     geometric_product,
     make_plane,
     transform_points,
+    up_block,
     up_points,
 )
 from mvskin.animate import (
@@ -614,6 +615,38 @@ def test_bone_groups_follow_first_use_order(name):
         assert type(bone_id) is int
         assert rows.tobytes() == rows_e.tobytes() and weights.tobytes() == weights_e.tobytes()
         assert not rows.flags.writeable and not weights.flags.writeable
+
+
+def test_edited_models_build_their_own_caches():
+    # keyframing, cutting and tearing make new models, which must not read the
+    # per-model skinning caches or the mesh face block of the model they came from
+    m = make_cylinders_model()
+    doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
+    (act,) = validate_script(m, doc)
+    caches = (m.bone_groups, m.lifted_vertices, m.pivot_bones, m.mesh.obj_face_block)
+    halves = cut(m, make_plane((0.0, 0.0, 1.0), 10.0))
+    derived = {
+        "keyframe": keyed(m, "c", 1, 1.0, scale=1.5),
+        "cut_m1": halves.m1,
+        "cut_m2": halves.m2,
+        "tear": tear(m, act["states"], delta=act["delta"]).model,
+    }
+    for name, d in derived.items():
+        assert d.bone_groups is not caches[0], name
+        assert sum(len(rows) for _, rows, _ in d.bone_groups) == int((d.weights.ids >= 0).sum())
+        assert d.lifted_vertices is not caches[1], name
+        assert d.lifted_vertices.tobytes() == up_block(d.mesh.vertices).tobytes(), name
+        assert not d.lifted_vertices.flags.writeable
+        # each row pivots on its largest weight, ties to the lower bone id
+        expect = [min(pairs, key=lambda p: (-p[1], p[0]))[0] for pairs in d.weights]
+        pivots, pivot_of_row = d.pivot_bones
+        assert d.pivot_bones is not caches[2], name
+        assert pivots[pivot_of_row].tolist() == expect, name
+        assert not pivots.flags.writeable and not pivot_of_row.flags.writeable
+        faces = "".join("f %d %d %d\n" % tuple(f) for f in (d.mesh.faces + 1).tolist())
+        assert "".join(d.mesh.obj_face_block) == faces, name
+        assert (d.mesh.obj_face_block is caches[3]) == (d.mesh is m.mesh), name
+    assert derived["keyframe"].mesh is m.mesh  # a keyed model shares the mesh and its block
 
 
 def test_cga_point_at_infinity_names_the_mesh_vertex():

@@ -629,6 +629,29 @@ def test_rerun_is_byte_identical(tmp_path):
     assert drop_times(m1) == drop_times(m2)
 
 
+@pytest.mark.parametrize(
+    "rig, script, extra",
+    [
+        ("cylinders", "cylinders_cut_deform.json", []),
+        ("cylinders", "cylinders_tear.json", []),
+        ("arm", "arm_tear.json", ["--accel", "on"]),
+    ],
+)
+def test_rerun_over_larger_old_artifacts_is_byte_identical(tmp_path, rig, script, extra):
+    # criterion 8 over a reused --out: no byte of a longer old artifact may survive
+    runs = {}
+    for tag in ("fresh", "reused"):
+        out = tmp_path / tag
+        if tag == "reused":
+            out.mkdir()
+            for name, data in runs["fresh"].items():
+                (out / name).write_bytes(b"junk\n" * (len(data) // 5 + 1000))
+        rc = main(["run", "--rig", rig, "--script", script, "--out", str(out)] + extra)
+        assert rc == 0
+        runs[tag] = obj_bytes(out)
+    assert runs["fresh"] and runs["reused"] == runs["fresh"]
+
+
 def test_accel_flag_is_bit_identical_for_tear(tmp_path):
     outs = {}
     for accel in ("off", "on"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
+import mvskin.rig
 from mvskin.algebra import transform_points
 from mvskin.errors import (
     HierarchyError,
@@ -711,6 +712,36 @@ def test_export_obj_is_deterministic(tmp_path):
     export_obj(mesh, a)
     export_obj(mesh, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_frames_of_one_model_share_one_face_block(tmp_path):
+    model = make_cylinders_model()
+    block = model.mesh.obj_face_block
+    assert isinstance(block, tuple) and len(block) == -(-len(model.mesh.faces) // mvskin.rig._OBJ_BLOCK_ROWS)
+    rng = np.random.default_rng(7)
+    for k in range(2):
+        frame = model.mesh.vertices * (1.0 + k) + rng.normal(size=model.mesh.vertices.shape)
+        export_obj(model.mesh, tmp_path / f"frame_{k}.obj", frame)
+        export_obj_by_line(Mesh(frame, model.mesh.faces), tmp_path / f"lines_{k}.obj")
+        assert (tmp_path / f"frame_{k}.obj").read_bytes() == (tmp_path / f"lines_{k}.obj").read_bytes()
+        assert model.mesh.obj_face_block is block  # formatted once, on the first export
+
+
+def test_export_obj_rejects_vertices_of_another_shape(tmp_path):
+    mesh = make_cylinders_model().mesh
+    with pytest.raises(ValueError, match="vertices must have shape"):
+        export_obj(mesh, tmp_path / "bad.obj", mesh.vertices[:-1])
+    assert not (tmp_path / "bad.obj").exists()
+
+
+@pytest.mark.parametrize("old_size", [0, 100, 10**6])
+def test_export_obj_over_an_existing_file_writes_a_fresh_export(tmp_path, old_size):
+    mesh = make_cylinders_model().mesh
+    export_obj(mesh, tmp_path / "fresh.obj")
+    path = tmp_path / "old.obj"
+    path.write_bytes(b"#" * old_size)
+    export_obj(mesh, path)
+    assert path.read_bytes() == (tmp_path / "fresh.obj").read_bytes()
 
 
 # ---------------------------------------------------------------------------
