@@ -297,6 +297,10 @@ def compare_backends(
 # keyframe editing
 
 
+# RiggedModel's cached properties, none of which reads the clips
+_CLIP_FREE_CACHES = ("_bone_by_id", "bone_groups", "lifted_vertices", "pivot_bones")
+
+
 def generate_keyframe(
     model: RiggedModel, clip: str, bone_id: int, trs: Trs, time: float
 ) -> RiggedModel:
@@ -314,4 +318,7 @@ def generate_keyframe(
     tracks[bone_id] = tuple(keys)
     clips = dict(model.clips)
     clips[clip] = tracks
-    return replace(model, clips=clips)
+    keyed = replace(model, clips=clips)
+    # the mesh, bones and weights are the same objects, so are their caches
+    keyed.__dict__.update((k, v) for k, v in model.__dict__.items() if k in _CLIP_FREE_CACHES)
+    return keyed

@@ -1,15 +1,15 @@
 """Planar cuts of skinned meshes into two deformable halves.
 
-A cut is one walk over the faces, after the vertices classify by plane
-side under the eps-shift rule of section.py (conformal inner product of
-up(p) with the plane); surviving original vertices keep their true
-positions.  Each face is handled where the walk meets it:
+The vertices classify by plane side under the eps-shift rule of
+section.py (conformal inner product of up(p) with the plane); surviving
+original vertices keep their true positions.  Then:
 
 * A face whose corners share a side goes to that half: M1 (positive) or
-  M2 (negative).
-* A crossed face always has exactly two straddling edges.  Each
-  straddling edge yields exactly one CutPoint the first time the walk
-  meets it, so ordinals follow face-scan order; its weights interpolate
+  M2 (negative).  These faces are renumbered in one array pass.
+* A crossed face always has exactly two straddling edges.  Only the
+  crossed faces are walked, in ascending id.  Each straddling edge
+  yields exactly one CutPoint the first time the walk meets it, so
+  ordinals follow face-scan order; its weights interpolate
   along the edge, truncated to four influences.  The face splits into
   three children: one triangle on the lone-vertex side and two tiling
   the quad on the other, split along its shorter diagonal.  Ties and
@@ -17,6 +17,9 @@ positions.  Each face is handled where the walk meets it:
   which keeps the choice stable under rigid motion.  Children inherit
   the parent's winding.  The face also links its two cut points, and
   counts as a border of both cut edges.
+
+Each half lists its faces in the order of the faces they come from,
+the children of a crossed face in the order given above.
 
 Both halves receive the full seam of cut points, keep the original
 bones, weights, and clips, and pass load-time validation.  The cut is
@@ -38,7 +41,7 @@ import numpy as np
 from .algebra import Multivector
 from .errors import NonManifoldCut
 from .rig import Mesh, RiggedModel, validate_model
-from .section import Section
+from .section import Section, in_parent_order
 from .weights import weight_by_edge
 
 __all__ = ["CutPoint", "CutResult", "cut"]
@@ -117,22 +120,25 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
         # plane misses the mesh entirely: keep the model whole as M1
         return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
 
-    side_of = section.signs.tolist()
+    signs = section.signs
+    corner_sides = signs[mesh.faces].T
+    whole = (corner_sides[0] == corner_sides[1]) & (corner_sides[1] == corner_sides[2])
+    crossed = np.flatnonzero(~whole)
     # rank[v]: v's position among the original vertices on its side
-    rank = (np.where(positive, np.cumsum(positive), np.cumsum(~positive)) - 1).tolist()
+    rank = np.where(positive, np.cumsum(positive), np.cumsum(~positive)) - 1
     base = {1: int(positive.sum()), -1: int((~positive).sum())}
-    faces_out: dict = {1: [], -1: []}
+    children: dict = {1: [], -1: []}  # per side: the children of crossed faces
+    parents: dict = {1: [], -1: []}  # per side: the crossed face of each child
     ordinal_of: dict = {}  # cut edge (lo, hi) -> ordinal
     points: list = []
     positions: list = []  # per ordinal: the crossing as an array
     borders: list = []  # per ordinal: faces bordering the cut edge
     links: list = []  # per ordinal: ordinals sharing a cut face
     verts = mesh.vertices
-    for face in mesh.faces.tolist():
+    side_of = signs.tolist()
+    rank_of = rank.tolist()
+    for fi, face in zip(crossed.tolist(), mesh.faces[crossed].tolist()):
         s = [side_of[v] for v in face]
-        if s[0] == s[1] == s[2]:
-            faces_out[s[0]].append((rank[face[0]], rank[face[1]], rank[face[2]]))
-            continue
         on_edge = [None, None, None]  # ordinal of the cut point on edge k -> k+1
         for k in range(3):
             if s[k] == s[k - 2]:
@@ -159,17 +165,19 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
         lv, av, bv = face[i], face[i - 2], face[i - 1]
         pa, pb = on_edge[i], on_edge[i - 1]
         lone, quad = s[i], -s[i]
-        faces_out[lone].append((rank[lv], base[lone] + pa, base[lone] + pb))
+        children[lone].append((rank_of[lv], base[lone] + pa, base[lone] + pb))
+        parents[lone].append(fi)
         # quad (pa, av, bv, pb): split along its shorter diagonal; ties and
         # near-ties (1e-9 relative) take the first diagonal so the choice is
         # stable under rigid motion of the whole model
-        qa, qb, ra, rb = base[quad] + pa, base[quad] + pb, rank[av], rank[bv]
+        qa, qb, ra, rb = base[quad] + pa, base[quad] + pb, rank_of[av], rank_of[bv]
         d1 = np.linalg.norm(positions[pa] - verts[bv])
         d2 = np.linalg.norm(verts[av] - positions[pb])
         if d1 <= d2 + 1e-9 * (d1 + d2):
-            faces_out[quad] += [(qa, ra, rb), (qa, rb, qb)]
+            children[quad] += [(qa, ra, rb), (qa, rb, qb)]
         else:
-            faces_out[quad] += [(qa, ra, qb), (ra, rb, qb)]
+            children[quad] += [(qa, ra, qb), (ra, rb, qb)]
+        parents[quad] += [fi, fi]
 
     for o, count in enumerate(borders):
         if count > 2:
@@ -180,10 +188,11 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     cut_weights = [cp.weights for cp in points]
     halves = {}
     for side in (1, -1):
+        kept = np.flatnonzero(whole & (corner_sides[0] == side))
         half = RiggedModel(
             Mesh(
                 np.vstack([verts[section.signs == side], cut_positions]),
-                np.array(faces_out[side], dtype=np.int64).reshape(-1, 3),
+                in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side]),
             ),
             model.bones,
             model.weights.take(section.signs == side).extend(cut_weights),

@@ -12,7 +12,8 @@ keep the true positions of the vertices themselves.
 
 Planar cuts (cut.py) and tear-plane walks (tear.py) both classify and
 intersect through Section, so on a shared edge they report the same
-crossing bit for bit.
+crossing bit for bit.  Both split only some faces in Python and put the
+children back among the faces they kept with in_parent_order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .algebra import Multivector, plane_distances
 from .rig import bbox_diagonal
 
-__all__ = ["EPS_SCALE", "Section", "section_eps", "unit_plane"]
+__all__ = ["EPS_SCALE", "Section", "in_parent_order", "section_eps", "unit_plane"]
 
 EPS_SCALE = 1e-9
 
@@ -70,3 +71,15 @@ class Section:
         d = self.dist
         lam = float(d[lo] / (d[lo] - d[hi]))
         return lam, (1.0 - lam) * self.work[lo] + lam * self.work[hi]
+
+
+def in_parent_order(kept: np.ndarray, kept_ids: np.ndarray, children: list, parents: list) -> np.ndarray:
+    """Kept faces and split children as one (n, 3) face array in parent face order.
+
+    kept[i] is face kept_ids[i] itself, and children[j] is a child of
+    face parents[j].  The sort is stable, so the children of one face
+    keep the order they were emitted in.
+    """
+    faces = np.concatenate([kept, np.array(children, dtype=np.int64).reshape(-1, 3)])
+    order = np.argsort(np.concatenate([kept_ids, np.array(parents, dtype=np.int64)]), kind="stable")
+    return faces[order]

@@ -6,12 +6,14 @@ endpoints).  Each consecutive pair of states contributes one step:
 1. scalpel_hit finds where each scalpel segment pierces the surface; a
    proper hit is exactly one transversal face crossing (zero raises
    NoIntersection, two or more AmbiguousIntersection; coincident
-   endpoints raise DegenerateTearStep).  The default
-   probe is a linear scan over faces in ascending id order.  A FaceBVH
-   can be passed in instead: one vectorized slab test over the padded
-   per-face boxes keeps the faces the segment can reach, in ascending
-   id order, and the same per-face test runs on those alone, so the
-   result is bit-identical to the scan.
+   endpoints raise DegenerateTearStep).  The default probe is one
+   vectorized pass over all faces that keeps every face the per-face
+   segment-triangle test could accept, under a written rounding bound;
+   that test then decides on the few survivors in ascending id order,
+   so the result is bit-identical to testing every face.  A FaceBVH can
+   be passed in instead: one vectorized slab test over the padded
+   per-face boxes keeps the faces the segment can reach, and the same
+   per-face test runs on those alone.
 2. build_tear_plane spans the plane through the current anchor and both
    endpoints of the next scalpel state (right-hand rule normal over
    endpoint deltas); a stationary scalpel leaves the plane undefined
@@ -68,7 +70,7 @@ from .errors import (
     PathNotFound,
 )
 from .rig import Mesh, RiggedModel, bbox_diagonal, validate_model
-from .section import Section, section_eps, unit_plane
+from .section import Section, in_parent_order, section_eps, unit_plane
 from .weights import weight_by_barycentric, weight_by_edge
 
 __all__ = [
@@ -183,6 +185,75 @@ def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
     return t, u, v
 
 
+# Two evaluations of a 3-term dot product, in any order and with or
+# without fused multiply-adds, differ by at most 2 gamma_3 < 4 eps times
+# sum |x_i y_i| (Higham, Accuracy and Stability, 3.1); this is four times that.
+_DOT_SLACK = 16.0 * np.finfo(np.float64).eps
+# Relative slack on |det| for the rounding of inv, of the products with
+# inv and of u + v (under 3 eps together); also four times that.
+_DIV_SLACK = 16.0 * np.finfo(np.float64).eps
+
+
+def _dots(x: np.ndarray, y: np.ndarray):
+    """Row dot products of (m, 3) arrays and the bound B on their rounding difference.
+
+    B = _DOT_SLACK * sum |x_i y_i| + 1e-300; the absolute term covers
+    products that underflow, many times over.
+    """
+    p = x * y
+    a = np.abs(p)
+    return p[:, 0] + p[:, 1] + p[:, 2], _DOT_SLACK * (a[:, 0] + a[:, 1] + a[:, 2]) + 1e-300
+
+
+def _crossing_candidates(verts: np.ndarray, faces: np.ndarray, p0: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """Ascending ids of every face _face_hit could accept, from one pass over all faces.
+
+    e1, e2, h, s and q are elementwise and match _face_hit bit for bit.
+    Its four dot products are not: the scalar `@` goes through BLAS,
+    which may sum in another order or fuse.  So each dot x' computed here
+    stands for the interval |x - x'| <= B_x of _dots.  With
+    D = |det'| + B_det >= |det| and r = _DIV_SLACK, a face is dropped
+    only when one of these necessary conditions of a scalar hit fails
+    (su, dq and eq are s.h, dvec.q and e2.q):
+
+        |su'| <= D (1 + r) + B_su                      u <= 1
+        |dq'| <= D (1 + r) + B_dq                      v <= 1 - u
+        |eq'| <= D (1 + r) + B_eq                      t < 1
+
+    and, where the sign sigma of det is certain (|det'| > B_det),
+
+        sigma su' >= -B_su - r D                       u >= 0
+        sigma dq' >= -B_dq - r D                       v >= 0
+        sigma (su' + dq') <= D (1 + r) + B_su + B_dq   u + v <= 1
+        sigma eq' >= -B_eq                             t > 0
+
+    A face is kept outright where a dot is not finite or D >= 2**1000
+    (inv could be subnormal).  The 1e-300 det gate needs no condition:
+    a face it rejects may be kept, and a face it passes has a finite inv.
+    """
+    a = verts[faces[:, 0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = verts[faces[:, 1]] - a
+        e2 = verts[faces[:, 2]] - a
+        h = np.cross(dvec, e2)
+        s = p0 - a
+        q = np.cross(s, e1)
+        det, b_det = _dots(e1, h)
+        su, b_su = _dots(s, h)
+        dq, b_dq = _dots(dvec, q)
+        eq, b_eq = _dots(e2, q)
+        d = np.abs(det) + b_det
+        hi = d * (1.0 + _DIV_SLACK)
+        lo = _DIV_SLACK * d
+        decided = np.isfinite(det) & np.isfinite(su) & np.isfinite(dq) & np.isfinite(eq) & (d < 2.0**1000)
+        within = (np.abs(su) <= hi + b_su) & (np.abs(dq) <= hi + b_dq) & (np.abs(eq) <= hi + b_eq)
+        sigma = np.sign(det)
+        su, dq, eq = sigma * su, sigma * dq, sigma * eq
+        signed = (su >= -b_su - lo) & (dq >= -b_dq - lo) & (su + dq <= hi + b_su + b_dq) & (eq >= -b_eq)
+        sure = np.abs(det) > b_det
+    return np.flatnonzero(~decided | (within & (signed | ~sure)))
+
+
 class FaceBVH:
     """Padded per-face bounding boxes, probed by one vectorized slab test.
 
@@ -233,9 +304,12 @@ def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearA
         raise DegenerateTearStep(
             f"scalpel endpoints coincide: |tail - tip| = {length:.3e} spans no segment"
         )
-    candidates = range(len(mesh.faces)) if bvh is None else bvh.segment_candidates(p0, p1)
+    if bvh is None:
+        candidates = _crossing_candidates(verts, mesh.faces, p0, dvec)
+    else:
+        candidates = bvh.segment_candidates(p0, p1)
     hits = []
-    for fi in candidates:
+    for fi in candidates.tolist():
         res = _face_hit(verts, mesh.faces[fi], p0, dvec)
         if res is not None:
             hits.append((int(fi), res))
@@ -396,7 +470,9 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
 
     Each inserted point gets its final vertex index when it is inserted;
     `rows` maps every output vertex to its row of the extended position
-    and weight tables.  Split children are recorded as they are emitted.
+    and weight tables.  Only the split faces are walked, in ascending id;
+    the other faces stay one array, and in_parent_order puts the
+    children back in their parents' places.
     """
     mesh = model.mesh
     n_orig = len(mesh.vertices)
@@ -444,15 +520,13 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     hubs.update((face, anchors[0]) for face, anchors in interior.items())
 
     positions = np.vstack([mesh.vertices, *new_positions])
-    faces_out = []
-    split_slots = []  # ascending slots of the split children
-    for fi, face in enumerate(mesh.faces.tolist()):
-        if fi in hubs:
-            children = _fan_split(face, hubs[fi], interior.get(fi, ()), on_edge, positions)
-            split_slots.extend(range(len(faces_out), len(faces_out) + len(children)))
-            faces_out.extend(list(tri) for tri in children)
-        else:
-            faces_out.append(face)
+    split = sorted(hubs)
+    children = []  # split children, in ascending parent face and emission order
+    parents = []  # the split face of each child
+    for fi in split:
+        tris = _fan_split(mesh.faces[fi].tolist(), hubs[fi], interior.get(fi, ()), on_edge, positions)
+        children.extend(list(tri) for tri in tris)
+        parents.extend([fi] * len(tris))
 
     # collapse zero-area slivers by merging the coincident inserted point;
     # faces that were not split keep their original corners, and only
@@ -464,8 +538,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             v = remap[v]
         return v
 
-    for slot in split_slots:
-        tri = faces_out[slot]
+    for tri in children:
         a, b, c = (positions[find(v)] for v in tri)
         if 0.5 * np.linalg.norm(np.cross(b - a, c - a)) >= 1e-12:
             continue
@@ -487,17 +560,17 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
         def index(v: int) -> int:
             return renumber[find(v)]
 
-        for slot in split_slots:
-            tri = [index(v) for v in faces_out[slot]]
-            faces_out[slot] = tri if len(set(tri)) == 3 else None
-        split_slots = [slot for slot in split_slots if faces_out[slot]]
+        renumbered = [([index(v) for v in tri], fi) for tri, fi in zip(children, parents)]
+        renumbered = [(tri, fi) for tri, fi in renumbered if len(set(tri)) == 3]
+        children = [tri for tri, _ in renumbered]
+        parents = [fi for _, fi in renumbered]
         for path in paths:
             path.start_index = index(path.start_index)
             path.end_index = index(path.end_index)
             path.point_indices = tuple(index(g) for g in path.point_indices)
-    child_of: dict = {}  # inserted index -> [split face slots]
-    for slot in split_slots:
-        for v in faces_out[slot]:
+    child_of: dict = {}  # inserted index -> [child slots]
+    for slot, tri in enumerate(children):
+        for v in tri:
             if v >= n_orig:
                 child_of.setdefault(v, []).append(slot)
 
@@ -509,7 +582,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
                 continue  # collapsed into an original vertex: tear pinned here
             left, right = [], []
             for slot in child_of[g]:
-                pts = positions[[rows[v] for v in faces_out[slot]]]
+                pts = positions[[rows[v] for v in children[slot]]]
                 s = float(np.sum(plane_distances(pts, path.plane)))
                 (left if s >= 0.0 else right).append(slot)
             if not right or not left:
@@ -517,11 +590,12 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             twin = len(rows)
             rows.append(rows[g])
             for slot in right:
-                faces_out[slot] = [twin if v == g else v for v in faces_out[slot]]
+                children[slot] = [twin if v == g else v for v in children[slot]]
             duplicates[g] = (g, twin)
         path.duplicates = duplicates
 
-    faces = np.array([tri for tri in faces_out if tri], dtype=np.int64).reshape(-1, 3)
+    kept_ids = np.delete(np.arange(len(mesh.faces)), split)
+    faces = in_parent_order(mesh.faces[kept_ids], kept_ids, children, parents)
     torn = RiggedModel(
         Mesh(positions[rows], faces),
         model.bones,

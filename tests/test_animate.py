@@ -618,15 +618,15 @@ def test_bone_groups_follow_first_use_order(name):
 
 
 def test_edited_models_build_their_own_caches():
-    # keyframing, cutting and tearing make new models, which must not read the
-    # per-model skinning caches or the mesh face block of the model they came from
+    # cutting and tearing make new models, which must not read the per-model
+    # skinning caches or the mesh face block of the model they came from (a
+    # keyed model shares them: test_generate_keyframe_keeps_the_clip_free_caches)
     m = make_cylinders_model()
     doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
     (act,) = validate_script(m, doc)
     caches = (m.bone_groups, m.lifted_vertices, m.pivot_bones, m.mesh.obj_face_block)
     halves = cut(m, make_plane((0.0, 0.0, 1.0), 10.0))
     derived = {
-        "keyframe": keyed(m, "c", 1, 1.0, scale=1.5),
         "cut_m1": halves.m1,
         "cut_m2": halves.m2,
         "tear": tear(m, act["states"], delta=act["delta"]).model,
@@ -645,8 +645,7 @@ def test_edited_models_build_their_own_caches():
         assert not pivots.flags.writeable and not pivot_of_row.flags.writeable
         faces = "".join("f %d %d %d\n" % tuple(f) for f in (d.mesh.faces + 1).tolist())
         assert "".join(d.mesh.obj_face_block) == faces, name
-        assert (d.mesh.obj_face_block is caches[3]) == (d.mesh is m.mesh), name
-    assert derived["keyframe"].mesh is m.mesh  # a keyed model shares the mesh and its block
+        assert d.mesh.obj_face_block is not caches[3], name
 
 
 def test_cga_point_at_infinity_names_the_mesh_vertex():
@@ -721,6 +720,25 @@ def test_generate_keyframe_bind_insert_keeps_bind_pose():
     pose = global_pose_at(m, "c", 3.0)
     frame = skin_cga(m, pose)
     assert np.max(np.abs(frame.positions - m.mesh.vertices)) < 1e-9
+
+
+def test_generate_keyframe_keeps_the_clip_free_caches():
+    m = make_arm_model()
+    m = keyed(m, "c", 1, 0.0, rotation=tuple(quat.from_axis_angle((1.0, 0.0, 0.0), 0.3)))
+    for backend in SKIN_BACKENDS.values():
+        backend(m, global_pose_at(m, "c", 0.0))
+    m2 = keyed(m, "c", 2, 1.0, translation=(0.0, 1.0, 0.5), scale=1.2)
+    for name in ("_bone_by_id", "bone_groups", "lifted_vertices", "pivot_bones"):
+        assert name in m2.__dict__ and getattr(m2, name) is getattr(m, name)
+    assert m2.mesh is m.mesh  # and so its face block
+    # a model with the same clips and no caches skins to the same bytes
+    fresh = RiggedModel(m2.mesh, m2.bones, m2.weights, m2.clips)
+    assert not {"bone_groups", "lifted_vertices", "pivot_bones"} & fresh.__dict__.keys()
+    for name, backend in SKIN_BACKENDS.items():
+        for t in (0.0, 0.6, 1.0):
+            a = backend(m2, global_pose_at(m2, "c", t)).positions
+            b = backend(fresh, global_pose_at(fresh, "c", t)).positions
+            assert a.tobytes() == b.tobytes(), (name, t)
 
 
 def test_generate_keyframe_unknown_bone():

@@ -237,6 +237,43 @@ def test_quad_split_tie_is_deterministic():
     assert res.m1.mesh.faces.tolist() == [[2, 0, 1], [2, 1, 3]]
 
 
+def strip_model():
+    """Three unit quads in a row, two faces each: faces 0..5 from x = 0 to 3."""
+    verts = [[i, j, 0.0] for i in range(4) for j in range(2)]
+    faces = [f for i in range(3) for f in ([2 * i, 2 * i + 2, 2 * i + 1], [2 * i + 1, 2 * i + 2, 2 * i + 3])]
+    return one_bone_model(verts, faces)
+
+
+@pytest.mark.parametrize(
+    "normal, d, m1_faces, m2_faces",
+    [
+        # only face 0 is crossed: its children come first on both sides
+        (
+            (1.0, 1.0, 0.0), 0.5,
+            [[7, 1, 0], [7, 0, 8], [0, 1, 2], [1, 3, 2], [2, 3, 4], [3, 5, 4], [4, 5, 6]],
+            [[0, 1, 2]],
+        ),
+        # only the last face is crossed: its children come last
+        (
+            (1.0, 1.0, 0.0), 3.5,
+            [[0, 2, 1]],
+            [[0, 2, 1], [1, 2, 3], [2, 4, 3], [3, 4, 5], [4, 6, 5], [8, 5, 6], [8, 6, 7]],
+        ),
+        # every face is crossed: each face's children in place, in emission order
+        (
+            (0.0, 1.0, 0.0), 0.5,
+            [[0, 5, 4], [6, 1, 4], [1, 0, 4], [1, 6, 7], [8, 2, 7], [2, 1, 7], [2, 8, 9], [10, 3, 9], [3, 2, 9]],
+            [[5, 0, 4], [0, 1, 4], [1, 6, 4], [6, 1, 7], [1, 2, 7], [2, 8, 7], [8, 2, 9], [2, 3, 9], [3, 10, 9]],
+        ),
+    ],
+)
+def test_halves_list_faces_in_parent_order(normal, d, m1_faces, m2_faces):
+    n = unit(normal)
+    res = cut(strip_model(), make_plane(tuple(n), d / np.linalg.norm(normal)))
+    assert res.m1.mesh.faces.tolist() == m1_faces
+    assert res.m2.mesh.faces.tolist() == m2_faces
+
+
 def test_children_keep_parent_winding():
     model = one_bone_model(
         [(0.0, 0.0, -1.0), (3.0, 0.0, 1.0), (-1.0, 0.0, 2.0)], [(0, 1, 2)]

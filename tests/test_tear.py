@@ -1,10 +1,12 @@
 """Scalpel tears: anchors, tear planes, path tracing, duplication, opening."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvskin.algebra import make_plane, plane_distances
@@ -16,6 +18,7 @@ from mvskin.animate import (
     skin_dq,
     skin_lbs,
 )
+from mvskin.cli import bundled_script_path, validate_script
 from mvskin.cut import cut
 from mvskin.errors import (
     AmbiguousIntersection,
@@ -26,6 +29,10 @@ from mvskin.errors import (
 )
 from mvskin.quaternions import from_axis_angle
 from mvskin.rig import (
+    IDENTITY_TRS,
+    Bone,
+    Mesh,
+    RiggedModel,
     Trs,
     bbox_diagonal,
     make_arm_model,
@@ -37,6 +44,7 @@ from mvskin.tear import (
     FaceBVH,
     ScalpelState,
     TearAnchor,
+    _crossing_candidates,
     _face_hit,
     build_tear_plane,
     open_tear,
@@ -44,6 +52,8 @@ from mvskin.tear import (
     tear,
     trace_surface_path,
 )
+
+from tear_oracle import anchor_of, scan_hits, scan_scalpel_hit
 
 STEP = 2.0 * math.pi / 62.0  # one band face at mid-height on the cylinders
 
@@ -223,6 +233,132 @@ def test_bvh_axis_parallel_segment(cylinders):
         assert scalpel_hit(mesh, state, bvh) == scalpel_hit(mesh, state)
 
 
+_CYLINDERS = make_cylinders_model().mesh
+SCAN_MESHES = {  # name -> (mesh, its scale from the fixture)
+    "cylinders": (_CYLINDERS, 1.0),
+    "arm": (make_arm_model().mesh, 1.0),
+    # det and the other dots overflow (|p| ~ 1e104 and 1e122), or det falls
+    # below the 1e-300 gate (|p| ~ 1e-100)
+    **{
+        f"cylinders x {s:g}": (Mesh(_CYLINDERS.vertices * s, _CYLINDERS.faces), s)
+        for s in (1e103, 1e121, 1e-101)
+    },
+}
+
+
+def bits(xs):
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
+def outcome(probe, *args):
+    """A probe's anchor, bit for bit, or its error type and count."""
+    try:
+        a = probe(*args)
+    except MvskinError as exc:
+        return type(exc).__name__, getattr(exc, "count", None)
+    return "hit", a.face, bits(a.point), bits(a.bary)
+
+
+@st.composite
+def aimed_segments(draw):
+    """(mesh name, scalpel) aimed at a vertex, an edge interior or a face centre.
+
+    The direction is oblique, or grazing: in the face plane, tilted
+    +/- 1e-12 along its normal.  The segment passes through the aim
+    point or ends exactly on it.
+    """
+    name = draw(st.sampled_from(sorted(SCAN_MESHES)))
+    mesh, scale = SCAN_MESHES[name]
+    # the aim is found at the fixture's scale, where no norm overflows
+    verts = mesh.vertices / scale
+    fi = draw(st.integers(0, len(mesh.faces) - 1))
+    corners = verts[mesh.faces[fi]]
+    kind = draw(st.sampled_from(("vertex", "edge", "centre")))
+    k = draw(st.integers(0, 2))
+    if kind == "vertex":
+        aim = mesh.vertices[mesh.faces[fi][k]]
+    elif kind == "edge":
+        f = draw(st.floats(0.01, 0.99))
+        aim = ((1.0 - f) * corners[k] + f * corners[(k + 1) % 3]) * scale
+    else:
+        aim = corners.mean(axis=0) * scale
+    edge = corners[1] - corners[0]
+    normal = np.cross(edge, corners[2] - corners[0])
+    normal /= np.linalg.norm(normal)
+    edge /= np.linalg.norm(edge)
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        tilt = draw(st.sampled_from((-1e-12, 0.0, 1e-12)))
+        d = math.cos(theta) * edge + math.sin(theta) * np.cross(normal, edge) + tilt * normal
+    else:
+        d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        if np.linalg.norm(d) < 1e-3:
+            d = normal
+        d = d / np.linalg.norm(d)
+    length = draw(st.floats(0.01, 0.5)) * bbox_diagonal(verts) * scale
+    ends = draw(st.sampled_from(("through", "tip on", "tail on")))
+    before = {"through": draw(st.floats(0.05, 0.95)), "tip on": 0.0, "tail on": 1.0}[ends]
+    tip = aim if ends == "tip on" else aim - before * length * d
+    tail = aim if ends == "tail on" else aim + (1.0 - before) * length * d
+    return name, ScalpelState(0.0, tuple(tip), tuple(tail))
+
+
+@settings(max_examples=50, deadline=None)
+@given(aimed_segments())
+# grazing strokes that a copy of the filter with no rounding margin got wrong
+@example(("cylinders", ScalpelState(
+    0.0,
+    (-1.653257949415352, -0.04501030995845676, -0.007095033786903571),
+    (3.217752649805117, 0.015003436652818919, 0.00236501126230119),
+)))
+@example(("arm", ScalpelState(
+    0.0,
+    (-16.796127502305158, -3.5809972205702727, -5.608730362841663),
+    (1.3633392785844651, 2.7353390510435096, 2.286689976675565),
+)))
+def test_filtered_scan_matches_the_per_face_oracle(case):
+    name, state = case
+    mesh = SCAN_MESHES[name][0]
+    p0 = np.asarray(state.tip)
+    dvec = np.asarray(state.tail) - p0
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = scan_hits(mesh, p0, dvec)
+        candidates = _crossing_candidates(mesh.vertices, mesh.faces, p0, dvec)
+        got = [
+            (fi, res)
+            for fi in candidates.tolist()
+            if (res := _face_hit(mesh.vertices, mesh.faces[fi], p0, dvec)) is not None
+        ]
+        assert [fi for fi, _ in got] == [fi for fi, _ in expected]
+        assert [bits(res) for _, res in got] == [bits(res) for _, res in expected]
+        assert outcome(scalpel_hit, mesh, state) == outcome(anchor_of, expected, p0, dvec)
+
+
+def test_scalpel_hit_matches_the_oracle_scan(cylinders, arm):
+    cases = [(cylinders.mesh, s) for s in random_segments(13, 15)]
+    cases += [(arm.mesh, s) for s in arm_strokes(6, 2)]
+    cases.append((cylinders.mesh, ScalpelState(0.0, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))))
+    for mesh, state in cases:
+        assert outcome(scalpel_hit, mesh, state) == outcome(scan_scalpel_hit, mesh, state)
+
+
+def test_filter_keeps_few_faces(cylinders, arm):
+    # a conservative filter that kept most faces would pass the properties
+    # above and win nothing; the bundled arm strokes run parallel to whole
+    # columns of faces, whose det is 0 to rounding
+    doc = json.loads(bundled_script_path("arm_tear.json").read_text())
+    (act,) = [a for a in validate_script(arm, doc) if a["action"] == "tear"]
+    for model, states, most in (
+        (cylinders, random_segments(3, 20), 0.05 * len(cylinders.mesh.faces)),
+        (arm, arm_strokes(4, 20), 4),
+        (arm, act["states"], 1),
+    ):
+        mesh = model.mesh
+        for s in states:
+            p0 = np.asarray(s.tip)
+            assert len(_crossing_candidates(mesh.vertices, mesh.faces, p0, np.asarray(s.tail) - p0)) <= most
+
+
 # ---------------------------------------------------------------- tear plane
 
 
@@ -329,6 +465,36 @@ def test_trace_dead_end_at_boundary(cylinders):
 
 def run_bundled_style_tear(model, m_from=3, m_to=20, delta=0.0):
     return tear(model, [radial(0.0, m_from * STEP), radial(1.0, m_to * STEP)], delta=delta)
+
+
+def test_torn_faces_stay_in_parent_order():
+    # three unit quads in a row, faces 0..5; the anchors sit in faces 0 and
+    # 5, so every face is split and the first and last split faces are the
+    # first and last faces
+    verts = [[i, j, 0.0] for i in range(4) for j in range(2)]
+    faces = [f for i in range(3) for f in ([2 * i, 2 * i + 2, 2 * i + 1], [2 * i + 1, 2 * i + 2, 2 * i + 3])]
+    model = RiggedModel(
+        Mesh(verts, faces),
+        (Bone(0, None, IDENTITY_TRS, IDENTITY_TRS),),
+        tuple(((0, 1.0),) for _ in verts),
+    )
+    states = [
+        ScalpelState(0.0, (1 / 3, 1 / 3, -1.0), (1 / 3, 1 / 3, 1.0)),
+        ScalpelState(1.0, (8 / 3, 2 / 3, -1.0), (8 / 3, 2 / 3, 1.0)),
+    ]
+    res = tear(model, states, delta=0.1)
+    path = res.paths[0]
+    assert (path.start.face, path.end.face) == (0, 5)
+    assert (path.start_index, path.end_index, path.point_indices) == (8, 9, (10, 11, 12, 13, 14))
+    assert path.duplicates == {10: (10, 15), 11: (11, 16), 12: (12, 17), 13: (13, 18), 14: (14, 19)}
+    assert res.model.mesh.faces.tolist() == [
+        [8, 0, 2], [8, 2, 10], [8, 15, 1], [8, 1, 0],  # face 0, fanned from the start anchor
+        [10, 2, 11], [15, 16, 3], [15, 3, 1],  # faces 1 to 4, from their entry points
+        [11, 2, 4], [11, 4, 12], [16, 17, 3],
+        [12, 4, 13], [17, 18, 5], [17, 5, 3],
+        [13, 4, 6], [13, 6, 14], [18, 19, 5],
+        [9, 5, 19], [9, 14, 6], [9, 6, 7], [9, 7, 5],  # face 5, from the end anchor
+    ]
 
 
 def test_single_face_nick_splits_without_duplicates(cylinders):
