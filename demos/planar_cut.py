@@ -13,9 +13,14 @@ from mvskin.algebra import make_plane
 from mvskin.animate import generate_keyframe, global_pose_at, skin_cga
 from mvskin.cut import cut
 from mvskin.quaternions import from_axis_angle
-from mvskin.rig import Mesh, Trs, compose_trs, export_obj, make_cylinders_model, mesh_area
+from mvskin.rig import Mesh, Trs, compose_trs, export_obj, make_cylinders_model
 
 OUT = Path("demo_out")
+
+
+def mesh_area(mesh):
+    p = mesh.vertices[mesh.faces]
+    return float(0.5 * np.sum(np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)))
 
 
 def main():

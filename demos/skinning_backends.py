@@ -48,10 +48,10 @@ def main():
         print("%-32s cga_sum vs cga  linf %.4f%%" % ("", 100 * out["linf_rel"]))
 
     # bind pose must be a fixed point of every backend
-    from mvskin.animate import SKIN_BACKENDS, bind_pose
+    from mvskin.animate import SKIN_BACKENDS
     import numpy as np
 
-    pose0 = bind_pose(model)
+    pose0 = global_pose_at(model, None, 0.0)
     for name, skinner in SKIN_BACKENDS.items():
         drift = float(np.max(np.abs(skinner(model, pose0).positions - model.mesh.vertices)))
         print("bind-pose drift (%s): %.2e" % (name, drift))

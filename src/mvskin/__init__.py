@@ -8,16 +8,12 @@ and tears them along scalpel paths, keeping every output deformable.
 from . import algebra, animate, cli, cut, errors, quaternions, rig, section, tear, weights
 from .algebra import (
     Multivector,
-    apply_versor,
-    blend_linear,
     down,
-    down_points,
     make_dilator,
     make_plane,
     make_rotor,
     make_translator,
     plane_distances,
-    transform_points,
     up,
     up_points,
     versor_inverse,
@@ -26,7 +22,6 @@ from .animate import (
     SKIN_BACKENDS,
     Pose,
     SkinnedFrame,
-    bind_pose,
     compare_backends,
     generate_keyframe,
     global_pose_at,
@@ -55,23 +50,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Multivector",
-    "apply_versor",
-    "blend_linear",
     "down",
-    "down_points",
     "make_dilator",
     "make_plane",
     "make_rotor",
     "make_translator",
     "plane_distances",
-    "transform_points",
     "up",
     "up_points",
     "versor_inverse",
     "SKIN_BACKENDS",
     "Pose",
     "SkinnedFrame",
-    "bind_pose",
     "compare_backends",
     "generate_keyframe",
     "global_pose_at",

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBlend, PointAtInfinity, SingularVersor
+from .errors import PointAtInfinity, SingularVersor
 
 __all__ = [
     "DIM",
@@ -65,14 +65,10 @@ __all__ = [
     "no",
     "ninf",
     "geometric_product",
-    "outer_product",
-    "left_contraction",
     "reverse",
-    "grade_project",
     "up",
     "down",
     "up_points",
-    "down_points",
     "up_block",
     "down_block",
     "make_rotor",
@@ -80,12 +76,8 @@ __all__ = [
     "make_translator",
     "make_dilator",
     "make_plane",
-    "apply_versor",
     "versor_inverse",
-    "normalize_versor",
-    "blend_linear",
     "sandwich_block",
-    "transform_points",
     "plane_distances",
 ]
 
@@ -150,29 +142,8 @@ _VERSOR_EPS = 1e-14
 
 
 _J = np.arange(DIM)[:, None]
-
-
-def _left(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) of x -> a x as a (j, k) matrix, over the (i, j) blade pairs keep selects.
-
-    The blade i with i * j = k is CAYLEY_BLADES[j, k].  A slot that keep
-    drops reads a[0] * +0.0, so every slot sums to one signed coefficient.
-    """
-    kept = keep[CAYLEY_BLADES, _J]
-    index = np.where(kept, CAYLEY_BLADES, 0)
-    sign = np.where(kept, CAYLEY_SIGNS[CAYLEY_BLADES, _J], 0.0)
-    index.flags.writeable = False
-    sign.flags.writeable = False
-    return index, sign
-
-
-# On an orthogonal basis the outer product keeps a basis pair iff the
-# product grade is the grade sum, and the left contraction iff it is the
-# grade difference.
-_OUT_GRADE = GRADES[CAYLEY_BLADES]
-_GP_LEFT = _left(np.full((DIM, DIM), True))
-_OUTER_LEFT = _left(_OUT_GRADE == GRADES[:, None] + GRADES[None, :])
-_LC_LEFT = _left(_OUT_GRADE == GRADES[None, :] - GRADES[:, None])
+# x -> a x as a (j, k) matrix: the blade i with i * j = k is CAYLEY_BLADES[j, k].
+_GP_LEFT = (CAYLEY_BLADES, CAYLEY_SIGNS[CAYLEY_BLADES, _J])
 # Rows and columns of the grade-1 block e1..e5 (see sandwich_block), contiguous:
 # x -> v x restricted to rows e1..e5, and y -> y w restricted to columns e1..e5.
 _G1 = slice(1, 6)
@@ -189,17 +160,16 @@ def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
     return x[index] * sign + 0.0
 
 
-def _product_pair(left: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # result[k] = sum_j b[j] a[left.index[j, k]] * left.sign[j, k]
-    return b @ _gathered(left, a)
+def _product_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (a b)[k] = sum_j b[j] a[_GP_LEFT.index[j, k]] * _GP_LEFT.sign[j, k]
+    return b @ _gathered(_GP_LEFT, a)
 
 
 class Multivector:
     """Immutable element of R(4,1): 32 blade coefficients.
 
-    Operators: ``*`` geometric product, ``^`` outer product, ``|`` left
-    contraction, ``~`` reversion, ``+``/``-`` linear combination, and
-    ``*``/``/`` with plain numbers for scaling.
+    Operators: ``*`` geometric product, ``~`` reversion, ``+``/``-`` linear
+    combination, and ``*``/``/`` with plain numbers for scaling.
     """
 
     __slots__ = ("_c",)
@@ -254,9 +224,6 @@ class Multivector:
     def scalar_part(self) -> float:
         return float(self._c[0])
 
-    def grade(self, k: int) -> "Multivector":
-        return grade_project(self, k)
-
     def __getitem__(self, key: int | str) -> float:
         if isinstance(key, str):
             if key not in _NAME_INDEX:
@@ -304,18 +271,6 @@ class Multivector:
             return Multivector._wrap(self._c / float(other))
         return NotImplemented
 
-    def __xor__(self, other) -> "Multivector":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return outer_product(self, other)
-
-    def __or__(self, other) -> "Multivector":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return left_contraction(self, other)
-
     def __invert__(self) -> "Multivector":
         return reverse(self)
 
@@ -359,35 +314,13 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Full geometric product ab."""
     a = _as_mv(a, "a")
     b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(_GP_LEFT, a.coeffs, b.coeffs))
-
-
-def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product a ^ b (grade-raising part of ab)."""
-    a = _as_mv(a, "a")
-    b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(_OUTER_LEFT, a.coeffs, b.coeffs))
-
-
-def left_contraction(a: Multivector, b: Multivector) -> Multivector:
-    """Left contraction a . b (grade-lowering part of ab)."""
-    a = _as_mv(a, "a")
-    b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(_LC_LEFT, a.coeffs, b.coeffs))
+    return Multivector._wrap(_product_pair(a.coeffs, b.coeffs))
 
 
 def reverse(a: Multivector) -> Multivector:
     """Reversion: each grade-k part picks up (-1)^(k(k-1)/2)."""
     a = _as_mv(a, "a")
     return Multivector._wrap(a.coeffs * _REVERSE_SIGNS)
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    """Grade-k part of a."""
-    a = _as_mv(a, "a")
-    if not 0 <= k <= 5:
-        raise ValueError(f"grade must be in 0..5, got {k}")
-    return Multivector._wrap(np.where(GRADES == k, a.coeffs, 0.0))
 
 
 # -- basis singletons --------------------------------------------------------
@@ -448,16 +381,8 @@ def up_block(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def down_points(X: np.ndarray) -> np.ndarray:
-    """Vectorized down(): (N, 32) conformal points to (N, 3) Euclidean."""
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != DIM:
-        raise ValueError(f"X must have shape (N, {DIM}), got {arr.shape}")
-    return down_block(arr[:, _G1])
-
-
 def down_block(X: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
-    """down_points() of (N, 5) e1..e5 coefficients.
+    """down() of each row of (N, 5) e1..e5 coefficients: (N, 3) Euclidean points.
 
     A point at infinity is named by its row, or by ids[row] when ids
     gives each row's vertex number.
@@ -554,56 +479,10 @@ def versor_inverse(V: Versor) -> Versor:
     """Inverse via reversal: reverse(V) / <V * reverse(V)>_0."""
     V = _as_mv(V, "V")
     rev = V.coeffs * _REVERSE_SIGNS
-    norm = float(_product_pair(_GP_LEFT, V.coeffs, rev)[0])
+    norm = float(_product_pair(V.coeffs, rev)[0])
     if abs(norm) < _VERSOR_EPS:
         raise SingularVersor(f"scalar norm {norm:.3e} is below {_VERSOR_EPS:g}")
     return Multivector._wrap(rev / norm)
-
-
-def normalize_versor(V: Versor) -> Versor:
-    """Scale V so that the scalar part of V * reverse(V) is 1."""
-    V = _as_mv(V, "V")
-    rev = V.coeffs * _REVERSE_SIGNS
-    norm2 = float(_product_pair(_GP_LEFT, V.coeffs, rev)[0])
-    if not (norm2 > _VERSOR_EPS and math.isfinite(norm2)):
-        raise DegenerateBlend(
-            f"versor norm squared {norm2:.3e} is not a usable positive scalar"
-        )
-    return Multivector._wrap(V.coeffs / math.sqrt(norm2))
-
-
-def apply_versor(V: Versor, X: Multivector) -> Multivector:
-    """Sandwich V X V^-1; grade-preserving for blades, versors compose by *."""
-    V = _as_mv(V, "V")
-    X = _as_mv(X, "X")
-    W = versor_inverse(V)
-    vx = _product_pair(_GP_LEFT, V.coeffs, X.coeffs)
-    return Multivector._wrap(_product_pair(_GP_LEFT, vx, W.coeffs))
-
-
-def blend_linear(pairs: Sequence[tuple[float, Versor]]) -> Versor:
-    """Normalized linear blend of weighted versors.
-
-    Weights must sum to 1 within 1e-9.  A single pair, or endpoint weights
-    (1, 0), reproduce the input versor exactly; otherwise the weighted
-    coefficient sum is renormalized, raising DegenerateBlend when the blend
-    collapses (e.g. antipodal rotors).
-    """
-    if not pairs:
-        raise ValueError("blend_linear needs at least one (weight, versor) pair")
-    weights = np.array([float(w) for w, _ in pairs])
-    if not np.all(np.isfinite(weights)):
-        raise ValueError(f"weights must be finite, got {weights}")
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-    versors = [_as_mv(v, "versor") for _, v in pairs]
-    live = [i for i, w in enumerate(weights) if w != 0.0]
-    if len(live) == 1 and weights[live[0]] == 1.0:
-        return versors[live[0]]
-    acc = np.zeros(DIM)
-    for i in live:
-        acc += weights[i] * versors[i].coeffs
-    return normalize_versor(Multivector._wrap(acc))
 
 
 # -- vectorized helpers ------------------------------------------------------
@@ -612,18 +491,13 @@ def sandwich_block(V: Versor) -> np.ndarray:
     """The (5, 5) matrix of the sandwich X -> V X V^-1 on grade 1, rows and columns e1..e5.
 
     A sandwich preserves grade, so this block is all it does to a point:
-    up_block(p) @ sandwich_block(V) is the e1..e5 part of apply_versor(V, up(p)).
+    up_block(p) @ sandwich_block(V) is the e1..e5 part of V up(p) V^-1.
     It is (x -> v x) on rows e1..e5 times (y -> y w) on columns e1..e5,
     each a signed gather of the Cayley table.
     """
     V = _as_mv(V, "V")
     W = versor_inverse(V)
     return _gathered(_G1_LEFT, V.coeffs) @ _gathered(_G1_RIGHT, W.coeffs)
-
-
-def transform_points(V: Versor, points: np.ndarray) -> np.ndarray:
-    """Apply a versor sandwich to (N, 3) Euclidean points: up, sandwich, down."""
-    return down_block(up_block(points) @ sandwich_block(V))
 
 
 def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:

@@ -24,10 +24,7 @@ Cayley-table term of each slot rather than contracting the table.  Every
 backend walks the model's cached bone groups (bone, rows, weights), so a
 frame does no per-bone search of the influence table; the lifted rest
 vertices and each vertex's dq pivot bone are cached per model the same
-way.  In-process, one
-BLAS thread, a 2-vCPU VM (median of three best-of-7 runs): skinning a cga
-frame went from 3.1 to 0.9 ms on the arm and from 12.3 to 4.6 ms on a
-64-bone tube with four influences per vertex, with every output byte kept.
+way.
 
 Sample times outside a track's key range clamp to the nearest key; a
 missing track holds the bone's local bind transform.  Tracks, if any,
@@ -64,7 +61,6 @@ __all__ = [
     "SkinnedFrame",
     "local_transform_at",
     "global_pose_at",
-    "bind_pose",
     "skin_cga",
     "skin_cga_sum",
     "skin_lbs",
@@ -154,11 +150,6 @@ def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose
     """Every bone's interpolated local transform at a time, parents first."""
     bones = parent_first(model.bones)
     return Pose(float(time), tuple((b, local_transform_at(model, clip, b.id, time)) for b in bones))
-
-
-def bind_pose(model: RiggedModel) -> Pose:
-    """Global bind transforms as a Pose (what an empty clip evaluates to)."""
-    return global_pose_at(model, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class PointAtInfinity(MvskinError):
 
 
 class DegenerateBlend(MvskinError):
-    """Linear versor blend collapsed to (near-)zero norm, e.g. antipodal rotors."""
+    """Quaternion nlerp collapsed to (near-)zero norm."""
 
 
 class NonConformalMatrix(MvskinError):

@@ -84,7 +84,6 @@ __all__ = [
     "model_from_dict",
     "dump_rig",
     "export_obj",
-    "mesh_area",
     "bbox_diagonal",
     "make_cylinders_model",
     "make_arm_model",
@@ -364,14 +363,6 @@ def chain(pairs, leaf, compose) -> dict:
 
 # ---------------------------------------------------------------------------
 # mesh utilities
-
-
-def mesh_area(mesh: Mesh) -> float:
-    if len(mesh.faces) == 0:
-        return 0.0
-    p = mesh.vertices[mesh.faces]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return float(0.5 * np.sum(np.linalg.norm(cross, axis=1)))
 
 
 def bbox_diagonal(mesh_or_vertices) -> float:

@@ -637,8 +637,8 @@ def tear(
 
     Consecutive scalpel states contribute one tear step each, chained
     through shared anchors.  `accel` probes scalpel hits through a
-    FaceBVH, the per-face box filter, instead of scanning every face;
-    the results are identical to the linear scan.
+    FaceBVH, the per-face box filter, instead of the default vectorized
+    pre-pass over all faces; the results are identical.
     """
     if len(scalpels) < 2:
         raise ValueError("a tear needs at least two scalpel states")

@@ -1,17 +1,19 @@
-"""Dense product tables for R(4,1), built without the package's Cayley table.
+"""Dense geometric product table for R(4,1), built without the package's Cayley table.
 
 Blades are generator index tuples in grade-then-lex order.  The blade
 product bubble-sorts the concatenated tuple (counting sign flips) and
 contracts adjacent duplicates with the metric.  The dense (32, 32, 32)
-tables and the argmax gathers read from them are the byte oracles the
-package's signed gathers are checked against.
+table and the argmax gathers read from it are the byte oracles the
+package's signed gathers are checked against; `sandwich` applies a versor
+to any multivector through it, and `transform_points` to Euclidean points
+through the package's grade-1 block.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from mvskin.algebra import versor_inverse
+from mvskin.algebra import Multivector, down_block, sandwich_block, up_block, versor_inverse
 
 METRIC = {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: -1.0}
 BASIS = tuple(t for k in range(6) for t in combinations(range(1, 6), k))
@@ -41,20 +43,17 @@ def oracle_blade_product(a: tuple, b: tuple) -> tuple[float, tuple]:
     return sign, tuple(out)
 
 
-def _dense_tables():
+def _dense_table():
     index = {t: i for i, t in enumerate(BASIS)}
     gp = np.zeros((DIM, DIM, DIM))
     for i, ta in enumerate(BASIS):
         for j, tb in enumerate(BASIS):
             sign, blade = oracle_blade_product(ta, tb)
             gp[i, j, index[blade]] = sign
-    grade = np.array([len(t) for t in BASIS])
-    g_i, g_j, g_k = grade[:, None, None], grade[None, :, None], grade[None, None, :]
-    # outer product: grades add; left contraction: the product grade is g_j - g_i
-    return gp, gp * (g_k == g_i + g_j), gp * (g_k == g_j - g_i)
+    return gp
 
 
-GP, OUTER, LC = _dense_tables()
+GP = _dense_table()
 
 
 def argmax_gather(table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,3 +67,19 @@ def dense_sandwich_matrix(V) -> np.ndarray:
     """Matrix M of X -> V X V^-1 in row convention: the sandwich is X.coeffs @ M."""
     W = versor_inverse(V).coeffs
     return np.tensordot(V.coeffs, GP, axes=(0, 0)) @ np.tensordot(GP, W, axes=(1, 0))
+
+
+def sandwich(V, X) -> Multivector:
+    """V X V^-1 for any multivector X, as the dense products (V X) V^-1.
+
+    Two products rather than X @ dense_sandwich_matrix(V): composing the
+    matrix first adds rounding that the 1e-12 bounds of the versor action
+    tests do not allow.
+    """
+    vx = X.coeffs @ np.tensordot(V.coeffs, GP, axes=(0, 0))
+    return Multivector(versor_inverse(V).coeffs @ np.tensordot(vx, GP, axes=(0, 0)))
+
+
+def transform_points(V, points) -> np.ndarray:
+    """(N, 3) Euclidean points moved by the versor V: up, grade-1 sandwich, down."""
+    return down_block(up_block(points) @ sandwich_block(V))

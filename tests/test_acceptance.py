@@ -25,10 +25,8 @@ from mvskin.algebra import (
     make_plane,
     plane_distances,
     reverse,
-    transform_points,
 )
 from mvskin.animate import (
-    bind_pose,
     compare_backends,
     generate_keyframe,
     global_pose_at,
@@ -44,11 +42,13 @@ from mvskin.rig import (
     compose_trs,
     make_arm_model,
     make_cylinders_model,
-    mesh_area,
     trs_matrix,
     trs_versor,
 )
 from mvskin.tear import FaceBVH, ScalpelState, open_tear, scalpel_hit, tear
+
+from cga_oracle import transform_points
+from mesh_helpers import mesh_area
 
 BACKENDS = {"cga": skin_cga, "lbs": skin_lbs, "dq": skin_dq}
 
@@ -172,7 +172,7 @@ def test_criterion_3_bind_and_single_influence():
     for make in (make_cylinders_model, make_arm_model):
         model = make()
         rest = model.mesh.vertices
-        pose0 = bind_pose(model)
+        pose0 = global_pose_at(model, None, 0.0)
         for skinner in BACKENDS.values():
             worst_bind = max(
                 worst_bind, float(np.max(np.abs(skinner(model, pose0).positions - rest)))
@@ -394,17 +394,17 @@ def test_criterion_7_performance_reported():
 
     states = _bundled_states("arm_tear.json")
     mesh = arm.mesh
-    started = time.perf_counter()
-    linear = [scalpel_hit(mesh, s) for s in states]
-    linear_s = time.perf_counter() - started
-
     bvh = FaceBVH(mesh)
     reps = 20
-    started = time.perf_counter()
-    for _ in range(reps):
-        accel = [scalpel_hit(mesh, s, bvh) for s in states]
-    accel_s = (time.perf_counter() - started) / reps
-    speedup = linear_s / accel_s if accel_s > 0 else float("inf")
+
+    def per_hit_ms(probe):
+        started = time.perf_counter()
+        for _ in range(reps):
+            hits = [probe(s) for s in states]
+        return hits, (time.perf_counter() - started) * 1000 / (reps * len(states))
+
+    linear, linear_ms = per_hit_ms(lambda s: scalpel_hit(mesh, s))
+    accel, accel_ms = per_hit_ms(lambda s: scalpel_hit(mesh, s, bvh))
 
     identical = all(
         np.array_equal(a.point, b.point) and a.face == b.face and np.array_equal(a.bary, b.bary)
@@ -414,8 +414,9 @@ def test_criterion_7_performance_reported():
     report(
         7,
         ok,
-        f"arm cut {cut_s * 1000:.0f} ms (soft < 2000 ms), scalpel-hit speedup "
-        f"{speedup:.0f}x (soft >= 10x), accelerator bit-identical={identical} (gated)",
+        f"arm cut {cut_s * 1000:.0f} ms (soft < 2000 ms), scalpel hit per stroke "
+        f"{linear_ms:.2f} ms default pre-pass, {accel_ms:.2f} ms FaceBVH, "
+        f"accelerator bit-identical={identical} (gated)",
     )
 
 

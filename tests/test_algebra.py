@@ -5,7 +5,7 @@ package: blades are generator index tuples, products are computed by
 bubble-sorting the concatenated tuple (counting sign flips) and
 contracting adjacent duplicates with the metric.  The package's Cayley
 table and every gather derived from it must match the oracle's dense
-tables exactly, and every versor constructor is checked against a plain
+table exactly, and every versor constructor is checked against a plain
 matrix or quaternion oracle.
 """
 
@@ -25,40 +25,39 @@ from mvskin.algebra import (
     DIM,
     GRADES,
     Multivector,
-    apply_versor,
-    blend_linear,
     down,
     down_block,
-    down_points,
     e1,
     e2,
     e3,
     e4,
     e5,
     geometric_product,
-    grade_project,
-    left_contraction,
     make_dilator,
     make_plane,
     make_rotor,
     make_translator,
     ninf,
     no,
-    normalize_versor,
-    outer_product,
     plane_distances,
     reverse,
     rotor_from_quaternion,
     sandwich_block,
-    transform_points,
     up,
     up_block,
     up_points,
     versor_inverse,
 )
-from mvskin.errors import DegenerateBlend, PointAtInfinity, SingularVersor
+from mvskin.errors import PointAtInfinity, SingularVersor
 
-from cga_oracle import GP, LC, OUTER, argmax_gather, dense_sandwich_matrix, oracle_blade_product
+from cga_oracle import (
+    GP,
+    argmax_gather,
+    dense_sandwich_matrix,
+    oracle_blade_product,
+    sandwich,
+    transform_points,
+)
 
 
 def rotation_matrix(axis, angle):
@@ -118,8 +117,9 @@ def test_metric_signature():
 def test_null_vectors():
     assert not (no * no).coeffs.any()
     assert not (ninf * ninf).coeffs.any()
-    assert left_contraction(no, ninf).scalar_part == -1.0
-    assert left_contraction(ninf, no).scalar_part == -1.0
+    # the scalar part of a product of vectors is their inner product
+    assert (no * ninf).scalar_part == -1.0
+    assert (ninf * no).scalar_part == -1.0
 
 
 # -- algebraic laws ----------------------------------------------------------
@@ -133,41 +133,10 @@ def test_associativity_distributivity_reversion():
         assert rel_err(reverse(a * b).coeffs, (reverse(b) * reverse(a)).coeffs) < 1e-12
 
 
-def test_grade_projection_partitions():
-    rng = np.random.default_rng(8)
-    a = random_mv(rng)
-    total = sum((grade_project(a, k) for k in range(6)), Multivector.zero())
-    assert np.array_equal(total.coeffs, a.coeffs)
-    g2 = grade_project(a, 2)
-    assert np.array_equal(grade_project(g2, 2).coeffs, g2.coeffs)
-    assert not grade_project(g2, 3).coeffs.any()
-    with pytest.raises(ValueError):
-        grade_project(a, 6)
-
-
-def test_outer_and_contraction_match_graded_definition():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        a, b = random_mv(rng), random_mv(rng)
-        outer = np.zeros(DIM)
-        contr = np.zeros(DIM)
-        for r in range(6):
-            for s in range(6):
-                part = geometric_product(grade_project(a, r), grade_project(b, s))
-                if r + s <= 5:
-                    outer += grade_project(part, r + s).coeffs
-                if s - r >= 0:
-                    contr += grade_project(part, s - r).coeffs
-        assert rel_err(outer_product(a, b).coeffs, outer) < 1e-12
-        assert rel_err(left_contraction(a, b).coeffs, contr) < 1e-12
-
-
 def test_operator_sugar():
     rng = np.random.default_rng(10)
     a, b = random_mv(rng), random_mv(rng)
     assert (a * b) == geometric_product(a, b)
-    assert (a ^ b) == outer_product(a, b)
-    assert (a | b) == left_contraction(a, b)
     assert (~a) == reverse(a)
     assert (2.0 * a) == (a * 2.0)
     assert (a / 2.0) == (a * 0.5)
@@ -188,7 +157,7 @@ def test_up_down_round_trip():
     pts = rng.normal(scale=10.0, size=(50, 3))
     for p in pts:
         assert rel_err(down(up(p)), p) < 1e-12
-    assert rel_err(down_points(up_points(pts)), pts) < 1e-12
+    assert rel_err(down_block(up_block(pts)), pts) < 1e-12
 
 
 def test_down_is_scale_invariant():
@@ -201,7 +170,7 @@ def test_down_rejects_point_at_infinity():
     with pytest.raises(PointAtInfinity):
         down(ninf)
     with pytest.raises(PointAtInfinity):
-        down_points(np.stack([up([1, 2, 3]).coeffs, ninf.coeffs]))
+        down_block(np.stack([up([1, 2, 3]).coeffs, ninf.coeffs])[:, 1:6])
 
 
 def test_up_of_origin_is_no():
@@ -212,7 +181,7 @@ def test_up_of_origin_is_no():
 
 def test_rotor_quarter_turn():
     R = make_rotor([0.0, 0.0, 1.0], math.pi / 2)
-    assert rel_err(down(apply_versor(R, up([1, 0, 0]))), [0, 1, 0]) < 1e-12
+    assert rel_err(down(sandwich(R, up([1, 0, 0]))), [0, 1, 0]) < 1e-12
 
 
 def test_rotor_matches_rotation_matrix():
@@ -224,7 +193,7 @@ def test_rotor_matches_rotation_matrix():
         R = make_rotor(axis, angle)
         mat = rotation_matrix(axis, angle)
         p = rng.normal(scale=5.0, size=3)
-        assert rel_err(down(apply_versor(R, up(p))), mat @ p) < 1e-12
+        assert rel_err(down(sandwich(R, up(p))), mat @ p) < 1e-12
 
 
 def test_rotor_quaternion_compatibility():
@@ -233,7 +202,7 @@ def test_rotor_quaternion_compatibility():
         q = random_quaternion(rng)
         R = rotor_from_quaternion(q)
         p = rng.normal(scale=3.0, size=3)
-        assert rel_err(down(apply_versor(R, up(p))), quat_rotate(q, p)) < 1e-12
+        assert rel_err(down(sandwich(R, up(p))), quat_rotate(q, p)) < 1e-12
     # axis-angle quaternion equals the rotor constructor coefficient for coefficient
     axis = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
     angle = 0.7
@@ -249,7 +218,7 @@ def test_translator_action():
         t = rng.normal(scale=10.0, size=3)
         p = rng.normal(scale=10.0, size=3)
         T = make_translator(t)
-        assert rel_err(down(apply_versor(T, up(p))), p + t) < 1e-12
+        assert rel_err(down(sandwich(T, up(p))), p + t) < 1e-12
 
 
 def test_dilator_scales_points_about_origin():
@@ -258,7 +227,7 @@ def test_dilator_scales_points_about_origin():
         s = float(rng.uniform(0.1, 10.0))
         p = rng.normal(scale=5.0, size=3)
         D = make_dilator(s)
-        assert rel_err(down(apply_versor(D, up(p))), s * p) < 1e-12
+        assert rel_err(down(sandwich(D, up(p))), s * p) < 1e-12
     # frozen coefficients: s = 4 gives cosh(ln 2) = 1.25, sinh(ln 2) = 0.75
     D4 = make_dilator(4.0)
     assert D4.coeffs[0] == pytest.approx(1.25, abs=1e-15)
@@ -269,7 +238,7 @@ def test_dilator_scales_points_about_origin():
 
 def test_dilator_fixes_origin():
     D = make_dilator(2.5)
-    assert rel_err(down(apply_versor(D, up([0, 0, 0]))), [0, 0, 0]) < 1e-15
+    assert rel_err(down(sandwich(D, up([0, 0, 0]))), [0, 0, 0]) < 1e-15
 
 
 def test_motor_matches_trs_matrix_action():
@@ -346,83 +315,12 @@ def test_singular_versor_rejected():
         versor_inverse(ninf)  # null vector has zero scalar norm
 
 
-def test_normalize_versor_unit_norm():
-    rng = np.random.default_rng(18)
-    V = make_translator([2, 0, 1]) * make_rotor([0, 1, 0], 0.9)
-    scaled = Multivector(3.3 * V.coeffs)
-    N = normalize_versor(scaled)
-    assert rel_err((N * reverse(N)).coeffs, Multivector.scalar(1.0).coeffs) < 1e-12
-    with pytest.raises(DegenerateBlend):
-        normalize_versor(Multivector.zero())
-
-
 def test_apply_versor_preserves_blade_grade():
     V = make_translator([1, -2, 0.5]) * make_rotor([0, 0, 1], 1.1) * make_dilator(1.3)
     X = up([0.7, 0.2, -0.9])
-    out = apply_versor(V, X)
+    out = sandwich(V, X)
     off_grade = out.coeffs[GRADES != 1]
     assert np.abs(off_grade).max() < 1e-12 * max(1.0, np.abs(out.coeffs).max())
-
-
-# -- blending -----------------------------------------------------------------
-
-def test_blend_endpoints_exact():
-    V1 = make_rotor([0, 0, 1], 0.3)
-    V2 = make_rotor([0, 1, 0], 1.2)
-    assert blend_linear([(1.0, V1), (0.0, V2)]) == V1
-    assert blend_linear([(0.0, V1), (1.0, V2)]) == V2
-    assert blend_linear([(1.0, V1)]) == V1
-
-
-def test_blend_equal_inputs_is_identity():
-    V = make_translator([1, 2, 3]) * make_rotor([1, 0, 0], 0.8)
-    out = blend_linear([(0.3, V), (0.7, V)])
-    assert rel_err(out.coeffs, V.coeffs) < 1e-14
-
-
-def test_blend_matches_quaternion_nlerp():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        q1, q2 = random_quaternion(rng), random_quaternion(rng)
-        if np.dot(q1, q2) < 0:
-            q2 = -q2
-        w = float(rng.uniform(0.05, 0.95))
-        qb = (1 - w) * q1 + w * q2
-        qb /= np.linalg.norm(qb)
-        blended = blend_linear(
-            [(1 - w, rotor_from_quaternion(q1)), (w, rotor_from_quaternion(q2))]
-        )
-        assert rel_err(blended.coeffs, rotor_from_quaternion(qb).coeffs) < 1e-12
-
-
-def test_blend_half_rotation():
-    out = blend_linear(
-        [(0.5, Multivector.scalar(1.0)), (0.5, make_rotor([0, 0, 1], 1.0))]
-    )
-    assert rel_err(out.coeffs, make_rotor([0, 0, 1], 0.5).coeffs) < 1e-12
-
-
-def test_blend_of_translators_is_linear():
-    T1, T2 = make_translator([1, 0, 0]), make_translator([0, 4, 0])
-    out = blend_linear([(0.25, T1), (0.75, T2)])
-    assert rel_err(out.coeffs, make_translator([0.25, 3.0, 0.0]).coeffs) < 1e-12
-
-
-def test_blend_antipodal_rotors_degenerate():
-    R = make_rotor([0, 0, 1], 0.4)
-    anti = Multivector(-R.coeffs)
-    with pytest.raises(DegenerateBlend):
-        blend_linear([(0.5, R), (0.5, anti)])
-
-
-def test_blend_weight_validation():
-    V = make_rotor([0, 0, 1], 0.1)
-    with pytest.raises(ValueError):
-        blend_linear([])
-    with pytest.raises(ValueError):
-        blend_linear([(0.4, V), (0.4, V)])  # weights sum to 0.8
-    with pytest.raises(ValueError):
-        blend_linear([(np.nan, V), (1.0, V)])
 
 
 # -- planes -------------------------------------------------------------------
@@ -443,7 +341,7 @@ def test_plane_transforms_covariantly_under_rigid_motion():
     n = np.array([0.0, 0.0, 1.0])
     plane = make_plane(n, 1.0)
     V = make_translator([3, -1, 2]) * make_rotor([0, 1, 0], 0.7)
-    moved_plane = apply_versor(V, plane)
+    moved_plane = sandwich(V, plane)
     pts = rng.normal(scale=4.0, size=(30, 3))
     moved_pts = transform_points(V, pts)
     # distance to the moved plane at moved points equals the original distance
@@ -453,7 +351,7 @@ def test_plane_transforms_covariantly_under_rigid_motion():
 def test_sandwich_block_agrees_with_apply_versor():
     V = make_translator([1, 2, -1]) * make_rotor([1, 0, 0], 0.5) * make_dilator(0.8)
     p = np.array([0.4, -2.0, 1.1])
-    moved = apply_versor(V, up(p)).coeffs
+    moved = sandwich(V, up(p)).coeffs
     assert rel_err(up_block(p[None])[0] @ sandwich_block(V), moved[1:6]) < 1e-12
     assert rel_err(moved[GRADES != 1], 0.0) < 1e-12
 
@@ -482,28 +380,17 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize(
-    "left, table",
-    [
-        (algebra._GP_LEFT, GP),
-        (algebra._OUTER_LEFT, OUTER),
-        (algebra._LC_LEFT, LC),
-    ],
-    ids=["geometric", "outer", "left_contraction"],
-)
-def test_product_pair_gather_matches_tensordot(left, table):
+def test_product_pair_gather_matches_tensordot():
     rng = np.random.default_rng(5)
     for _ in range(300):
         a, b = random_sparse(rng), random_sparse(rng)
-        assert same_bytes(algebra._product_pair(left, a, b), b @ np.tensordot(a, table, axes=(0, 0)))
+        assert same_bytes(algebra._product_pair(a, b), b @ np.tensordot(a, GP, axes=(0, 0)))
 
 
 def test_gathers_equal_argmax_gathers_of_the_oracle_table():
-    # element for element, signed zeros included: a dropped slot reads index 0, sign +0.0
+    # element for element, signed zeros included
     expected = {
         "_GP_LEFT": argmax_gather(GP, 0),
-        "_OUTER_LEFT": argmax_gather(OUTER, 0),
-        "_LC_LEFT": argmax_gather(LC, 0),
         "_G1_LEFT": tuple(x[1:6] for x in argmax_gather(GP, 0)),
         "_G1_RIGHT": tuple(x[:, 1:6] for x in argmax_gather(GP, 1)),
     }
@@ -517,16 +404,14 @@ def test_gathers_equal_argmax_gathers_of_the_oracle_table():
 def test_gathered_contraction_matches_tensordot(axis):
     # one nonzero per slot is what lets a gather replace each contraction
     rng = np.random.default_rng(4)
-    for table in (GP, OUTER, LC):
-        assert np.count_nonzero(table, axis=axis).max() == 1
+    assert np.count_nonzero(GP, axis=axis).max() == 1
     if axis:
         cases = [(algebra._G1_RIGHT, lambda x: np.tensordot(GP, x, axes=(1, 0))[:, 1:6])]
     else:
         cases = [
-            (left, lambda x, table=table: np.tensordot(x, table, axes=(0, 0)))
-            for left, table in ((algebra._GP_LEFT, GP), (algebra._OUTER_LEFT, OUTER), (algebra._LC_LEFT, LC))
+            (algebra._GP_LEFT, lambda x: np.tensordot(x, GP, axes=(0, 0))),
+            (algebra._G1_LEFT, lambda x: np.tensordot(x, GP, axes=(0, 0))[1:6]),
         ]
-        cases.append((algebra._G1_LEFT, lambda x: np.tensordot(x, GP, axes=(0, 0))[1:6]))
     for gather, dense in cases:
         for _ in range(100):
             x = random_sparse(rng)
@@ -551,8 +436,6 @@ def test_block_images_match_full_images():
         images = up_block(pts) @ sandwich_block(V)
         full = up_points(pts) @ dense_sandwich_matrix(V)
         assert same_bytes(images, full[:, 1:6])
-        assert same_bytes(down_block(images), down_points(full))
-        assert same_bytes(transform_points(V, pts), down_points(full))
 
 
 def test_down_block_names_the_failing_row_or_its_id():
@@ -578,11 +461,11 @@ def test_down_matches_down_points_row_for_row():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(300, DIM))
     X[:100] = up_points(rng.normal(scale=10.0, size=(100, 3)))
-    for row, expect in zip(X, down_points(X)):
+    for row, expect in zip(X, down_block(X[:, 1:6])):
         assert same_bytes(down(Multivector(row)), expect)
     X[7] = ninf.coeffs
     with pytest.raises(PointAtInfinity, match="point 7:"):
-        down_points(X)
+        down_block(X[:, 1:6])
     with pytest.raises(PointAtInfinity):
         down(Multivector(X[7]))
     with pytest.raises(ValueError):
@@ -597,7 +480,8 @@ def test_plane_distances_match_dense_contraction():
     planes = [make_plane(n, d) for n in ((0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (0.6, -0.0, -0.8),
                                           (-0.0, -0.0, 1.0), (-0.0, 1.0, 0.0)) for d in (0.0, -0.0, 2.5)]
     for plane in planes:
-        dense = up_points(pts) @ (LC[:, :, 0] @ plane.coeffs)
+        # the scalar part of the contraction x . plane is that of the product x plane
+        dense = up_points(pts) @ (GP[:, :, 0] @ plane.coeffs)
         assert same_bytes(plane_distances(pts, plane), dense)
 
 
@@ -619,5 +503,5 @@ def test_up_down_round_trip_property(p):
 )
 def test_dilator_action_property(s, p):
     # wide scale range: conformal coefficients span ~s*p^2, so allow 1e-8
-    got = down(apply_versor(make_dilator(s), up(p)))
+    got = down(sandwich(make_dilator(s), up(p)))
     assert rel_err(got, s * np.asarray(p)) < 1e-8

@@ -13,16 +13,14 @@ import pytest
 import mvskin.quaternions as quat
 import mvskin.rig
 from mvskin.algebra import (
-    down_points,
+    down_block,
     geometric_product,
     make_plane,
-    transform_points,
     up_block,
     up_points,
 )
 from mvskin.animate import (
     SKIN_BACKENDS,
-    bind_pose,
     compare_backends,
     generate_keyframe,
     global_pose_at,
@@ -51,7 +49,7 @@ from mvskin.rig import (
 from mvskin.tear import open_tear, tear
 from mvskin.weights import SkinWeights
 
-from cga_oracle import dense_sandwich_matrix
+from cga_oracle import dense_sandwich_matrix, transform_points
 
 
 def chain_model(n_bones=3, step=(0.0, 0.0, 1.0)):
@@ -247,7 +245,7 @@ def test_each_backend_builds_only_its_own_chain(monkeypatch):
 
 def test_bind_pose_versors_act_as_bind():
     m = make_cylinders_model()
-    pose = bind_pose(m)
+    pose = global_pose_at(m, None, 0.0)
     joint = np.array([[0.0, 0.0, 0.0]])
     img = transform_points(pose.versors[2], joint)
     assert np.allclose(img, [[0.0, 0.0, 2 * 20.0 / 3.0]], atol=1e-12)
@@ -259,7 +257,7 @@ def test_bind_pose_versors_act_as_bind():
 
 def test_bind_pose_fixed_point_all_backends():
     m = make_cylinders_model()
-    pose = bind_pose(m)
+    pose = global_pose_at(m, None, 0.0)
     for name, fn in SKIN_BACKENDS.items():
         frame = fn(m, pose)
         assert frame.backend == name
@@ -500,7 +498,7 @@ def test_numerical_failure_names_vertex():
     bad = Mesh(np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 1.0, 0.0],
                          [5.0, 5.0, 5.0], [5.0, 6.0, 5.0]]), m.mesh.faces)
     m = RiggedModel(bad, m.bones, m.weights, {})
-    pose = bind_pose(m)
+    pose = global_pose_at(m, None, 0.0)
     with pytest.raises(NumericalFailure, match="vertex 1"):
         skin_lbs(m, pose)
     with pytest.raises(NumericalFailure, match="vertex 1"):
@@ -578,8 +576,8 @@ def dense_conformal_frame(model, pose, project_each):
             rows, cols = np.nonzero(ids == bone_id)
             V = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
             X = lifted[rows] @ dense_sandwich_matrix(V)
-            out[rows] += ws[rows, cols][:, None] * (down_points(X) if project_each else X)
-        return out if project_each else down_points(out)
+            out[rows] += ws[rows, cols][:, None] * (down_block(X[:, 1:6]) if project_each else X)
+        return out if project_each else down_block(out[:, 1:6])
 
 
 @pytest.mark.parametrize("name", ["cylinders", "arm", "tube16"])
@@ -659,7 +657,7 @@ def test_cga_point_at_infinity_names_the_mesh_vertex():
     torn = tear(m, act["states"], delta=act["delta"]).model
     for fn in (skin_cga, skin_cga_sum):
         with pytest.raises(PointAtInfinity) as info:
-            fn(torn, bind_pose(torn))
+            fn(torn, global_pose_at(torn, None, 0.0))
         vertex = int(re.match(r"point (\d+):", str(info.value)).group(1))
         assert np.linalg.norm(torn.mesh.vertices[vertex]) > 1e8
 
@@ -670,7 +668,7 @@ def test_cga_point_at_infinity_names_the_mesh_vertex():
 
 def test_compare_backend_with_itself_is_zero():
     m = make_cylinders_model()
-    pose = bind_pose(m)
+    pose = global_pose_at(m, None, 0.0)
     r = compare_backends(m, pose, reference="cga", test="cga")
     assert r["linf_rel"] == 0.0 and r["mean_rel"] == 0.0
 
@@ -678,7 +676,7 @@ def test_compare_backend_with_itself_is_zero():
 def test_compare_unknown_backend():
     m = make_cylinders_model()
     with pytest.raises(SchemaError, match="unknown skinning backend"):
-        compare_backends(m, bind_pose(m), reference="cga", test="nurbs")
+        compare_backends(m, global_pose_at(m, None, 0.0), reference="cga", test="nurbs")
 
 
 def test_compare_rotation_pose_within_two_percent():

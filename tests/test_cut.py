@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvskin.algebra import (
-    apply_versor,
     geometric_product,
     make_plane,
     make_rotor,
     make_translator,
-    transform_points,
 )
 from mvskin.animate import (
     SKIN_BACKENDS,
@@ -35,12 +33,14 @@ from mvskin.rig import (
     Trs,
     bbox_diagonal,
     make_cylinders_model,
-    mesh_area,
     validate_model,
 )
 from mvskin.quaternions import from_axis_angle
 from mvskin.section import Section, section_eps
 from mvskin.tear import tear
+
+from cga_oracle import sandwich, transform_points
+from mesh_helpers import mesh_area
 
 
 def one_bone_model(verts, faces):
@@ -448,7 +448,7 @@ def test_cut_commutes_with_rigid_motion(cylinders):
         cylinders.clips,
     )
     res_a = cut(cylinders, plane)
-    res_b = cut(moved, apply_versor(versor, plane))
+    res_b = cut(moved, sandwich(versor, plane))
     # identical combinatorics
     assert np.array_equal(res_a.m1.mesh.faces, res_b.m1.mesh.faces)
     assert np.array_equal(res_a.m2.mesh.faces, res_b.m2.mesh.faces)

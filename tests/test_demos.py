@@ -1,4 +1,8 @@
-"""Every script under demos/ runs to completion against the package sources."""
+"""Every script under demos/ runs to completion against the package sources.
+
+Each demo runs with -W error: the pytest warning filters do not reach a
+subprocess, and a demo that warns should fail here as a test would.
+"""
 
 import os
 import subprocess
@@ -18,7 +22,7 @@ def test_demo_runs(demo, tmp_path):
     src = str(Path(mvskin.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

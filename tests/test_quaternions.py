@@ -1,9 +1,10 @@
-"""The broadcasting quaternion extraction against its one-matrix oracle."""
+"""The broadcasting quaternion extraction against its one-matrix oracle, and nlerp's degenerate blends."""
 
 import numpy as np
 import pytest
 
 import mvskin.quaternions as quat
+from mvskin.errors import DegenerateBlend
 
 from quaternion_oracle import scalar_from_matrix, shepperd_branch
 
@@ -77,3 +78,13 @@ def test_from_matrix_rejects_unnormalizable_input_like_the_oracle():
         quat.from_matrix(bad)
     with pytest.raises(ValueError, match="cannot normalize quaternion with norm nan"):
         scalar_from_matrix(bad[1])
+
+
+@pytest.mark.parametrize(
+    "a, b, t",
+    [((1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0), -1.0), ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 0.5)],
+    ids=["cancelling-extrapolation", "zero"],
+)
+def test_nlerp_raises_degenerate_blend_on_a_zero_blend(a, b, t):
+    with pytest.raises(DegenerateBlend, match="collapsed to zero"):
+        quat.nlerp(a, b, t)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
 import mvskin.rig
-from mvskin.algebra import transform_points
 from mvskin.errors import (
     HierarchyError,
     MeshError,
@@ -36,7 +35,6 @@ from mvskin.rig import (
     load_rig,
     make_arm_model,
     make_cylinders_model,
-    mesh_area,
     model_from_dict,
     save_rig,
     trs_matrix,
@@ -44,6 +42,9 @@ from mvskin.rig import (
     validate_mesh,
     validate_model,
 )
+
+from cga_oracle import transform_points
+from mesh_helpers import mesh_area
 
 
 def boundary_edge_count(faces):

@@ -37,7 +37,6 @@ from mvskin.rig import (
     bbox_diagonal,
     make_arm_model,
     make_cylinders_model,
-    mesh_area,
     validate_model,
 )
 from mvskin.tear import (
@@ -53,6 +52,7 @@ from mvskin.tear import (
     trace_surface_path,
 )
 
+from mesh_helpers import mesh_area
 from tear_oracle import anchor_of, scan_hits, scan_scalpel_hit
 
 STEP = 2.0 * math.pi / 62.0  # one band face at mid-height on the cylinders
