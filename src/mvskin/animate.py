@@ -166,14 +166,14 @@ def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
     """
     out = np.zeros((len(model.mesh.vertices), width))
     with np.errstate(all="ignore"):
-        for bone_id, rows, weights in model.bone_groups:
+        for bone_id, rows, weights in model.weights.bone_groups:
             out[rows] += weights[:, None] * image(bone_id, rows)
     return out
 
 
 def _sandwich_images(model: RiggedModel, pose: Pose):
     """image(bone, rows): grade-1 sandwich images (k, 5), on e1..e5, of the lifted rows."""
-    lifted = model.lifted_vertices
+    lifted = model.mesh.lifted_vertices
 
     def image(bone_id, rows):
         deform = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
@@ -234,7 +234,7 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
         parts = np.column_stack([real, dual, scale])
 
     # the real part of each distinct pivot bone, by slot; a row with no pivot bone reads zeros
-    pivots, pivot_of_row = model.pivot_bones
+    pivots, pivot_of_row = model.weights.pivot_bones
     pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
     def image(bone_id, rows):
@@ -271,7 +271,12 @@ def compare_backends(
     diff = new - ref
     diag = bbox_diagonal(model.mesh)
     denom = diag if diag > 0.0 else 1.0
-    per_vertex = np.linalg.norm(diff, axis=1) if len(diff) else np.zeros(0)
+    with np.errstate(over="ignore"):
+        per_vertex = np.linalg.norm(diff, axis=1) if len(diff) else np.zeros(0)
+    # rows whose squared norm overflowed (a difference beyond ~1.3e154): rescaled
+    far = np.isinf(per_vertex) & np.isfinite(diff).all(axis=1)
+    top = np.abs(diff[far]).max(axis=1)
+    per_vertex[far] = top * np.linalg.norm(diff[far] / top[:, None], axis=1)
     linf = float(np.max(np.abs(diff))) if len(diff) else 0.0
     return {
         "reference": reference,
@@ -286,10 +291,6 @@ def compare_backends(
 
 # ---------------------------------------------------------------------------
 # keyframe editing
-
-
-# RiggedModel's cached properties, none of which reads the clips
-_CLIP_FREE_CACHES = ("_bone_by_id", "bone_groups", "lifted_vertices", "pivot_bones")
 
 
 def generate_keyframe(
@@ -309,7 +310,4 @@ def generate_keyframe(
     tracks[bone_id] = tuple(keys)
     clips = dict(model.clips)
     clips[clip] = tracks
-    keyed = replace(model, clips=clips)
-    # the mesh, bones and weights are the same objects, so are their caches
-    keyed.__dict__.update((k, v) for k, v in model.__dict__.items() if k in _CLIP_FREE_CACHES)
-    return keyed
+    return replace(model, clips=clips)

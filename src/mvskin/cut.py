@@ -6,17 +6,17 @@ original vertices keep their true positions.  Then:
 
 * A face whose corners share a side goes to that half: M1 (positive) or
   M2 (negative).  These faces are renumbered in one array pass.
-* A crossed face always has exactly two straddling edges.  Only the
-  crossed faces are walked, in ascending id.  Each straddling edge
-  yields exactly one CutPoint the first time the walk meets it, so
-  ordinals follow face-scan order; its weights interpolate
-  along the edge, truncated to four influences.  The face splits into
+* Each straddling edge of the section's edge table is one CutPoint, so
+  ordinals follow the order in which a scan of the crossed faces, in
+  ascending id, first meets the edges; its weights interpolate along the
+  edge, truncated to four influences.  An edge on more than two faces
+  raises NonManifoldCut.
+* Only the crossed faces are walked, in ascending id.  Each splits into
   three children: one triangle on the lone-vertex side and two tiling
   the quad on the other, split along its shorter diagonal.  Ties and
   near-ties (1e-9 relative) take the diagonal from the first cut point,
   which keeps the choice stable under rigid motion.  Children inherit
-  the parent's winding.  The face also links its two cut points, and
-  counts as a border of both cut edges.
+  the parent's winding.
 
 Each half lists its faces in the order of the faces they come from,
 the children of a crossed face in the order given above.
@@ -26,9 +26,9 @@ bones, weights, and clips, and pass load-time validation.  The cut is
 left open: no cap faces.  A plane that misses the mesh returns the
 original model as M1 and an empty M2, whichever side it lies on.
 
-The seam is also reported as ordered polylines, chained from the links
-the walk recorded: runs of CutPoints in which consecutive entries share
-a cut face, closed where the section loops around the surface and open
+The seam is also reported as ordered polylines, the chains of the
+section walk: runs of CutPoints in which consecutive entries share a
+cut face, closed where the section loops around the surface and open
 where it runs off a boundary.
 """
 
@@ -69,36 +69,6 @@ class CutResult:
     cut_points: tuple
 
 
-def _chains(links: list) -> list:
-    """Ordinal chains over the links (ordinal -> neighbor ordinals).
-
-    Open chains start at their lowest-ordinal endpoint; closed chains
-    start at their lowest-ordinal point and step toward the lower
-    neighbor.
-    """
-    visited: set = set()
-    chains = []
-
-    def walk(start: int, first) -> list:
-        chain = [start]
-        visited.add(start)
-        prev, cur = start, first
-        while cur is not None and cur not in visited:
-            chain.append(cur)
-            visited.add(cur)
-            nxt = [o for o in links[cur] if o != prev]
-            prev, cur = cur, (nxt[0] if nxt else None)
-        return chain
-
-    for start, nb in enumerate(links):
-        if len(nb) <= 1 and start not in visited:
-            chains.append(walk(start, nb[0] if nb else None))
-    for start, nb in enumerate(links):
-        if start not in visited:
-            chains.append(walk(start, min(nb)))
-    return chains
-
-
 def _empty_like(model: RiggedModel) -> RiggedModel:
     return RiggedModel(
         Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)),
@@ -114,56 +84,40 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     Raises NonManifoldCut when a cut edge borders more than two faces.
     """
     mesh = model.mesh
-    section = Section(mesh.vertices, plane)
+    section = Section(mesh, plane)
     positive = section.signs > 0
     if positive.all() or not positive.any():
         # plane misses the mesh entirely: keep the model whole as M1
         return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
 
     signs = section.signs
-    corner_sides = signs[mesh.faces].T
-    whole = (corner_sides[0] == corner_sides[1]) & (corner_sides[1] == corner_sides[2])
-    crossed = np.flatnonzero(~whole)
+    points = [
+        CutPoint(tuple(pos), tuple(key), lam, o, tuple(weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)))
+        for o, (key, lam, pos) in enumerate(zip(section.edges.tolist(), section.lam.tolist(), section.positions.tolist()))
+    ]
+    if (section.borders > 2).any():
+        o = int(np.argmax(section.borders > 2))
+        raise NonManifoldCut(f"cut edge {points[o].edge} borders {section.borders[o]} faces")
+    polylines = tuple(tuple(points[o] for o in chain) for chain in section.chains())
+
     # rank[v]: v's position among the original vertices on its side
     rank = np.where(positive, np.cumsum(positive), np.cumsum(~positive)) - 1
     base = {1: int(positive.sum()), -1: int((~positive).sum())}
     children: dict = {1: [], -1: []}  # per side: the children of crossed faces
     parents: dict = {1: [], -1: []}  # per side: the crossed face of each child
-    ordinal_of: dict = {}  # cut edge (lo, hi) -> ordinal
-    points: list = []
-    positions: list = []  # per ordinal: the crossing as an array
-    borders: list = []  # per ordinal: faces bordering the cut edge
-    links: list = []  # per ordinal: ordinals sharing a cut face
     verts = mesh.vertices
+    positions = section.positions
     side_of = signs.tolist()
     rank_of = rank.tolist()
-    for fi, face in zip(crossed.tolist(), mesh.faces[crossed].tolist()):
+    crossed = section.crossed
+    for fi, face, (e0, e1) in zip(crossed.tolist(), mesh.faces[crossed].tolist(), section.face_edges.tolist()):
         s = [side_of[v] for v in face]
-        on_edge = [None, None, None]  # ordinal of the cut point on edge k -> k+1
-        for k in range(3):
-            if s[k] == s[k - 2]:
-                continue
-            u, v = face[k], face[k - 2]
-            key = (u, v) if u < v else (v, u)
-            o = ordinal_of.get(key)
-            if o is None:
-                o = ordinal_of[key] = len(points)
-                lam, pos = section.crossing(*key)
-                infl = weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)
-                points.append(CutPoint(tuple(float(x) for x in pos), key, lam, o, tuple(infl)))
-                positions.append(pos)
-                borders.append(0)
-                links.append([])
-            borders[o] += 1
-            on_edge[k] = o
-        a, b = (o for o in on_edge if o is not None)
-        links[a].append(b)
-        links[b].append(a)
-
-        # the lone vertex is the corner whose side the other two do not share
+        # the lone vertex is the corner whose side the other two do not share;
+        # pa is the cut edge leaving it, pb the one entering it, and corner
+        # order lists pb first unless the lone vertex is the first corner
         i = 0 if s[1] == s[2] else (1 if s[0] == s[2] else 2)
         lv, av, bv = face[i], face[i - 2], face[i - 1]
-        pa, pb = on_edge[i], on_edge[i - 1]
+        pa, pb = (e0, e1) if i == 0 else (e1, e0)
         lone, quad = s[i], -s[i]
         children[lone].append((rank_of[lv], base[lone] + pa, base[lone] + pb))
         parents[lone].append(fi)
@@ -179,23 +133,19 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
             children[quad] += [(qa, ra, qb), (ra, rb, qb)]
         parents[quad] += [fi, fi]
 
-    for o, count in enumerate(borders):
-        if count > 2:
-            raise NonManifoldCut(f"cut edge {points[o].edge} borders {count} faces")
-    polylines = tuple(tuple(points[o] for o in chain) for chain in _chains(links))
-
-    cut_positions = np.array([cp.position for cp in points]).reshape(-1, 3)
+    face_side = signs[mesh.faces[:, 0]]
+    face_side[crossed] = 0  # a crossed face goes to neither half whole
     cut_weights = [cp.weights for cp in points]
     halves = {}
     for side in (1, -1):
-        kept = np.flatnonzero(whole & (corner_sides[0] == side))
+        kept = np.flatnonzero(face_side == side)
         half = RiggedModel(
             Mesh(
-                np.vstack([verts[section.signs == side], cut_positions]),
+                np.vstack([verts[signs == side], positions]),
                 in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side]),
             ),
             model.bones,
-            model.weights.take(section.signs == side).extend(cut_weights),
+            model.weights.take(signs == side).extend(cut_weights),
             model.clips,
         )
         validate_model(half)

@@ -241,6 +241,14 @@ class Mesh:
         """
         return tuple(_obj_blocks("f %d %d %d\n", self.faces + 1))
 
+    @functools.cached_property
+    def lifted_vertices(self) -> np.ndarray:
+        """up_block(vertices), the vertices' e1..e5 coefficients; read-only."""
+        with np.errstate(all="ignore"):
+            lifted = up_block(self.vertices)
+        lifted.setflags(write=False)
+        return lifted
+
     def __eq__(self, other):
         if not isinstance(other, Mesh):
             return NotImplemented
@@ -271,50 +279,6 @@ class RiggedModel:
     @functools.cached_property
     def _bone_by_id(self) -> dict:
         return {b.id: b for b in reversed(self.bones)}  # the first of equal ids wins
-
-    @functools.cached_property
-    def bone_groups(self) -> tuple:
-        """(bone id, rows, weights) per influencing bone, built on first use.
-
-        Bones go in the order of their first use in the weights table;
-        rows ascend and weights[i] is row rows[i]'s weight for the bone.
-        """
-        ids, ws = self.weights.ids, self.weights.ws
-        bones, first = np.unique(ids[ids >= 0], return_index=True)
-        groups = []
-        for bone_id in bones[np.argsort(first)].tolist():
-            rows, cols = np.nonzero(ids == bone_id)
-            weights = ws[rows, cols]
-            rows.setflags(write=False)
-            weights.setflags(write=False)
-            groups.append((bone_id, rows, weights))
-        return tuple(groups)
-
-    @functools.cached_property
-    def lifted_vertices(self) -> np.ndarray:
-        """up_block(mesh.vertices), the rest vertices' e1..e5 coefficients; read-only."""
-        with np.errstate(all="ignore"):
-            lifted = up_block(self.mesh.vertices)
-        lifted.setflags(write=False)
-        return lifted
-
-    @functools.cached_property
-    def pivot_bones(self) -> tuple:
-        """(pivots, pivot_of_row): each vertex's dual-quaternion pivot bone, read-only.
-
-        A row's pivot is its largest-weight influence, ties going to the
-        lower bone id; pivots holds the distinct pivot ids ascending and
-        pivot_of_row[i] is the slot of row i's pivot in it.  A row with
-        no influence pivots on the id dtype's maximum.
-        """
-        ids, ws = self.weights.ids, self.weights.ws
-        # reduced column by column: numpy reduces a 4-wide axis 1 with one loop call per row
-        tied = (ws == functools.reduce(np.maximum, ws.T)[:, None]) & (ids >= 0)
-        pivot = functools.reduce(np.minimum, np.where(tied, ids, np.iinfo(ids.dtype).max).T)
-        pivots, pivot_of_row = np.unique(pivot, return_inverse=True)
-        pivots.setflags(write=False)
-        pivot_of_row.setflags(write=False)
-        return pivots, pivot_of_row
 
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):
@@ -370,7 +334,14 @@ def bbox_diagonal(mesh_or_vertices) -> float:
     v = np.asarray(v, dtype=np.float64)
     if len(v) == 0:
         return 0.0
-    return float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    extent = v.max(axis=0) - v.min(axis=0)
+    with np.errstate(over="ignore"):
+        diag = float(np.linalg.norm(extent))
+    if diag == math.inf and np.isfinite(extent).all():
+        # the squared norm overflowed (extent beyond ~1.3e154): rescale
+        top = float(np.abs(extent).max())
+        diag = top * float(np.linalg.norm(extent / top))
+    return diag
 
 
 def validate_mesh(mesh: Mesh) -> None:

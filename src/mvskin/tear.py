@@ -18,14 +18,13 @@ endpoints).  Each consecutive pair of states contributes one step:
    endpoints of the next scalpel state (right-hand rule normal over
    endpoint deltas); a stationary scalpel leaves the plane undefined
    and raises DegenerateTearStep.
-3. trace_surface_path walks the plane section across the surface from
-   the current anchor's face to the next one's, crossing one new edge
-   per face and emitting an intermediate point on every crossed edge.
-   Its edge-to-face map covers only the faces the plane crosses, the
-   only ones the walk can reach.  Of the two ways around a closed body
-   it takes the one whose first step shrinks the straight-line estimate
-   to the target anchor (projected onto the plane; the projection
-   distance is kept as a path-quality metric).
+3. trace_surface_path follows the section walk of section.py from the
+   current anchor's face to the next one's, crossing one new edge per
+   face and emitting an intermediate point on every crossed edge.  The
+   only choice is made at the start face: of its two crossings, and so
+   of the two ways around a closed body, it takes the one closer to the
+   target anchor (projected onto the plane; the projection distance is
+   kept as a path-quality metric).
 4. All traced steps are applied at once, in one vertex index space:
    anchors and intermediates get their final vertex index as they are
    inserted, every traversed face is split by _fan_split from its entry
@@ -349,72 +348,43 @@ def build_tear_plane(anchor: TearAnchor, scalpel_next: ScalpelState) -> Multivec
 def trace_surface_path(mesh: Mesh, plane: Multivector, start: TearAnchor, to: TearAnchor) -> tuple:
     """Ordered plane-edge intersections walking from start's face to to's.
 
-    The walk needs topology only where the plane crosses: it maps each
-    straddling edge to the faces on it, built over the crossed faces
-    alone (every face on a straddling edge is itself crossed, so each
-    list is complete and in ascending face id).  Crosses one new edge
-    per face; at a branch takes the crossing closest to the target
-    anchor (projected onto the plane), breaking ties toward the lower
-    edge key.  Raises PathNotFound when the section leaves the surface
-    or the walk exceeds the face count.
+    Follows the section walk of section.py, one new edge per face.  The
+    only choice is at the start face: of its two crossings it takes the
+    one closest to the target anchor (projected onto the plane), ties
+    going to the lower edge key.  Raises PathNotFound when the plane
+    misses the start face, the section leaves the surface, or the walk
+    exceeds the face count.
     """
     if start.face == to.face:
         return ()
-    section = Section(mesh.vertices, plane)
-    signs = section.signs
+    section = Section(mesh, plane)
     to_pt = np.asarray(to.point, dtype=np.float64)
     target = to_pt - float(plane_distances(to_pt.reshape(1, 3), section.plane)[0]) * section.normal
 
-    crossed = np.flatnonzero(np.ptp(signs[mesh.faces], axis=1) != 0)
-    side = signs.tolist()
-    face_edges: dict = {}  # crossed face -> its straddling edges, in corner order
-    edge_faces: dict = {}  # straddling edge -> the faces on it
-    for fi, (a, b, c) in zip(crossed.tolist(), mesh.faces[crossed].tolist()):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if side[u] != side[v]:
-                key = (u, v) if u < v else (v, u)
-                face_edges.setdefault(fi, []).append(key)
-                edge_faces.setdefault(key, []).append(fi)
-
-    def crossings(face_id: int, skip):
-        return [
-            (key, *section.crossing(*key))
-            for key in face_edges.get(face_id, ())
-            if key != skip
-        ]
-
-    def pick(cands):
-        return min(cands, key=lambda c: (float(np.linalg.norm(c[2] - target)), c[0]))
-
-    cands = crossings(start.face, None)
-    if not cands:
+    row = int(np.searchsorted(section.crossed, start.face))
+    if row == len(section.crossed) or section.crossed[row] != start.face:
         raise PathNotFound(
             f"tear plane does not cross the boundary of face {start.face}"
         )
+    keys = [tuple(key) for key in section.edges.tolist()]
+    edge = min(
+        section.face_edges[row].tolist(),
+        key=lambda e: (float(np.linalg.norm(section.positions[e] - target)), keys[e]),
+    )
+    faces, lam, positions = section.crossed.tolist(), section.lam.tolist(), section.positions.tolist()
     points = []
-    face_id = start.face
-    key, lam, pos = pick(cands)
     budget = len(mesh.faces)
-    while True:
-        points.append(TearPoint(tuple(float(x) for x in pos), face_id, key, lam))
-        neighbours = [f for f in edge_faces[key] if f != face_id]
-        if not neighbours:
-            raise PathNotFound(
-                f"tear plane section leaves the surface at boundary edge {key}"
-            )
-        face_id = neighbours[0]
-        if face_id == to.face:
+    for row, edge in section.walk(row, edge):
+        if faces[row] == to.face:
             return tuple(points)
         if len(points) > budget:
             raise PathNotFound(
                 "tear plane section does not connect the anchors on this side"
             )
-        cands = crossings(face_id, key)
-        if not cands:
-            raise PathNotFound(
-                f"tear plane section dead-ends inside face {face_id}"
-            )
-        key, lam, pos = pick(cands)
+        points.append(TearPoint(tuple(positions[edge]), faces[row], keys[edge], lam[edge]))
+    raise PathNotFound(
+        f"tear plane section leaves the surface at boundary edge {keys[edge]}"
+    )
 
 
 # --------------------------------------------------------------- application

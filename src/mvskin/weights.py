@@ -16,6 +16,7 @@ permutations of the input corners.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -37,8 +38,6 @@ class SkinWeights:
 
     Row vi reads as the tuple of its (bone, w) pairs, empty slots left out.
     """
-
-    __slots__ = ("ids", "ws")
 
     def __init__(self, ids: np.ndarray, ws: np.ndarray):
         ids.setflags(write=False)
@@ -79,6 +78,42 @@ class SkinWeights:
         """This table with the packed entries appended."""
         more = SkinWeights.pack(entries)
         return SkinWeights(np.vstack([self.ids, more.ids]), np.vstack([self.ws, more.ws]))
+
+    @functools.cached_property
+    def bone_groups(self) -> tuple:
+        """(bone id, rows, weights) per influencing bone, built on first use.
+
+        Bones go in the order of their first use in the weights table;
+        rows ascend and weights[i] is row rows[i]'s weight for the bone.
+        """
+        ids, ws = self.ids, self.ws
+        bones, first = np.unique(ids[ids >= 0], return_index=True)
+        groups = []
+        for bone_id in bones[np.argsort(first)].tolist():
+            rows, cols = np.nonzero(ids == bone_id)
+            weights = ws[rows, cols]
+            rows.setflags(write=False)
+            weights.setflags(write=False)
+            groups.append((bone_id, rows, weights))
+        return tuple(groups)
+
+    @functools.cached_property
+    def pivot_bones(self) -> tuple:
+        """(pivots, pivot_of_row): each vertex's dual-quaternion pivot bone, read-only.
+
+        A row's pivot is its largest-weight influence, ties going to the
+        lower bone id; pivots holds the distinct pivot ids ascending and
+        pivot_of_row[i] is the slot of row i's pivot in it.  A row with
+        no influence pivots on the id dtype's maximum.
+        """
+        ids, ws = self.ids, self.ws
+        # reduced column by column: numpy reduces a 4-wide axis 1 with one loop call per row
+        tied = (ws == functools.reduce(np.maximum, ws.T)[:, None]) & (ids >= 0)
+        pivot = functools.reduce(np.minimum, np.where(tied, ids, np.iinfo(ids.dtype).max).T)
+        pivots, pivot_of_row = np.unique(pivot, return_inverse=True)
+        pivots.setflags(write=False)
+        pivot_of_row.setflags(write=False)
+        return pivots, pivot_of_row
 
     def __len__(self) -> int:
         return len(self.ids)

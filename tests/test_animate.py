@@ -606,8 +606,8 @@ def test_bone_groups_follow_first_use_order(name):
     for bone_id in bones[np.argsort(first)].tolist():
         rows, cols = np.nonzero(ids == bone_id)
         expect.append((bone_id, rows, ws[rows, cols]))
-    groups = model.bone_groups
-    assert groups is model.bone_groups
+    groups = model.weights.bone_groups
+    assert groups is model.weights.bone_groups
     assert [g[0] for g in groups] == [e[0] for e in expect]
     for (bone_id, rows, weights), (_, rows_e, weights_e) in zip(groups, expect):
         assert type(bone_id) is int
@@ -616,13 +616,13 @@ def test_bone_groups_follow_first_use_order(name):
 
 
 def test_edited_models_build_their_own_caches():
-    # cutting and tearing make new models, which must not read the per-model
-    # skinning caches or the mesh face block of the model they came from (a
-    # keyed model shares them: test_generate_keyframe_keeps_the_clip_free_caches)
+    # cutting and tearing make new meshes and weight tables, which must not
+    # read the skinning caches or the face block of the ones they came from
+    # (a keyed model shares them: test_generate_keyframe_keeps_the_clip_free_caches)
     m = make_cylinders_model()
     doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
     (act,) = validate_script(m, doc)
-    caches = (m.bone_groups, m.lifted_vertices, m.pivot_bones, m.mesh.obj_face_block)
+    caches = (m.weights.bone_groups, m.mesh.lifted_vertices, m.weights.pivot_bones, m.mesh.obj_face_block)
     halves = cut(m, make_plane((0.0, 0.0, 1.0), 10.0))
     derived = {
         "cut_m1": halves.m1,
@@ -630,15 +630,15 @@ def test_edited_models_build_their_own_caches():
         "tear": tear(m, act["states"], delta=act["delta"]).model,
     }
     for name, d in derived.items():
-        assert d.bone_groups is not caches[0], name
-        assert sum(len(rows) for _, rows, _ in d.bone_groups) == int((d.weights.ids >= 0).sum())
-        assert d.lifted_vertices is not caches[1], name
-        assert d.lifted_vertices.tobytes() == up_block(d.mesh.vertices).tobytes(), name
-        assert not d.lifted_vertices.flags.writeable
+        assert d.weights.bone_groups is not caches[0], name
+        assert sum(len(rows) for _, rows, _ in d.weights.bone_groups) == int((d.weights.ids >= 0).sum())
+        assert d.mesh.lifted_vertices is not caches[1], name
+        assert d.mesh.lifted_vertices.tobytes() == up_block(d.mesh.vertices).tobytes(), name
+        assert not d.mesh.lifted_vertices.flags.writeable
         # each row pivots on its largest weight, ties to the lower bone id
         expect = [min(pairs, key=lambda p: (-p[1], p[0]))[0] for pairs in d.weights]
-        pivots, pivot_of_row = d.pivot_bones
-        assert d.pivot_bones is not caches[2], name
+        pivots, pivot_of_row = d.weights.pivot_bones
+        assert d.weights.pivot_bones is not caches[2], name
         assert pivots[pivot_of_row].tolist() == expect, name
         assert not pivots.flags.writeable and not pivot_of_row.flags.writeable
         faces = "".join("f %d %d %d\n" % tuple(f) for f in (d.mesh.faces + 1).tolist())
@@ -726,12 +726,19 @@ def test_generate_keyframe_keeps_the_clip_free_caches():
     for backend in SKIN_BACKENDS.values():
         backend(m, global_pose_at(m, "c", 0.0))
     m2 = keyed(m, "c", 2, 1.0, translation=(0.0, 1.0, 0.5), scale=1.2)
-    for name in ("_bone_by_id", "bone_groups", "lifted_vertices", "pivot_bones"):
-        assert name in m2.__dict__ and getattr(m2, name) is getattr(m, name)
-    assert m2.mesh is m.mesh  # and so its face block
+    # the caches live on the mesh and the weight table, which a keyed model shares
+    assert m2.mesh is m.mesh and m2.weights is m.weights
+    assert {"lifted_vertices"} <= m.mesh.__dict__.keys()
+    assert {"bone_groups", "pivot_bones"} <= m.weights.__dict__.keys()
     # a model with the same clips and no caches skins to the same bytes
-    fresh = RiggedModel(m2.mesh, m2.bones, m2.weights, m2.clips)
-    assert not {"bone_groups", "lifted_vertices", "pivot_bones"} & fresh.__dict__.keys()
+    fresh = RiggedModel(
+        Mesh(m2.mesh.vertices.copy(), m2.mesh.faces.copy()),
+        m2.bones,
+        SkinWeights(m2.weights.ids.copy(), m2.weights.ws.copy()),
+        m2.clips,
+    )
+    assert "lifted_vertices" not in fresh.mesh.__dict__
+    assert not {"bone_groups", "pivot_bones"} & fresh.weights.__dict__.keys()
     for name, backend in SKIN_BACKENDS.items():
         for t in (0.0, 0.6, 1.0):
             a = backend(m2, global_pose_at(m2, "c", t)).positions

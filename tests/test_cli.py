@@ -429,6 +429,23 @@ def test_compare_cga_vs_dq_reported(tmp_path):
     assert rec["reference"] == "dq" and rec["test"] == "cga"
 
 
+@pytest.mark.parametrize("delta", [1e160, 1e300])
+def test_compare_on_a_far_opened_tear_writes_finite_json(tmp_path, delta):
+    # the opened tear is wider than ~1.3e154, where squared norms overflow
+    doc = json.loads(bundled_script_path("cylinders_tear.json").read_text(encoding="utf-8"))
+    (act,) = doc["actions"]
+    act["delta"] = delta
+    script = write_script(tmp_path / "s.json", [act, {"action": "compare", "reference": "dq", "test": "lbs"}])
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
+    text = (out / "metrics.json").read_text(encoding="utf-8")
+    assert "NaN" not in text and "Infinity" not in text
+    rec = read_metrics(out)["actions"][1]
+    for key in ("linf_abs", "linf_rel", "mean_abs", "mean_rel"):
+        assert math.isfinite(rec[key]), key
+    assert rec["linf_rel"] > 0.0 and rec["linf_rel"] * delta < rec["linf_abs"]
+
+
 def test_backend_flag_changes_sampled_frame(tmp_path):
     actions = [
         {"action": "set_keyframe", "clip": "c", "bone": 1, "time": 1.0,

@@ -90,7 +90,7 @@ def test_classification_matches_euclidean_signed_distance(flat, d):
     n = unit(n)
     p = np.asarray(flat[3:]).reshape(1, 3)
     plane = make_plane(tuple(n), d)
-    section = Section(np.vstack([p, FRAME]), plane)
+    section = Section(Mesh(np.vstack([p, FRAME]), ()), plane)
     eps = section_eps(FRAME)
     want = float((p @ n)[0]) - d
     if abs(want) > 2.0 * eps:
@@ -104,7 +104,7 @@ def test_classification_eps_defaults_to_bbox_scale(cylinders):
     # the z=0 boundary ring sits exactly on this plane and shifts to +1
     plane = make_plane((0.0, 0.0, 1.0), 0.0)
     verts = cylinders.mesh.vertices
-    section = Section(verts, plane)
+    section = Section(cylinders.mesh, plane)
     eps = 1e-9 * bbox_diagonal(cylinders.mesh)
     assert section_eps(cylinders.mesh) == eps
     ring = np.abs(verts[:, 2]) < 1e-12
@@ -123,7 +123,7 @@ def test_zero_normal_plane_rejected(cylinders):
 
     bad = Multivector(np.zeros(32))
     with pytest.raises(ValueError, match="zero normal"):
-        Section(cylinders.mesh.vertices, bad)
+        Section(cylinders.mesh, bad)
     with pytest.raises(ValueError, match="zero normal"):
         cut(cylinders, bad)
 

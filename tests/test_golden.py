@@ -22,6 +22,11 @@ weights a cut or tear stores are frozen as well as the mesh.
 TEAR_GOLDEN pins one digest over a seeded batch of tears, including
 sliver collapses and faces that hold two anchors, which the bundled
 scripts never reach.
+
+CUT_GOLDEN pins one digest over a seeded batch of cuts: oblique planes,
+axial planes (open chains), planes through a vertex ring or a single
+vertex (the eps shift) and planes that miss.  It covers the seam
+records, ordinals and polylines, which no bundled script writes out.
 """
 
 import hashlib
@@ -34,8 +39,11 @@ import pytest
 
 import mvskin.cli as cli
 from mvskin.cli import main
+from mvskin.cut import cut
 from mvskin.errors import MvskinError
+from mvskin.algebra import make_plane
 from mvskin.rig import dump_rig, make_arm_model, make_cylinders_model
+from mvskin.section import Section
 from mvskin.tear import ScalpelState, tear
 
 # test id -> (script, rig, backend, {artifact: sha256})
@@ -208,3 +216,71 @@ def test_seeded_tear_batch_matches_golden_digest():
     assert collapses > 0, "the batch no longer reaches a sliver collapse"
     assert two_anchor_faces > 0, "the batch no longer splits a face around two anchors"
     assert digest.hexdigest() == TEAR_GOLDEN, "a seeded tear drifted from its golden digest"
+
+
+def cut_batch(models):
+    """(model name, plane normal, plane offset) of every cut in the pinned batch.
+
+    Per model: seeded oblique planes through a random interior point;
+    axial planes through the tube axis, whose sections run off both
+    open ends as two open chains; horizontal planes through a vertex
+    ring; oblique planes through a single vertex; and planes beyond the
+    mesh on either side.
+    """
+    rng = np.random.default_rng(1903)
+    for name, oblique, axial, rings, through, misses in (("cylinders", 24, 6, 4, 6, 2), ("arm", 8, 3, 3, 3, 2)):
+        verts = models[name].mesh.vertices
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        for _ in range(oblique):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            yield name, n, float(n @ rng.uniform(lo, hi))
+        for _ in range(axial):
+            theta = rng.uniform(0.0, math.pi)
+            yield name, np.array([math.cos(theta), math.sin(theta), 0.0]), float(rng.uniform(-0.5, 0.5))
+        heights = np.unique(verts[:, 2])[1:-1]
+        for z in rng.choice(heights, size=rings, replace=False).tolist():
+            yield name, np.array([0.0, 0.0, 1.0]), z
+        for _ in range(through):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            yield name, n, float(n @ verts[rng.integers(len(verts))])
+        for k in range(misses):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            yield name, n, (-1.0) ** k * 10.0 * float(np.linalg.norm(hi - lo))
+
+
+# sha256 over every cut's halves (vertices, faces, weight table), its cut
+# points (edge, lam, ordinal, position, weights), polylines (as ordinals)
+# and provenance, for cut_batch; a typed error enters as its type name
+CUT_GOLDEN = "345a97755510bf4ecb143fc008bac443150986324cb292d210f5742cf461a0a8"
+
+
+def test_seeded_cut_batch_matches_golden_digest():
+    models = {"cylinders": make_cylinders_model(), "arm": make_arm_model()}
+    digest = hashlib.sha256()
+    open_chains = shifted = misses = 0
+    for name, normal, offset in cut_batch(models):
+        model = models[name]
+        plane = make_plane(tuple(normal), offset)
+        try:
+            res = cut(model, plane)
+        except MvskinError as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        for half in (res.m1, res.m2):
+            mesh, weights = half.mesh, half.weights
+            for array in (mesh.vertices, mesh.faces, weights.ids, weights.ws):
+                digest.update(repr(array.shape).encode() + array.tobytes())
+        for cp in res.cut_points:
+            digest.update(repr((cp.edge, cp.lam, cp.ordinal, cp.position, cp.weights)).encode())
+        digest.update(repr([[cp.ordinal for cp in chain] for chain in res.polylines]).encode())
+        digest.update(repr(sorted((side, sorted(m.items())) for side, m in res.provenance.items())).encode())
+        open_chains += len(res.polylines) > 1
+        shifted += not np.array_equal(Section(model.mesh, plane).work, model.mesh.vertices)
+        misses += not res.cut_points
+    assert open_chains > 0, "the batch no longer cuts open chains"
+    assert shifted > 0, "the batch no longer shifts a vertex off the plane"
+    assert misses > 0, "the batch no longer misses the mesh"
+    assert digest.hexdigest() == CUT_GOLDEN, "a seeded cut drifted from its golden digest"

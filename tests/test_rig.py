@@ -250,6 +250,13 @@ def test_mesh_area_and_bbox():
     assert mesh_area(Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))) == 0.0
 
 
+@pytest.mark.parametrize("corner", [(1e300, 1e300, 1e300), (1e300, 0.0, 0.0), (1e160, -3e159, 2e155)])
+def test_bbox_diagonal_of_a_mesh_wider_than_the_float_range_squared(corner):
+    # |extent|^2 overflows though the extent itself is finite
+    v = np.array([corner, [-x for x in corner]])
+    assert bbox_diagonal(v) == pytest.approx(math.hypot(*(2.0 * v[0])), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # model validation
 

@@ -460,6 +460,35 @@ def test_trace_dead_end_at_boundary(cylinders):
         trace_surface_path(mesh, plane, a, b)
 
 
+def _centroid_anchor(mesh, face_id):
+    corners = mesh.vertices[mesh.faces[face_id]]
+    return TearAnchor(tuple(corners.mean(axis=0)), face_id, (1 / 3, 1 / 3, 1 / 3))
+
+
+def test_trace_from_a_face_in_the_plane_finds_no_crossing(cylinders):
+    # every corner of face 400 lies in the plane, so the eps shift puts
+    # them all on one side and the plane crosses none of its edges
+    mesh = cylinders.mesh
+    a, b, c = mesh.vertices[mesh.faces[400]]
+    normal = np.cross(b - a, c - a)
+    normal /= np.linalg.norm(normal)
+    plane = make_plane(tuple(normal), float(normal @ a))
+    start, to = _centroid_anchor(mesh, 400), _centroid_anchor(mesh, 0)
+    with pytest.raises(PathNotFound, match=r"^tear plane does not cross the boundary of face 400$"):
+        trace_surface_path(mesh, plane, start, to)
+
+
+def test_trace_around_a_ring_that_misses_the_target(cylinders):
+    # the z = 10 section is a closed ring round the tube; face 0 is off it
+    mesh = cylinders.mesh
+    start = scalpel_hit(mesh, radial(0.0, 3 * STEP))
+    to = _centroid_anchor(mesh, 0)
+    assert mesh.vertices[mesh.faces[0], 2].max() < 10.0
+    plane = make_plane((0.0, 0.0, 1.0), 10.0)
+    with pytest.raises(PathNotFound, match=r"^tear plane section does not connect the anchors on this side$"):
+        trace_surface_path(mesh, plane, start, to)
+
+
 # ---------------------------------------------------------------- apply/open
 
 
