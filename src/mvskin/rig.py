@@ -249,6 +249,11 @@ class Mesh:
         lifted.setflags(write=False)
         return lifted
 
+    @functools.cached_property
+    def bbox_diagonal(self) -> float:
+        """bbox_diagonal(vertices), computed once: the vertices are read-only."""
+        return bbox_diagonal(self.vertices)
+
     def __eq__(self, other):
         if not isinstance(other, Mesh):
             return NotImplemented
@@ -330,8 +335,10 @@ def chain(pairs, leaf, compose) -> dict:
 
 
 def bbox_diagonal(mesh_or_vertices) -> float:
-    v = mesh_or_vertices.vertices if isinstance(mesh_or_vertices, Mesh) else mesh_or_vertices
-    v = np.asarray(v, dtype=np.float64)
+    """Length of the bounding-box diagonal; a Mesh returns its cached value."""
+    if isinstance(mesh_or_vertices, Mesh):
+        return mesh_or_vertices.bbox_diagonal
+    v = np.asarray(mesh_or_vertices, dtype=np.float64)
     if len(v) == 0:
         return 0.0
     extent = v.max(axis=0) - v.min(axis=0)

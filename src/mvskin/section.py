@@ -72,7 +72,7 @@ class Section:
     def __init__(self, mesh: Mesh, plane: Multivector):
         self.plane, self.normal = unit_plane(plane)
         work = np.array(mesh.vertices, dtype=np.float64).reshape(-1, 3)
-        eps = section_eps(work)
+        eps = section_eps(mesh)
         dist = plane_distances(work, self.plane)
         on = np.abs(dist) < eps
         if on.any():

@@ -33,7 +33,12 @@ endpoints).  Each consecutive pair of states contributes one step:
    a left/right pair by plane side.  The traversed faces are read from
    the paths: the anchor faces and the face each crossing enters, which
    is the next point's face.  Anchors stay single and pin the tear
-   ends, so the torn mesh remains one connected component.
+   ends, so the torn mesh remains one connected component.  The sliver
+   check is one array pass over the split children and the side test
+   one lift of their corners and one contraction per path; each pass
+   settles a child only where a written rounding bound makes the
+   per-child scalar test's answer certain, and that test decides the
+   rest, so every child gets the scalar test's decision.
 5. open_tear displaces the two copies of each intermediate by +/- delta
    along the plane normal; delta = 0 is the identity and anchors never
    move.
@@ -61,7 +66,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, make_plane, plane_distances
+from .algebra import CAYLEY_SIGNS, Multivector, make_plane, plane_distances, up_block
 from .errors import (
     AmbiguousIntersection,
     DegenerateTearStep,
@@ -427,6 +432,61 @@ def _fan_split(face, hub: int, anchors, on_edge: dict, positions: np.ndarray) ->
     return children
 
 
+# The sliver test passes a child when 0.5 |cross| >= 1e-12, |cross| being
+# the square root of np.linalg.norm's BLAS dot.  A batched squared norm of
+# the same cross product differs from that dot by under 2 gamma_3 < 4 eps
+# of itself (three non-negative terms, any order, with or without fused
+# multiply-adds); the margin here is sixteen times that.
+_SLIVER_CLEAR = (2.0 * 1e-12) ** 2 * (1.0 + 64.0 * np.finfo(np.float64).eps)
+# The side test sums plane_distances over a child's three corners.  Each
+# distance is a dot of the corner's lift x with w, the plane's contraction
+# coefficients: five terms in BLAS gemv order, with or without fused
+# multiply-adds, among zero terms that add nothing.  The lift's e4 and e5
+# rest on |p|^2, a 3-term sum that may round differently from one call to
+# the next.  So the scalar and the batched sum of one child differ by
+# under 10 eps W, with W summing over the corners
+# sum_k |x_k w_k| + (|x_4| + |x_5|)(|w_4| + |w_5|): 2.5 eps for each side's
+# 5-term dot, 2.6 eps for |p|^2 through e4 and e5, and 2.1 eps for the two
+# three-term sums (Higham, Accuracy and Stability, 3.1).  This is four
+# times that; a |p|^2 that underflows rounds away in |p|^2 -+ 1.
+_SIDE_SLACK = 40.0 * np.finfo(np.float64).eps
+
+
+def _clear_of_slivers(corners: np.ndarray) -> np.ndarray:
+    """Which triangles of an (m, 3, 3) corner array surely pass the sliver test.
+
+    The cross products are elementwise, so each matches the per-child
+    np.cross bit for bit; only the squared norm may round differently,
+    which _SLIVER_CLEAR allows for.  A non-finite norm is never clear.
+    """
+    with np.errstate(all="ignore"):
+        a = corners[:, 0]
+        c = np.cross(corners[:, 1] - a, corners[:, 2] - a)
+        sq = c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1] + c[:, 2] * c[:, 2]
+    return np.isfinite(sq) & (sq > _SLIVER_CLEAR)
+
+
+def _sides(lifted: np.ndarray, plane: Multivector) -> np.ndarray:
+    """+1 / -1 where the side test surely puts a child left / right of the plane, else 0.
+
+    lifted holds up_block of each child's corners, (m, 3, 5).  A child's
+    corner-distance sum s' settles its side only when |s'| > B =
+    _SIDE_SLACK * W + 1e-300 (the absolute term covers underflowing
+    products); NaN, infinities and a non-finite plane leave it at 0.
+    """
+    w = CAYLEY_SIGNS.diagonal() * plane.coeffs + 0.0  # as plane_distances
+    if not np.isfinite(w).all():
+        return np.zeros(len(lifted), dtype=np.int64)
+    w = w[1:6]  # e1..e5, the blades a lift fills
+    with np.errstate(all="ignore"):
+        p = lifted * w
+        d = p.sum(axis=2)
+        s = d[:, 0] + d[:, 1] + d[:, 2]
+        t = np.abs(p).sum(axis=2) + (np.abs(lifted[..., 3]) + np.abs(lifted[..., 4])) * (abs(w[3]) + abs(w[4]))
+        bound = _SIDE_SLACK * (t[:, 0] + t[:, 1] + t[:, 2]) + 1e-300
+        return np.where(s > bound, 1, np.where(s < -bound, -1, 0))
+
+
 def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     """Insert, split, and duplicate for one or more traced paths at once.
 
@@ -508,7 +568,10 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             v = remap[v]
         return v
 
-    for tri in children:
+    clear = _clear_of_slivers(positions[np.array(children, dtype=np.int64).reshape(-1, 3)]).tolist()
+    for tri, sure in zip(children, clear):
+        if sure and tri[0] not in remap and tri[1] not in remap and tri[2] not in remap:
+            continue  # its corners are its own: the batched area decides
         a, b, c = (positions[find(v)] for v in tri)
         if 0.5 * np.linalg.norm(np.cross(b - a, c - a)) >= 1e-12:
             continue
@@ -544,17 +607,25 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
             if v >= n_orig:
                 child_of.setdefault(v, []).append(slot)
 
-    # duplicate every intermediate into a left/right pair by plane side
+    # duplicate every intermediate into a left/right pair by plane side; a
+    # twin shares its original's row, so each child's corner rows are final
+    corner_rows = np.asarray(rows, dtype=np.int64)[np.array(children, dtype=np.int64).reshape(-1, 3)]
+    with np.errstate(all="ignore"):
+        lifted = up_block(positions[corner_rows.ravel()]).reshape(-1, 3, 5)
     for path in paths:
+        sides = _sides(lifted, path.plane).tolist()
         duplicates = {}
         for g in path.point_indices:
             if g < n_orig or g not in child_of:
                 continue  # collapsed into an original vertex: tear pinned here
             left, right = [], []
             for slot in child_of[g]:
-                pts = positions[[rows[v] for v in children[slot]]]
-                s = float(np.sum(plane_distances(pts, path.plane)))
-                (left if s >= 0.0 else right).append(slot)
+                side = sides[slot]
+                if not side:  # not settled by the batched sum: the scalar test decides
+                    pts = positions[[rows[v] for v in children[slot]]]
+                    s = float(np.sum(plane_distances(pts, path.plane)))
+                    side = 1 if s >= 0.0 else -1
+                (left if side > 0 else right).append(slot)
             if not right or not left:
                 continue  # chord not two-sided here; nothing to separate
             twin = len(rows)

@@ -1,15 +1,18 @@
-"""The per-face scalar scan for scalpel hits, the reference of the package's probe.
+"""The package's per-item scalar tests, the references of its array passes.
 
 `scan_hits` runs the segment-triangle test on every face in ascending
 id order, exactly as `mvskin.tear.scalpel_hit` did before its
 vectorized pre-pass; `anchor_of` turns the hits into the same anchor or
-typed error, and `scan_scalpel_hit` does both.  The face test is a copy,
-not an import, so that a change to the package's test shows up against
-it.
+typed error, and `scan_scalpel_hit` does both.  `sliver_passes` and
+`left_of` are the per-child sliver and side tests that
+`mvskin.tear._apply_paths` ran on every split child before its batched
+passes.  Each test is a copy, not an import, so that a change to the
+package's test shows up against it.
 """
 
 import numpy as np
 
+from mvskin.algebra import plane_distances
 from mvskin.errors import AmbiguousIntersection, DegenerateTearStep, NoIntersection
 from mvskin.section import section_eps
 from mvskin.tear import TearAnchor
@@ -72,3 +75,14 @@ def anchor_of(hits: list, p0, dvec) -> TearAnchor:
     fi, (t, u, v) = hits[0]
     point = p0 + t * dvec
     return TearAnchor(tuple(float(x) for x in point), fi, (1.0 - u - v, u, v))
+
+
+def sliver_passes(a, b, c) -> bool:
+    """True when triangle abc is no sliver: half its cross-product norm is at least 1e-12."""
+    return bool(0.5 * np.linalg.norm(np.cross(b - a, c - a)) >= 1e-12)
+
+
+def left_of(pts, plane) -> bool:
+    """True when a child's three corners lie left of the plane: their distance sum is >= 0."""
+    s = float(np.sum(plane_distances(pts, plane)))
+    return s >= 0.0

@@ -3,13 +3,15 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvskin.algebra import make_plane, plane_distances
+import mvskin.tear as tear_module
+from mvskin.algebra import make_plane, plane_distances, up_block
 from mvskin.animate import (
     SKIN_BACKENDS,
     generate_keyframe,
@@ -43,8 +45,10 @@ from mvskin.tear import (
     FaceBVH,
     ScalpelState,
     TearAnchor,
+    _clear_of_slivers,
     _crossing_candidates,
     _face_hit,
+    _sides,
     build_tear_plane,
     open_tear,
     scalpel_hit,
@@ -53,7 +57,7 @@ from mvskin.tear import (
 )
 
 from mesh_helpers import mesh_area
-from tear_oracle import anchor_of, scan_hits, scan_scalpel_hit
+from tear_oracle import anchor_of, left_of, scan_hits, scan_scalpel_hit, sliver_passes
 
 STEP = 2.0 * math.pi / 62.0  # one band face at mid-height on the cylinders
 
@@ -595,9 +599,11 @@ def test_anchors_pin_the_tear(cylinders):
         assert valence >= 3
 
 
-def test_sliver_collapse_pins_tear_at_original_vertex(cylinders):
+def test_sliver_collapse_pins_tear_at_original_vertex(cylinders, monkeypatch):
     # the first anchor lies 2e-14 from corner 286 of face 348, so its fan
     # leaves a zero-area child and the anchor merges into that corner
+    seen = recorded_passes(monkeypatch)
+    counts = counted_apply(monkeypatch)
     mesh = cylinders.mesh
     assert mesh.faces[348].tolist() == [286, 287, 317]
     a, b, c = mesh.vertices[[286, 287, 317]]
@@ -618,6 +624,9 @@ def test_sliver_collapse_pins_tear_at_original_vertex(cylinders):
     assert len(res.model.weights) == len(torn.vertices)
     assert len(torn.vertices) == n_orig + 1 + 2 * len(path.points)
     assert set(path.duplicates) == set(path.point_indices)
+    # the zero-area child is left to the scalar sliver test, which runs
+    assert any(not sure for _, clear in seen["slivers"] for sure in clear.tolist())
+    assert counts["cross"] > 1
 
 
 def test_open_tear_moves_pairs_apart(cylinders):
@@ -796,3 +805,122 @@ def test_cut_then_tear_stays_sound(cylinders, tx, ty, z, states, delta):
     for half in (res.m1, res.m2):
         if len(half.mesh.faces):
             sound_tear(half, states, delta)
+
+
+# ---------------------------------------------------------------- batched apply passes
+
+
+def recorded_passes(mp):
+    """Record the inputs and results of _apply_paths' two batched passes."""
+    seen = {"slivers": [], "sides": []}
+    clear_of_slivers, sides = tear_module._clear_of_slivers, tear_module._sides
+
+    def recorded_slivers(corners):
+        clear = clear_of_slivers(corners)
+        seen["slivers"].append((corners, clear))
+        return clear
+
+    def recorded_sides(lifted, plane):
+        out = sides(lifted, plane)
+        seen["sides"].append((lifted, plane, out))
+        return out
+
+    mp.setattr(tear_module, "_clear_of_slivers", recorded_slivers)
+    mp.setattr(tear_module, "_sides", recorded_sides)
+    return seen
+
+
+def counted_apply(mp):
+    """Count the np.cross and plane_distances calls made while _apply_paths runs."""
+    counts = {"cross": 0, "plane_distances": 0}
+    inside = []
+    apply, cross, distances = tear_module._apply_paths, np.cross, tear_module.plane_distances
+
+    def counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return apply(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counter(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += bool(inside)
+            return fn(*args, **kwargs)
+
+        return call
+
+    mp.setattr(tear_module, "_apply_paths", counted)
+    mp.setattr(np, "cross", counter("cross", cross))
+    mp.setattr(tear_module, "plane_distances", counter("plane_distances", distances))
+    return counts
+
+
+tear_cases = st.one_of(
+    st.tuples(
+        st.just("arm"),
+        st.builds(lambda seed, n: list(arm_strokes(seed, n)), st.integers(0, 2**32 - 1), st.integers(2, 3)),
+    ),
+    st.tuples(st.just("cylinders"), strokes),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tear_cases)
+def test_batched_passes_agree_with_the_scalar_tests(cylinders, arm, case):
+    name, states = case
+    with pytest.MonkeyPatch.context() as mp:
+        seen = recorded_passes(mp)
+        try:
+            tear({"arm": arm, "cylinders": cylinders}[name], states, delta=0.0)
+        except MvskinError:
+            pass
+    for corners, clear in seen["slivers"]:
+        for (a, b, c), sure in zip(corners, clear.tolist()):
+            if sure:
+                assert sliver_passes(a, b, c)
+    for lifted, plane, sides in seen["sides"]:
+        for corners, side in zip(lifted[..., :3], sides.tolist()):
+            if side:
+                assert left_of(corners, plane) == (side > 0)
+
+
+def test_batched_passes_leave_non_finite_children_to_the_scalar_tests():
+    ok = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    far = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]
+    inf = [[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    corners = np.array([ok, far, inf])
+    with np.errstate(all="ignore"):
+        lifted = up_block(corners.reshape(-1, 3)).reshape(-1, 3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clear = _clear_of_slivers(corners)
+        sides = _sides(lifted, make_plane((0.0, 0.0, 1.0), -1.0))
+    assert clear.tolist() == [True, False, False]
+    assert sides.tolist() == [1, 0, 0]
+    # the scalar tests see the overflow as they did before the passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            sliver_passes(*corners[1])
+
+
+def test_bundled_arm_tear_makes_no_per_child_numpy_calls(arm, monkeypatch):
+    doc = json.loads(bundled_script_path("arm_tear.json").read_text())
+    (act,) = [a for a in validate_script(arm, doc) if a["action"] == "tear"]
+    seen = recorded_passes(monkeypatch)
+    counts = counted_apply(monkeypatch)
+    res = tear(arm, act["states"], delta=act["delta"])
+    undecided = sum(int(np.count_nonzero(out == 0)) for _, _, out in seen["sides"])
+    unsure = sum(int(np.count_nonzero(~clear)) for _, clear in seen["slivers"])
+    # before the batched passes: 172 plane_distances and 116 np.cross calls
+    assert counts["plane_distances"] <= len(res.paths) + undecided
+    assert counts["cross"] <= 1 + unsure
+    assert len(seen["slivers"]) == 1 and len(seen["sides"]) == len(res.paths)
+
+
+def test_bbox_diagonal_of_a_mesh_is_that_of_its_vertices(cylinders, arm):
+    torn = run_bundled_style_tear(cylinders, delta=0.3).model.mesh
+    for mesh in (cylinders.mesh, arm.mesh, torn):
+        assert bbox_diagonal(mesh).hex() == bbox_diagonal(mesh.vertices).hex()
+        assert bbox_diagonal(mesh) is mesh.bbox_diagonal  # computed once
