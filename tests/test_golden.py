@@ -27,6 +27,11 @@ CUT_GOLDEN pins one digest over a seeded batch of cuts: oblique planes,
 axial planes (open chains), planes through a vertex ring or a single
 vertex (the eps shift) and planes that miss.  It covers the seam
 records, ordinals and polylines, which no bundled script writes out.
+
+POSE_GOLDEN pins one digest over the frames of two seeded deep rigs under
+every skinning backend: a 64-bone chain and a branching tree with several
+roots, whose keys flip hemispheres, scale away from 1 and leave some bones
+without a track or without weights.  The bundled rigs have 3 bones or fewer.
 """
 
 import hashlib
@@ -42,7 +47,8 @@ from mvskin.cli import main
 from mvskin.cut import cut
 from mvskin.errors import MvskinError
 from mvskin.algebra import make_plane
-from mvskin.rig import dump_rig, make_arm_model, make_cylinders_model
+from mvskin.animate import SKIN_BACKENDS, generate_keyframe, global_pose_at
+from mvskin.rig import Bone, Mesh, RiggedModel, Trs, dump_rig, make_arm_model, make_cylinders_model
 from mvskin.section import Section
 from mvskin.tear import ScalpelState, tear
 
@@ -284,3 +290,87 @@ def test_seeded_cut_batch_matches_golden_digest():
     assert shifted > 0, "the batch no longer shifts a vertex off the plane"
     assert misses > 0, "the batch no longer misses the mesh"
     assert digest.hexdigest() == CUT_GOLDEN, "a seeded cut drifted from its golden digest"
+
+
+def random_trs(rng, shift, scale_span):
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    return Trs(
+        tuple((shift * rng.normal(size=3)).tolist()),
+        tuple(q.tolist()),
+        float(rng.uniform(1.0 - scale_span, 1.0 + scale_span)),
+    )
+
+
+def pose_rig(rng, parents):
+    """A keyed rig over a parent list (index or None), ids shuffled.
+
+    Binds and offsets are random transforms with non-unit scale.  Every
+    tenth bone carries no weight, and every seventh has no track in clip
+    "c"; the others get 1-4 keys on a half-unit grid, each key after the
+    first rotated into the far hemisphere from the one before.
+    """
+    n = len(parents)
+    ids = rng.permutation(n).tolist()  # children often get lower ids than parents
+    bones = sorted(
+        (
+            Bone(ids[i], None if p is None else ids[p], random_trs(rng, 0.5, 0.3), random_trs(rng, 1.0, 0.2))
+            for i, p in enumerate(parents)
+        ),
+        key=lambda b: b.id,
+    )
+    weighted = [i for i in range(n) if i % 10 != 9]
+    vertices = rng.normal(size=(6 * n, 3)) * 3.0
+    faces = np.arange(6 * n).reshape(-1, 3)
+    weights = []
+    for _ in range(len(vertices)):
+        picked = rng.choice(weighted, size=int(rng.integers(1, 5)), replace=False)
+        w = rng.uniform(0.05, 1.0, size=len(picked))
+        weights.append(tuple(zip(picked.tolist(), (w / w.sum()).tolist())))
+    model = RiggedModel(Mesh(vertices, faces), tuple(bones), tuple(weights), {})
+    for bone in range(n):
+        if bone % 7 == 3:
+            continue
+        times = np.sort(rng.choice(np.arange(0.0, 3.0, 0.5), size=int(rng.integers(1, 5)), replace=False))
+        prev = None
+        for t in times.tolist():
+            trs = random_trs(rng, 1.0, 0.5)
+            q = np.array(trs.rotation)
+            if prev is not None and q @ prev > 0.0:
+                q = -q
+            prev = q
+            model = generate_keyframe(model, "c", ids[bone], Trs(trs.translation, tuple(q.tolist()), trs.scale), t)
+    return model
+
+
+def pose_batch():
+    """(model, sample times) of the two pinned rigs: exact key times, between keys, clamped."""
+    rng = np.random.default_rng(2104)
+    chain = [None] + list(range(63))
+    tree = [None, None, None]
+    for i in range(3, 48):
+        tree.append(int(rng.integers(i)) if rng.random() < 0.9 else None)
+    times = (-1.0, 0.0, 0.3, 0.5, 1.0, 1.25, 1.77, 2.5, 4.0)
+    return [(pose_rig(rng, parents), times) for parents in (chain, tree)]
+
+
+# sha256 over positions.tobytes() of every frame of pose_batch, backends in
+# sorted order; a typed error enters as its type name
+POSE_GOLDEN = "ee00159c2a5f6696a42b23ebecfa4e110a2894bf32dfcdd40778e8b4479ebfd0"
+
+
+def test_seeded_deep_rig_frames_match_golden_digest():
+    digest = hashlib.sha256()
+    for model, times in pose_batch():
+        roots = sum(b.parent is None for b in model.bones)
+        assert len(model.bones) >= 48 and (roots == 1 or roots >= 3)
+        for t in times:
+            pose = global_pose_at(model, "c", t)
+            for name in sorted(SKIN_BACKENDS):
+                try:
+                    frame = SKIN_BACKENDS[name](model, pose)
+                except MvskinError as exc:
+                    digest.update(type(exc).__name__.encode())
+                    continue
+                digest.update(frame.positions.tobytes())
+    assert digest.hexdigest() == POSE_GOLDEN, "a deep-rig frame drifted from its golden digest"
