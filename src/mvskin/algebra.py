@@ -65,6 +65,7 @@ __all__ = [
     "no",
     "ninf",
     "geometric_product",
+    "geometric_products",
     "reverse",
     "up",
     "down",
@@ -78,6 +79,7 @@ __all__ = [
     "make_plane",
     "versor_inverse",
     "sandwich_block",
+    "sandwich_blocks",
     "plane_distances",
 ]
 
@@ -155,14 +157,33 @@ _G1_RIGHT = (
 
 
 def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
-    # + 0.0 turns -0 into the +0 that the tensordot's sum gives
+    """The gather's table of x, or (k, ...) tables of a (k, 32) stack, C-contiguous.
+
+    Each table must be contiguous: x[..., index] on a stack puts the stack
+    axis innermost, and matmul then takes another BLAS path than for one
+    table, which rounds differently.  + 0.0 turns -0 into the +0 that the
+    tensordot's sum gives.
+    """
     index, sign = gather
-    return x[index] * sign + 0.0
+    table = np.take(x, index.ravel(), axis=-1).reshape(*x.shape[:-1], *index.shape)
+    table *= sign
+    table += 0.0
+    return table
 
 
 def _product_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (a b)[k] = sum_j b[j] a[_GP_LEFT.index[j, k]] * _GP_LEFT.sign[j, k]
     return b @ _gathered(_GP_LEFT, a)
+
+
+def geometric_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise geometric products a[i] b[i] of two (k, 32) coefficient stacks.
+
+    One stacked matmul of (k, 1, 32) rows with (k, 32, 32) gathered
+    tables; row i has the bytes of geometric_product(a[i], b[i]).
+    """
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return np.matmul(b[:, None, :], _gathered(_GP_LEFT, np.asarray(a, dtype=np.float64)))[:, 0]
 
 
 class Multivector:
@@ -475,13 +496,17 @@ def make_plane(normal: Sequence[float], d: float) -> Multivector:
 
 # -- versor application ------------------------------------------------------
 
+def _singular(norm: float) -> SingularVersor:
+    return SingularVersor(f"scalar norm {norm:.3e} is below {_VERSOR_EPS:g}")
+
+
 def versor_inverse(V: Versor) -> Versor:
     """Inverse via reversal: reverse(V) / <V * reverse(V)>_0."""
     V = _as_mv(V, "V")
     rev = V.coeffs * _REVERSE_SIGNS
     norm = float(_product_pair(V.coeffs, rev)[0])
     if abs(norm) < _VERSOR_EPS:
-        raise SingularVersor(f"scalar norm {norm:.3e} is below {_VERSOR_EPS:g}")
+        raise _singular(norm)
     return Multivector._wrap(rev / norm)
 
 
@@ -495,9 +520,28 @@ def sandwich_block(V: Versor) -> np.ndarray:
     It is (x -> v x) on rows e1..e5 times (y -> y w) on columns e1..e5,
     each a signed gather of the Cayley table.
     """
-    V = _as_mv(V, "V")
-    W = versor_inverse(V)
-    return _gathered(_G1_LEFT, V.coeffs) @ _gathered(_G1_RIGHT, W.coeffs)
+    blocks, singular = sandwich_blocks(_as_mv(V, "V").coeffs[None])
+    if singular:
+        raise singular[0]
+    return blocks[0]
+
+
+def sandwich_blocks(V: np.ndarray) -> tuple:
+    """(blocks, singular): sandwich_block of each row of a (k, 32) versor stack.
+
+    blocks is (k, 5, 5), from one stacked pass: the inverses' scalar norms
+    as (k, 1, 32) @ (k, 32, 32), then (k, 5, 32) @ (k, 32, 5).  singular
+    maps the row of each versor whose norm is below 1e-14 to the
+    SingularVersor that sandwich_block raises for it; its block is garbage.
+    """
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    rev = V * _REVERSE_SIGNS
+    norms = np.matmul(rev[:, None, :], _gathered(_GP_LEFT, V))[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a singular row's block is never read
+        inverses = rev / norms[:, None]
+    blocks = np.matmul(_gathered(_G1_LEFT, V), _gathered(_G1_RIGHT, inverses))
+    singular = {int(i): _singular(float(norms[i])) for i in np.flatnonzero(np.abs(norms) < _VERSOR_EPS)}
+    return blocks, singular
 
 
 def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:

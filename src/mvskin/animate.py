@@ -43,23 +43,25 @@ from typing import Optional
 import numpy as np
 
 from . import quaternions as quat
-from .algebra import down_block, geometric_product, sandwich_block
-from .errors import NumericalFailure, SchemaError
+from .algebra import Multivector, down_block, geometric_products, sandwich_blocks
+from .errors import DegenerateBlend, NumericalFailure, SchemaError
 from .rig import (
     RiggedModel,
+    Skeleton,
     Trs,
     TrsKey,
     bbox_diagonal,
     chain,
-    parent_first,
+    trs_matrices,
     trs_matrix,
+    trs_rows,
     trs_versor,
+    trs_versors,
 )
 
 __all__ = [
     "Pose",
     "SkinnedFrame",
-    "local_transform_at",
     "global_pose_at",
     "skin_cga",
     "skin_cga_sum",
@@ -72,25 +74,47 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Pose:
-    """Each bone's local transform at one sample time, parents first.
+    """Each bone's local transform at one sample time, one row per bone.
 
-    versors and matrices (bone id -> global Versor or (4, 4) ndarray) are
-    each built on first read.
+    Row i is skeleton.order[i], every parent before its children:
+    translations (B, 3), rotations (B, 4) and scales (B,), read-only.
+    global_versors (B, 32) and global_matrices (B, 4, 4) are each built on
+    first read, from one stacked leaf pass and one stacked product per
+    depth level; versors and matrices read them as bone id -> global
+    Versor or (4, 4) ndarray.
     """
 
     time: float
-    local: tuple  # of (Bone, Trs) pairs, every parent before its children
+    skeleton: Skeleton
+    translations: np.ndarray
+    rotations: np.ndarray
+    scales: np.ndarray
+
+    @functools.cached_property
+    def global_versors(self) -> np.ndarray:
+        leaves = trs_versors(self.translations, self.rotations, self.scales)
+        return _read_only(chain(self.skeleton, leaves, geometric_products))[0]
+
+    @functools.cached_property
+    def global_matrices(self) -> np.ndarray:
+        leaves = trs_matrices(self.translations, self.rotations, self.scales)
+        return _read_only(chain(self.skeleton, leaves, np.matmul))[0]
 
     @functools.cached_property
     def versors(self) -> dict:
-        return chain(self.local, trs_versor, geometric_product)
+        return {b.id: Multivector(v) for b, v in zip(self.skeleton.order, self.global_versors)}
 
     @functools.cached_property
     def matrices(self) -> dict:
-        return chain(self.local, trs_matrix, np.matmul)
+        return dict(zip((b.id for b in self.skeleton.order), self.global_matrices))
 
 
 @dataclass(frozen=True)
@@ -113,43 +137,72 @@ class SkinnedFrame:
 # keyframe interpolation
 
 
-def _interpolate_keys(keys, time: float) -> Trs:
-    times = [k.time for k in keys]
-    i = bisect.bisect_left(times, time)
-    if i < len(keys) and keys[i].time == time:
-        return keys[i].trs
-    if i == 0:
-        return keys[0].trs
-    if i == len(keys):
-        return keys[-1].trs
-    k0, k1 = keys[i - 1], keys[i]
-    a = (time - k0.time) / (k1.time - k0.time)
-    t = (1.0 - a) * np.asarray(k0.translation) + a * np.asarray(k1.translation)
-    q = quat.nlerp(k0.rotation, k1.rotation, a)
-    s = (1.0 - a) * k0.scale + a * k1.scale
-    return Trs(tuple(float(x) for x in t), tuple(float(x) for x in q), float(s))
+def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
+    """(times, counts, translations, rotations, scales): each bone's keys, one row per skeleton row.
 
-
-def local_transform_at(
-    model: RiggedModel, clip: Optional[str], bone_id: int, time: float
-) -> Trs:
-    """Interpolated local transform of one bone.
-
-    Lands exactly on key values at key times, clamps outside the key
-    range, and falls back to the bone's bind transform when the clip has
-    no track for the bone (or clip is None).
+    A bone without a track holds its bind transform as its one key.
+    Rows are padded to the longest track, times with +inf.
     """
     tracks = model.clips.get(clip, {}) if clip is not None else {}
-    keys = tracks.get(bone_id)
-    if not keys:
-        return model.bone(bone_id).bind
-    return _interpolate_keys(keys, time)
+    order = model.skeleton.order
+    read = tuple(tracks.get(b.id) for b in order)
+    memo = model.pose_cache  # a clip is stacked again only when a track it reads changes
+    if ("keys", clip) in memo and memo["keys", clip][0] == read:
+        return memo["keys", clip][1]
+    keys = [track if track else (bone.bind,) for bone, track in zip(order, read)]
+    width = max(map(len, keys), default=1)
+    counts = np.array([len(k) for k in keys], dtype=np.int64)
+    times = np.full((len(keys), width), np.inf)
+    translations, rotations = np.zeros((len(keys), width, 3)), np.zeros((len(keys), width, 4))
+    scales = np.zeros((len(keys), width))
+    for i, (track, k) in enumerate(zip(read, keys)):
+        times[i, : len(k)] = [key.time for key in track] if track else 0.0
+        translations[i, : len(k)], rotations[i, : len(k)], scales[i, : len(k)] = trs_rows(k)
+    table = _read_only(times, counts, translations, rotations, scales)
+    memo["keys", clip] = (read, table)
+    return table
+
+
+def _interpolate(table: tuple, time: float) -> tuple:
+    """(translations, rotations, scales) of every row of a key table at a time.
+
+    Per row, as bisect_left over the row's key times: a key at the time
+    itself is returned as stored, a time outside the keys clamps to the
+    nearest key, and a time between two keys blends them: lerp for
+    translation and scale, hemisphere-corrected nlerp for rotation.
+    """
+    times, counts, translations, rotations, scales = table
+    rows = np.arange(len(counts))
+    i = np.count_nonzero(times < time, axis=1)
+    at = np.minimum(i, counts - 1)
+    t, q, s = translations[rows, at], rotations[rows, at], scales[rows, at]
+    blend = np.flatnonzero((0 < i) & (i < counts) & (times[rows, at] != time))
+    if blend.size:
+        k1 = i[blend]
+        k0 = k1 - 1
+        with np.errstate(all="ignore"):  # Python's float arithmetic, which this was, never warns
+            a = (time - times[blend, k0]) / (times[blend, k1] - times[blend, k0])
+            s[blend] = (1.0 - a) * scales[blend, k0] + a * scales[blend, k1]
+        t[blend] = (1.0 - a)[:, None] * translations[blend, k0] + a[:, None] * translations[blend, k1]
+        q0, q1 = rotations[blend, k0], rotations[blend, k1]
+        q1 = np.where((np.vecdot(q0, q1) < 0.0)[:, None], -q1, q1)
+        mixed = (1.0 - a)[:, None] * q0 + a[:, None] * q1
+        norms = np.sqrt(np.vecdot(mixed, mixed))  # the bytes of np.linalg.norm of each row
+        if (norms < 1e-12).any():
+            raise DegenerateBlend("quaternion blend collapsed to zero")
+        q[blend] = mixed / norms[:, None]
+    return _read_only(t, q, s)
 
 
 def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose:
-    """Every bone's interpolated local transform at a time, parents first."""
-    bones = parent_first(model.bones)
-    return Pose(float(time), tuple((b, local_transform_at(model, clip, b.id, time)) for b in bones))
+    """Every bone's local transform at a time, in one pass over the bones.
+
+    A bone keyed in the clip lands exactly on a key at its time, clamps to
+    the nearest key outside the key range and blends the two keys around
+    the time otherwise.  A bone the clip has no track for (or every bone,
+    when clip is None) holds its bind transform.
+    """
+    return Pose(float(time), model.skeleton, *_interpolate(_key_table(model, clip), time))
 
 
 # ---------------------------------------------------------------------------
@@ -157,51 +210,115 @@ def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose
 
 
 def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
-    """Per-vertex sum of w * image(bone, rows) over the model's weights.
+    """Per-vertex sum of w * image(group, rows) over the model's weights.
 
     The terms come from the model's cached bone groups: bones in
     first-use order, each bone's rows ascending, so every backend adds
-    the same terms in the same order.  The output has a row per mesh
-    vertex.
+    the same terms in the same order.  image gets the group's index.  The
+    output has a row per mesh vertex.
     """
     out = np.zeros((len(model.mesh.vertices), width))
     with np.errstate(all="ignore"):
-        for bone_id, rows, weights in model.weights.bone_groups:
-            out[rows] += weights[:, None] * image(bone_id, rows)
+        for g, (_, rows, weights) in enumerate(model.weights.bone_groups):
+            out[rows] += weights[:, None] * image(g, rows)
     return out
 
 
-def _sandwich_images(model: RiggedModel, pose: Pose):
-    """image(bone, rows): grade-1 sandwich images (k, 5), on e1..e5, of the lifted rows."""
-    lifted = model.mesh.lifted_vertices
+def _group_bones(model: RiggedModel, skeleton: Skeleton) -> tuple:
+    """(pose rows, bone indices, missing) of the model's bone groups, kept per skeleton.
 
-    def image(bone_id, rows):
-        deform = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
-        return lifted[rows] @ sandwich_block(deform)
+    Group g's bone is row pose_rows[g] of a pose on skeleton (the last of
+    equal ids) and model.bones[bone_indices[g]] (the first); missing maps
+    a group whose bone id names no bone to that id, and its entries read 0.
+    """
+    cached = model.pose_cache.get("groups")
+    if cached is None or cached[0] is not skeleton:
+        cached = model.pose_cache["groups"] = (skeleton, _bone_rows(model, skeleton))
+    return cached[1]
+
+
+def _bone_rows(model: RiggedModel, skeleton: Skeleton) -> tuple:
+    pose_rows, indices, missing = [], [], {}
+    for g, (bone_id, _, _) in enumerate(model.weights.bone_groups):
+        if bone_id in skeleton.rows:
+            pose_rows.append(skeleton.rows[bone_id])
+            indices.append(model.bone_index[bone_id])
+        else:
+            pose_rows.append(0)
+            indices.append(0)
+            missing[g] = bone_id
+    return np.array(pose_rows, dtype=np.int64), np.array(indices, dtype=np.int64), missing
+
+
+def _deform_versors(model: RiggedModel, pose: Pose):
+    """image(group, rows) for the conformal backends: grade-1 sandwich images (k, 5) of the lifted rows.
+
+    Every group's deform versor global * offset and its sandwich block come
+    from one stacked pass.  A group raises on its turn, in this order, a
+    KeyError for a bone id the pose lacks, the error of an offset that
+    trs_versor rejects, or the SingularVersor of its deform versor.
+    """
+    lifted = model.mesh.lifted_vertices
+    if not model.weights.bone_groups:
+        return None
+    pose_rows, indices, missing = _group_bones(model, pose.skeleton)
+    offsets, rejected = model.offset_versors
+    deform = geometric_products(pose.global_versors[pose_rows], offsets[indices])
+    blocks, singular = sandwich_blocks(deform)
+
+    def image(g, rows):
+        if g in missing:
+            raise KeyError(missing[g])
+        if indices[g] in rejected:
+            trs_versor(model.bones[indices[g]].offset)
+        if g in singular:
+            raise singular[g]
+        return lifted[rows] @ blocks[g]
 
     return image
 
 
 def skin_cga(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Conformal skinning, projecting each term: sum_n w_n down(S_n up(v))."""
-    sandwich = _sandwich_images(model, pose)
-    out = _blend(model, 3, lambda bone_id, rows: down_block(sandwich(bone_id, rows), rows))
+    with np.errstate(all="ignore"):
+        sandwich = _deform_versors(model, pose)
+    out = _blend(model, 3, lambda g, rows: down_block(sandwich(g, rows), rows))
     return SkinnedFrame(out, "cga", pose.time)
 
 
 def skin_cga_sum(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Conformal skinning, projecting once: down(sum_n w_n S_n up(v))."""
-    acc = _blend(model, 5, _sandwich_images(model, pose))
     with np.errstate(all="ignore"):
+        acc = _blend(model, 5, _deform_versors(model, pose))
         out = down_block(acc)
     return SkinnedFrame(out, "cga_sum", pose.time)
 
 
+def _deform_matrices(model: RiggedModel, pose: Pose) -> tuple:
+    """(deform, rejected): global @ offset of every bone, (B, 4, 4) in bones order, from one stacked product.
+
+    Bone j pairs its own offset with the pose's global of its id.  rejected
+    holds the bones whose offset trs_matrix rejects; their rows are garbage.
+    """
+    offsets, rejected = model.offset_matrices
+    rows = [pose.skeleton.rows[b.id] for b in model.bones]
+    return np.matmul(pose.global_matrices[rows], offsets), rejected
+
+
 def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v."""
+    if not model.weights.bone_groups:
+        return SkinnedFrame(_blend(model, 3, None), "lbs", pose.time)
+    with np.errstate(all="ignore"):
+        deform, rejected = _deform_matrices(model, pose)
+    _, indices, missing = _group_bones(model, pose.skeleton)
 
-    def image(bone_id, rows):
-        m = pose.matrices[bone_id] @ model.bone(bone_id).offset_matrix
+    def image(g, rows):
+        if g in missing:
+            raise KeyError(missing[g])
+        if indices[g] in rejected:
+            trs_matrix(model.bones[indices[g]].offset)
+        m = deform[indices[g]]
         return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
 
     return SkinnedFrame(_blend(model, 3, image), "lbs", pose.time)
@@ -216,13 +333,16 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     pass over the bone matrices (one det, one from_matrix, one multiply)
     gives every bone's part.  Hemisphere correction pivots on each vertex's
     largest-weight influence (ties go to the lower bone id).  The first
-    bone matrix in model.bones without a finite positive determinant, as
-    an overflowing pose gives, raises NumericalFailure.
+    bone in model.bones whose offset trs_matrix rejects raises its error;
+    the first bone matrix without a finite positive determinant, as an
+    overflowing pose gives, raises NumericalFailure.
     """
     bones = model.bones
     slot = {b.id: i for i, b in enumerate(bones)}  # the last of equal ids wins
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
-        m = np.array([pose.matrices[b.id] @ b.offset_matrix for b in bones]).reshape(-1, 4, 4)
+        m, rejected = _deform_matrices(model, pose)
+        if rejected:
+            trs_matrix(bones[min(rejected)].offset)
         det = np.linalg.det(m[:, :3, :3])
         ok = (0.0 < det) & (det < np.inf)
         if not ok.all():
@@ -237,8 +357,10 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     pivots, pivot_of_row = model.weights.pivot_bones
     pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
-    def image(bone_id, rows):
-        part = parts[slot[bone_id]]
+    groups = model.weights.bone_groups
+
+    def image(g, rows):
+        part = parts[slot[groups[g][0]]]
         sgn = np.where(pivot_real[pivot_of_row[rows]] @ part[:4] < 0.0, -1.0, 1.0)
         return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
 

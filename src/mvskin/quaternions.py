@@ -1,8 +1,8 @@
 """Unit quaternion helpers, (w, x, y, z) convention.
 
-multiply, conjugate, rotate and from_matrix broadcast over leading axes.
-normalize, nlerp, to_matrix and from_axis_angle take one quaternion (one
-axis); normalize rejects any other shape.
+multiply, conjugate, rotate, to_matrix and from_matrix broadcast over
+leading axes.  normalize, nlerp and from_axis_angle take one quaternion
+(one axis); normalize rejects any other shape.
 """
 
 from __future__ import annotations
@@ -75,15 +75,25 @@ def nlerp(a, b, t: float) -> np.ndarray:
     return out / n
 
 
+# to_matrix's entries, row-major, from the products q_i q_j (flat index 4i + j):
+# 1 - 2 (a + b) on the diagonal, 2 (a + sign b) off it
+_W, _X, _Y, _Z = range(4)
+_A = [4 * i + j for i, j in ((_Y, _Y), (_X, _Y), (_X, _Z), (_X, _Y), (_X, _X), (_Y, _Z), (_X, _Z), (_Y, _Z), (_X, _X))]
+_B = [4 * i + j for i, j in ((_Z, _Z), (_W, _Z), (_W, _Y), (_W, _Z), (_Z, _Z), (_W, _X), (_W, _Y), (_W, _X), (_Y, _Y))]
+_B_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_DIAGONAL = np.eye(3, dtype=bool).ravel()
+
+
 def to_matrix(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=np.float64)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices (..., 3, 3) of quaternions (..., 4).
+
+    Entry for entry the expressions 1 - 2 (y y + z z), 2 (x y - w z), ...:
+    a - b is a + (-b) in floating point, so one signed sum serves them all.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    products = (q[..., :, None] * q[..., None, :]).reshape(*q.shape[:-1], 16)
+    twice = 2 * (products[..., _A] + products[..., _B] * _B_SIGNS)
+    return np.where(_DIAGONAL, 1 - twice, twice).reshape(*q.shape[:-1], 3, 3)
 
 
 def from_matrix(m) -> np.ndarray:

@@ -47,8 +47,11 @@ import numpy as np
 
 from . import quaternions as quat
 from .algebra import (
+    BLADE_INDEX,
+    DIM,
+    Multivector,
     Versor,
-    geometric_product,
+    geometric_products,
     make_dilator,
     make_translator,
     rotor_from_quaternion,
@@ -70,9 +73,13 @@ __all__ = [
     "Bone",
     "Mesh",
     "RiggedModel",
+    "Skeleton",
     "IDENTITY_TRS",
     "parent_first",
     "chain",
+    "trs_rows",
+    "trs_versors",
+    "trs_matrices",
     "trs_versor",
     "trs_matrix",
     "compose_trs",
@@ -128,20 +135,95 @@ class TrsKey:
         return Trs(self.translation, self.rotation, self.scale)
 
 
+# leaf blade slots: translator e14, e24, e34 and e15, e25, e35; rotor e23, e13, e12; dilator e45
+_T4 = [BLADE_INDEX[(i, 4)] for i in (1, 2, 3)]
+_T5 = [BLADE_INDEX[(i, 5)] for i in (1, 2, 3)]
+_E23, _E13, _E12 = BLADE_INDEX[(2, 3)], BLADE_INDEX[(1, 3)], BLADE_INDEX[(1, 2)]
+_E45 = BLADE_INDEX[(4, 5)]
+_UNIT_TOL = 1e-9  # rotor_from_quaternion's unit check
+
+
+def trs_rows(transforms) -> tuple:
+    """(translations (n, 3), rotations (n, 4), scales (n,)): float64 rows of Trs-like objects."""
+    transforms = list(transforms)
+    rows = []
+    for name, width in (("translation", 3), ("rotation", 4)):
+        values = [getattr(x, name) for x in transforms]
+        arr = np.array(values, dtype=np.float64) if values else np.zeros((0, width))
+        if arr.shape != (len(values), width):
+            raise ValueError(f"every {name} needs {width} components")
+        rows.append(arr)
+    return (*rows, np.array([x.scale for x in transforms], dtype=np.float64))
+
+
+def trs_versors(translations, rotations, scales) -> np.ndarray:
+    """Conformal versors T * R * D, (n, 32), of n transforms given as trs_rows.
+
+    Row i has the bytes of trs_versor of transform i: the leaves are set
+    in one pass, with Python's math for each dilator as numpy's log, cosh
+    and sinh may round apart, and the two products are stacked.  The first
+    transform that trs_versor rejects raises its error.
+    """
+    t, q, s = translations, rotations, scales
+    with np.errstate(all="ignore"):  # a rejected row raises below
+        norms = np.sqrt(np.vecdot(q, q))
+        unit = q / norms[:, None]
+        ok = (
+            np.isfinite(t).all(axis=1)
+            & (norms != 0.0)
+            & np.isfinite(norms)
+            & ~(np.abs(np.sqrt(np.vecdot(unit, unit)) - 1.0) > _UNIT_TOL)
+            & (s > 0.0)
+            & np.isfinite(s)
+        )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        make_translator(t[i])
+        rotor_from_quaternion(quat.normalize(q[i]))
+        make_dilator(s[i])
+        raise AssertionError(f"transform {i} passes every check")
+    n = len(s)
+    T, R, D = np.zeros((3, n, DIM))
+    T[:, 0] = 1.0
+    T[:, _T4] = T[:, _T5] = -0.5 * t
+    R[:, 0] = unit[:, 0]
+    R[:, _E23] = -unit[:, 1]
+    R[:, _E13] = unit[:, 2]
+    R[:, _E12] = -unit[:, 3]
+    half_logs = [0.5 * math.log(x) for x in s.tolist()]
+    D[:, 0] = [math.cosh(h) for h in half_logs]
+    D[:, _E45] = [-math.sinh(h) for h in half_logs]
+    return geometric_products(geometric_products(T, R), D)
+
+
+def trs_matrices(translations, rotations, scales) -> np.ndarray:
+    """Homogeneous 4x4 matrices, (n, 4, 4), of n transforms given as trs_rows.
+
+    Row i has the bytes of trs_matrix of transform i.  The first quaternion
+    that quat.normalize rejects raises its error.
+    """
+    t, q, s = translations, rotations, scales
+    with np.errstate(all="ignore"):  # a rejected row raises below
+        norms = np.sqrt(np.vecdot(q, q))
+    ok = (norms != 0.0) & np.isfinite(norms)
+    if not ok.all():
+        quat.normalize(q[int(np.argmin(ok))])
+        raise AssertionError("quaternion passes every check")
+    m = np.zeros((len(s), 4, 4))
+    m[:, :3, :3] = s[:, None, None] * quat.to_matrix(q / norms[:, None])
+    m[:, :3, 3] = t
+    m[:, 3, 3] = 1.0
+    return m
+
+
 def trs_versor(trs: Trs) -> Versor:
     """Conformal versor T * R * D of a Trs."""
-    t = make_translator(trs.translation)
-    r = rotor_from_quaternion(quat.normalize(trs.rotation))
-    d = make_dilator(trs.scale)
-    return geometric_product(geometric_product(t, r), d)
+    return Multivector(trs_versors(*trs_rows([trs]))[0])
 
 
 def trs_matrix(trs: Trs) -> np.ndarray:
     """Homogeneous 4x4 matrix of a Trs."""
-    m = np.eye(4)
-    m[:3, :3] = trs.scale * quat.to_matrix(quat.normalize(trs.rotation))
-    m[:3, 3] = trs.translation
-    return m
+    return trs_matrices(*trs_rows([trs]))[0]
 
 
 def compose_trs(a: Trs, b: Trs) -> Trs:
@@ -204,18 +286,6 @@ class Bone:
     offset: Trs = IDENTITY_TRS
     bind: Trs = IDENTITY_TRS
 
-    @functools.cached_property
-    def offset_versor(self) -> Versor:
-        """trs_versor(offset), built on first use."""
-        return trs_versor(self.offset)
-
-    @functools.cached_property
-    def offset_matrix(self) -> np.ndarray:
-        """trs_matrix(offset), built on first use; read-only."""
-        m = trs_matrix(self.offset)
-        m.setflags(write=False)
-        return m
-
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -277,13 +347,34 @@ class RiggedModel:
 
     def bone(self, bone_id: int) -> Bone:
         try:
-            return self._bone_by_id[bone_id]
+            return self.bones[self.bone_index[bone_id]]
         except (KeyError, TypeError):
             raise KeyError(f"no bone with id {bone_id}") from None
 
     @functools.cached_property
-    def _bone_by_id(self) -> dict:
-        return {b.id: b for b in reversed(self.bones)}  # the first of equal ids wins
+    def bone_index(self) -> dict:
+        """Bone id -> its index in bones, the first of equal ids."""
+        return {b.id: i for i, b in reversed(list(enumerate(self.bones)))}
+
+    @functools.cached_property
+    def skeleton(self) -> "Skeleton":
+        """Skeleton(bones), built on first use."""
+        return Skeleton(self.bones)
+
+    @functools.cached_property
+    def pose_cache(self) -> dict:
+        """What animate's pose passes derive from this model once: key tables, bone rows."""
+        return {}
+
+    @functools.cached_property
+    def offset_versors(self) -> tuple:
+        """_offsets(bones, trs_versors): (stack, rejected), built on first use."""
+        return _offsets(self.bones, trs_versors)
+
+    @functools.cached_property
+    def offset_matrices(self) -> tuple:
+        """_offsets(bones, trs_matrices): (stack, rejected), built on first use."""
+        return _offsets(self.bones, trs_matrices)
 
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):
@@ -318,16 +409,72 @@ def parent_first(bones) -> list:
     return order
 
 
-def chain(pairs, leaf, compose) -> dict:
-    """Bone id -> global transform, over (bone, local Trs) pairs given parents first.
+class Skeleton:
+    """The bones parents first, indexed for stacked passes over them.
 
-    A root gets leaf(local); a child gets compose(its parent's global, leaf(local)).
+    order is parent_first(bones); row i of a pose stack is order[i].
+    parents[i] is the row of order[i]'s parent, -1 for a root: the latest
+    row before i with the parent's id.  levels holds (rows, parent rows)
+    for each depth from 1 down, as slices for a depth of one bone.  rows maps a bone id to its row, the last
+    of equal ids.
     """
-    out: dict = {}
-    for bone, local in pairs:
-        g = leaf(local)
-        out[bone.id] = g if bone.parent is None else compose(out[bone.parent], g)
+
+    def __init__(self, bones):
+        self.order = tuple(parent_first(bones))
+        latest: dict = {}  # bone id -> its latest row so far
+        parents, depth = [], []
+        for i, b in enumerate(self.order):
+            p = -1 if b.parent is None else latest[b.parent]
+            parents.append(p)
+            depth.append(0 if p < 0 else depth[p] + 1)
+            latest[b.id] = i
+        self.parents = np.array(parents, dtype=np.int64)
+        depth = np.array(depth, dtype=np.int64)
+        self.levels = tuple(
+            _level(rows, self.parents[rows]) for rows in (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
+        )
+        self.rows = latest
+
+
+def _level(rows: np.ndarray, parents: np.ndarray) -> tuple:
+    """(rows, parent rows) of one depth; a lone row as slices, which index without copying."""
+    if len(rows) == 1:
+        i, p = int(rows[0]), int(parents[0])
+        return slice(i, i + 1), slice(p, p + 1)
+    return rows, parents
+
+
+def chain(skeleton: Skeleton, leaves: np.ndarray, compose) -> np.ndarray:
+    """Global transforms of local leaves stacked in skeleton order.
+
+    A root keeps its leaf; a child gets compose(its parent's global, its
+    leaf), one stacked compose per depth level, parents first.
+    """
+    out = leaves.copy()
+    for rows, parents in skeleton.levels:
+        out[rows] = compose(out[parents], leaves[rows])
     return out
+
+
+def _offsets(bones, build) -> tuple:
+    """(stack, rejected): build (trs_versors or trs_matrices) over the bones' offsets.
+
+    The stack has a row per bone, in bones order.  rejected holds the rows
+    whose offset build rejects; they read as the identity, and a caller
+    that reaches one raises its error by building that offset alone.
+    """
+    rows = trs_rows(b.offset for b in bones)
+    try:
+        return build(*rows), frozenset()
+    except ValueError:
+        pass
+    rejected = set()
+    for i in range(len(bones)):
+        try:
+            build(*(r[i : i + 1] for r in rows))
+        except ValueError:
+            rejected.add(i)
+    return build(*trs_rows(IDENTITY_TRS if i in rejected else b.offset for i, b in enumerate(bones))), frozenset(rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +488,11 @@ def bbox_diagonal(mesh_or_vertices) -> float:
     v = np.asarray(mesh_or_vertices, dtype=np.float64)
     if len(v) == 0:
         return 0.0
-    extent = v.max(axis=0) - v.min(axis=0)
+    with np.errstate(over="ignore"):
+        extent = v.max(axis=0) - v.min(axis=0)
+    if np.isinf(extent).any() and np.isfinite(v).all():
+        # an extent beyond the float range: the diagonal, longer still, overflows
+        return math.inf
     with np.errstate(over="ignore"):
         diag = float(np.linalg.norm(extent))
     if diag == math.inf and np.isfinite(extent).all():
@@ -392,10 +543,11 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError(f"face {first_repeat} repeats a vertex: {face}")
 
 
-def _versor_is_identity(v: Versor, tol: float) -> bool:
-    c = v.coeffs.copy()
-    c[0] -= 1.0
-    return float(np.max(np.abs(c))) <= tol * max(1.0, float(np.max(np.abs(v.coeffs))))
+def _versors_are_identity(v: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of a (k, 32) versor stack: is it the identity to tol, relative to its largest coefficient?"""
+    c = v.copy()
+    c[:, 0] -= 1.0
+    return np.abs(c).max(axis=1) <= tol * np.maximum(1.0, np.abs(v).max(axis=1))
 
 
 def validate_model(model: RiggedModel) -> None:
@@ -414,22 +566,23 @@ def validate_model(model: RiggedModel) -> None:
     roots = [b for b in model.bones if b.parent is None]
     if len(roots) != 1:
         raise HierarchyError(f"skeleton must have exactly one root, found {len(roots)}")
-    order = parent_first(model.bones)  # every parent exists and no ancestry loops
+    skeleton = model.skeleton  # every parent exists and no ancestry loops
     # bone transforms are well formed before any versor is built from them
     for b in model.bones:
         _check_trs_fields(b.offset, f"bone {b.id} offset")
         _check_trs_fields(b.bind, f"bone {b.id} bind")
-    if not _versor_is_identity(trs_versor(roots[0].bind), _ROOT_TOL):
+    binds = trs_versors(*trs_rows(b.bind for b in skeleton.order))  # the one root is row 0
+    if not _versors_are_identity(binds[:1], _ROOT_TOL)[0]:
         raise HierarchyError(f"root bone {roots[0].id} must bind at the identity")
 
     # offsets must invert the global bind transforms, composed parents first
-    global_bind = chain(((b, b.bind) for b in order), trs_versor, geometric_product)
-    for b in model.bones:
-        prod = geometric_product(b.offset_versor, global_bind[b.id])
-        if not _versor_is_identity(prod, _OFFSET_TOL):
-            raise OffsetError(
-                f"bone {b.id}: offset does not invert the global bind transform"
-            )
+    global_bind = chain(skeleton, binds, geometric_products)
+    offsets, _ = model.offset_versors
+    prod = geometric_products(offsets, global_bind[[skeleton.rows[b.id] for b in model.bones]])
+    inverted = _versors_are_identity(prod, _OFFSET_TOL)
+    if not inverted.all():
+        bad = model.bones[int(np.argmin(inverted))]
+        raise OffsetError(f"bone {bad.id}: offset does not invert the global bind transform")
 
     # weights
     if len(model.weights) != len(model.mesh.vertices):

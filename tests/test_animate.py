@@ -24,7 +24,6 @@ from mvskin.animate import (
     compare_backends,
     generate_keyframe,
     global_pose_at,
-    local_transform_at,
     skin_cga,
     skin_cga_sum,
     skin_dq,
@@ -91,6 +90,13 @@ def reversed_ids(model):
 
 def keyed(model, clip, bone, time, **trs_fields):
     return generate_keyframe(model, clip, bone, Trs(**trs_fields), time)
+
+
+def local_transform_at(model, clip, bone_id, time):
+    """One bone's row of the pose global_pose_at interpolates, as a Trs."""
+    pose = global_pose_at(model, clip, time)
+    i = pose.skeleton.rows[bone_id]
+    return Trs(tuple(pose.translations[i].tolist()), tuple(pose.rotations[i].tolist()), float(pose.scales[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +217,37 @@ def test_versor_and_matrix_twins_agree_on_random_chain():
 
 
 def test_each_backend_builds_only_its_own_chain(monkeypatch):
-    calls = {"trs_versor": 0, "trs_matrix": 0}
-    for name in calls:
+    # rows built by the stacked leaf builders, one row per transform
+    rows = {"trs_versors": 0, "trs_matrices": 0}
+    for name in rows:
         real = getattr(mvskin.rig, name)
 
-        def counted(trs, real=real, name=name):
-            calls[name] += 1
-            return real(trs)
+        def counted(translations, rotations, scales, real=real, name=name):
+            rows[name] += len(scales)
+            return real(translations, rotations, scales)
 
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("mvskin") and getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counted)
     m = keyed(make_cylinders_model(), "c", 1, 0.0, translation=(1.0, 2.0, 3.0))
     for backend, built, unread in (
-        ("lbs", "trs_matrix", "trs_versor"),
-        ("dq", "trs_matrix", "trs_versor"),
-        ("cga", "trs_versor", "trs_matrix"),
-        ("cga_sum", "trs_versor", "trs_matrix"),
+        ("lbs", "trs_matrices", "trs_versors"),
+        ("dq", "trs_matrices", "trs_versors"),
+        ("cga", "trs_versors", "trs_matrices"),
+        ("cga_sum", "trs_versors", "trs_matrices"),
     ):
-        calls.update(trs_versor=0, trs_matrix=0)
+        rows.update(trs_versors=0, trs_matrices=0)
         SKIN_BACKENDS[backend](m, global_pose_at(m, "c", 0.0))
-        assert calls[unread] == 0, backend
+        assert rows[unread] == 0, backend
         # bone offsets are built once per bone: a second frame on a new
         # pose builds only that pose's chain
-        calls.update(trs_versor=0, trs_matrix=0)
+        rows.update(trs_versors=0, trs_matrices=0)
         SKIN_BACKENDS[backend](m, global_pose_at(m, "c", 0.0))
-        assert calls == {built: len(m.bones), unread: 0}, backend
+        assert rows == {built: len(m.bones), unread: 0}, backend
     pose = global_pose_at(m, "c", 0.0)
-    calls.update(trs_versor=0, trs_matrix=0)
+    rows.update(trs_versors=0, trs_matrices=0)
     assert pose.versors is pose.versors
-    assert calls == {"trs_versor": len(m.bones), "trs_matrix": 0}
+    assert rows == {"trs_versors": len(m.bones), "trs_matrices": 0}
 
 
 def test_bind_pose_versors_act_as_bind():
@@ -574,7 +581,7 @@ def dense_conformal_frame(model, pose, project_each):
     with np.errstate(all="ignore"):
         for bone_id in bones[np.argsort(first)].tolist():
             rows, cols = np.nonzero(ids == bone_id)
-            V = geometric_product(pose.versors[bone_id], model.bone(bone_id).offset_versor)
+            V = geometric_product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset))
             X = lifted[rows] @ dense_sandwich_matrix(V)
             out[rows] += ws[rows, cols][:, None] * (down_block(X[:, 1:6]) if project_each else X)
         return out if project_each else down_block(out[:, 1:6])
