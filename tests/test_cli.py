@@ -429,9 +429,10 @@ def test_compare_cga_vs_dq_reported(tmp_path):
     assert rec["reference"] == "dq" and rec["test"] == "cga"
 
 
-@pytest.mark.parametrize("delta", [1e160, 1e300])
+@pytest.mark.parametrize("delta", [1e160, 1e300, 1.7e308])
 def test_compare_on_a_far_opened_tear_writes_finite_json(tmp_path, delta):
-    # the opened tear is wider than ~1.3e154, where squared norms overflow
+    # the opened tear is wider than ~1.3e154, where squared norms overflow;
+    # at 1.7e308 the bounding box's extent itself overflows
     doc = json.loads(bundled_script_path("cylinders_tear.json").read_text(encoding="utf-8"))
     (act,) = doc["actions"]
     act["delta"] = delta

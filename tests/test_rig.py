@@ -257,6 +257,15 @@ def test_bbox_diagonal_of_a_mesh_wider_than_the_float_range_squared(corner):
     assert bbox_diagonal(v) == pytest.approx(math.hypot(*(2.0 * v[0])), rel=1e-15)
 
 
+def test_bbox_diagonal_of_an_extent_beyond_the_float_range_is_inf_without_a_warning():
+    # cylinders_tear.json opened by a delta of 1.7e308 leaves vertices at
+    # z = +-1.7e308: max - min overflows, and the diagonal, longer still, too
+    v = np.array([[2.0, 1.9, 1.7e308], [-2.0, -1.9, -1.7e308], [0.0, 0.0, 0.0]])
+    assert bbox_diagonal(v) == math.inf
+    assert bbox_diagonal(0.5 * v) == pytest.approx(math.hypot(2.0, 1.9, 1.7e308), rel=1e-15)
+    assert bbox_diagonal(np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]])) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # model validation
 
