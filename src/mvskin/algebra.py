@@ -537,11 +537,12 @@ def sandwich_blocks(V: np.ndarray) -> tuple:
     V = np.ascontiguousarray(V, dtype=np.float64)
     rev = V * _REVERSE_SIGNS
     norms = np.matmul(rev[:, None, :], _gathered(_GP_LEFT, V))[:, 0, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a singular row's block is never read
+    rows = np.flatnonzero(np.abs(norms) < _VERSOR_EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
         inverses = rev / norms[:, None]
+    inverses[rows] = 0.0  # a singular row's block is never read
     blocks = np.matmul(_gathered(_G1_LEFT, V), _gathered(_G1_RIGHT, inverses))
-    singular = {int(i): _singular(float(norms[i])) for i in np.flatnonzero(np.abs(norms) < _VERSOR_EPS)}
-    return blocks, singular
+    return blocks, {int(i): _singular(float(norms[i])) for i in rows}
 
 
 def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:

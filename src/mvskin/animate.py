@@ -1,12 +1,26 @@
 """Keyframe interpolation, pose propagation, and four skinning backends.
 
-A Pose stores each bone's local transform at a sample time, parents
-first, and derives a global chain on first read: conformal versors for
-cga and cga_sum, homogeneous 4x4 matrices for lbs and dq.  Skinning
-composes the pose with each bone's offset (inverse global bind) into a
-versor S_n or a matrix M_n; every backend blends over a vertex's
-influences (n, w_n) in one loop on the model's weights, the packed
-(n, 4) SkinWeights table that is their only stored form:
+A frame's pose work runs in stacked array passes over the bones, not
+one bone at a time.  global_pose_at interpolates every bone at once
+from a key table stacked once per clip, with the bisect, exact-key and
+clamp rules applied per row.  A Pose holds the local transforms as
+rows, parents first, and derives a global chain on first read:
+conformal versors for cga and cga_sum, homogeneous 4x4 matrices for lbs
+and dq.  The leaves of all bones come from one pass (rig.trs_versors,
+rig.trs_matrices), the chain composes one stacked product per depth
+level, and skinning composes the pose with every bone's offset (inverse
+global bind) in one more stacked product, into versors S_n or matrices
+M_n.
+
+Each pass keeps the bytes of the per-bone path it replaced, by two
+rules.  Every (32, 32), (5, 32) or (4, 4) slice that matmul reads is
+C-contiguous: a strided slice takes another BLAS path, which rounds
+differently.  Norms and dots use np.vecdot, which rounds as np.dot and
+np.linalg.norm do; np.einsum does not.
+
+Every backend blends over a vertex's influences (n, w_n) in one loop on
+the model's weights, the packed (n, 4) SkinWeights table that is their
+only stored form:
 
   cga      sum_n w_n down(S_n up(v) ~S_n), projected per term: lbs to rounding,
   cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
@@ -18,13 +32,13 @@ influences (n, w_n) in one loop on the model's weights, the packed
 
 The conformal backends read only grade 1.  A sandwich preserves grade, so
 a vertex lifts to its five e1..e5 coefficients (up_block) and each bone
-applies the 5x5 grade-1 block of its sandwich matrix (sandwich_block),
-not the full 32x32 map; the products behind that block gather the one
-Cayley-table term of each slot rather than contracting the table.  Every
-backend walks the model's cached bone groups (bone, rows, weights), so a
-frame does no per-bone search of the influence table; the lifted rest
-vertices and each vertex's dq pivot bone are cached per model the same
-way.
+applies the 5x5 grade-1 block of its sandwich matrix, not the full 32x32
+map; one stacked pass (sandwich_blocks) gives the blocks of all weighted
+bones, and the products behind them gather the one Cayley-table term of
+each slot rather than contracting the table.  Every backend walks the
+model's cached bone groups (bone, rows, weights), so a frame does no
+per-bone search of the influence table; the lifted rest vertices and
+each vertex's dq pivot bone are cached per model the same way.
 
 Sample times outside a track's key range clamp to the nearest key; a
 missing track holds the bone's local bind transform.  Tracks, if any,
@@ -75,10 +89,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +116,12 @@ class Pose:
     @functools.cached_property
     def global_versors(self) -> np.ndarray:
         leaves = trs_versors(self.translations, self.rotations, self.scales)
-        return _read_only(chain(self.skeleton, leaves, geometric_products))[0]
+        return _read_only(chain(self.skeleton, leaves, geometric_products))
 
     @functools.cached_property
     def global_matrices(self) -> np.ndarray:
         leaves = trs_matrices(self.translations, self.rotations, self.scales)
-        return _read_only(chain(self.skeleton, leaves, np.matmul))[0]
+        return _read_only(chain(self.skeleton, leaves, np.matmul))
 
     @functools.cached_property
     def versors(self) -> dict:
@@ -139,10 +153,13 @@ class SkinnedFrame:
 
 
 def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
-    """(times, counts, translations, rotations, scales): each bone's keys, one row per skeleton row.
+    """(times, keys, last, rows): each bone's keys stacked, one row per skeleton row.
 
-    A bone without a track holds its bind transform as its one key.
-    Rows are padded to the longest track, times with +inf.
+    keys[i, k] is (time, translation, rotation, scale), 9 floats, of key k
+    of skeleton row i, and times[i, k] its time again; last[i] is the index
+    of row i's last key, and rows is arange(B).  A bone without a track
+    holds its bind transform as its one key.  Rows are padded to the
+    longest track, times with +inf.
     """
     tracks = model.clips.get(clip, {}) if clip is not None else {}
     order = model.skeleton.order
@@ -150,16 +167,15 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
     memo = model.pose_cache  # a clip is stacked again only when a track it reads changes
     if ("keys", clip) in memo and memo["keys", clip][0] == read:
         return memo["keys", clip][1]
-    keys = [track if track else (bone.bind,) for bone, track in zip(order, read)]
-    width = max(map(len, keys), default=1)
-    counts = np.array([len(k) for k in keys], dtype=np.int64)
-    times = np.full((len(keys), width), np.inf)
-    translations, rotations = np.zeros((len(keys), width, 3)), np.zeros((len(keys), width, 4))
-    scales = np.zeros((len(keys), width))
-    for i, (track, k) in enumerate(zip(read, keys)):
-        times[i, : len(k)] = [key.time for key in track] if track else 0.0
-        translations[i, : len(k)], rotations[i, : len(k)], scales[i, : len(k)] = trs_rows(k)
-    table = _read_only(times, counts, translations, rotations, scales)
+    tracks = [track if track else (bone.bind,) for bone, track in zip(order, read)]
+    keys = np.zeros((len(order), max(map(len, tracks), default=1), 9))
+    keys[:, :, 0] = np.inf
+    for i, (track, given) in enumerate(zip(tracks, read)):
+        n = len(track)
+        keys[i, :n, 0] = [key.time for key in track] if given else 0.0
+        keys[i, :n, 1:4], keys[i, :n, 4:8], keys[i, :n, 8] = trs_rows(track)
+    last = np.array([len(track) - 1 for track in tracks], dtype=np.int64)
+    table = tuple(map(_read_only, (keys[:, :, 0].copy(), keys, last, np.arange(len(order)))))
     memo["keys", clip] = (read, table)
     return table
 
@@ -171,28 +187,24 @@ def _interpolate(table: tuple, time: float) -> tuple:
     itself is returned as stored, a time outside the keys clamps to the
     nearest key, and a time between two keys blends them: lerp for
     translation and scale, hemisphere-corrected nlerp for rotation.
+    Every row is blended and a row that does not blend keeps its key.
     """
-    times, counts, translations, rotations, scales = table
-    rows = np.arange(len(counts))
-    i = np.count_nonzero(times < time, axis=1)
-    at = np.minimum(i, counts - 1)
-    t, q, s = translations[rows, at], rotations[rows, at], scales[rows, at]
-    blend = np.flatnonzero((0 < i) & (i < counts) & (times[rows, at] != time))
-    if blend.size:
-        k1 = i[blend]
-        k0 = k1 - 1
-        with np.errstate(all="ignore"):  # Python's float arithmetic, which this was, never warns
-            a = (time - times[blend, k0]) / (times[blend, k1] - times[blend, k0])
-            s[blend] = (1.0 - a) * scales[blend, k0] + a * scales[blend, k1]
-        t[blend] = (1.0 - a)[:, None] * translations[blend, k0] + a[:, None] * translations[blend, k1]
-        q0, q1 = rotations[blend, k0], rotations[blend, k1]
-        q1 = np.where((np.vecdot(q0, q1) < 0.0)[:, None], -q1, q1)
-        mixed = (1.0 - a)[:, None] * q0 + a[:, None] * q1
-        norms = np.sqrt(np.vecdot(mixed, mixed))  # the bytes of np.linalg.norm of each row
-        if (norms < 1e-12).any():
+    times, keys, last, rows = table
+    i = (times < time).sum(axis=1)
+    hi = keys[rows, np.minimum(i, last)]
+    lo = keys[rows, np.maximum(i - 1, 0)]
+    blend = (0 < i) & (i <= last) & (hi[:, 0] != time)
+    with np.errstate(all="ignore"):  # a row that does not blend computes garbage, never read
+        a = (time - lo[:, :1]) / (hi[:, :1] - lo[:, :1])
+        toward = hi.copy()  # the later key, its rotation in the earlier one's hemisphere
+        np.negative(hi[:, 4:8], out=toward[:, 4:8], where=(np.vecdot(lo[:, 4:8], hi[:, 4:8]) < 0.0)[:, None])
+        mixed = (1.0 - a) * lo + a * toward
+        norms = np.sqrt(np.vecdot(mixed[:, 4:8], mixed[:, 4:8]))  # the bytes of np.linalg.norm of each row
+        if (blend & (norms < 1e-12)).any():
             raise DegenerateBlend("quaternion blend collapsed to zero")
-        q[blend] = mixed / norms[:, None]
-    return _read_only(t, q, s)
+        mixed[:, 4:8] /= norms[:, None]
+    out = _read_only(np.where(blend[:, None], mixed, hi))
+    return out[:, 1:4], out[:, 4:8], out[:, 8]
 
 
 def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose:
@@ -233,22 +245,14 @@ def _group_bones(model: RiggedModel, skeleton: Skeleton) -> tuple:
     a group whose bone id names no bone to that id, and its entries read 0.
     """
     cached = model.pose_cache.get("groups")
-    if cached is None or cached[0] is not skeleton:
-        cached = model.pose_cache["groups"] = (skeleton, _bone_rows(model, skeleton))
-    return cached[1]
-
-
-def _bone_rows(model: RiggedModel, skeleton: Skeleton) -> tuple:
-    pose_rows, indices, missing = [], [], {}
-    for g, (bone_id, _, _) in enumerate(model.weights.bone_groups):
-        if bone_id in skeleton.rows:
-            pose_rows.append(skeleton.rows[bone_id])
-            indices.append(model.bone_index[bone_id])
-        else:
-            pose_rows.append(0)
-            indices.append(0)
-            missing[g] = bone_id
-    return np.array(pose_rows, dtype=np.int64), np.array(indices, dtype=np.int64), missing
+    if cached is not None and cached[0] is skeleton:
+        return cached[1]
+    ids = [bone_id for bone_id, _, _ in model.weights.bone_groups]
+    missing = {g: bone_id for g, bone_id in enumerate(ids) if bone_id not in skeleton.rows}
+    pose_rows = np.array([skeleton.rows.get(bone_id, 0) for bone_id in ids], dtype=np.int64)
+    indices = np.array([model.bone_index.get(bone_id, 0) for bone_id in ids], dtype=np.int64)
+    model.pose_cache["groups"] = (skeleton, (pose_rows, indices, missing))
+    return pose_rows, indices, missing
 
 
 def _deform_versors(model: RiggedModel, pose: Pose):
@@ -259,9 +263,9 @@ def _deform_versors(model: RiggedModel, pose: Pose):
     KeyError for a bone id the pose lacks, the error of an offset that
     trs_versor rejects, or the SingularVersor of its deform versor.
     """
-    lifted = model.mesh.lifted_vertices
     if not model.weights.bone_groups:
         return None
+    lifted = model.mesh.lifted_vertices
     pose_rows, indices, missing = _group_bones(model, pose.skeleton)
     offsets, rejected = model.offset_versors
     deform = geometric_products(pose.global_versors[pose_rows], offsets[indices])

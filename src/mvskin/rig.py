@@ -413,27 +413,24 @@ class Skeleton:
     """The bones parents first, indexed for stacked passes over them.
 
     order is parent_first(bones); row i of a pose stack is order[i].
-    parents[i] is the row of order[i]'s parent, -1 for a root: the latest
-    row before i with the parent's id.  levels holds (rows, parent rows)
-    for each depth from 1 down, as slices for a depth of one bone.  rows maps a bone id to its row, the last
-    of equal ids.
+    levels holds, for each depth from 1 down, the rows at that depth and
+    the rows of their parents (a child's parent row is the latest row
+    before it with the parent's id), as slices for a lone row.  rows maps
+    a bone id to its row, the last of equal ids.
     """
 
     def __init__(self, bones):
         self.order = tuple(parent_first(bones))
-        latest: dict = {}  # bone id -> its latest row so far
+        self.rows: dict = {}  # bone id -> its latest row so far
         parents, depth = [], []
         for i, b in enumerate(self.order):
-            p = -1 if b.parent is None else latest[b.parent]
+            p = -1 if b.parent is None else self.rows[b.parent]
             parents.append(p)
             depth.append(0 if p < 0 else depth[p] + 1)
-            latest[b.id] = i
-        self.parents = np.array(parents, dtype=np.int64)
-        depth = np.array(depth, dtype=np.int64)
-        self.levels = tuple(
-            _level(rows, self.parents[rows]) for rows in (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
-        )
-        self.rows = latest
+            self.rows[b.id] = i
+        parents, depth = np.array(parents, dtype=np.int64), np.array(depth, dtype=np.int64)
+        levels = (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
+        self.levels = tuple(_level(rows, parents[rows]) for rows in levels)
 
 
 def _level(rows: np.ndarray, parents: np.ndarray) -> tuple:
@@ -474,7 +471,8 @@ def _offsets(bones, build) -> tuple:
             build(*(r[i : i + 1] for r in rows))
         except ValueError:
             rejected.add(i)
-    return build(*trs_rows(IDENTITY_TRS if i in rejected else b.offset for i, b in enumerate(bones))), frozenset(rejected)
+    kept = trs_rows(IDENTITY_TRS if i in rejected else b.offset for i, b in enumerate(bones))
+    return build(*kept), frozenset(rejected)
 
 
 # ---------------------------------------------------------------------------
