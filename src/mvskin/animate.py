@@ -59,7 +59,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .algebra import Multivector, down_block, geometric_products, sandwich_blocks
-from .errors import DegenerateBlend, NumericalFailure, SchemaError
+from .errors import NumericalFailure, SchemaError
 from .rig import (
     RiggedModel,
     Skeleton,
@@ -186,24 +186,20 @@ def _interpolate(table: tuple, time: float) -> tuple:
     Per row, as bisect_left over the row's key times: a key at the time
     itself is returned as stored, a time outside the keys clamps to the
     nearest key, and a time between two keys blends them: lerp for
-    translation and scale, hemisphere-corrected nlerp for rotation.
-    Every row is blended and a row that does not blend keeps its key.
+    translation and scale, quat.nlerp for rotation.
     """
     times, keys, last, rows = table
     i = (times < time).sum(axis=1)
-    hi = keys[rows, np.minimum(i, last)]
-    lo = keys[rows, np.maximum(i - 1, 0)]
-    blend = (0 < i) & (i <= last) & (hi[:, 0] != time)
-    with np.errstate(all="ignore"):  # a row that does not blend computes garbage, never read
-        a = (time - lo[:, :1]) / (hi[:, :1] - lo[:, :1])
-        toward = hi.copy()  # the later key, its rotation in the earlier one's hemisphere
-        np.negative(hi[:, 4:8], out=toward[:, 4:8], where=(np.vecdot(lo[:, 4:8], hi[:, 4:8]) < 0.0)[:, None])
-        mixed = (1.0 - a) * lo + a * toward
-        norms = np.sqrt(np.vecdot(mixed[:, 4:8], mixed[:, 4:8]))  # the bytes of np.linalg.norm of each row
-        if (blend & (norms < 1e-12)).any():
-            raise DegenerateBlend("quaternion blend collapsed to zero")
-        mixed[:, 4:8] /= norms[:, None]
-    out = _read_only(np.where(blend[:, None], mixed, hi))
+    out = keys[rows, np.minimum(i, last)]  # the key at or after the time, or the last one
+    blend = np.flatnonzero((0 < i) & (i <= last) & (out[:, 0] != time))
+    if blend.size:
+        k0, k1 = keys[blend, i[blend] - 1], out[blend]
+        with np.errstate(all="ignore"):  # Python's float arithmetic, which this was, never warns
+            a = (time - k0[:, 0]) / (k1[:, 0] - k0[:, 0])
+            mixed = (1.0 - a)[:, None] * k0 + a[:, None] * k1
+        mixed[:, 4:8] = quat.nlerp(k0[:, 4:8], k1[:, 4:8], a)
+        out[blend] = mixed
+    out = _read_only(out)
     return out[:, 1:4], out[:, 4:8], out[:, 8]
 
 

@@ -1,7 +1,7 @@
 """Unit quaternion helpers, (w, x, y, z) convention.
 
-multiply, conjugate, rotate, to_matrix and from_matrix broadcast over
-leading axes.  normalize, nlerp and from_axis_angle take one quaternion
+multiply, conjugate, rotate, nlerp, to_matrix and from_matrix broadcast
+over leading axes.  normalize and from_axis_angle take one quaternion
 (one axis); normalize rejects any other shape.
 """
 
@@ -62,15 +62,20 @@ def rotate(q, v) -> np.ndarray:
     return v + 2.0 * w * np.cross(u, v) + 2.0 * np.cross(u, np.cross(u, v))
 
 
-def nlerp(a, b, t: float) -> np.ndarray:
-    """Normalized linear interpolation with hemisphere correction."""
+def nlerp(a, b, t) -> np.ndarray:
+    """Normalized linear interpolation with hemisphere correction.
+
+    Quaternions (..., 4) at parameters t (...), as one quaternion each:
+    the dot and the norm are np.vecdot's, which round as np.dot and
+    np.linalg.norm do.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if float(np.dot(a, b)) < 0.0:
-        b = -b
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    b = np.where((np.vecdot(a, b) < 0.0)[..., None], -b, b)
     out = (1.0 - t) * a + t * b
-    n = float(np.linalg.norm(out))
-    if n < 1e-12:
+    n = np.sqrt(np.vecdot(out, out))[..., None]
+    if (n < 1e-12).any():
         raise DegenerateBlend("quaternion blend collapsed to zero")
     return out / n
 

@@ -1,7 +1,8 @@
 """The per-bone pose path, the reference of the package's stacked pose passes.
 
-`local_transform_at` interpolates one bone's keys with bisect, exactly as
-`mvskin.animate.global_pose_at` once did for each bone.  `trs_versor` and
+`local_transform_at` interpolates one bone's keys with bisect and a
+one-quaternion `nlerp`, exactly as `mvskin.animate.global_pose_at` once
+did for each bone.  `trs_versor` and
 `trs_matrix` build one bone's leaf from the scalar versor constructors
 and 1-D products, `chain` composes it onto its parent's global transform
 one bone at a time, and the `SKIN` backends read one bone's deform
@@ -20,7 +21,7 @@ import numpy as np
 from mvskin import quaternions as quat
 from mvskin.algebra import down_block, make_dilator, make_translator, rotor_from_quaternion
 from mvskin.animate import SkinnedFrame
-from mvskin.errors import NumericalFailure, SingularVersor
+from mvskin.errors import DegenerateBlend, NumericalFailure, SingularVersor
 from mvskin.rig import Trs, parent_first
 
 from cga_oracle import BASIS, GP, argmax_gather
@@ -63,6 +64,18 @@ def to_matrix(q) -> np.ndarray:
     )
 
 
+def nlerp(a, b, t: float) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if float(np.dot(a, b)) < 0.0:
+        b = -b
+    out = (1.0 - t) * a + t * b
+    n = float(np.linalg.norm(out))
+    if n < 1e-12:
+        raise DegenerateBlend("quaternion blend collapsed to zero")
+    return out / n
+
+
 def interpolate_keys(keys, time: float) -> Trs:
     times = [k.time for k in keys]
     i = bisect.bisect_left(times, time)
@@ -75,7 +88,7 @@ def interpolate_keys(keys, time: float) -> Trs:
     k0, k1 = keys[i - 1], keys[i]
     a = (time - k0.time) / (k1.time - k0.time)
     t = (1.0 - a) * np.asarray(k0.translation) + a * np.asarray(k1.translation)
-    q = quat.nlerp(k0.rotation, k1.rotation, a)
+    q = nlerp(k0.rotation, k1.rotation, a)
     s = (1.0 - a) * k0.scale + a * k1.scale
     return Trs(tuple(float(x) for x in t), tuple(float(x) for x in q), float(s))
 
