@@ -171,19 +171,15 @@ def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _product_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (a b)[k] = sum_j b[j] a[_GP_LEFT.index[j, k]] * _GP_LEFT.sign[j, k]
-    return b @ _gathered(_GP_LEFT, a)
-
-
 def geometric_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise geometric products a[i] b[i] of two (k, 32) coefficient stacks.
+    """Geometric products ab of two coefficient arrays (32,), or row-wise of two (k, 32) stacks.
 
-    One stacked matmul of (k, 1, 32) rows with (k, 32, 32) gathered
-    tables; row i has the bytes of geometric_product(a[i], b[i]).
+    (a b)[k] = sum_j b[j] a[_GP_LEFT.index[j, k]] * _GP_LEFT.sign[j, k]: one
+    matmul of (1, 32) rows with (32, 32) gathered tables, stacked over the
+    rows, so row i has the bytes of the product of a[i] and b[i] alone.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
-    return np.matmul(b[:, None, :], _gathered(_GP_LEFT, np.asarray(a, dtype=np.float64)))[:, 0]
+    return np.matmul(b[..., None, :], _gathered(_GP_LEFT, np.asarray(a, dtype=np.float64)))[..., 0, :]
 
 
 class Multivector:
@@ -335,7 +331,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Full geometric product ab."""
     a = _as_mv(a, "a")
     b = _as_mv(b, "b")
-    return Multivector._wrap(_product_pair(a.coeffs, b.coeffs))
+    return Multivector._wrap(geometric_products(a.coeffs, b.coeffs))
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -504,7 +500,7 @@ def versor_inverse(V: Versor) -> Versor:
     """Inverse via reversal: reverse(V) / <V * reverse(V)>_0."""
     V = _as_mv(V, "V")
     rev = V.coeffs * _REVERSE_SIGNS
-    norm = float(_product_pair(V.coeffs, rev)[0])
+    norm = float(geometric_products(V.coeffs, rev)[0])
     if abs(norm) < _VERSOR_EPS:
         raise _singular(norm)
     return Multivector._wrap(rev / norm)

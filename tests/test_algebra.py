@@ -382,9 +382,12 @@ def same_bytes(a, b):
 
 def test_product_pair_gather_matches_tensordot():
     rng = np.random.default_rng(5)
-    for _ in range(300):
-        a, b = random_sparse(rng), random_sparse(rng)
-        assert same_bytes(algebra._product_pair(a, b), b @ np.tensordot(a, GP, axes=(0, 0)))
+    pairs = [(random_sparse(rng), random_sparse(rng)) for _ in range(300)]
+    for a, b in pairs:
+        assert same_bytes(algebra.geometric_products(a, b), b @ np.tensordot(a, GP, axes=(0, 0)))
+    # a stack of pairs: each row has the bytes of its pair alone
+    stacked = algebra.geometric_products(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    assert same_bytes(stacked, [algebra.geometric_products(a, b) for a, b in pairs])
 
 
 def test_gathers_equal_argmax_gathers_of_the_oracle_table():
