@@ -163,11 +163,11 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
     """
     tracks = model.clips.get(clip, {}) if clip is not None else {}
     order = model.skeleton.order
-    read = tuple(tracks.get(b.id) for b in order)
+    read = tuple(tuple(tracks.get(b.id) or ()) for b in order)  # a list track is copied, so edits to it show
     memo = model.pose_cache  # a clip is stacked again only when a track it reads changes
     if ("keys", clip) in memo and memo["keys", clip][0] == read:
         return memo["keys", clip][1]
-    tracks = [track if track else (bone.bind,) for bone, track in zip(order, read)]
+    tracks = [track or (bone.bind,) for bone, track in zip(order, read)]
     keys = np.zeros((len(order), max(map(len, tracks), default=1), 9))
     keys[:, :, 0] = np.inf
     for i, (track, given) in enumerate(zip(tracks, read)):

@@ -163,6 +163,19 @@ def test_missing_track_falls_back_to_bind():
     assert local_transform_at(m, "nope", 1, 0.0) == m.bone(1).bind
 
 
+def test_a_track_edited_in_place_is_read_again():
+    # the stacked key table is kept per clip; a track changed since, even a
+    # list changed in place, is stacked again
+    m = make_cylinders_model()
+    track = [TrsKey(0.0, (1.0, 0.0, 0.0)), TrsKey(1.0, (3.0, 0.0, 0.0))]
+    m = replace(m, clips={"c": {1: track}})
+    assert local_transform_at(m, "c", 1, 0.5).translation == (2.0, 0.0, 0.0)
+    track[1] = TrsKey(1.0, (5.0, 0.0, 0.0))
+    assert local_transform_at(m, "c", 1, 0.5).translation == (3.0, 0.0, 0.0)
+    m.clips["c"][2] = (TrsKey(0.0, scale=2.0),)
+    assert local_transform_at(m, "c", 2, 0.5).scale == 2.0
+
+
 def test_scale_interpolation_is_linear():
     m = make_cylinders_model()
     m = keyed(m, "c", 1, 0.0, scale=1.0)
