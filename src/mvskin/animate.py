@@ -194,7 +194,7 @@ def _interpolate(table: tuple, time: float) -> tuple:
     blend = np.flatnonzero((0 < i) & (i <= last) & (out[:, 0] != time))
     if blend.size:
         k0, k1 = keys[blend, i[blend] - 1], out[blend]
-        with np.errstate(all="ignore"):  # Python's float arithmetic, which this was, never warns
+        with np.errstate(all="ignore"):  # the per-bone ratio and scale lerp were Python floats, which never warn
             a = (time - k0[:, 0]) / (k1[:, 0] - k0[:, 0])
             mixed = (1.0 - a)[:, None] * k0 + a[:, None] * k1
         mixed[:, 4:8] = quat.nlerp(k0[:, 4:8], k1[:, 4:8], a)
