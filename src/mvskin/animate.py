@@ -50,8 +50,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -165,7 +167,7 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
     order = model.skeleton.order
     read = tuple(tuple(tracks.get(b.id) or ()) for b in order)  # a list track is copied, so edits to it show
     memo = model.pose_cache  # a clip is stacked again only when a track it reads changes
-    if ("keys", clip) in memo and memo["keys", clip][0] == read:
+    if ("keys", clip) in memo and _same_keys(memo["keys", clip][0], read):
         return memo["keys", clip][1]
     tracks = [track or (bone.bind,) for bone, track in zip(order, read)]
     keys = np.zeros((len(order), max(map(len, tracks), default=1), 9))
@@ -178,6 +180,22 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
     table = tuple(map(_read_only, (keys[:, :, 0].copy(), keys, last, np.arange(len(order)))))
     memo["keys", clip] = (read, table)
     return table
+
+
+def _same_keys(a: tuple, b: tuple) -> bool:
+    """Whether two reads of a clip hold the very same key objects, track for track.
+
+    A key is frozen, so the same objects stack to the same table.  Keys
+    that compare equal need not: -0.0 == 0.0, and array fields do not
+    compare to a bool at all.
+    """
+    if len(a) != len(b):
+        return False
+    if all(map(operator.is_, a, b)):  # the same track tuples: tuple() of a tuple is itself
+        return True
+    return list(map(len, a)) == list(map(len, b)) and all(
+        map(operator.is_, itertools.chain.from_iterable(a), itertools.chain.from_iterable(b))
+    )
 
 
 def _interpolate(table: tuple, time: float) -> tuple:

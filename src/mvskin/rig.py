@@ -391,7 +391,9 @@ def parent_first(bones) -> list:
     """The bones with every parent before its children, breadth-first from the roots.
 
     Raises HierarchyError on a parent id that names no bone, or on a bone
-    that no root reaches (its ancestry loops).
+    that no root reaches (its ancestry loops).  The children of an id are
+    placed once, after its first bone, so every bone appears once even
+    where ids repeat, and a repeated id under itself ends the walk.
     """
     ids = {b.id for b in bones}
     children: dict = {}  # parent id (None for roots) -> [Bone]
@@ -401,7 +403,7 @@ def parent_first(bones) -> list:
         children.setdefault(b.parent, []).append(b)
     order = list(children.get(None, ()))
     for b in order:  # grows while it is walked
-        order.extend(children.get(b.id, ()))
+        order.extend(children.pop(b.id, ()))
     placed = {b.id for b in order}
     for b in bones:
         if b.id not in placed:

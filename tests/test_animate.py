@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import replace
@@ -41,6 +42,7 @@ from mvskin.rig import (
     TrsKey,
     make_arm_model,
     make_cylinders_model,
+    parent_first,
     trs_matrix,
     trs_versor,
     validate_model,
@@ -174,6 +176,14 @@ def test_a_track_edited_in_place_is_read_again():
     assert local_transform_at(m, "c", 1, 0.5).translation == (3.0, 0.0, 0.0)
     m.clips["c"][2] = (TrsKey(0.0, scale=2.0),)
     assert local_transform_at(m, "c", 2, 0.5).scale == 2.0
+    # a new key is read even where it compares equal to the old one, and a
+    # key whose fields are arrays, which == cannot compare, is read too
+    track[1] = TrsKey(1.0, (0.0, 0.0, 0.0))
+    assert math.copysign(1.0, local_transform_at(m, "c", 1, 1.0).translation[0]) == 1.0
+    track[1] = TrsKey(1.0, (-0.0, 0.0, 0.0))
+    assert math.copysign(1.0, local_transform_at(m, "c", 1, 1.0).translation[0]) == -1.0
+    track[1] = TrsKey(1.0, np.array([7.0, 0.0, 0.0]))
+    assert local_transform_at(m, "c", 1, 0.5).translation == (4.0, 0.0, 0.0)
 
 
 def test_scale_interpolation_is_linear():
@@ -204,6 +214,20 @@ def test_pose_has_entry_per_bone_and_identity_root():
     assert set(pose.versors) == {0, 1, 2} and set(pose.matrices) == {0, 1, 2}
     assert np.allclose(pose.matrices[0], np.eye(4))
     assert pose.versors[0].scalar_part == pytest.approx(1.0)
+
+
+def test_parent_first_places_each_bone_once_where_ids_repeat():
+    # validate_model rejects repeated ids, but poses of an unvalidated model
+    # walk the skeleton too: two bones with id 1 must not place bone 2 twice
+    shared = (Bone(0, None), Bone(1, 0), Bone(1, 0), Bone(2, 1))
+    assert parent_first(shared) == [shared[0], shared[1], shared[2], shared[3]]
+    # a bone under an id it repeats ends the walk rather than growing it forever
+    looped = (Bone(0, None), Bone(1, 0), Bone(1, 1), Bone(2, 1))
+    assert parent_first(looped) == [looped[0], looped[1], looped[2], looped[3]]
+    m = make_cylinders_model()
+    model = RiggedModel(m.mesh, looped, tuple(((0, 1.0),) for _ in m.mesh.vertices))
+    for skin in SKIN_BACKENDS.values():
+        assert np.allclose(skin(model, global_pose_at(model, None, 0.0)).positions, m.mesh.vertices, atol=1e-12)
 
 
 def test_versor_and_matrix_twins_agree_on_random_chain():
