@@ -189,10 +189,6 @@ def _same_keys(a: tuple, b: tuple) -> bool:
     that compare equal need not: -0.0 == 0.0, and array fields do not
     compare to a bool at all.
     """
-    if len(a) != len(b):
-        return False
-    if all(map(operator.is_, a, b)):  # the same track tuples: tuple() of a tuple is itself
-        return True
     return list(map(len, a)) == list(map(len, b)) and all(
         map(operator.is_, itertools.chain.from_iterable(a), itertools.chain.from_iterable(b))
     )
@@ -281,7 +277,7 @@ def _deform_versors(model: RiggedModel, pose: Pose):
         return None
     lifted = model.mesh.lifted_vertices
     pose_rows, indices, missing = _group_bones(model, pose.skeleton)
-    offsets, rejected = model.offset_versors
+    offsets, rejected = model.skeleton.offset_versors
     deform = geometric_products(pose.global_versors[pose_rows], offsets[indices])
     blocks, singular = sandwich_blocks(deform)
 
@@ -319,7 +315,7 @@ def _deform_matrices(model: RiggedModel, pose: Pose) -> tuple:
     Bone j pairs its own offset with the pose's global of its id.  rejected
     holds the bones whose offset trs_matrix rejects; their rows are garbage.
     """
-    offsets, rejected = model.offset_matrices
+    offsets, rejected = model.skeleton.offset_matrices
     rows = [pose.skeleton.rows[b.id] for b in model.bones]
     return np.matmul(pose.global_matrices[rows], offsets), rejected
 

@@ -40,6 +40,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -358,23 +359,23 @@ class RiggedModel:
 
     @functools.cached_property
     def skeleton(self) -> "Skeleton":
-        """Skeleton(bones), built on first use."""
-        return Skeleton(self.bones)
+        """Skeleton(bones), built once per bones tuple.
+
+        Cut halves, torn and keyed models keep their source's bones tuple,
+        so they share its skeleton and with it its stacked offsets.
+        """
+        shared = _SKELETONS.get(id(self.bones))
+        if shared is not None and shared.bones is self.bones:
+            return shared
+        skeleton = Skeleton(self.bones)
+        if isinstance(self.bones, tuple):  # frozen bones in a tuple cannot change under it
+            _SKELETONS[id(self.bones)] = skeleton
+        return skeleton
 
     @functools.cached_property
     def pose_cache(self) -> dict:
         """What animate's pose passes derive from this model once: key tables, bone rows."""
         return {}
-
-    @functools.cached_property
-    def offset_versors(self) -> tuple:
-        """_offsets(bones, trs_versors): (stack, rejected), built on first use."""
-        return _offsets(self.bones, trs_versors)
-
-    @functools.cached_property
-    def offset_matrices(self) -> tuple:
-        """_offsets(bones, trs_matrices): (stack, rejected), built on first use."""
-        return _offsets(self.bones, trs_matrices)
 
     def __eq__(self, other):
         if not isinstance(other, RiggedModel):
@@ -418,10 +419,12 @@ class Skeleton:
     levels holds, for each depth from 1 down, the rows at that depth and
     the rows of their parents (a child's parent row is the latest row
     before it with the parent's id), as slices for a lone row.  rows maps
-    a bone id to its row, the last of equal ids.
+    a bone id to its row, the last of equal ids.  offset_versors and
+    offset_matrices stack the bones' offsets, in bones order, on first use.
     """
 
     def __init__(self, bones):
+        self.bones = bones
         self.order = tuple(parent_first(bones))
         self.rows: dict = {}  # bone id -> its latest row so far
         parents, depth = [], []
@@ -433,6 +436,19 @@ class Skeleton:
         parents, depth = np.array(parents, dtype=np.int64), np.array(depth, dtype=np.int64)
         levels = (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
         self.levels = tuple(_level(rows, parents[rows]) for rows in levels)
+
+    @functools.cached_property
+    def offset_versors(self) -> tuple:
+        """_offsets(bones, trs_versors): (stack, rejected)."""
+        return _offsets(self.bones, trs_versors)
+
+    @functools.cached_property
+    def offset_matrices(self) -> tuple:
+        """_offsets(bones, trs_matrices): (stack, rejected)."""
+        return _offsets(self.bones, trs_matrices)
+
+
+_SKELETONS = weakref.WeakValueDictionary()  # id(bones) -> the live Skeleton of that tuple
 
 
 def _level(rows: np.ndarray, parents: np.ndarray) -> tuple:
@@ -577,7 +593,7 @@ def validate_model(model: RiggedModel) -> None:
 
     # offsets must invert the global bind transforms, composed parents first
     global_bind = chain(skeleton, binds, geometric_products)
-    offsets, _ = model.offset_versors
+    offsets, _ = skeleton.offset_versors
     prod = geometric_products(offsets, global_bind[[skeleton.rows[b.id] for b in model.bones]])
     inverted = _versors_are_identity(prod, _OFFSET_TOL)
     if not inverted.all():

@@ -688,6 +688,8 @@ def test_edited_models_build_their_own_caches():
         faces = "".join("f %d %d %d\n" % tuple(f) for f in (d.mesh.faces + 1).tolist())
         assert "".join(d.mesh.obj_face_block) == faces, name
         assert d.mesh.obj_face_block is not caches[3], name
+        # the bones are the same tuple, so the skeleton and its stacked offsets are shared
+        assert d.bones is m.bones and d.skeleton is m.skeleton, name
 
 
 def test_cga_point_at_infinity_names_the_mesh_vertex():
@@ -774,15 +776,17 @@ def test_generate_keyframe_keeps_the_clip_free_caches():
     assert m2.mesh is m.mesh and m2.weights is m.weights
     assert {"lifted_vertices"} <= m.mesh.__dict__.keys()
     assert {"bone_groups", "pivot_bones"} <= m.weights.__dict__.keys()
+    assert m2.skeleton is m.skeleton  # and so does the skeleton, on the same bones tuple
     # a model with the same clips and no caches skins to the same bytes
     fresh = RiggedModel(
         Mesh(m2.mesh.vertices.copy(), m2.mesh.faces.copy()),
-        m2.bones,
+        tuple(list(m2.bones)),
         SkinWeights(m2.weights.ids.copy(), m2.weights.ws.copy()),
         m2.clips,
     )
     assert "lifted_vertices" not in fresh.mesh.__dict__
     assert not {"bone_groups", "pivot_bones"} & fresh.weights.__dict__.keys()
+    assert fresh.skeleton is not m2.skeleton
     for name, backend in SKIN_BACKENDS.items():
         for t in (0.0, 0.6, 1.0):
             a = backend(m2, global_pose_at(m2, "c", t)).positions
