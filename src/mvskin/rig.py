@@ -419,8 +419,9 @@ class Skeleton:
     levels holds, for each depth from 1 down, the rows at that depth and
     the rows of their parents (a child's parent row is the latest row
     before it with the parent's id), as slices for a lone row.  rows maps
-    a bone id to its row, the last of equal ids.  offset_versors and
-    offset_matrices stack the bones' offsets, in bones order, on first use.
+    a bone id to its row, the last of equal ids.  On first use,
+    global_binds chains the bones' bind versors in order, and
+    offset_versors and offset_matrices stack their offsets in bones order.
     """
 
     def __init__(self, bones):
@@ -436,6 +437,11 @@ class Skeleton:
         parents, depth = np.array(parents, dtype=np.int64), np.array(depth, dtype=np.int64)
         levels = (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
         self.levels = tuple(_level(rows, parents[rows]) for rows in levels)
+
+    @functools.cached_property
+    def global_binds(self) -> np.ndarray:
+        """Global bind versors (B, 32), in order."""
+        return chain(self, trs_versors(*trs_rows(b.bind for b in self.order)), geometric_products)
 
     @functools.cached_property
     def offset_versors(self) -> tuple:
@@ -587,12 +593,11 @@ def validate_model(model: RiggedModel) -> None:
     for b in model.bones:
         _check_trs_fields(b.offset, f"bone {b.id} offset")
         _check_trs_fields(b.bind, f"bone {b.id} bind")
-    binds = trs_versors(*trs_rows(b.bind for b in skeleton.order))  # the one root is row 0
-    if not _versors_are_identity(binds[:1], _ROOT_TOL)[0]:
+    global_bind = skeleton.global_binds  # the one root is row 0, which keeps its leaf
+    if not _versors_are_identity(global_bind[:1], _ROOT_TOL)[0]:
         raise HierarchyError(f"root bone {roots[0].id} must bind at the identity")
 
     # offsets must invert the global bind transforms, composed parents first
-    global_bind = chain(skeleton, binds, geometric_products)
     offsets, _ = skeleton.offset_versors
     prod = geometric_products(offsets, global_bind[[skeleton.rows[b.id] for b in model.bones]])
     inverted = _versors_are_identity(prod, _OFFSET_TOL)
