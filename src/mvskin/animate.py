@@ -155,13 +155,14 @@ class SkinnedFrame:
 
 
 def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
-    """(times, keys, last, rows): each bone's keys stacked, one row per skeleton row.
+    """(times, keys, last, bounds, places): each bone's keys stacked, one row per skeleton row.
 
-    keys[i, k] is (time, translation, rotation, scale), 9 floats, of key k
-    of skeleton row i, and times[i, k] its time again; last[i] is the index
-    of row i's last key, and rows is arange(B).  A bone without a track
-    holds its bind transform as its one key.  Rows are padded to the
-    longest track, times with +inf.
+    times[i, k] is the time of key k of skeleton row i, and keys[i * K + k]
+    the key as (time, translation, rotation, scale), 9 floats; last[i] is
+    the index of row i's last key.  A bone without a track holds its bind
+    transform as its one key.  Rows are padded to the longest track, K
+    keys, with time +inf.  bounds lists the keys' times, NaN left out, as
+    sorted Python floats, and places starts empty for _interpolate.
     """
     tracks = model.clips.get(clip, {}) if clip is not None else {}
     order = model.skeleton.order
@@ -177,7 +178,9 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
         keys[i, :n, 0] = [key.time for key in track] if given else 0.0
         keys[i, :n, 1:4], keys[i, :n, 4:8], keys[i, :n, 8] = trs_rows(track)
     last = np.array([len(track) - 1 for track in tracks], dtype=np.int64)
-    table = tuple(map(_read_only, (keys[:, :, 0].copy(), keys, last, np.arange(len(order)))))
+    times = keys[:, :, 0].copy()
+    bounds = sorted({t for t in times[np.arange(times.shape[1]) <= last[:, None]].tolist() if t == t})
+    table = (*map(_read_only, (times, keys.reshape(-1, 9), last)), bounds, {})
     memo["keys", clip] = (read, table)
     return table
 
@@ -201,13 +204,26 @@ def _interpolate(table: tuple, time: float) -> tuple:
     itself is returned as stored, a time outside the keys clamps to the
     nearest key, and a time between two keys blends them: lerp for
     translation and scale, quat.nlerp for rotation.
+
+    Which keys a row reads depends only on where the time falls among the
+    table's bounds: on one of them, or strictly between two (or beyond
+    them all; NaN goes below them, as no key time is less than it).  Each
+    such place is worked out at its first time and kept in places: the key
+    each row lands on, the rows that blend and the key before each.
     """
-    times, keys, last, rows = table
-    i = (times < time).sum(axis=1)
-    out = keys[rows, np.minimum(i, last)]  # the key at or after the time, or the last one
-    blend = np.flatnonzero((0 < i) & (i <= last) & (out[:, 0] != time))
+    times, keys, last, bounds, places = table
+    j = bisect.bisect_left(bounds, time)
+    place = (j, j < len(bounds) and bounds[j] == time)
+    if place not in places:
+        i = (times < time).sum(axis=1)
+        first = np.arange(len(i)) * times.shape[1]  # each row's first key in keys
+        at = np.minimum(i, last)  # the key at or after the time, or the last one
+        blend = np.flatnonzero((0 < i) & (i <= last) & (keys[first + at, 0] != time))
+        places[place] = (first + at, blend, first[blend] + i[blend] - 1)
+    pick, blend, before = places[place]
+    out = keys[pick]
     if blend.size:
-        k0, k1 = keys[blend, i[blend] - 1], out[blend]
+        k0, k1 = keys[before], out[blend]
         with np.errstate(all="ignore"):  # the per-bone ratio and scale lerp were Python floats, which never warn
             a = (time - k0[:, 0]) / (k1[:, 0] - k0[:, 0])
             mixed = (1.0 - a)[:, None] * k0 + a[:, None] * k1

@@ -178,9 +178,8 @@ def test_stacked_pose_passes_match_the_per_bone_oracle(drawn):
         check_pose(model, t)
 
 
-def test_the_oracle_is_reached_on_every_path():
-    # a rig whose every bone has a valid pose: the property's success paths
-    # run, not only its error paths
+def valid_rig() -> RiggedModel:
+    """Five bones, every one with a valid pose; bones 1 and 4 keyed at 0 and 1, bone 2 at 0.5, 1.5 and 2."""
     parents = [None, 0, 1, 0, 3]
     rng = np.random.default_rng(7)
     bones = tuple(
@@ -189,14 +188,32 @@ def test_the_oracle_is_reached_on_every_path():
     )
     q = tuple(rng.normal(size=4))
     keys = (TrsKey(0.0, (0.0, 1.0, 0.0), q, 0.8), TrsKey(1.0, (1.0, 0.0, 0.0), tuple(-x for x in q), 1.5))
+    more = tuple(TrsKey(t, tuple(rng.normal(size=3)), tuple(rng.normal(size=4)), 1.0 + t) for t in (0.5, 1.5, 2.0))
     weights = tuple(((i % 5, 0.5), ((i + 1) % 5, 0.5)) for i in range(6))
-    model = RiggedModel(Mesh(rng.normal(size=(6, 3)), np.zeros((0, 3))), bones, weights, {"c": {1: keys, 4: keys}})
+    return RiggedModel(Mesh(rng.normal(size=(6, 3)), np.zeros((0, 3))), bones, weights, {"c": {1: keys, 2: more, 4: keys}})
+
+
+def test_the_oracle_is_reached_on_every_path():
+    # a rig whose every bone has a valid pose: the property's success paths
+    # run, not only its error paths
+    model = valid_rig()
     for t in (-1.0, 0.0, 0.4, 1.0, 2.0):
         pose = global_pose_at(model, "c", t)
         ref = oracle.pose_at(model, "c", t)
         for name, skin in SKIN_BACKENDS.items():
             assert skin(model, pose).positions.tobytes() == oracle.SKIN[name](model, ref).positions.tobytes()
         check_pose(model, t)
+
+
+def test_times_read_their_keys_whichever_time_of_their_place_came_first():
+    # what the keys a time reads depend on is kept per place among the key
+    # times (on a key time, or between two), so each order of these times
+    # meets every place first at another time, and each must match the oracle
+    times = [-1.0, -0.5, 0.0, -0.0, 0.2, 0.4, 0.5, 0.75, 1.0, 1.0 + 1e-12, 1.7, 2.0, 5.0, math.inf, -math.inf, math.nan]
+    for order in (times, times[::-1], times[1::2] + times[::2]):
+        model = valid_rig()
+        for t in order:
+            check_pose(model, t)
 
 
 def test_sandwich_blocks_match_each_block_and_name_the_singular_rows():
