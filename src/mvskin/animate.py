@@ -3,7 +3,11 @@
 A frame's pose work runs in stacked array passes over the bones, not
 one bone at a time.  global_pose_at interpolates every bone at once
 from a key table stacked once per clip, with the bisect, exact-key and
-clamp rules applied per row.  A Pose holds the local transforms as
+clamp rules applied per row; the table keeps which keys each row reads
+for every place a sample time has fallen in among the key times, so
+frames between the same two key times gather their keys with one take.
+The skeleton and the stacked offsets are built once per bones tuple
+(rig.RiggedModel.skeleton).  A Pose holds the local transforms as
 rows, parents first, and derives a global chain on first read:
 conformal versors for cga and cga_sum, homogeneous 4x4 matrices for lbs
 and dq.  The leaves of all bones come from one pass (rig.trs_versors,
