@@ -2,19 +2,20 @@
 
 A frame's pose work runs in stacked array passes over the bones, not
 one bone at a time.  global_pose_at interpolates every bone at once
-from a key table stacked once per clip, with the bisect, exact-key and
-clamp rules applied per row; the table keeps which keys each row reads
-for every place a sample time has fallen in among the key times, so
-frames between the same two key times gather their keys with one take.
-The skeleton and the stacked offsets are built once per bones tuple
+from a key table stacked on a clip's first frame and kept by the model,
+whose clips are frozen at construction; the bisect, exact-key and clamp
+rules apply per row, and the table keeps which keys each row reads for
+every place a sample time has fallen in among the key times, so frames
+between the same two key times gather their keys with one take.  The
+skeleton and the stacked offsets are built once per bones tuple
 (rig.RiggedModel.skeleton).  A Pose holds the local transforms as
-rows, parents first, and derives a global chain on first read:
-conformal versors for cga and cga_sum, homogeneous 4x4 matrices for lbs
-and dq.  The leaves of all bones come from one pass (rig.trs_versors,
-rig.trs_matrices), the chain composes one stacked product per depth
-level, and skinning composes the pose with every bone's offset (inverse
-global bind) in one more stacked product, into versors S_n or matrices
-M_n.
+rows, parents first, and derives one stacked global chain on first
+read: conformal versors (B, 32) for cga and cga_sum, homogeneous 4x4
+matrices (B, 4, 4) for lbs and dq.  The leaves of all bones come from
+one pass (rig.trs_versors, rig.trs_matrices), the chain composes one
+stacked product per depth level, and skinning composes the pose with
+every bone's offset (inverse global bind) in one more stacked product,
+into versors S_n or matrices M_n.
 
 Each pass keeps the bytes of the per-bone path it replaced, by two
 rules.  Every (32, 32), (5, 32) or (4, 4) slice that matmul reads is
@@ -54,17 +55,15 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import quaternions as quat
-from .algebra import Multivector, down_block, geometric_products, sandwich_blocks
+from .algebra import down_block, geometric_products, sandwich_blocks
 from .errors import NumericalFailure, SchemaError
 from .rig import (
     RiggedModel,
@@ -74,9 +73,7 @@ from .rig import (
     bbox_diagonal,
     chain,
     trs_matrices,
-    trs_matrix,
     trs_rows,
-    trs_versor,
     trs_versors,
 )
 
@@ -107,10 +104,10 @@ class Pose:
 
     Row i is skeleton.order[i], every parent before its children:
     translations (B, 3), rotations (B, 4) and scales (B,), read-only.
-    global_versors (B, 32) and global_matrices (B, 4, 4) are each built on
-    first read, from one stacked leaf pass and one stacked product per
-    depth level; versors and matrices read them as bone id -> global
-    Versor or (4, 4) ndarray.
+    global_versors (B, 32) and global_matrices (B, 4, 4), in the same row
+    order, are each built on first read, from one stacked leaf pass and
+    one stacked product per depth level; they are the pose's only global
+    transforms.  Bone id b is row skeleton.rows[b].
     """
 
     time: float
@@ -128,14 +125,6 @@ class Pose:
     def global_matrices(self) -> np.ndarray:
         leaves = trs_matrices(self.translations, self.rotations, self.scales)
         return _read_only(chain(self.skeleton, leaves, np.matmul))
-
-    @functools.cached_property
-    def versors(self) -> dict:
-        return {b.id: Multivector(v) for b, v in zip(self.skeleton.order, self.global_versors)}
-
-    @functools.cached_property
-    def matrices(self) -> dict:
-        return dict(zip((b.id for b in self.skeleton.order), self.global_matrices))
 
 
 @dataclass(frozen=True)
@@ -166,39 +155,28 @@ def _key_table(model: RiggedModel, clip: Optional[str]) -> tuple:
     the index of row i's last key.  A bone without a track holds its bind
     transform as its one key.  Rows are padded to the longest track, K
     keys, with time +inf.  bounds lists the keys' times, NaN left out, as
-    sorted Python floats, and places starts empty for _interpolate.
+    sorted Python floats, and places starts empty for _interpolate.  A
+    model's clips are frozen, so each clip is stacked once per model.
     """
+    table = model.pose_cache.get(("keys", clip))
+    if table is not None:
+        return table
     tracks = model.clips.get(clip, {}) if clip is not None else {}
     order = model.skeleton.order
-    read = tuple(tuple(tracks.get(b.id) or ()) for b in order)  # a list track is copied, so edits to it show
-    memo = model.pose_cache  # a clip is stacked again only when a track it reads changes
-    if ("keys", clip) in memo and _same_keys(memo["keys", clip][0], read):
-        return memo["keys", clip][1]
-    tracks = [track or (bone.bind,) for bone, track in zip(order, read)]
+    given = [tracks.get(b.id) for b in order]
+    tracks = [track or (bone.bind,) for bone, track in zip(order, given)]
     keys = np.zeros((len(order), max(map(len, tracks), default=1), 9))
     keys[:, :, 0] = np.inf
-    for i, (track, given) in enumerate(zip(tracks, read)):
+    for i, (track, keyed) in enumerate(zip(tracks, given)):
         n = len(track)
-        keys[i, :n, 0] = [key.time for key in track] if given else 0.0
+        keys[i, :n, 0] = [key.time for key in track] if keyed else 0.0
         keys[i, :n, 1:4], keys[i, :n, 4:8], keys[i, :n, 8] = trs_rows(track)
     last = np.array([len(track) - 1 for track in tracks], dtype=np.int64)
     times = keys[:, :, 0].copy()
     bounds = sorted({t for t in times[np.arange(times.shape[1]) <= last[:, None]].tolist() if t == t})
     table = (*map(_read_only, (times, keys.reshape(-1, 9), last)), bounds, {})
-    memo["keys", clip] = (read, table)
+    model.pose_cache["keys", clip] = table
     return table
-
-
-def _same_keys(a: tuple, b: tuple) -> bool:
-    """Whether two reads of a clip hold the very same key objects, track for track.
-
-    A key is frozen, so the same objects stack to the same table.  Keys
-    that compare equal need not: -0.0 == 0.0, and array fields do not
-    compare to a bool at all.
-    """
-    return list(map(len, a)) == list(map(len, b)) and all(
-        map(operator.is_, itertools.chain.from_iterable(a), itertools.chain.from_iterable(b))
-    )
 
 
 def _interpolate(table: tuple, time: float) -> tuple:
@@ -291,7 +269,7 @@ def _deform_versors(model: RiggedModel, pose: Pose):
     Every group's deform versor global * offset and its sandwich block come
     from one stacked pass.  A group raises on its turn, in this order, a
     KeyError for a bone id the pose lacks, the error of an offset that
-    trs_versor rejects, or the SingularVersor of its deform versor.
+    trs_versors rejects, or the SingularVersor of its deform versor.
     """
     if not model.weights.bone_groups:
         return None
@@ -305,7 +283,7 @@ def _deform_versors(model: RiggedModel, pose: Pose):
         if g in missing:
             raise KeyError(missing[g])
         if indices[g] in rejected:
-            trs_versor(model.bones[indices[g]].offset)
+            trs_versors(*trs_rows([model.bones[indices[g]].offset]))
         if g in singular:
             raise singular[g]
         return lifted[rows] @ blocks[g]
@@ -333,7 +311,7 @@ def _deform_matrices(model: RiggedModel, pose: Pose) -> tuple:
     """(deform, rejected): global @ offset of every bone, (B, 4, 4) in bones order, from one stacked product.
 
     Bone j pairs its own offset with the pose's global of its id.  rejected
-    holds the bones whose offset trs_matrix rejects; their rows are garbage.
+    holds the bones whose offset trs_matrices rejects; their rows are garbage.
     """
     offsets, rejected = model.skeleton.offset_matrices
     rows = [pose.skeleton.rows[b.id] for b in model.bones]
@@ -352,7 +330,7 @@ def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
         if g in missing:
             raise KeyError(missing[g])
         if indices[g] in rejected:
-            trs_matrix(model.bones[indices[g]].offset)
+            trs_matrices(*trs_rows([model.bones[indices[g]].offset]))
         m = deform[indices[g]]
         return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
 
@@ -368,7 +346,7 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     pass over the bone matrices (one det, one from_matrix, one multiply)
     gives every bone's part.  Hemisphere correction pivots on each vertex's
     largest-weight influence (ties go to the lower bone id).  The first
-    bone in model.bones whose offset trs_matrix rejects raises its error;
+    bone in model.bones whose offset trs_matrices rejects raises its error;
     the first bone matrix without a finite positive determinant, as an
     overflowing pose gives, raises NumericalFailure.
     """
@@ -377,7 +355,7 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
         m, rejected = _deform_matrices(model, pose)
         if rejected:
-            trs_matrix(bones[min(rejected)].offset)
+            trs_matrices(*trs_rows([bones[min(rejected)].offset]))
         det = np.linalg.det(m[:, :3, :3])
         ok = (0.0 < det) & (det < np.inf)
         if not ok.all():

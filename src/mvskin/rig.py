@@ -42,6 +42,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,8 +51,6 @@ from . import quaternions as quat
 from .algebra import (
     BLADE_INDEX,
     DIM,
-    Multivector,
-    Versor,
     geometric_products,
     make_dilator,
     make_translator,
@@ -81,8 +80,6 @@ __all__ = [
     "trs_rows",
     "trs_versors",
     "trs_matrices",
-    "trs_versor",
-    "trs_matrix",
     "compose_trs",
     "decompose_conformal_matrix",
     "validate_mesh",
@@ -160,10 +157,11 @@ def trs_rows(transforms) -> tuple:
 def trs_versors(translations, rotations, scales) -> np.ndarray:
     """Conformal versors T * R * D, (n, 32), of n transforms given as trs_rows.
 
-    Row i has the bytes of trs_versor of transform i: the leaves are set
-    in one pass, with Python's math for each dilator as numpy's log, cosh
-    and sinh may round apart, and the two products are stacked.  The first
-    transform that trs_versor rejects raises its error.
+    Row i has the bytes of make_translator(t) * rotor_from_quaternion(
+    normalize(q)) * make_dilator(s) of transform i: the leaves are set in
+    one pass, with Python's math for each dilator as numpy's log, cosh and
+    sinh may round apart, and the two products are stacked.  The first
+    transform that one of those constructors rejects raises its error.
     """
     t, q, s = translations, rotations, scales
     with np.errstate(all="ignore"):  # a rejected row raises below
@@ -200,8 +198,9 @@ def trs_versors(translations, rotations, scales) -> np.ndarray:
 def trs_matrices(translations, rotations, scales) -> np.ndarray:
     """Homogeneous 4x4 matrices, (n, 4, 4), of n transforms given as trs_rows.
 
-    Row i has the bytes of trs_matrix of transform i.  The first quaternion
-    that quat.normalize rejects raises its error.
+    Row i is [s R | t] of transform i, R the quat.to_matrix of its
+    quaternion over its norm.  The first quaternion that quat.normalize
+    rejects raises its error.
     """
     t, q, s = translations, rotations, scales
     with np.errstate(all="ignore"):  # a rejected row raises below
@@ -215,16 +214,6 @@ def trs_matrices(translations, rotations, scales) -> np.ndarray:
     m[:, :3, 3] = t
     m[:, 3, 3] = 1.0
     return m
-
-
-def trs_versor(trs: Trs) -> Versor:
-    """Conformal versor T * R * D of a Trs."""
-    return Multivector(trs_versors(*trs_rows([trs]))[0])
-
-
-def trs_matrix(trs: Trs) -> np.ndarray:
-    """Homogeneous 4x4 matrix of a Trs."""
-    return trs_matrices(*trs_rows([trs]))[0]
 
 
 def compose_trs(a: Trs, b: Trs) -> Trs:
@@ -335,7 +324,14 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class RiggedModel:
-    """Mesh + skeleton + per-vertex weights + keyframe clips."""
+    """Mesh + skeleton + per-vertex weights + keyframe clips.
+
+    Construction freezes clips as the mesh copies its arrays and the
+    weights are packed: each clip becomes a read-only mapping of bone id
+    to a tuple of keys, inside a read-only mapping of clip names.  Edits
+    to the containers a model was built from change none of its frames;
+    animate.generate_keyframe makes a new model with the new key.
+    """
 
     mesh: Mesh
     bones: tuple  # of Bone, sorted by id
@@ -345,6 +341,11 @@ class RiggedModel:
     def __post_init__(self):
         if not isinstance(self.weights, SkinWeights):
             object.__setattr__(self, "weights", SkinWeights.pack(self.weights))
+        clips = {
+            name: MappingProxyType({bone_id: tuple(keys) for bone_id, keys in tracks.items()})
+            for name, tracks in self.clips.items()
+        }
+        object.__setattr__(self, "clips", MappingProxyType(clips))
 
     def bone(self, bone_id: int) -> Bone:
         try:
@@ -384,7 +385,7 @@ class RiggedModel:
             self.mesh == other.mesh
             and self.bones == other.bones
             and self.weights == other.weights
-            and dict(self.clips) == dict(other.clips)
+            and self.clips == other.clips
         )
 
 

@@ -42,8 +42,9 @@ from mvskin.rig import (
     compose_trs,
     make_arm_model,
     make_cylinders_model,
-    trs_matrix,
-    trs_versor,
+    trs_matrices,
+    trs_rows,
+    trs_versors,
 )
 from mvskin.tear import FaceBVH, ScalpelState, open_tear, scalpel_hit, tear
 
@@ -147,8 +148,9 @@ def test_criterion_2_versor_matrix_equivalence():
             float(np.exp(rng.uniform(np.log(0.5), np.log(2.0)))),
         )
         points = rng.uniform(-10.0, 10.0, (100, 3))
-        via_versor = transform_points(trs_versor(trs), points)
-        m = trs_matrix(trs)
+        rows = trs_rows([trs])
+        via_versor = transform_points(Multivector(trs_versors(*rows)[0]), points)
+        m = trs_matrices(*rows)[0]
         via_matrix = points @ m[:3, :3].T + m[:3, 3]
         worst = max(worst, float(np.max(np.abs(via_versor - via_matrix))))
     ok = worst <= 1e-9

@@ -14,6 +14,7 @@ import pytest
 import mvskin.quaternions as quat
 import mvskin.rig
 from mvskin.algebra import (
+    Multivector,
     down_block,
     geometric_product,
     make_plane,
@@ -43,8 +44,9 @@ from mvskin.rig import (
     make_arm_model,
     make_cylinders_model,
     parent_first,
-    trs_matrix,
-    trs_versor,
+    trs_matrices,
+    trs_rows,
+    trs_versors,
     validate_model,
 )
 from mvskin.tear import open_tear, tear
@@ -92,6 +94,24 @@ def reversed_ids(model):
 
 def keyed(model, clip, bone, time, **trs_fields):
     return generate_keyframe(model, clip, bone, Trs(**trs_fields), time)
+
+
+def global_versor(pose, bone_id):
+    """A bone's global versor: its row of the pose's stacked versor chain."""
+    return Multivector(pose.global_versors[pose.skeleton.rows[bone_id]])
+
+
+def global_matrix(pose, bone_id):
+    """A bone's global 4x4 matrix: its row of the pose's stacked matrix chain."""
+    return pose.global_matrices[pose.skeleton.rows[bone_id]]
+
+
+def versor_of(trs):
+    return Multivector(trs_versors(*trs_rows([trs]))[0])
+
+
+def matrix_of(trs):
+    return trs_matrices(*trs_rows([trs]))[0]
 
 
 def local_transform_at(model, clip, bone_id, time):
@@ -165,25 +185,33 @@ def test_missing_track_falls_back_to_bind():
     assert local_transform_at(m, "nope", 1, 0.0) == m.bone(1).bind
 
 
-def test_a_track_edited_in_place_is_read_again():
-    # the stacked key table is kept per clip; a track changed since, even a
-    # list changed in place, is stacked again
+def test_a_model_keeps_the_clips_it_was_built_with():
+    # a model freezes its clips at construction: edits to the containers it
+    # was built from change none of its frames, and its own clips reject edits
     m = make_cylinders_model()
     track = [TrsKey(0.0, (1.0, 0.0, 0.0)), TrsKey(1.0, (3.0, 0.0, 0.0))]
-    m = replace(m, clips={"c": {1: track}})
+    tracks = {1: track}
+    clips = {"c": tracks}
+    m = replace(m, clips=clips)
     assert local_transform_at(m, "c", 1, 0.5).translation == (2.0, 0.0, 0.0)
     track[1] = TrsKey(1.0, (5.0, 0.0, 0.0))
-    assert local_transform_at(m, "c", 1, 0.5).translation == (3.0, 0.0, 0.0)
-    m.clips["c"][2] = (TrsKey(0.0, scale=2.0),)
-    assert local_transform_at(m, "c", 2, 0.5).scale == 2.0
-    # a new key is read even where it compares equal to the old one, and a
-    # key whose fields are arrays, which == cannot compare, is read too
-    track[1] = TrsKey(1.0, (0.0, 0.0, 0.0))
-    assert math.copysign(1.0, local_transform_at(m, "c", 1, 1.0).translation[0]) == 1.0
-    track[1] = TrsKey(1.0, (-0.0, 0.0, 0.0))
-    assert math.copysign(1.0, local_transform_at(m, "c", 1, 1.0).translation[0]) == -1.0
-    track[1] = TrsKey(1.0, np.array([7.0, 0.0, 0.0]))
-    assert local_transform_at(m, "c", 1, 0.5).translation == (4.0, 0.0, 0.0)
+    tracks[2] = (TrsKey(0.0, scale=2.0),)
+    clips["d"] = {1: (TrsKey(0.0, (9.0, 0.0, 0.0)),)}
+    assert m.clips["c"][1] == (TrsKey(0.0, (1.0, 0.0, 0.0)), TrsKey(1.0, (3.0, 0.0, 0.0)))
+    assert set(m.clips) == {"c"} and set(m.clips["c"]) == {1}
+    assert local_transform_at(m, "c", 1, 0.5).translation == (2.0, 0.0, 0.0)
+    assert local_transform_at(m, "c", 2, 0.5) == m.bone(2).bind
+    with pytest.raises(TypeError):
+        m.clips["c"][2] = (TrsKey(0.0, scale=2.0),)
+    with pytest.raises(TypeError):
+        m.clips["d"] = {}
+    # a key is read as stored: a -0.0 keeps its sign, and a key whose fields
+    # are arrays is read too
+    for x in (0.0, -0.0):
+        signed = replace(m, clips={"c": {1: [TrsKey(0.0), TrsKey(1.0, (x, 0.0, 0.0))]}})
+        assert math.copysign(1.0, local_transform_at(signed, "c", 1, 1.0).translation[0]) == math.copysign(1.0, x)
+    arrays = replace(m, clips={"c": {1: [TrsKey(0.0, (1.0, 0.0, 0.0)), TrsKey(1.0, np.array([7.0, 0.0, 0.0]))]}})
+    assert local_transform_at(arrays, "c", 1, 0.5).translation == (4.0, 0.0, 0.0)
 
 
 def test_scale_interpolation_is_linear():
@@ -203,17 +231,18 @@ def test_two_bone_chain_translations_compose():
     m = keyed(m, "c", 1, 0.0, translation=(1.0, 0.0, 0.0))
     pose = global_pose_at(m, "c", 0.0)
     pts = np.array([[0.0, 0.0, 0.0], [2.0, -1.0, 3.0]])
-    assert np.allclose(transform_points(pose.versors[1], pts), pts + [2.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(pose.matrices[1][:3, 3], [2.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(transform_points(global_versor(pose, 1), pts), pts + [2.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(global_matrix(pose, 1)[:3, 3], [2.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_pose_has_entry_per_bone_and_identity_root():
     m = make_cylinders_model()
     m = keyed(m, "c", 1, 0.0, translation=(1.0, 2.0, 3.0))
     pose = global_pose_at(m, "c", 0.0)
-    assert set(pose.versors) == {0, 1, 2} and set(pose.matrices) == {0, 1, 2}
-    assert np.allclose(pose.matrices[0], np.eye(4))
-    assert pose.versors[0].scalar_part == pytest.approx(1.0)
+    assert set(pose.skeleton.rows) == {0, 1, 2}
+    assert pose.global_versors.shape == (3, 32) and pose.global_matrices.shape == (3, 4, 4)
+    assert np.allclose(global_matrix(pose, 0), np.eye(4))
+    assert global_versor(pose, 0).scalar_part == pytest.approx(1.0)
 
 
 def test_parent_first_places_each_bone_once_where_ids_repeat():
@@ -247,8 +276,8 @@ def test_versor_and_matrix_twins_agree_on_random_chain():
         pose = global_pose_at(m, "c", 0.0)
         pts = rng.normal(size=(100, 3)) * 2
         for b in range(5):
-            img_v = transform_points(pose.versors[b], pts)
-            mm = pose.matrices[b]
+            img_v = transform_points(global_versor(pose, b), pts)
+            mm = global_matrix(pose, b)
             img_m = pts @ mm[:3, :3].T + mm[:3, 3]
             assert np.max(np.abs(img_v - img_m)) < 1e-9
 
@@ -283,7 +312,7 @@ def test_each_backend_builds_only_its_own_chain(monkeypatch):
         assert rows == {built: len(m.bones), unread: 0}, backend
     pose = global_pose_at(m, "c", 0.0)
     rows.update(trs_versors=0, trs_matrices=0)
-    assert pose.versors is pose.versors
+    assert pose.global_versors is pose.global_versors
     assert rows == {"trs_versors": len(m.bones), "trs_matrices": 0}
 
 
@@ -291,7 +320,7 @@ def test_bind_pose_versors_act_as_bind():
     m = make_cylinders_model()
     pose = global_pose_at(m, None, 0.0)
     joint = np.array([[0.0, 0.0, 0.0]])
-    img = transform_points(pose.versors[2], joint)
+    img = transform_points(global_versor(pose, 2), joint)
     assert np.allclose(img, [[0.0, 0.0, 2 * 20.0 / 3.0]], atol=1e-12)
 
 
@@ -366,7 +395,7 @@ def test_lbs_matches_straight_line_matrix_oracle():
             v = np.append(m.mesh.vertices[vi], 1.0)
             acc = np.zeros(4)
             for bone_id, w in entry:
-                mm = pose.matrices[bone_id] @ trs_matrix(m.bone(bone_id).offset)
+                mm = global_matrix(pose, bone_id) @ matrix_of(m.bone(bone_id).offset)
                 acc += w * (mm @ v)
             expect[vi] = acc[:3]
         assert np.max(np.abs(got - expect)) < 1e-12
@@ -440,7 +469,7 @@ def test_dq_hemisphere_pivot_on_far_rotations():
         # up its offset translation but vertex 0 sits at the origin
         v = m.mesh.vertices[0]
         qa = quat.from_matrix(quat.to_matrix(q80))
-        mm = pose.matrices[1] @ trs_matrix(m.bone(1).offset)
+        mm = global_matrix(pose, 1) @ matrix_of(m.bone(1).offset)
         qb = quat.from_matrix(mm[:3, :3])
         if np.dot(qa, qb) < 0:
             qb = -qb
@@ -531,7 +560,7 @@ def test_weight_partition_property():
     # every bone's global deformation is the same versor
     m = generate_keyframe(m, "c", 0, trs, 0.0)
     pose = global_pose_at(m, "c", 0.0)
-    expect = transform_points(trs_versor(trs), mesh.vertices)
+    expect = transform_points(versor_of(trs), mesh.vertices)
     for fn in (skin_cga, skin_lbs):
         assert np.max(np.abs(fn(m, pose).positions - expect)) < 1e-10
     assert np.max(np.abs(skin_dq(m, pose).positions - expect)) < 1e-10
@@ -618,7 +647,7 @@ def dense_conformal_frame(model, pose, project_each):
     with np.errstate(all="ignore"):
         for bone_id in bones[np.argsort(first)].tolist():
             rows, cols = np.nonzero(ids == bone_id)
-            V = geometric_product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset))
+            V = geometric_product(global_versor(pose, bone_id), versor_of(model.bone(bone_id).offset))
             X = lifted[rows] @ dense_sandwich_matrix(V)
             out[rows] += ws[rows, cols][:, None] * (down_block(X[:, 1:6]) if project_each else X)
         return out if project_each else down_block(out[:, 1:6])

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
 import mvskin.rig
+from mvskin.algebra import Multivector
 from mvskin.errors import (
     HierarchyError,
     MeshError,
@@ -37,8 +38,9 @@ from mvskin.rig import (
     make_cylinders_model,
     model_from_dict,
     save_rig,
-    trs_matrix,
-    trs_versor,
+    trs_matrices,
+    trs_rows,
+    trs_versors,
     validate_mesh,
     validate_model,
 )
@@ -84,11 +86,10 @@ def tiny_model(clips=None):
 def test_trs_matrix_versor_agree_on_points():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(50, 3)) * 4
-    for _ in range(200):
-        t = random_trs(rng)
-        m = trs_matrix(t)
+    rows = trs_rows([random_trs(rng) for _ in range(200)])
+    for v, m in zip(trs_versors(*rows), trs_matrices(*rows)):
         img_m = pts @ m[:3, :3].T + m[:3, 3]
-        img_v = transform_points(trs_versor(t), pts)
+        img_v = transform_points(Multivector(v), pts)
         assert np.max(np.abs(img_m - img_v)) < 1e-9
 
 
@@ -96,17 +97,19 @@ def test_compose_and_invert_match_matrix_algebra():
     rng = np.random.default_rng(8)
     for _ in range(100):
         a, b = random_trs(rng), random_trs(rng)
-        assert np.allclose(trs_matrix(compose_trs(a, b)), trs_matrix(a) @ trs_matrix(b), atol=1e-10)
-        inv = decompose_conformal_matrix(np.linalg.inv(trs_matrix(a)))
-        assert np.allclose(trs_matrix(compose_trs(a, inv)), np.eye(4), atol=1e-10)
+        ab, a_m, b_m = trs_matrices(*trs_rows([compose_trs(a, b), a, b]))
+        assert np.allclose(ab, a_m @ b_m, atol=1e-10)
+        inv = decompose_conformal_matrix(np.linalg.inv(a_m))
+        assert np.allclose(trs_matrices(*trs_rows([compose_trs(a, inv)]))[0], np.eye(4), atol=1e-10)
 
 
 def test_decompose_conformal_matrix_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(100):
         t = random_trs(rng)
-        back = decompose_conformal_matrix(trs_matrix(t))
-        assert np.allclose(trs_matrix(back), trs_matrix(t), atol=1e-12)
+        m = trs_matrices(*trs_rows([t]))[0]
+        back = decompose_conformal_matrix(m)
+        assert np.allclose(trs_matrices(*trs_rows([back]))[0], m, atol=1e-12)
         assert back.rotation[0] >= 0  # canonical hemisphere
 
 
@@ -568,11 +571,12 @@ def test_offset_matrix_accepted_and_checked():
     doc["bones"][1] = {
         "id": 1,
         "parent": 0,
-        "offset_matrix": trs_matrix(trs).tolist(),
+        "offset_matrix": trs_matrices(*trs_rows([trs]))[0].tolist(),
         "bind_trs": doc["bones"][1]["bind_trs"],
     }
     loaded = model_from_dict(doc)
-    assert np.allclose(trs_matrix(loaded.bones[1].offset), trs_matrix(trs), atol=1e-12)
+    offsets = trs_matrices(*trs_rows([loaded.bones[1].offset, trs]))
+    assert np.allclose(offsets[0], offsets[1], atol=1e-12)
 
     doc["bones"][1]["offset_matrix"][0][1] = 0.4  # shear
     with pytest.raises(NonConformalMatrix, match="bone 1"):
