@@ -13,7 +13,7 @@ from mvskin.algebra import make_plane
 from mvskin.animate import generate_keyframe, global_pose_at, skin_cga
 from mvskin.cut import cut
 from mvskin.quaternions import from_axis_angle
-from mvskin.rig import Mesh, Trs, compose_trs, export_obj, make_cylinders_model
+from mvskin.rig import Trs, compose_trs, export_obj, make_cylinders_model
 
 OUT = Path("demo_out")
 
@@ -53,7 +53,7 @@ def main():
         posed = generate_keyframe(half, "bend", 1, compose_trs(half.bone(1).bind, delta), 1.0)
         frame = skin_cga(posed, global_pose_at(posed, "bend", 1.0))
         path = OUT / ("cut_%s_deformed.obj" % label)
-        export_obj(Mesh(frame.positions, half.mesh.faces), path)
+        export_obj(half.mesh, path, frame.positions)
         print("wrote", path)
 
 

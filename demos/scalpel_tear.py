@@ -13,7 +13,7 @@ import numpy as np
 
 from mvskin.animate import generate_keyframe, global_pose_at, skin_cga
 from mvskin.quaternions import from_axis_angle
-from mvskin.rig import Mesh, Trs, compose_trs, export_obj, make_cylinders_model
+from mvskin.rig import Trs, compose_trs, export_obj, make_cylinders_model
 from mvskin.tear import ScalpelState, tear
 
 OUT = Path("demo_out")
@@ -56,7 +56,7 @@ def main():
     frame = skin_cga(posed, global_pose_at(posed, "bend", 1.0))
     assert np.all(np.isfinite(frame.positions))
     bent_path = OUT / "torn_bent.obj"
-    export_obj(Mesh(frame.positions, torn.mesh.faces), bent_path)
+    export_obj(torn.mesh, bent_path, frame.positions)
     print("wrote", bent_path)
 
 

@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import quaternions as quat
+from . import _objtext, quaternions as quat
 from .algebra import (
     BLADE_INDEX,
     DIM,
@@ -97,9 +97,9 @@ __all__ = [
 _QUAT_TOL = 1e-6
 _OFFSET_TOL = 1e-6
 _ROOT_TOL = 1e-6
-# OBJ rows per % and per write, for vertices and for a mesh's cached face
-# block alike: ~8 KiB of text, io.DEFAULT_BUFFER_SIZE.  Formatting a whole
-# mesh with one % raised peak RSS by its ~100 KB temporaries.
+# OBJ face rows per % and per string of a mesh's cached face block: ~8 KiB
+# of text, io.DEFAULT_BUFFER_SIZE.  Formatting a whole mesh with one %
+# raised peak RSS by its ~100 KB temporaries.
 _OBJ_BLOCK_ROWS = 128
 
 
@@ -217,11 +217,23 @@ def trs_matrices(translations, rotations, scales) -> np.ndarray:
 
 
 def compose_trs(a: Trs, b: Trs) -> Trs:
-    """Trs of (a then b applied first): a.matrix @ b.matrix, still a Trs."""
+    """Trs of (a then b applied first): a.matrix @ b.matrix, still a Trs.
+
+    b's translation is rotated in Python floats by quat.rotate's
+    operations in its order: c1 = u x v and c2 = u x c1 as np.cross
+    rounds them, then (v + 2w c1) + 2 c2.  The bytes are quat.rotate's,
+    without the overhead of three np.cross calls on one 3-vector.
+    """
     qa = quat.normalize(a.rotation)
-    t = np.asarray(a.translation) + a.scale * quat.rotate(qa, b.translation)
+    w, x, y, z = qa.tolist()
+    vx, vy, vz = (float(c) for c in b.translation)
+    c1x, c1y, c1z = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+    c2x, c2y, c2z = y * c1z - z * c1y, z * c1x - x * c1z, x * c1y - y * c1x
+    w2 = 2.0 * w
+    rotated = ((vx + w2 * c1x) + 2.0 * c2x, (vy + w2 * c1y) + 2.0 * c2y, (vz + w2 * c1z) + 2.0 * c2z)
+    t = tuple(float(at) + a.scale * r for at, r in zip(a.translation, rotated))
     q = quat.normalize(quat.multiply(qa, b.rotation))
-    return Trs(tuple(float(x) for x in t), tuple(float(x) for x in q), a.scale * b.scale)
+    return Trs(t, tuple(float(x) for x in q), a.scale * b.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -922,20 +934,31 @@ def export_obj(mesh: Mesh, path, vertices=None) -> None:
     frame of a mesh is written without building a Mesh for it; it must
     have the shape of mesh.vertices.  The bytes are those of one
     "v %.17g %.17g %.17g" line per vertex and one "f %d %d %d" line per
-    face.  Vertices are formatted in blocks of at most _OBJ_BLOCK_ROWS
-    rows, one % and one write per block.  The f lines come from
-    mesh.obj_face_block, formatted on the first export of the mesh and
-    reused by every later one: every frame of a model shares its mesh,
-    and a cut or torn model has a new mesh that formats its own block.
+    face.
+
+    The v lines come from a numpy kernel, _objtext.vertex_lines, one
+    call and one write per _objtext.CHUNK_ROWS (512) rows; a whole arm
+    frame at once raised the benchmark's peak RSS by 8%.  Its fast set
+    is 1e-4 <= |x| < 1e16, and 0: %g writes such an x in fixed notation
+    from the 17 digits D = round(|x| * 10**(16 - e)), and 10**(16 - e)
+    is a double there, as 16 - e <= 21.  Dekker's two-product gives D
+    exactly as hi + lo; hi is an even integer, so rint's ties to even
+    on lo round D half to even, as %g does.  Any other coordinate
+    (subnormal, tiny, huge, inf, nan) is written by "%.17g" %.
+
+    The f lines come from mesh.obj_face_block, formatted on the first
+    export of the mesh and reused by every later one: every frame of a
+    model shares its mesh, and a cut or torn model has a new mesh that
+    formats its own block.
     """
     vertices = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
     if vertices.shape != mesh.vertices.shape:
         raise ValueError(f"vertices must have shape {mesh.vertices.shape}, got {vertices.shape}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for block in _obj_blocks("v %.17g %.17g %.17g\n", vertices):
-            fh.write(block)
+    with open(path, "wb") as fh:
+        for start in range(0, len(vertices), _objtext.CHUNK_ROWS):
+            fh.write(_objtext.vertex_lines(vertices[start : start + _objtext.CHUNK_ROWS]))
         for block in mesh.obj_face_block:
-            fh.write(block)
+            fh.write(block.encode("ascii"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Rig data model: fixtures, validation, JSON round trips, OBJ export."""
 
+import decimal
 import json
 import math
 
@@ -101,6 +102,21 @@ def test_compose_and_invert_match_matrix_algebra():
         assert np.allclose(ab, a_m @ b_m, atol=1e-10)
         inv = decompose_conformal_matrix(np.linalg.inv(a_m))
         assert np.allclose(trs_matrices(*trs_rows([compose_trs(a, inv)]))[0], np.eye(4), atol=1e-10)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@given(
+    st.tuples(FINITE, FINITE, FINITE),
+    st.tuples(FINITE, FINITE, FINITE, FINITE).filter(lambda q: 0.0 < math.hypot(*q) < math.inf),
+    st.floats(1e-3, 1e3),
+    st.tuples(FINITE, FINITE, FINITE),
+)
+def test_compose_trs_translation_has_the_bytes_of_quat_rotate(ta, qa, sa, tb):
+    a, b = Trs(ta, qa, sa), Trs(translation=tb)
+    expected = np.asarray(ta) + sa * quat.rotate(quat.normalize(qa), tb)
+    assert np.array(compose_trs(a, b).translation).tobytes() == expected.tobytes()
 
 
 def test_decompose_conformal_matrix_round_trip():
@@ -707,24 +723,56 @@ def export_obj_by_line(mesh, path):
 
 
 ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 127, 128, 129, 300]), st.integers(0, 300))
+VERTEX_ROW_COUNTS = st.one_of(ROW_COUNTS, st.sampled_from([511, 512, 513, 1100]))
 SPECIAL_COORDINATES = np.array([-0.0, 0.1, 5e-324, -2.2250738585072e-309, 1e308, -1e308])
 
 
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(ROW_COUNTS, ROW_COUNTS, st.integers(0, 2**32 - 1))
+@given(VERTEX_ROW_COUNTS, ROW_COUNTS, st.integers(0, 2**32 - 1))
 def test_export_obj_matches_per_line_writer(tmp_path, n_vertices, n_faces, seed):
     rng = np.random.default_rng(seed)
     shape = (n_vertices, 3)
     any_double = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
     special = rng.choice(SPECIAL_COORDINATES, size=shape)
-    vertices = np.where(rng.random(shape) < 0.5, special, any_double)
+    # about 3% of bit patterns fall in the kernel's fast set 1e-4 <= |x| < 1e16
+    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    vertices = np.choose(rng.choice(3, size=shape, p=[0.2, 0.3, 0.5]), [special, any_double, log_uniform])
     faces = rng.integers(0, 2 ** rng.integers(1, 41), size=(n_faces, 3))
     mesh = Mesh(vertices, faces)
     export_obj(mesh, tmp_path / "blocks.obj")
     export_obj_by_line(mesh, tmp_path / "lines.obj")
     assert (tmp_path / "blocks.obj").read_bytes() == (tmp_path / "lines.obj").read_bytes()
+
+
+def _edge_coordinates():
+    """Doubles where the OBJ text kernel changes branch, with their negatives."""
+    values = []
+    # every power of ten from 1e-5 to 1e17: the fast set 1e-4 <= |x| < 1e16 and both its ends
+    for m in range(-5, 18):
+        below = above = 10.0**m
+        values.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            values += [below, above]
+    # their 17 digits round up to a power of ten (all outside the fast set)
+    values += [1e-14, 1e-70, 1e98, 1e-305]
+    # b + k * 2**-j: exactly 18 significant digits, a tie for %.17g, when b has 18 - j integer digits
+    values += [b + k * 2.0**-j for j in range(1, 53) for b in (0.0, 1.0, 3.0, 12.0, 100.0, 12345.0) for k in (1, 3)]
+    values += [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.inf, math.nan]
+    return values + [-x for x in values]
+
+
+def test_export_obj_writes_percent_17g_at_every_edge(tmp_path):
+    values = _edge_coordinates()
+    ties = [x for x in values if len(decimal.Decimal(x).as_tuple().digits) == 18]
+    assert len(ties) > 20 and 1 + 2.0**-17 in ties  # "1.0000076293945312", the tie to even
+    vertices = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+    mesh = Mesh(vertices, [[0, 1, 2]])
+    export_obj(mesh, tmp_path / "edges.obj")
+    expected = "".join("v %.17g %.17g %.17g\n" % tuple(row) for row in vertices.tolist()) + "f 1 2 3\n"
+    assert (tmp_path / "edges.obj").read_bytes() == expected.encode("ascii")
 
 
 def test_export_obj_is_deterministic(tmp_path):
