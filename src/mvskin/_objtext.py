@@ -1,4 +1,4 @@
-"""The bytes of OBJ vertex lines, "v %.17g %.17g %.17g\\n", from numpy passes.
+"""The bytes of OBJ lines, "v %.17g %.17g %.17g\\n" and "f %d %d %d\\n", from numpy passes.
 
 %g with precision 17 writes a float x with 1e-4 <= |x| < 1e16 in fixed
 notation, from its 17 significant digits: the integer
@@ -18,17 +18,23 @@ of D's 4-digit groups, from a 10 000-entry table, go into a _SOURCE-byte
 source row per coordinate, and the row of the template table for the
 coordinate's (sign, e, last nonzero digit of D) lists the source byte of
 each of its _FIELD output bytes; the pad bytes are dropped last.
+
+Face lines take the same ASCII words: an index 0 <= x < 10**19 (every
+nonnegative int64) is its 4-digit groups, the first nonzero one from a
+second table without its leading zeros, the groups above it pad words.
+A negative index is formatted by "%d" % into its slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "vertex_lines"]
+__all__ = ["CHUNK_ROWS", "face_lines", "vertex_lines"]
 
-# Rows per call of vertex_lines, and so per write of export_obj.  On the
-# animate benchmark, 4096 rows (a whole 3069-vertex arm frame at once)
-# raised peak RSS by 8% and ran slower, 1024 rows raised it by 1.4%.
+# Rows per call of vertex_lines and face_lines, and so per write of
+# export_obj.  On the animate benchmark, 4096 rows (a whole 3069-vertex
+# arm frame at once) raised peak RSS by 8% and ran slower, 1024 rows
+# raised it by 1.4%.
 CHUNK_ROWS = 512
 
 # Source row of one coordinate: byte 0 a pad, 1 "-", 2 ".", 3 " ", 4 "v"
@@ -42,7 +48,7 @@ _E_MIN, _E_COUNT = -4, 20
 
 
 def _tables():
-    """The ASCII, last-digit and template tables, built in small integer types."""
+    """The ASCII, last-digit, template and face-word tables, built in small integer types."""
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # at [a, b, c, d]: the group abcd
     ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits[..., 0] = ascii_digits[:, None, None, None]
@@ -73,10 +79,18 @@ def _tables():
     templates[0, ..., 2:-1] = np.concatenate([small, fixed])
     # a "-", then the text, whose last byte is a pad
     templates[1, ..., 2], templates[1, ..., 3:-1] = 1, templates[0, ..., 2:-2]
-    return ascii4, last, templates.reshape(-1, _FIELD)
+    # the words of a face index's groups: at g group g without its leading
+    # zeros, its digits at the front and pads after them ("0" for 0), at
+    # 10000 + g group g as it is, and at 20000 a pad word
+    stripped = np.zeros((10000, 4), np.uint8)
+    stripped[0, 0] = ord("0")
+    for lo, zeros in ((1, 3), (10, 2), (100, 1), (1000, 0)):  # the groups lo ... 10 * lo - 1
+        stripped[lo : 10 * lo, : 4 - zeros] = digits.reshape(10000, 4)[lo : 10 * lo, zeros:]
+    face_words = np.concatenate([stripped.view(np.uint32).ravel(), ascii4, np.zeros(1, np.uint32)])
+    return ascii4, last, templates.reshape(-1, _FIELD), face_words
 
 
-_ASCII4, _LAST, _TEMPLATES = _tables()
+_ASCII4, _LAST, _TEMPLATES, _FACE_WORDS = _tables()
 _LAST_OFFSETS = (10000 * np.arange(4))[:, None]
 _SOURCE_HEADS = np.zeros((CHUNK_ROWS, 3, _SOURCE), np.uint8)
 _SOURCE_HEADS[:, :, 1:4] = np.frombuffer(b"-. ", np.uint8)
@@ -155,4 +169,53 @@ def vertex_lines(rows: np.ndarray) -> bytes:
             text[i, 1:-1] = 0
             text[i, 1 : 1 + len(field)] = np.frombuffer(field, np.uint8)
     text = text.ravel()
+    return text[text != 0].tobytes()
+
+
+# The row of a face line of index width w, as words: "f ", then per index
+# w pad words for its digits and a " " before the next, and "\n" last
+_F, _SPACE, _NEWLINE = np.frombuffer(b"f \0\0 \0\0\0\n\0\0\0", np.uint32)
+_FACE_ROWS = {w: np.array([_F, *[0] * w, _SPACE, *[0] * w, _SPACE, *[0] * w, _NEWLINE], np.uint32) for w in range(1, 6)}
+
+
+def face_lines(rows: np.ndarray) -> bytes:
+    """The bytes of one "f %d %d %d\\n" line per row of an int64 (m, 3) array.
+
+    m is at most CHUNK_ROWS.  Each index gets as many 4-digit groups as
+    the largest in the chunk needs; a group with a nonzero group above it
+    keeps its leading zeros, the first nonzero group drops them, and the
+    groups above it are pads.  A chunk with a negative index gives every
+    index five groups, the 20 bytes of "%d" % -2**63, which is how a
+    negative index is written into its slot.
+    """
+    v = rows.ravel()
+    n = len(rows)
+    negative = v.min(initial=0) < 0
+    width = 5 if negative else 1 + (len(str(v.max(initial=0))) - 1) // 4
+    # index[j] of group j in _FACE_WORDS, the last group first: d holds
+    # groups 0 ... j, so group j keeps its leading zeros where d >= 10000,
+    # and where d == 0 it lies above the first nonzero group, a pad, unless
+    # it is the last group, the "0" of index 0
+    index = np.empty((width, len(v)), np.int64)
+    d = np.maximum(v, 0) if negative else v
+    for j in range(width - 1, 0, -1):
+        q = d // 10000
+        np.subtract(d, 10000 * q, out=index[j])
+        index[j] += 10000 * (d >= 10000)
+        if j < width - 1:
+            index[j] += 20000 * (d == 0)
+        d = q
+    # d is below 10000 here: the width fits the largest index
+    index[0] = d + 20000 * (d == 0) if width > 1 else d
+    line = np.empty((n, 4 + 3 * width), np.uint32)
+    line[:] = _FACE_ROWS[width]
+    fields = line[:, :-1].reshape(n, 3, 1 + width)  # a view: the last axis splits
+    fields[:, :, 1:] = _FACE_WORDS.take(index.T).reshape(n, 3, width)
+    if negative:
+        slots = fields.view(np.uint8)[:, :, 4:]
+        for i in np.flatnonzero(v < 0).tolist():
+            field = b"%d" % v[i]
+            slots[i // 3, i % 3] = 0
+            slots[i // 3, i % 3, : len(field)] = np.frombuffer(field, np.uint8)
+    text = line.view(np.uint8).ravel()
     return text[text != 0].tobytes()

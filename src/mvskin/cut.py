@@ -91,9 +91,12 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
         return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
 
     signs = section.signs
+    seam_weights = weight_by_edge(model.weights, section.edges[:, 0], section.edges[:, 1], section.lam)
     points = [
-        CutPoint(tuple(pos), tuple(key), lam, o, tuple(weight_by_edge(model.weights[key[0]], model.weights[key[1]], lam)))
-        for o, (key, lam, pos) in enumerate(zip(section.edges.tolist(), section.lam.tolist(), section.positions.tolist()))
+        CutPoint(tuple(pos), tuple(key), lam, o, weights)
+        for o, (key, lam, pos, weights) in enumerate(
+            zip(section.edges.tolist(), section.lam.tolist(), section.positions.tolist(), seam_weights)
+        )
     ]
     if (section.borders > 2).any():
         o = int(np.argmax(section.borders > 2))
@@ -135,7 +138,6 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
 
     face_side = signs[mesh.faces[:, 0]]
     face_side[crossed] = 0  # a crossed face goes to neither half whole
-    cut_weights = [cp.weights for cp in points]
     halves = {}
     for side in (1, -1):
         kept = np.flatnonzero(face_side == side)
@@ -145,7 +147,7 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
                 in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side]),
             ),
             model.bones,
-            model.weights.take(signs == side).extend(cut_weights),
+            model.weights.take(signs == side).extend(seam_weights),
             model.clips,
         )
         validate_model(half)

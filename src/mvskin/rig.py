@@ -65,7 +65,7 @@ from .errors import (
     SchemaError,
     WeightSumError,
 )
-from .weights import SkinWeights
+from .weights import _SLOT_PAIRS, SkinWeights
 
 __all__ = [
     "Trs",
@@ -97,10 +97,9 @@ __all__ = [
 _QUAT_TOL = 1e-6
 _OFFSET_TOL = 1e-6
 _ROOT_TOL = 1e-6
-# OBJ face rows per % and per string of a mesh's cached face block: ~8 KiB
-# of text, io.DEFAULT_BUFFER_SIZE.  Formatting a whole mesh with one %
-# raised peak RSS by its ~100 KB temporaries.
-_OBJ_BLOCK_ROWS = 128
+# the bone ids the lookup table of validate_model's weight screen covers; a
+# row naming a bone past them goes to the exact checks
+_ID_TABLE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +304,15 @@ class Mesh:
         object.__setattr__(self, "faces", f)
 
     @functools.cached_property
-    def obj_face_block(self) -> tuple:
-        """The OBJ "f a b c" lines (1-based) of the faces, built on first export.
+    def obj_face_block(self) -> bytes:
+        """The bytes of the OBJ "f a b c" lines (1-based) of the faces, built on first export.
 
-        A tuple of strings of at most _OBJ_BLOCK_ROWS lines each; every
-        export of this mesh writes the same block.
+        _objtext.face_lines formats _objtext.CHUNK_ROWS faces per call, so
+        its temporaries stay those of one chunk; every export of this mesh
+        writes the same bytes.
         """
-        return tuple(_obj_blocks("f %d %d %d\n", self.faces + 1))
+        rows = _objtext.CHUNK_ROWS
+        return b"".join(_objtext.face_lines(self.faces[i : i + rows] + 1) for i in range(0, len(self.faces), rows))
 
     @functools.cached_property
     def lifted_vertices(self) -> np.ndarray:
@@ -624,18 +625,24 @@ def validate_model(model: RiggedModel) -> None:
             f"weights cover {len(model.weights)} vertices but the mesh has "
             f"{len(model.mesh.vertices)}"
         )
-    # one pass flags a superset of the bad rows (an empty row sums to 0;
-    # the sum has a 1e-12 margin for rounding), then the exact per-vertex
-    # checks name the first bad row
+    # a screen in column passes flags a superset of the bad rows (an empty
+    # row sums to 0; the sum has a 1e-12 margin for rounding), then the
+    # exact per-vertex checks name the first bad row
     ids, ws = model.weights.ids, model.weights.ws
-    ordered = np.sort(ids, axis=1)
+    # allowed[id + 1]: is id the -1 of an empty slot or a known bone; every
+    # other id, and a known one past the table, reads its last entry, False
+    allowed = np.zeros(min(max(known), _ID_TABLE) + 3, dtype=bool)
+    allowed[[0] + [b + 1 for b in known if b <= _ID_TABLE]] = True
+    past = len(allowed) - 1
     with np.errstate(all="ignore"):
-        suspect = (
-            ((ids != -1) & ~np.isin(ids, list(known))).any(axis=1)
-            | ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != -1)).any(axis=1)
-            | ~(np.isfinite(ws) & (ws >= 0.0)).all(axis=1)
-            | (np.abs(ws.sum(axis=1) - 1.0) > 1e-6 - 1e-12)
-        )
+        bad = ~allowed.take(np.minimum((ids + 1).view(np.uint64), past))
+        bad |= ~(ws >= 0.0)  # NaN fails it too; an infinite weight makes the sum infinite
+        bad |= (ids == -1) & (ws != 0.0)  # the exact checks do not sum an empty slot
+        first = ids[:, _SLOT_PAIRS[0]]
+        bad_pairs = (first == ids[:, _SLOT_PAIRS[1]]) & (first != -1)
+        suspect = np.abs(ws[:, 0] + ws[:, 1] + ws[:, 2] + ws[:, 3] - 1.0) > 1e-6 - 1e-12
+    for column in (*bad.T, *bad_pairs.T):
+        suspect |= column
     for vi in np.flatnonzero(suspect).tolist():
         _check_vertex_weights(vi, model.weights[vi], known)
 
@@ -920,13 +927,6 @@ def save_rig(model: RiggedModel, path) -> None:
 # OBJ export
 
 
-def _obj_blocks(line: str, rows: np.ndarray):
-    """Text of one `line % row` per row, in blocks of at most _OBJ_BLOCK_ROWS rows."""
-    for start in range(0, len(rows), _OBJ_BLOCK_ROWS):
-        block = rows[start : start + _OBJ_BLOCK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
-
-
 def export_obj(mesh: Mesh, path, vertices=None) -> None:
     """Write a minimal OBJ file: v lines at full precision, 1-based faces.
 
@@ -946,10 +946,13 @@ def export_obj(mesh: Mesh, path, vertices=None) -> None:
     on lo round D half to even, as %g does.  Any other coordinate
     (subnormal, tiny, huge, inf, nan) is written by "%.17g" %.
 
-    The f lines come from mesh.obj_face_block, formatted on the first
-    export of the mesh and reused by every later one: every frame of a
-    model shares its mesh, and a cut or torn model has a new mesh that
-    formats its own block.
+    The f lines are mesh.obj_face_block, bytes built on the first export
+    of the mesh by a second kernel, _objtext.face_lines, and written as
+    they are by every later one: every frame of a model shares its mesh,
+    and a cut or torn model has a new mesh that builds its own block.
+    The kernel writes each index from the ASCII words of its 4-digit
+    groups, the first without leading zeros; a negative index (an int64
+    that wrapped in faces + 1) is written by "%d" %.
     """
     vertices = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
     if vertices.shape != mesh.vertices.shape:
@@ -957,8 +960,7 @@ def export_obj(mesh: Mesh, path, vertices=None) -> None:
     with open(path, "wb") as fh:
         for start in range(0, len(vertices), _objtext.CHUNK_ROWS):
             fh.write(_objtext.vertex_lines(vertices[start : start + _objtext.CHUNK_ROWS]))
-        for block in mesh.obj_face_block:
-            fh.write(block.encode("ascii"))
+        fh.write(mesh.obj_face_block)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .rig import Mesh, RiggedModel, bbox_diagonal, validate_model
 from .section import Section, in_parent_order, section_eps, unit_plane
-from .weights import weight_by_barycentric, weight_by_edge
+from .weights import MAX_INFLUENCES, SkinWeights, weight_by_barycentric, weight_by_edge
 
 __all__ = [
     "ScalpelState",
@@ -258,20 +258,25 @@ def _crossing_candidates(verts: np.ndarray, faces: np.ndarray, p0: np.ndarray, d
     return np.flatnonzero(~decided | (within & (signed | ~sure)))
 
 
+# FaceBVH's box padding, relative to the mesh's bounding-box diagonal
+_BOX_PAD = 1e-12
+
+
 class FaceBVH:
     """Padded per-face bounding boxes, probed by one vectorized slab test.
 
     There is no tree to build: the mesh changes after every tear, and a
     tear asks only one query per scalpel state.  segment_candidates
     returns every face whose padded box the segment meets, in ascending
-    id order.  That is a conservative superset of the faces the segment
-    can cross, so running the shared per-face test over it reproduces
-    the linear scan bit for bit.
+    id order.  That is a conservative superset of the faces scalpel_hit
+    counts, whose hit points lie in the box padded by half as much, so
+    running the shared per-face test over it reproduces the linear scan
+    bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
         tri = mesh.vertices[mesh.faces]
-        pad = 1e-12 * bbox_diagonal(mesh)
+        pad = _BOX_PAD * bbox_diagonal(mesh)
         self._lo = tri.min(axis=1) - pad
         self._hi = tri.max(axis=1) + pad
 
@@ -298,7 +303,13 @@ class FaceBVH:
 
 
 def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearAnchor:
-    """The single transversal crossing of a scalpel segment with the surface."""
+    """The single transversal crossing of a scalpel segment with the surface.
+
+    A near-degenerate face can pass _face_hit's barycentric test with a
+    point far off the face, so a hit counts only where its point lies in
+    the face's box padded by half of FaceBVH's pad (relative to the
+    mesh's bounding-box diagonal), inside every box the filter tests.
+    """
     verts = mesh.vertices
     p0 = np.asarray(scalpel.tip, dtype=np.float64)
     p1 = np.asarray(scalpel.tail, dtype=np.float64)
@@ -312,11 +323,15 @@ def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearA
         candidates = _crossing_candidates(verts, mesh.faces, p0, dvec)
     else:
         candidates = bvh.segment_candidates(p0, p1)
+    slack = 0.5 * _BOX_PAD * bbox_diagonal(mesh)
     hits = []
     for fi in candidates.tolist():
         res = _face_hit(verts, mesh.faces[fi], p0, dvec)
         if res is not None:
-            hits.append((int(fi), res))
+            tri = verts[mesh.faces[fi]]
+            point = p0 + res[0] * dvec
+            if np.all(tri.min(axis=0) - slack <= point) and np.all(point <= tri.max(axis=0) + slack):
+                hits.append((int(fi), res))
     if not hits:
         raise NoIntersection("scalpel segment does not cross the surface")
     if len(hits) > 1:
@@ -500,24 +515,27 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
 
     Each inserted point gets its final vertex index when it is inserted;
     `rows` maps every output vertex to its row of the extended position
-    and weight tables.  Only the split faces are walked, in ascending id;
-    the other faces stay one array, and in_parent_order puts the
-    children back in their parents' places.
+    and weight tables; the anchors' weights are packed, and the edge
+    points' come from one weight_by_edge pass.  Only the split faces are
+    walked, in ascending id; the other faces stay one array, and
+    in_parent_order puts the children back in their parents' places.
     """
     mesh = model.mesh
     n_orig = len(mesh.vertices)
     eps = section_eps(mesh)
 
     new_positions = []  # k-th inserted vertex -> position
-    new_weights = []  # k-th inserted vertex -> influences
+    on_edges = []  # k-th inserted vertex -> is it an edge point
+    anchor_weights = []  # influences of each inserted anchor
+    edges, lams = [], []  # (lo, hi) and lam of each inserted edge point
     anchor_index: dict = {}  # id(anchor) -> vertex index
     interior: dict = {}  # face id -> [anchor vertex indices]
     on_edge: dict = {}  # (lo, hi) -> [(vertex index, lam)]
     hubs: dict = {}  # face id -> fan hub vertex index; exactly the faces to split
 
-    def insert(position, influences) -> int:
+    def insert(position, edge_point: bool) -> int:
         new_positions.append(np.asarray(position, dtype=np.float64))
-        new_weights.append(influences)
+        on_edges.append(edge_point)
         return n_orig + len(new_positions) - 1
 
     def insert_anchor(anchor: TearAnchor) -> int:
@@ -528,7 +546,8 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
                 anchor_index[id(anchor)] = g
                 return g
         corners = [model.weights[int(v)] for v in mesh.faces[anchor.face]]
-        g = insert(anchor.point, weight_by_barycentric(corners, anchor.bary))
+        anchor_weights.append(weight_by_barycentric(corners, anchor.bary))
+        g = insert(anchor.point, False)
         anchor_index[id(anchor)] = g
         interior.setdefault(anchor.face, []).append(g)
         return g
@@ -539,8 +558,9 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
         indices = []
         entered = [q.face for q in path.points[1:]] + [path.end.face]
         for q, face in zip(path.points, entered):
-            lo, hi = q.edge
-            g = insert(q.position, weight_by_edge(model.weights[lo], model.weights[hi], q.lam))
+            edges.append(q.edge)
+            lams.append(q.lam)
+            g = insert(q.position, True)
             on_edge.setdefault(q.edge, []).append((g, q.lam))
             indices.append(g)
             hubs.setdefault(face, g)  # entry point of the next face
@@ -550,6 +570,15 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     hubs.update((face, anchors[0]) for face, anchors in interior.items())
 
     positions = np.vstack([mesh.vertices, *new_positions])
+    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    on_edges = np.array(on_edges, dtype=bool)
+    new_ids = np.empty((len(on_edges), MAX_INFLUENCES), dtype=np.int64)
+    new_ws = np.empty((len(on_edges), MAX_INFLUENCES))
+    for inserted, table in (
+        (~on_edges, SkinWeights.pack(anchor_weights)),
+        (on_edges, weight_by_edge(model.weights, lo, hi, lams)),
+    ):
+        new_ids[inserted], new_ws[inserted] = table.ids, table.ws
     split = sorted(hubs)
     children = []  # split children, in ascending parent face and emission order
     parents = []  # the split face of each child
@@ -640,7 +669,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
     torn = RiggedModel(
         Mesh(positions[rows], faces),
         model.bones,
-        model.weights.extend(new_weights).take(rows),
+        model.weights.extend(SkinWeights(new_ids, new_ws)).take(rows),
         model.clips,
     )
     validate_model(torn)

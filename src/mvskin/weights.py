@@ -12,6 +12,9 @@ are renormalized to sum to 1.
 
 Per-bone sums use math.fsum, so combining is exactly invariant under
 permutations of the input corners.
+
+weight_by_edge re-binds a whole seam at once: the points of a cut or the
+edge points of a tear, in one numpy pass over their edges' two rows.
 """
 
 from __future__ import annotations
@@ -74,9 +77,8 @@ class SkinWeights:
         """The table of the given rows (an index array or a boolean mask)."""
         return SkinWeights(self.ids[rows], self.ws[rows])
 
-    def extend(self, entries: Sequence[Influences]) -> "SkinWeights":
-        """This table with the packed entries appended."""
-        more = SkinWeights.pack(entries)
+    def extend(self, more: "SkinWeights") -> "SkinWeights":
+        """This table with the rows of another appended."""
         return SkinWeights(np.vstack([self.ids, more.ids]), np.vstack([self.ws, more.ws]))
 
     @functools.cached_property
@@ -205,14 +207,62 @@ def weight_by_barycentric(
     return kept
 
 
-def weight_by_edge(
-    weights_a: Influences,
-    weights_b: Influences,
-    lam: float,
-) -> list[tuple[int, float]]:
-    """Influences for a point at parameter `lam` along an edge (0 at a, 1 at b)."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and -1e-9 <= lam <= 1.0 + 1e-9):
-        raise ValueError(f"edge parameter must lie in [0, 1], got {lam!r}")
-    lam = min(max(lam, 0.0), 1.0)
-    return weight_by_barycentric([weights_a, weights_b, ()], [1.0 - lam, lam, 0.0])
+# The 6 pairs of a row's four slots, which must not repeat a bone, and the
+# largest weight weight_by_edge's pass takes: two terms of a bone and four
+# kept bones cannot overflow then
+_SLOT_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+_MAX_WEIGHT = 1e300
+
+
+def weight_by_edge(weights: SkinWeights, lo, hi, lam) -> SkinWeights:
+    """Influences for points at parameters lam along edges (0 at row lo, 1 at row hi).
+
+    Row k of the result is weight_by_barycentric([weights[lo[k]],
+    weights[hi[k]], ()], [1 - t, t, 0]) packed, with t = lam[k] clamped
+    to [0, 1]; lam[k] must lie in [-1e-9, 1 + 1e-9].  The rule needs
+    at most two terms per bone, one from each end, and math.fsum of two
+    doubles is their rounded sum, so a numpy pass gives the same bits:
+    the sums, the four largest (lexsort on (-w, id), so ties go to the
+    lower id), and their total by math.fsum.  A row the pass cannot
+    vouch for goes to the rule itself, in order, which raises its
+    errors: a lam out of range, a bone id below -1 or repeated in a row,
+    a weight that is not in [0, 1e300], or kept weights summing to zero.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    m = len(lam)
+    ends = np.stack([np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)], axis=1)
+    # slots 0-3 from row lo, 4-7 from row hi
+    ids, ws = weights.ids[ends].reshape(m, 8), weights.ws[ends].reshape(m, 8)
+    with np.errstate(all="ignore"):
+        first, second = (ids.reshape(m, 2, 4)[:, :, slots] for slots in _SLOT_PAIRS)
+        odd = (
+            ~((lam >= -1e-9) & (lam <= 1.0 + 1e-9))  # NaN fails both
+            | ((ids < -1) | ((ids != -1) & ~((ws >= 0.0) & (ws <= _MAX_WEIGHT)))).any(axis=1)
+            | ((first == second) & (first != -1)).reshape(m, 12).any(axis=1)
+        )
+        t = np.clip(lam, 0.0, 1.0)[:, None]
+        terms = (np.concatenate([1.0 - t, t], axis=1)[:, :, None] * ws.reshape(m, 2, 4)).reshape(m, 8)
+        terms = np.where((ids >= 0) & ~odd[:, None], terms, 0.0)
+    # a bone at both ends: its two terms go to its slot from row lo
+    same = (ids[:, 4:, None] == ids[:, None, :4]) & (ids[:, 4:, None] >= 0)
+    terms[:, :4] += (same * terms[:, 4:, None]).sum(axis=1)
+    terms[:, 4:][same.any(axis=2)] = 0.0
+    top = np.lexsort((ids, -terms))[:, :MAX_INFLUENCES] + 8 * np.arange(m)[:, None]
+    ids, ws = ids.take(top), terms.take(top)
+    total = np.array([math.fsum(row) for row in ws.tolist()]).reshape(-1, 1)
+    odd |= total[:, 0] <= 0.0
+    # the kept bones in id order, the empty slots after them
+    kept = ws > 0.0
+    order = np.lexsort((ids, ~kept)) + MAX_INFLUENCES * np.arange(m)[:, None]
+    kept = kept.take(order)
+    ids = np.where(kept, ids.take(order), -1)
+    ws = np.where(kept, ws.take(order) / np.where(total > 0.0, total, 1.0), 0.0)
+    for k in np.flatnonzero(odd).tolist():
+        x = float(lam[k])
+        if not (math.isfinite(x) and -1e-9 <= x <= 1.0 + 1e-9):
+            raise ValueError(f"edge parameter must lie in [0, 1], got {x!r}")
+        x = min(max(x, 0.0), 1.0)
+        row = weight_by_barycentric([weights[ends[k, 0]], weights[ends[k, 1]], ()], [1.0 - x, x, 0.0])
+        packed = SkinWeights.pack([row])
+        ids[k], ws[k] = packed.ids[0], packed.ws[0]
+    return SkinWeights(ids, ws)

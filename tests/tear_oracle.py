@@ -2,8 +2,10 @@
 
 `scan_hits` runs the segment-triangle test on every face in ascending
 id order, exactly as `mvskin.tear.scalpel_hit` did before its
-vectorized pre-pass; `anchor_of` turns the hits into the same anchor or
-typed error, and `scan_scalpel_hit` does both.  `sliver_passes` and
+vectorized pre-pass; `counted` keeps the hits whose point lies in the
+face's box padded by 0.5e-12 of the mesh's bounding-box diagonal,
+`anchor_of` turns them into the same anchor or typed error, and
+`scan_scalpel_hit` does all three.  `sliver_passes` and
 `left_of` are the per-child sliver and side tests that
 `mvskin.tear._apply_paths` ran on every split child before its batched
 passes.  Each test is a copy, not an import, so that a change to the
@@ -14,6 +16,7 @@ import numpy as np
 
 from mvskin.algebra import plane_distances
 from mvskin.errors import AmbiguousIntersection, DegenerateTearStep, NoIntersection
+from mvskin.rig import bbox_diagonal
 from mvskin.section import section_eps
 from mvskin.tear import TearAnchor
 
@@ -61,7 +64,19 @@ def scan_scalpel_hit(mesh, scalpel) -> TearAnchor:
         raise DegenerateTearStep(
             f"scalpel endpoints coincide: |tail - tip| = {length:.3e} spans no segment"
         )
-    return anchor_of(scan_hits(mesh, p0, dvec), p0, dvec)
+    return anchor_of(counted(mesh, scan_hits(mesh, p0, dvec), p0, dvec), p0, dvec)
+
+
+def counted(mesh, hits: list, p0, dvec) -> list:
+    """The hits whose point p0 + t dvec lies in its face's box, padded by 0.5e-12 of the bbox diagonal."""
+    slack = 0.5e-12 * bbox_diagonal(mesh)
+    kept = []
+    for fi, (t, u, v) in hits:
+        tri = mesh.vertices[mesh.faces[fi]]
+        point = p0 + t * dvec
+        if np.all(tri.min(axis=0) - slack <= point) and np.all(point <= tri.max(axis=0) + slack):
+            kept.append((fi, (t, u, v)))
+    return kept
 
 
 def anchor_of(hits: list, p0, dvec) -> TearAnchor:

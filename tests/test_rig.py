@@ -1,17 +1,18 @@
 """Rig data model: fixtures, validation, JSON round trips, OBJ export."""
 
+import dataclasses
 import decimal
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
-import mvskin.rig
+from mvskin import _objtext
 from mvskin.algebra import Multivector
 from mvskin.errors import (
     HierarchyError,
@@ -45,6 +46,7 @@ from mvskin.rig import (
     validate_mesh,
     validate_model,
 )
+from mvskin.weights import SkinWeights
 
 from cga_oracle import transform_points
 from mesh_helpers import mesh_area
@@ -113,10 +115,19 @@ FINITE = st.floats(-1e6, 1e6, allow_subnormal=True)
     st.floats(1e-3, 1e3),
     st.tuples(FINITE, FINITE, FINITE),
 )
+# a quaternion whose sum of squares underflows to 0, which quat.normalize rejects
+@example(ta=(0.0, 0.0, 0.0), qa=(0.0, 0.0, 0.0, 1.0296503864647544e-189), sa=1.0, tb=(1.0, 2.0, 3.0))
 def test_compose_trs_translation_has_the_bytes_of_quat_rotate(ta, qa, sa, tb):
     a, b = Trs(ta, qa, sa), Trs(translation=tb)
-    expected = np.asarray(ta) + sa * quat.rotate(quat.normalize(qa), tb)
-    assert np.array(compose_trs(a, b).translation).tobytes() == expected.tobytes()
+
+    def outcome(translation):
+        try:
+            return np.array(translation()).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    expected = outcome(lambda: np.asarray(ta) + sa * quat.rotate(quat.normalize(qa), tb))
+    assert outcome(lambda: compose_trs(a, b).translation) == expected
 
 
 def test_decompose_conformal_matrix_round_trip():
@@ -484,6 +495,62 @@ def test_validate_model_names_the_same_bad_vertex_as_a_per_vertex_loop(corruptio
     assert got == want
 
 
+def _screen_cases():
+    """(name, ids, ws) of one 4-slot weight row per kind the exact checks reject, or nearly do."""
+    cases = [
+        ("unknown bone", [0, 7, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+        ("bone past the lookup table", [0, 2**62, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+        ("bone -2", [0, -2, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+        ("int64 maximum", [2**63 - 1, 1, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+        ("int64 minimum", [-(2**63), 1, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+        ("no influences", [-1, -1, -1, -1], [0.0, 0.0, 0.0, 0.0]),
+        ("weight in an empty slot", [0, -1, -1, -1], [0.5, 0.5, 0.0, 0.0]),
+    ]
+    for i, j in zip([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]):
+        others = iter([1, 2])  # bone 0 in slots i and j, bones 1 and 2 in the others
+        ids = [0 if k in (i, j) else next(others) for k in range(4)]
+        cases.append((f"bone twice in slots {i} and {j}", ids, [0.25] * 4))
+    for w in (math.nan, math.inf, -math.inf, -0.25, -1e-300):
+        rest = 0.5 - w if math.isfinite(w) else 0.5  # a finite negative weight keeps the sum at 1
+        cases.append((f"weight {w!r}", [0, 1, 2, -1], [0.5, w, rest, 0.0]))
+    for target in (1.0 + 1e-6, 1.0 - 1e-6):
+        for t in (math.nextafter(target, 0.0), target, math.nextafter(target, 2.0)):
+            cases.append((f"sum {t!r}", [0, 1, -1, -1], [0.5, t - 0.5, 0.0, 0.0]))
+    return cases
+
+
+@pytest.mark.parametrize("name, row_ids, row_ws", _screen_cases(), ids=[c[0] for c in _screen_cases()])
+def test_weight_screen_names_the_first_row_the_exact_checks_reject(name, row_ids, row_ws):
+    # the row goes to vertices 5 and 200 of the cylinders, whose bones are 0, 1 and 2
+    m = make_cylinders_model()
+    ids, ws = m.weights.ids.copy(), m.weights.ws.copy()
+    ids[[5, 200]], ws[[5, 200]] = row_ids, row_ws
+    weights = SkinWeights(ids, ws)
+
+    def outcome(check):
+        try:
+            check()
+        except WeightSumError as exc:
+            return type(exc), str(exc)
+        return None
+
+    want = outcome(lambda: per_vertex_weight_check(list(weights), {b.id for b in m.bones}))
+    assert outcome(lambda: validate_model(RiggedModel(m.mesh, m.bones, weights))) == want
+    assert want is None or "vertex 5 " in want[1]
+
+
+def test_weight_screen_passes_known_bones_past_its_lookup_table():
+    # bone 2 renumbered past the table: its rows go to the exact checks, which accept them
+    m = make_cylinders_model()
+    far = 2**40
+    bones = m.bones[:2] + (dataclasses.replace(m.bones[2], id=far),)
+    ids = np.where(m.weights.ids == 2, far, m.weights.ids)
+    validate_model(RiggedModel(m.mesh, bones, SkinWeights(ids.copy(), m.weights.ws.copy())))
+    ids[7, 0] = far + 1
+    with pytest.raises(WeightSumError, match=f"vertex 7 references unknown bone {far + 1}"):
+        validate_model(RiggedModel(m.mesh, bones, SkinWeights(ids, m.weights.ws.copy())))
+
+
 def test_clip_validation_errors():
     keys = (TrsKey(0.0), TrsKey(1.0, translation=(1, 0, 0)))
     tiny_model({"ok": {1: keys}})
@@ -775,6 +842,46 @@ def test_export_obj_writes_percent_17g_at_every_edge(tmp_path):
     assert (tmp_path / "edges.obj").read_bytes() == expected.encode("ascii")
 
 
+# an int64 face index at each change of its digit count: 0, 9 | 10, 9999 |
+# 10000, every 10**k - 1 | 10**k | 10**k + 1 and the int64 ends, with negatives
+FACE_INDEX_EDGES = np.array(
+    sorted({0, 1, 2**63 - 2, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)}), dtype=np.int64
+)
+NEGATIVE_FACE_INDICES = np.array([-1, -9, -10, -9999, -10000, -(10**18), -(2**63) + 1, -(2**63)], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "rows, text",
+    [
+        ([[0, 9, 10]], b"f 0 9 10\n"),
+        ([[-1, 0, 9999]], b"f -1 0 9999\n"),
+        ([[10000, 2**63 - 1, -(2**63)]], b"f 10000 9223372036854775807 -9223372036854775808\n"),
+        ([[10**8, 10**12 + 1, 10**16 - 1]], b"f 100000000 1000000000001 9999999999999999\n"),
+    ],
+)
+def test_face_lines_exact_bytes(rows, text):
+    assert _objtext.face_lines(np.array(rows, dtype=np.int64)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1, 511, 512, 513, 1024, 1100]), st.integers(0, 1100)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.002, 0.3]),
+)
+def test_face_lines_write_percent_d_at_every_digit_count(n_faces, seed, negative):
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(FACE_INDEX_EDGES, size=(n_faces, 3))
+    flip = rng.random((n_faces, 3)) < negative
+    rows[flip] = rng.choice(NEGATIVE_FACE_INDICES, size=np.count_nonzero(flip))
+    chunk = _objtext.CHUNK_ROWS
+    got = b"".join(_objtext.face_lines(rows[i : i + chunk]) for i in range(0, n_faces, chunk))
+    assert got == "".join("f %d %d %d\n" % tuple(row) for row in rows.tolist()).encode("ascii")
+    # obj_face_block writes faces + 1, in which the int64 maximum wraps to the minimum
+    block = Mesh(np.zeros((1, 3)), rows).obj_face_block
+    assert block == "".join("f %d %d %d\n" % tuple(row) for row in (rows + 1).tolist()).encode("ascii")
+
+
 def test_export_obj_is_deterministic(tmp_path):
     mesh = make_cylinders_model().mesh
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -786,7 +893,7 @@ def test_export_obj_is_deterministic(tmp_path):
 def test_frames_of_one_model_share_one_face_block(tmp_path):
     model = make_cylinders_model()
     block = model.mesh.obj_face_block
-    assert isinstance(block, tuple) and len(block) == -(-len(model.mesh.faces) // mvskin.rig._OBJ_BLOCK_ROWS)
+    assert block == "".join("f %d %d %d\n" % tuple(f) for f in (model.mesh.faces + 1).tolist()).encode("ascii")
     rng = np.random.default_rng(7)
     for k in range(2):
         frame = model.mesh.vertices * (1.0 + k) + rng.normal(size=model.mesh.vertices.shape)

@@ -1,5 +1,6 @@
 """Weight re-binding tests with a brute-force combination oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvskin.errors import WeightSumError
+from mvskin.rig import make_arm_model, make_cylinders_model
 from mvskin.weights import MAX_INFLUENCES, SkinWeights, weight_by_barycentric, weight_by_edge
+
+from weights_oracle import edge_influences
 
 
 def oracle_combine(corners, bary):
@@ -104,31 +108,36 @@ def test_idempotence():
     assert np.allclose([w for _, w in again], [w for _, w in out], atol=1e-12)
 
 
+def edge_row(wa, wb, lam):
+    """weight_by_edge of one point on the edge from wa to wb, as (bone, w) pairs."""
+    return list(weight_by_edge(SkinWeights.pack([wa, wb]), [0], [1], [lam])[0])
+
+
 def test_edge_endpoints_exact():
     wa = [(0, 0.25), (1, 0.75)]
     wb = [(2, 0.5), (3, 0.5)]
-    assert weight_by_edge(wa, wb, 0.0) == sorted(wa)
-    assert weight_by_edge(wa, wb, 1.0) == sorted(wb)
+    assert edge_row(wa, wb, 0.0) == sorted(wa)
+    assert edge_row(wa, wb, 1.0) == sorted(wb)
 
 
 def test_edge_equals_degenerate_barycentric():
     wa = [(0, 0.3), (1, 0.7)]
     wb = [(1, 0.4), (5, 0.6)]
     lam = 0.37
-    via_edge = weight_by_edge(wa, wb, lam)
+    via_edge = edge_row(wa, wb, lam)
     via_bary = weight_by_barycentric([wa, wb, ()], [1.0 - lam, lam, 0.0])
     assert via_edge == via_bary
 
 
 def test_zero_total_weights_are_typed():
     with pytest.raises(WeightSumError, match="sum to zero"):
-        weight_by_edge([(0, 0.0)], [(1, 0.0)], 0.5)
+        edge_row([(0, 0.0)], [(1, 0.0)], 0.5)
 
 
 def test_parameter_validation():
     wa, wb = [(0, 1.0)], [(1, 1.0)]
     with pytest.raises(ValueError):
-        weight_by_edge(wa, wb, 1.5)
+        edge_row(wa, wb, 1.5)
     with pytest.raises(ValueError):
         weight_by_barycentric([wa, wb, ()], [0.5, 0.2, 0.2])  # sums to 0.9
     with pytest.raises(ValueError):
@@ -166,10 +175,106 @@ def test_edge_rebinding_always_valid(wa, wb, lam):
     tb = sum(w for _, w in wb)
     wa = [(b, w / ta) for b, w in wa]
     wb = [(b, w / tb) for b, w in wb]
-    out = weight_by_edge(wa, wb, lam)
+    out = edge_row(wa, wb, lam)
     assert 1 <= len(out) <= MAX_INFLUENCES
     assert abs(math.fsum(w for _, w in out) - 1.0) < 1e-9
     assert all(w > 0 for _, w in out)
+
+
+# ---------------------------------------------------------------------------
+# a seam at once against the per-point rule
+
+FIXTURES = {"arm": make_arm_model, "cylinders": make_cylinders_model}
+# rows whose combinations tie exactly (dyadic weights) or pass four bones
+TIE_ROWS = [
+    ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)),
+    ((4, 0.25), (5, 0.25), (6, 0.25), (7, 0.25)),
+    ((3, 0.5), (8, 0.125), (1, 0.125), (9, 0.25)),
+    ((2, 0.375), (6, 0.375), (0, 0.125), (7, 0.125)),
+    ((9, 1.0),),
+]
+# rows validate_model rejects: a repeated bone, NaN, inf or negative
+# weights, bone -2, zero weights, weights whose sums overflow, no pair
+BAD_ROWS = [
+    ((2, 0.5), (2, 0.5)),
+    ((1, 0.25), (4, 0.25), (1, 0.5)),
+    ((0, math.nan), (1, 1.0)),
+    ((0, math.inf),),
+    ((1, -0.25), (3, 1.25)),
+    ((-2, 1.0),),
+    ((0, 0.0), (1, 0.0)),
+    ((5, 1e308), (6, 1e308)),
+    ((5, 1.7e308),),
+    (),
+]
+# 0, 1, the clamped ends of [-1e-9, 1 + 1e-9], -0.0 and a half
+LAMS = np.array([0.0, 1.0, -1e-9, 1.0 + 1e-9, -5e-10, 1.0 + 5e-10, -0.0, 0.5])
+BAD_LAMS = np.array([-2e-9, 1.0 + 2e-9, math.nan, math.inf])
+
+
+@functools.cache
+def fixture_edges(name):
+    model = FIXTURES[name]()
+    faces = model.mesh.faces
+    return model.weights, np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+
+
+def edge_outcome(run):
+    """The packed table's bytes, or the type and message of the error raised."""
+    try:
+        table = run()
+    except (ValueError, WeightSumError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return table.ids.tobytes(), table.ws.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(FIXTURES)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 150),
+    st.sampled_from([0.0, 0.3]),
+    st.sampled_from([0.0, 0.003, 0.03]),
+)
+def test_weight_by_edge_matches_the_per_point_rule(name, seed, m, synthetic, bad):
+    rng = np.random.default_rng(seed)
+    weights, edges = fixture_edges(name)
+    n = len(weights)
+    table = weights.extend(SkinWeights.pack(TIE_ROWS + BAD_ROWS))
+    lo, hi = edges[rng.integers(0, len(edges), m)].T
+    # ends on the synthetic rows, some points with both
+    for end in (lo, hi):
+        draw = rng.random(m)
+        end[draw < synthetic] = n + rng.integers(0, len(TIE_ROWS), np.count_nonzero(draw < synthetic))
+        end[draw > 1.0 - bad] = n + len(TIE_ROWS) + rng.integers(0, len(BAD_ROWS), np.count_nonzero(draw > 1.0 - bad))
+    lam = np.where(rng.random(m) < 0.5, rng.choice(LAMS, m), rng.random(m))
+    odd = rng.random(m) < 0.1 * bad
+    lam[odd] = rng.choice(BAD_LAMS, np.count_nonzero(odd))
+
+    def per_point():
+        return SkinWeights.pack(
+            [edge_influences(table[a], table[b], x) for a, b, x in zip(lo.tolist(), hi.tolist(), lam.tolist())]
+        )
+
+    assert edge_outcome(lambda: weight_by_edge(table, lo, hi, lam)) == edge_outcome(per_point)
+
+
+@pytest.mark.parametrize("row", BAD_ROWS, ids=repr)
+def test_weight_by_edge_gives_each_unvalidated_row_the_per_point_result(row):
+    # one point at a time, so that an error raised for one hides no other
+    table = SkinWeights.pack([row, TIE_ROWS[0], TIE_ROWS[2], ((2, 1.0),)])
+    for lo, hi in ((0, 1), (1, 0), (0, 2), (3, 0), (0, 0)):
+        for lam in LAMS:
+            got = edge_outcome(lambda: weight_by_edge(table, [lo], [hi], [lam]))
+            assert got == edge_outcome(lambda: SkinWeights.pack([edge_influences(table[lo], table[hi], lam)]))
+
+
+def test_weight_by_edge_breaks_exact_ties_toward_the_lower_id():
+    table = SkinWeights.pack(TIE_ROWS[:2])
+    # eight bones at 0.125 each: the four lowest ids survive
+    assert edge_row(TIE_ROWS[0], TIE_ROWS[1], 0.5) == [(b, 0.25) for b in range(4)]
+    assert weight_by_edge(table, [1, 0], [0, 1], [0.5, 0.5]) == SkinWeights.pack([[(b, 0.25) for b in range(4)]] * 2)
+    assert len(weight_by_edge(table, [], [], [])) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +293,9 @@ def test_skin_weights_pack_reads_back_as_tuples():
     assert table == SkinWeights.pack(entries) and table != SkinWeights.pack(entries[:3])
     assert table.take([3, 0, 0]) == SkinWeights.pack([entries[3], entries[0], entries[0]])
     assert table.take(np.array([True, False, False, True])) == SkinWeights.pack(entries[::3])
-    assert table.extend([((1, 1.0),)]) == SkinWeights.pack(entries + [((1, 1.0),)])
-    assert len(SkinWeights.pack([])) == 0 and table.take([]).extend([]) == SkinWeights.pack([])
+    assert table.extend(SkinWeights.pack([((1, 1.0),)])) == SkinWeights.pack(entries + [((1, 1.0),)])
+    empty = SkinWeights.pack([])
+    assert len(empty) == 0 and table.take([]).extend(empty) == empty
 
 
 @pytest.mark.parametrize(
