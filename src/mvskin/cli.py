@@ -36,11 +36,12 @@ validated against the model before anything executes.
 
 Artifacts: ``frame_%04d.obj`` (numbered across the whole run),
 ``cut_M1.obj``/``cut_M2.obj``, ``torn.obj``, ``<name>.obj`` for
-exports, and ``metrics.json`` (schema version 3: per-action wall times,
+exports, and ``metrics.json`` (schema version 4: per-action wall times,
 intersection counts, compare error norms; a failure keeps the finished
-records, names its ``action_index`` and exits nonzero).  An empty action list
-exports the bind-pose mesh as ``bind.obj``.  Outputs are deterministic:
-identical script and rig produce byte-identical OBJ files.
+records, names its ``action_index`` and the ``files`` the failing action
+wrote, and exits nonzero).  An empty action list exports the bind-pose
+mesh as ``bind.obj``.  Outputs are deterministic: identical script and
+rig produce byte-identical OBJ files.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .rig import (
 )
 from .tear import ScalpelState, tear
 
-METRICS_VERSION = 3
+METRICS_VERSION = 4
 SCRIPT_VERSION = 1
 
 _FIXTURES = {"cylinders": make_cylinders_model, "arm": make_arm_model}
@@ -289,15 +290,26 @@ def validate_script(model: RiggedModel, doc) -> list:
     return normalized
 
 
-def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, accel: bool):
-    """Execute validated actions, yielding each action's record as it finishes."""
+def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, written: list):
+    """Execute validated actions, yielding each action's record as it finishes.
+
+    `written` is emptied as each action starts and gets each file's name
+    as the file is written, so after a failure it names the files the
+    failing action wrote.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     skinner = SKIN_BACKENDS[backend]
+
+    def _export(mesh, path: Path, vertices=None) -> None:
+        export_obj(mesh, path, vertices)
+        written.append(path.name)
+
     frame_counter = 0
     cut_counter = 0
     tear_counter = 0
 
     for i, act in enumerate(actions):
+        written.clear()
         record = {"index": i, "action": act["action"]}
         started = time.perf_counter()
         if act["action"] == "set_keyframe":
@@ -307,23 +319,18 @@ def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, acc
             model = generate_keyframe(model, act["clip"], act["bone"], trs, act["time"])
             record.update(clip=act["clip"], bone=act["bone"], time=act["time"])
         elif act["action"] == "sample":
-            files = []
             for t in act["times"]:
                 pose = global_pose_at(model, act["clip"], t)
                 frame = skinner(model, pose)
-                path = out_dir / f"frame_{frame_counter:04d}.obj"
-                export_obj(model.mesh, path, frame.positions)
-                files.append(path.name)
+                _export(model.mesh, out_dir / f"frame_{frame_counter:04d}.obj", frame.positions)
                 frame_counter += 1
-            record.update(clip=act["clip"], times=act["times"], files=files)
+            record.update(clip=act["clip"], times=act["times"], files=list(written))
         elif act["action"] == "cut":
             plane = make_plane(act["normal"], act["d"])
             result = cut(model, plane)
             suffix = "" if cut_counter == 0 else f"_{cut_counter + 1}"
-            f1 = out_dir / f"cut_M1{suffix}.obj"
-            f2 = out_dir / f"cut_M2{suffix}.obj"
-            export_obj(result.m1.mesh, f1)
-            export_obj(result.m2.mesh, f2)
+            _export(result.m1.mesh, out_dir / f"cut_M1{suffix}.obj")
+            _export(result.m2.mesh, out_dir / f"cut_M2{suffix}.obj")
             cut_counter += 1
             model = result.m1
             record.update(
@@ -331,13 +338,12 @@ def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, acc
                 polylines=[len(chain) for chain in result.polylines],
                 m1={"vertices": len(result.m1.mesh.vertices), "faces": len(result.m1.mesh.faces)},
                 m2={"vertices": len(result.m2.mesh.vertices), "faces": len(result.m2.mesh.faces)},
-                files=[f1.name, f2.name],
+                files=list(written),
             )
         elif act["action"] == "tear":
-            result = tear(model, act["states"], delta=act["delta"], accel=accel)
+            result = tear(model, act["states"], delta=act["delta"])
             suffix = "" if tear_counter == 0 else f"_{tear_counter + 1}"
-            path = out_dir / f"torn{suffix}.obj"
-            export_obj(result.model.mesh, path)
+            _export(result.model.mesh, out_dir / f"torn{suffix}.obj")
             tear_counter += 1
             model = result.model
             record.update(
@@ -350,28 +356,31 @@ def _execute(model: RiggedModel, actions: list, out_dir: Path, backend: str, acc
                     for p in result.paths
                 ],
                 intersection_points=sum(len(p.points) for p in result.paths),
-                files=[path.name],
+                files=list(written),
             )
         elif act["action"] == "compare":
             pose = global_pose_at(model, act["clip"], act["time"])
             errors = compare_backends(model, pose, reference=act["reference"], test=act["test"])
             record.update(errors)
         elif act["action"] == "export":
-            path = out_dir / f"{act['name']}.obj"
-            export_obj(model.mesh, path)
-            record.update(files=[path.name])
+            _export(model.mesh, out_dir / f"{act['name']}.obj")
+            record.update(files=list(written))
         record["wall_time_s"] = time.perf_counter() - started
         yield record
 
     if not actions:
-        path = out_dir / "bind.obj"
-        export_obj(model.mesh, path)
-        yield {"index": 0, "action": "export", "files": [path.name], "wall_time_s": 0.0}
+        _export(model.mesh, out_dir / "bind.obj")
+        yield {"index": 0, "action": "export", "files": list(written), "wall_time_s": 0.0}
 
 
 def run_script(model: RiggedModel, actions: list, out_dir: Path, backend: str, accel: bool) -> list:
-    """Execute validated actions; returns the per-action metrics list."""
-    return list(_execute(model, actions, out_dir, backend, accel))
+    """Execute validated actions; returns the per-action metrics list.
+
+    `accel` is accepted and ignored: every tear probes its scalpel hits
+    through one FaceBVH, and the benchmark worker (perfbench/worker.py)
+    still passes the old flag.
+    """
+    return list(_execute(model, actions, out_dir, backend, []))
 
 
 def _write_metrics(out_dir: Path, payload: dict) -> None:
@@ -379,7 +388,7 @@ def _write_metrics(out_dir: Path, payload: dict) -> None:
     (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")
 
 
-def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = False) -> int:
+def run(rig: str, script_path, out_dir, backend: str = "cga") -> int:
     """Load, validate, execute, and write metrics; returns the exit status."""
     out = Path(out_dir)
     try:
@@ -392,11 +401,11 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
         "rig": str(rig),
         "script": str(script_path),
         "backend": backend,
-        "accel": accel,
         "actions": [],
         "error": None,
     }
     actions = None
+    written = []  # the files of the action in progress
     try:
         if backend not in SKIN_BACKENDS:
             raise ScriptError(f"unknown skinning backend {backend!r}")
@@ -406,11 +415,16 @@ def run(rig: str, script_path, out_dir, backend: str = "cga", accel: bool = Fals
         gc.freeze()
         doc = json.loads(Path(script_path).read_text(encoding="utf-8"))
         actions = validate_script(model, doc)
-        for record in _execute(model, actions, out, backend, accel):
+        for record in _execute(model, actions, out, backend, written):
             payload["actions"].append(record)
     except (MvskinError, OSError, ValueError) as exc:
         index = None if actions is None else len(payload["actions"])
-        payload["error"] = {"type": type(exc).__name__, "message": str(exc), "action_index": index}
+        payload["error"] = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "action_index": index,
+            "files": list(written),
+        }
         _write_metrics(out, payload)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -430,14 +444,13 @@ def _one_action_run(args, action: dict) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(args.rig, path, out, backend=args.backend, accel=args.accel == "on")
+    return run(args.rig, path, out, backend=args.backend)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rig", required=True, help="rig path or fixture name (cylinders, arm)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--backend", choices=sorted(SKIN_BACKENDS), default="cga")
-    parser.add_argument("--accel", choices=("on", "off"), default="off")
 
 
 def main(argv=None) -> int:
@@ -496,7 +509,7 @@ def main(argv=None) -> int:
                 script = bundled_script_path(script)
             except ScriptError:
                 pass  # run() serializes the unreadable-path error into metrics
-        return run(args.rig, script, args.out, backend=args.backend, accel=args.accel == "on")
+        return run(args.rig, script, args.out, backend=args.backend)
     if args.command == "animate":
         try:
             times = [float(t) for t in args.times.split(",") if t.strip()]
@@ -541,7 +554,7 @@ def main(argv=None) -> int:
         except ScriptError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return run(args.rig, script, args.out, backend=args.backend, accel=args.accel == "on")
+        return run(args.rig, script, args.out, backend=args.backend)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -6,14 +6,13 @@ endpoints).  Each consecutive pair of states contributes one step:
 1. scalpel_hit finds where each scalpel segment pierces the surface; a
    proper hit is exactly one transversal face crossing (zero raises
    NoIntersection, two or more AmbiguousIntersection; coincident
-   endpoints raise DegenerateTearStep).  The default probe is one
-   vectorized pass over all faces that keeps every face the per-face
-   segment-triangle test could accept, under a written rounding bound;
-   that test then decides on the few survivors in ascending id order,
-   so the result is bit-identical to testing every face.  A FaceBVH can
-   be passed in instead: one vectorized slab test over the padded
-   per-face boxes keeps the faces the segment can reach, and the same
-   per-face test runs on those alone.
+   endpoints raise DegenerateTearStep).  A FaceBVH, built once per tear,
+   probes each segment with one vectorized slab test over padded
+   per-face boxes.  A hit counts only where its point lies in its face's
+   box padded by half as much, so every face that could count is among
+   the faces the slab test keeps; the per-face segment-triangle test
+   then decides on those few in ascending id order, and the result is
+   bit-identical to testing every face.
 2. build_tear_plane spans the plane through the current anchor and both
    endpoints of the next scalpel state (right-hand rule normal over
    endpoint deltas); a stationary scalpel leaves the plane undefined
@@ -189,75 +188,6 @@ def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
     return t, u, v
 
 
-# Two evaluations of a 3-term dot product, in any order and with or
-# without fused multiply-adds, differ by at most 2 gamma_3 < 4 eps times
-# sum |x_i y_i| (Higham, Accuracy and Stability, 3.1); this is four times that.
-_DOT_SLACK = 16.0 * np.finfo(np.float64).eps
-# Relative slack on |det| for the rounding of inv, of the products with
-# inv and of u + v (under 3 eps together); also four times that.
-_DIV_SLACK = 16.0 * np.finfo(np.float64).eps
-
-
-def _dots(x: np.ndarray, y: np.ndarray):
-    """Row dot products of (m, 3) arrays and the bound B on their rounding difference.
-
-    B = _DOT_SLACK * sum |x_i y_i| + 1e-300; the absolute term covers
-    products that underflow, many times over.
-    """
-    p = x * y
-    a = np.abs(p)
-    return p[:, 0] + p[:, 1] + p[:, 2], _DOT_SLACK * (a[:, 0] + a[:, 1] + a[:, 2]) + 1e-300
-
-
-def _crossing_candidates(verts: np.ndarray, faces: np.ndarray, p0: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    """Ascending ids of every face _face_hit could accept, from one pass over all faces.
-
-    e1, e2, h, s and q are elementwise and match _face_hit bit for bit.
-    Its four dot products are not: the scalar `@` goes through BLAS,
-    which may sum in another order or fuse.  So each dot x' computed here
-    stands for the interval |x - x'| <= B_x of _dots.  With
-    D = |det'| + B_det >= |det| and r = _DIV_SLACK, a face is dropped
-    only when one of these necessary conditions of a scalar hit fails
-    (su, dq and eq are s.h, dvec.q and e2.q):
-
-        |su'| <= D (1 + r) + B_su                      u <= 1
-        |dq'| <= D (1 + r) + B_dq                      v <= 1 - u
-        |eq'| <= D (1 + r) + B_eq                      t < 1
-
-    and, where the sign sigma of det is certain (|det'| > B_det),
-
-        sigma su' >= -B_su - r D                       u >= 0
-        sigma dq' >= -B_dq - r D                       v >= 0
-        sigma (su' + dq') <= D (1 + r) + B_su + B_dq   u + v <= 1
-        sigma eq' >= -B_eq                             t > 0
-
-    A face is kept outright where a dot is not finite or D >= 2**1000
-    (inv could be subnormal).  The 1e-300 det gate needs no condition:
-    a face it rejects may be kept, and a face it passes has a finite inv.
-    """
-    a = verts[faces[:, 0]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = verts[faces[:, 1]] - a
-        e2 = verts[faces[:, 2]] - a
-        h = np.cross(dvec, e2)
-        s = p0 - a
-        q = np.cross(s, e1)
-        det, b_det = _dots(e1, h)
-        su, b_su = _dots(s, h)
-        dq, b_dq = _dots(dvec, q)
-        eq, b_eq = _dots(e2, q)
-        d = np.abs(det) + b_det
-        hi = d * (1.0 + _DIV_SLACK)
-        lo = _DIV_SLACK * d
-        decided = np.isfinite(det) & np.isfinite(su) & np.isfinite(dq) & np.isfinite(eq) & (d < 2.0**1000)
-        within = (np.abs(su) <= hi + b_su) & (np.abs(dq) <= hi + b_dq) & (np.abs(eq) <= hi + b_eq)
-        sigma = np.sign(det)
-        su, dq, eq = sigma * su, sigma * dq, sigma * eq
-        signed = (su >= -b_su - lo) & (dq >= -b_dq - lo) & (su + dq <= hi + b_su + b_dq) & (eq >= -b_eq)
-        sure = np.abs(det) > b_det
-    return np.flatnonzero(~decided | (within & (signed | ~sure)))
-
-
 # FaceBVH's box padding, relative to the mesh's bounding-box diagonal
 _BOX_PAD = 1e-12
 
@@ -266,19 +196,26 @@ class FaceBVH:
     """Padded per-face bounding boxes, probed by one vectorized slab test.
 
     There is no tree to build: the mesh changes after every tear, and a
-    tear asks only one query per scalpel state.  segment_candidates
+    tear asks only one query per scalpel state.  The boxes come from
+    three corner gathers, whose elementwise min and max equal each
+    face's own corner min and max bit for bit.  segment_candidates
     returns every face whose padded box the segment meets, in ascending
-    id order.  That is a conservative superset of the faces scalpel_hit
-    counts, whose hit points lie in the box padded by half as much, so
-    running the shared per-face test over it reproduces the linear scan
-    bit for bit.
+    id order.  scalpel_hit counts a hit only where its point lies in the
+    face's box padded by half as much, so the candidates are a superset
+    of the faces it can count, and the per-face test over them alone
+    gives the hits of a test over every face, bit for bit.  The other
+    half of the pad absorbs the rounding of the hit point and of the
+    slab arithmetic; on a mesh far from the origin, where the pad is
+    below one ulp of the coordinates, the superset rests on the property
+    test against the per-face scan instead.
     """
 
     def __init__(self, mesh: Mesh):
-        tri = mesh.vertices[mesh.faces]
+        verts, faces = mesh.vertices, mesh.faces
+        a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
         pad = _BOX_PAD * bbox_diagonal(mesh)
-        self._lo = tri.min(axis=1) - pad
-        self._hi = tri.max(axis=1) + pad
+        self._lo = np.minimum(np.minimum(a, b), c) - pad
+        self._hi = np.maximum(np.maximum(a, b), c) + pad
 
     def segment_candidates(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """Ids of the faces whose box the segment p0-p1 meets (Kay-Kajiya slabs)."""
@@ -305,10 +242,13 @@ class FaceBVH:
 def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearAnchor:
     """The single transversal crossing of a scalpel segment with the surface.
 
+    `bvh` holds the mesh's face boxes; None builds them for this call.
     A near-degenerate face can pass _face_hit's barycentric test with a
     point far off the face, so a hit counts only where its point lies in
     the face's box padded by half of FaceBVH's pad (relative to the
-    mesh's bounding-box diagonal), inside every box the filter tests.
+    mesh's bounding-box diagonal).  That box lies inside the padded box
+    the filter tests, so every face that can count is a candidate, and
+    _face_hit runs on the candidates alone, in ascending id order.
     """
     verts = mesh.vertices
     p0 = np.asarray(scalpel.tip, dtype=np.float64)
@@ -320,12 +260,10 @@ def scalpel_hit(mesh: Mesh, scalpel: ScalpelState, bvh: FaceBVH = None) -> TearA
             f"scalpel endpoints coincide: |tail - tip| = {length:.3e} spans no segment"
         )
     if bvh is None:
-        candidates = _crossing_candidates(verts, mesh.faces, p0, dvec)
-    else:
-        candidates = bvh.segment_candidates(p0, p1)
+        bvh = FaceBVH(mesh)
     slack = 0.5 * _BOX_PAD * bbox_diagonal(mesh)
     hits = []
-    for fi in candidates.tolist():
+    for fi in bvh.segment_candidates(p0, p1).tolist():
         res = _face_hit(verts, mesh.faces[fi], p0, dvec)
         if res is not None:
             tri = verts[mesh.faces[fi]]
@@ -701,19 +639,16 @@ def tear(
     model: RiggedModel,
     scalpels: Sequence[ScalpelState],
     delta: float = None,
-    accel: bool = False,
 ) -> TearResult:
     """Run a multi-state scalpel script: hit, trace, apply, and open.
 
     Consecutive scalpel states contribute one tear step each, chained
-    through shared anchors.  `accel` probes scalpel hits through a
-    FaceBVH, the per-face box filter, instead of the default vectorized
-    pre-pass over all faces; the results are identical.
+    through shared anchors.  One FaceBVH serves every scalpel hit.
     """
     if len(scalpels) < 2:
         raise ValueError("a tear needs at least two scalpel states")
     mesh = model.mesh
-    bvh = FaceBVH(mesh) if accel else None
+    bvh = FaceBVH(mesh)
     anchors = [scalpel_hit(mesh, s, bvh) for s in scalpels]
     paths = []
     for i in range(len(scalpels) - 1):

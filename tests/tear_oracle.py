@@ -1,12 +1,12 @@
 """The package's per-item scalar tests, the references of its array passes.
 
 `scan_hits` runs the segment-triangle test on every face in ascending
-id order, exactly as `mvskin.tear.scalpel_hit` did before its
-vectorized pre-pass; `counted` keeps the hits whose point lies in the
-face's box padded by 0.5e-12 of the mesh's bounding-box diagonal,
-`anchor_of` turns them into the same anchor or typed error, and
-`scan_scalpel_hit` does all three.  `sliver_passes` and
-`left_of` are the per-child sliver and side tests that
+id order, the scan whose hits `mvskin.tear.scalpel_hit` must reproduce
+from the faces its box filter keeps; `counted` keeps the hits whose
+point lies in the face's box padded by 0.5e-12 of the mesh's
+bounding-box diagonal, `anchor_of` turns them into the same anchor or
+typed error, and `scan_scalpel_hit` does all three.  `sliver_passes`
+and `left_of` are the per-child sliver and side tests that
 `mvskin.tear._apply_paths` ran on every split child before its batched
 passes.  Each test is a copy, not an import, so that a change to the
 package's test shows up against it.

@@ -46,15 +46,12 @@ def obj_bytes(out_dir):
 
 
 def check_metrics_schema(doc):
-    """Schema version 3: fixed top-level fields, per-action records, failing index."""
-    assert set(doc) == {
-        "metrics_version", "rig", "script", "backend", "accel", "actions", "error",
-    }
-    assert doc["metrics_version"] == METRICS_VERSION == 3
+    """Schema version 4: fixed top-level fields, per-action records, failing index and files."""
+    assert set(doc) == {"metrics_version", "rig", "script", "backend", "actions", "error"}
+    assert doc["metrics_version"] == METRICS_VERSION == 4
     assert isinstance(doc["rig"], str)
     assert isinstance(doc["script"], str)
     assert doc["backend"] in ("cga", "cga_sum", "lbs", "dq")
-    assert isinstance(doc["accel"], bool)
     assert isinstance(doc["actions"], list)
     for rec in doc["actions"]:
         assert isinstance(rec["index"], int)
@@ -62,9 +59,11 @@ def check_metrics_schema(doc):
         assert isinstance(rec["wall_time_s"], float) and rec["wall_time_s"] >= 0.0
     assert [rec["index"] for rec in doc["actions"]] == list(range(len(doc["actions"])))
     if doc["error"] is not None:
-        assert set(doc["error"]) == {"type", "message", "action_index"}
+        assert set(doc["error"]) == {"type", "message", "action_index", "files"}
         index = doc["error"]["action_index"]
         assert index is None or index == len(doc["actions"])
+        assert all(isinstance(name, str) for name in doc["error"]["files"])
+        assert index is not None or doc["error"]["files"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +516,30 @@ def test_failed_run_keeps_finished_action_records(tmp_path):
     written = [name for rec in metrics["actions"] for name in rec["files"]]
     assert written == ["a.obj", "cut_M1.obj", "cut_M2.obj"]
     assert all((out / name).is_file() for name in written)
+    assert metrics["error"]["files"] == []
+
+
+def test_failing_action_names_the_files_it_wrote(tmp_path):
+    # the frame at t=0 is written before the scale of 1e300 at t=1 overflows
+    key = {"action": "set_keyframe", "clip": "c", "bone": 1, "relative_to_bind": True}
+    script = write_script(
+        tmp_path / "s.json",
+        [
+            {**key, "time": 0.0, "trs": {"scale": 1.0}},
+            {**key, "time": 1.0, "trs": {"scale": 1e300}},
+            {"action": "sample", "clip": "c", "times": [0.0, 1.0]},
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "arm", "--script", script, "--out", str(out), "--backend", "dq"]) == 1
+    metrics = read_metrics(out)
+    check_metrics_schema(metrics)
+    assert metrics["error"]["type"] == "NumericalFailure"
+    assert metrics["error"]["action_index"] == 2
+    assert metrics["error"]["files"] == ["frame_0000.obj"]
+    named = [name for rec in metrics["actions"] for name in rec.get("files", ())]
+    named += metrics["error"]["files"]
+    assert sorted(p.name for p in out.iterdir() if p.suffix == ".obj") == sorted(named)
 
 
 def test_run_leaves_no_frozen_objects(tmp_path):
@@ -593,7 +616,7 @@ def test_bundled_cylinders_tear_produces_17_points(tmp_path):
 
 def test_bundled_arm_tear_produces_34_points_and_frames(tmp_path):
     out = tmp_path / "out"
-    rc = main(["run", "--rig", "arm", "--script", "arm_tear.json", "--out", str(out), "--accel", "on"])
+    rc = main(["run", "--rig", "arm", "--script", "arm_tear.json", "--out", str(out)])
     assert rc == 0
     metrics = read_metrics(out)
     rec = metrics["actions"][0]
@@ -648,14 +671,14 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rig, script, extra",
+    "rig, script",
     [
-        ("cylinders", "cylinders_cut_deform.json", []),
-        ("cylinders", "cylinders_tear.json", []),
-        ("arm", "arm_tear.json", ["--accel", "on"]),
+        ("cylinders", "cylinders_cut_deform.json"),
+        ("cylinders", "cylinders_tear.json"),
+        ("arm", "arm_tear.json"),
     ],
 )
-def test_rerun_over_larger_old_artifacts_is_byte_identical(tmp_path, rig, script, extra):
+def test_rerun_over_larger_old_artifacts_is_byte_identical(tmp_path, rig, script):
     # criterion 8 over a reused --out: no byte of a longer old artifact may survive
     runs = {}
     for tag in ("fresh", "reused"):
@@ -664,21 +687,10 @@ def test_rerun_over_larger_old_artifacts_is_byte_identical(tmp_path, rig, script
             out.mkdir()
             for name, data in runs["fresh"].items():
                 (out / name).write_bytes(b"junk\n" * (len(data) // 5 + 1000))
-        rc = main(["run", "--rig", rig, "--script", script, "--out", str(out)] + extra)
+        rc = main(["run", "--rig", rig, "--script", script, "--out", str(out)])
         assert rc == 0
         runs[tag] = obj_bytes(out)
     assert runs["fresh"] and runs["reused"] == runs["fresh"]
-
-
-def test_accel_flag_is_bit_identical_for_tear(tmp_path):
-    outs = {}
-    for accel in ("off", "on"):
-        out = tmp_path / accel
-        rc = main(["run", "--rig", "cylinders", "--script", "cylinders_tear.json",
-                   "--out", str(out), "--accel", accel])
-        assert rc == 0
-        outs[accel] = obj_bytes(out)
-    assert outs["off"] == outs["on"]
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +752,7 @@ def test_out_naming_an_existing_file_is_an_error_not_a_traceback(tmp_path, capsy
 
 def test_bench_subcommand_reports_tear_metrics(tmp_path):
     out = tmp_path / "out"
-    rc = main(["bench", "--rig", "cylinders", "--out", str(out), "--accel", "on"])
+    rc = main(["bench", "--rig", "cylinders", "--out", str(out)])
     assert rc == 0
     metrics = read_metrics(out)
     rec = metrics["actions"][0]

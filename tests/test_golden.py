@@ -187,7 +187,7 @@ def tear_batch(models):
 
 
 # sha256 over every tear's vertices, faces, weight table and path records
-# (a typed error enters as its type name), for tear_batch with accel on
+# (a typed error enters as its type name), for tear_batch
 TEAR_GOLDEN = "b3cc9d5932672cc85f848fb39b24cc1b8e8fbde62584d0c67a42aabcc257e038"
 
 
@@ -197,7 +197,7 @@ def test_seeded_tear_batch_matches_golden_digest():
     collapses = two_anchor_faces = 0
     for name, states, delta in tear_batch(models):
         try:
-            res = tear(models[name], states, delta=delta, accel=True)
+            res = tear(models[name], states, delta=delta)
         except MvskinError as exc:
             digest.update(type(exc).__name__.encode())
             continue

@@ -46,7 +46,6 @@ from mvskin.tear import (
     ScalpelState,
     TearAnchor,
     _clear_of_slivers,
-    _crossing_candidates,
     _face_hit,
     _sides,
     build_tear_plane,
@@ -185,21 +184,7 @@ def test_bvh_matches_linear_scan_bitwise(cylinders, arm):
         mesh = model.mesh
         bvh = FaceBVH(mesh)
         for state in states:
-            try:
-                a = scalpel_hit(mesh, state)
-            except NoIntersection:
-                with pytest.raises(NoIntersection):
-                    scalpel_hit(mesh, state, bvh)
-                continue
-            except AmbiguousIntersection as exc:
-                with pytest.raises(AmbiguousIntersection) as exc2:
-                    scalpel_hit(mesh, state, bvh)
-                assert exc2.value.count == exc.count
-                continue
-            b = scalpel_hit(mesh, state, bvh)
-            assert a.face == b.face
-            assert a.point == b.point
-            assert a.bary == b.bary
+            assert outcome(scalpel_hit, mesh, state, bvh) == outcome(scan_scalpel_hit, mesh, state)
 
 
 def test_bvh_candidates_cover_all_hit_faces(cylinders, arm):
@@ -233,20 +218,28 @@ def test_bvh_axis_parallel_segment(cylinders):
     ):
         with np.errstate(all="raise"):
             candidates = bvh.segment_candidates(np.asarray(state.tip), np.asarray(state.tail))
-        assert scalpel_hit(mesh, state).face in candidates.tolist()
-        assert scalpel_hit(mesh, state, bvh) == scalpel_hit(mesh, state)
+        assert scan_scalpel_hit(mesh, state).face in candidates.tolist()
+        assert outcome(scalpel_hit, mesh, state, bvh) == outcome(scan_scalpel_hit, mesh, state)
+
+
+def placed(mesh, scale=1.0, shift=0.0):
+    """(the fixture mesh scaled, then shifted; the fixture's vertices, scale, shift)."""
+    verts = mesh.vertices * scale
+    return Mesh(verts + shift if shift else verts, mesh.faces), mesh.vertices, scale, np.asarray(shift)
 
 
 _CYLINDERS = make_cylinders_model().mesh
-SCAN_MESHES = {  # name -> (mesh, its scale from the fixture)
-    "cylinders": (_CYLINDERS, 1.0),
-    "arm": (make_arm_model().mesh, 1.0),
+_ARM = make_arm_model().mesh
+SCAN_MESHES = {  # name -> (mesh, fixture vertices, scale, shift)
+    "cylinders": placed(_CYLINDERS),
+    "arm": placed(_ARM),
     # det and the other dots overflow (|p| ~ 1e104 and 1e122), or det falls
     # below the 1e-300 gate (|p| ~ 1e-100)
-    **{
-        f"cylinders x {s:g}": (Mesh(_CYLINDERS.vertices * s, _CYLINDERS.faces), s)
-        for s in (1e103, 1e121, 1e-101)
-    },
+    **{f"cylinders x {s:g}": placed(_CYLINDERS, s) for s in (1e103, 1e121, 1e-101)},
+    # far from the origin, where FaceBVH's pad (1e-12 of the bounding-box
+    # diagonal) is below one ulp of the coordinates and rounds away
+    "arm + (1e6, -1e6, 1e6)": placed(_ARM, shift=(1e6, -1e6, 1e6)),
+    "cylinders + 1e8": placed(_CYLINDERS, shift=1e8),
 }
 
 
@@ -272,9 +265,8 @@ def aimed_segments(draw):
     point or ends exactly on it.
     """
     name = draw(st.sampled_from(sorted(SCAN_MESHES)))
-    mesh, scale = SCAN_MESHES[name]
-    # the aim is found at the fixture's scale, where no norm overflows
-    verts = mesh.vertices / scale
+    mesh, verts, scale, shift = SCAN_MESHES[name]
+    # the aim is found on the fixture, where no norm overflows
     fi = draw(st.integers(0, len(mesh.faces) - 1))
     corners = verts[mesh.faces[fi]]
     kind = draw(st.sampled_from(("vertex", "edge", "centre")))
@@ -283,9 +275,9 @@ def aimed_segments(draw):
         aim = mesh.vertices[mesh.faces[fi][k]]
     elif kind == "edge":
         f = draw(st.floats(0.01, 0.99))
-        aim = ((1.0 - f) * corners[k] + f * corners[(k + 1) % 3]) * scale
+        aim = ((1.0 - f) * corners[k] + f * corners[(k + 1) % 3]) * scale + shift
     else:
-        aim = corners.mean(axis=0) * scale
+        aim = corners.mean(axis=0) * scale + shift
     edge = corners[1] - corners[0]
     normal = np.cross(edge, corners[2] - corners[0])
     normal /= np.linalg.norm(normal)
@@ -309,7 +301,7 @@ def aimed_segments(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(aimed_segments())
-# grazing strokes that a copy of the filter with no rounding margin got wrong
+# grazing strokes, which a vectorized face pre-pass with no rounding margin got wrong
 @example(("cylinders", ScalpelState(
     0.0,
     (-1.653257949415352, -0.04501030995845676, -0.007095033786903571),
@@ -323,19 +315,13 @@ def aimed_segments(draw):
 def test_filtered_scan_matches_the_per_face_oracle(case):
     name, state = case
     mesh = SCAN_MESHES[name][0]
-    p0 = np.asarray(state.tip)
-    dvec = np.asarray(state.tail) - p0
+    p0, p1 = np.asarray(state.tip), np.asarray(state.tail)
+    dvec = p1 - p0
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = scan_hits(mesh, p0, dvec)
-        candidates = _crossing_candidates(mesh.vertices, mesh.faces, p0, dvec)
-        got = [
-            (fi, res)
-            for fi in candidates.tolist()
-            if (res := _face_hit(mesh.vertices, mesh.faces[fi], p0, dvec)) is not None
-        ]
-        assert [fi for fi, _ in got] == [fi for fi, _ in expected]
-        assert [bits(res) for _, res in got] == [bits(res) for _, res in expected]
-        assert outcome(scalpel_hit, mesh, state) == outcome(anchor_of, counted(mesh, expected, p0, dvec), p0, dvec)
+        expected = counted(mesh, scan_hits(mesh, p0, dvec), p0, dvec)
+        candidates = FaceBVH(mesh).segment_candidates(p0, p1).tolist()
+        assert {fi for fi, _ in expected} <= set(candidates)
+        assert outcome(scalpel_hit, mesh, state) == outcome(anchor_of, expected, p0, dvec)
 
 
 def test_scalpel_hit_matches_the_oracle_scan(cylinders, arm):
@@ -348,19 +334,18 @@ def test_scalpel_hit_matches_the_oracle_scan(cylinders, arm):
 
 def test_filter_keeps_few_faces(cylinders, arm):
     # a conservative filter that kept most faces would pass the properties
-    # above and win nothing; the bundled arm strokes run parallel to whole
-    # columns of faces, whose det is 0 to rounding
+    # above and win nothing; the limits are the largest counts measured on
+    # these seeded strokes (of 758 and 5037 faces)
     doc = json.loads(bundled_script_path("arm_tear.json").read_text())
     (act,) = [a for a in validate_script(arm, doc) if a["action"] == "tear"]
     for model, states, most in (
-        (cylinders, random_segments(3, 20), 0.05 * len(cylinders.mesh.faces)),
-        (arm, arm_strokes(4, 20), 4),
-        (arm, act["states"], 1),
+        (cylinders, random_segments(3, 20), 15),
+        (arm, arm_strokes(4, 20), 2),
+        (arm, act["states"], 3),
     ):
-        mesh = model.mesh
+        bvh = FaceBVH(model.mesh)
         for s in states:
-            p0 = np.asarray(s.tip)
-            assert len(_crossing_candidates(mesh.vertices, mesh.faces, p0, np.asarray(s.tail) - p0)) <= most
+            assert len(bvh.segment_candidates(s.tip, s.tail)) <= most
 
 
 # ---------------------------------------------------------------- tear plane
@@ -708,18 +693,6 @@ def test_reversed_script_mirrors_the_path(cylinders):
         assert np.max(np.abs(qf - qb)) < 1e-9
 
 
-def test_accelerated_tear_matches_linear(cylinders):
-    plain = run_bundled_style_tear(cylinders, delta=0.0)
-    fast = tear(
-        cylinders,
-        [radial(0.0, 3 * STEP), radial(1.0, 20 * STEP)],
-        delta=0.0,
-        accel=True,
-    )
-    assert np.array_equal(plain.model.mesh.vertices, fast.model.mesh.vertices)
-    assert np.array_equal(plain.model.mesh.faces, fast.model.mesh.faces)
-
-
 def test_tear_needs_two_states(cylinders):
     with pytest.raises(ValueError, match="two scalpel states"):
         tear(cylinders, [radial(0.0, 3 * STEP)])
@@ -757,22 +730,11 @@ def bent(model):
 
 
 def sound_tear(model, states, delta):
-    """The torn model, checked sound; None if the tear raises a typed error.
-
-    The face filter must give the same model as the scan, or the same
-    error type.
-    """
+    """The torn model, checked sound; None if the tear raises a typed error."""
     try:
         plain = tear(model, states, delta=delta).model
-    except MvskinError as exc:
-        with pytest.raises(MvskinError) as fast_exc:
-            tear(model, states, delta=delta, accel=True)
-        assert type(fast_exc.value) is type(exc)
+    except MvskinError:
         return None
-    fast = tear(model, states, delta=delta, accel=True).model
-    assert np.array_equal(plain.mesh.vertices, fast.mesh.vertices)
-    assert np.array_equal(plain.mesh.faces, fast.mesh.faces)
-    assert plain.weights == fast.weights
     validate_model(plain)
     assert max(len(w) for w in plain.weights) <= 4
     posed = bent(plain)
