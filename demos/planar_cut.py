@@ -42,7 +42,7 @@ def main():
                 label,
                 len(half.mesh.vertices),
                 len(half.mesh.faces),
-                len(result.provenance[label.lower()]),
+                len(result.cut_points),
             )
         )
 

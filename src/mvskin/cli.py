@@ -1,10 +1,12 @@
 """Batch command line driver.
 
 ``mvskin run`` executes a JSON script against a rig and writes OBJ
-artifacts plus a ``metrics.json`` into the output directory.  The other
-subcommands (animate, cut, tear, compare, bench, info) are thin
-wrappers that build a one-action script and hand it to the same runner;
-``info`` only prints model statistics.
+artifacts plus a ``metrics.json`` into the output directory.  The
+subcommands animate, cut, tear and compare are thin wrappers that build
+a one-action script and hand it to the same runner; ``bench`` runs a
+bundled fixture's own tear script (``arm_tear.json`` or
+``cylinders_tear.json``) through it, and ``info`` only prints model
+statistics.
 
 Script schema (version 1)::
 
@@ -114,10 +116,20 @@ def _finite(value, where: str) -> tuple:
     return tuple(_number(x, where) for x in value)
 
 
-def _check_nonzero(vector: tuple, where: str) -> None:
-    # the norm as the quaternion code computes it, so an underflow counts as zero
-    if not 0.0 < float(np.linalg.norm(vector)) < math.inf:
+def _nonzero(vector: tuple, where: str) -> tuple:
+    """vector, divided by its largest |component| where its norm underflows to 0 or overflows.
+
+    The norm is the one the quaternion code computes, so a vector whose
+    norm is finite and non-zero comes back as it is.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    if 0.0 < norm < math.inf:
+        return vector
+    top = max(map(abs, vector))
+    if top == 0.0:
         raise ScriptError(f"{where} must have a finite non-zero length")
+    return tuple(x / top for x in vector)
 
 
 def _number(value, where: str) -> float:
@@ -150,14 +162,12 @@ def _parse_trs(obj, where: str) -> Trs:
         if not isinstance(quat, (list, tuple)) or len(quat) != 4:
             raise ScriptError(f"{where}.rotation must be [w, x, y, z]")
         # normalized here, so the keyed clip passes validate_model
-        rotation = _finite(quat, f"{where}.rotation")
-        _check_nonzero(rotation, f"{where}.rotation")
+        rotation = _nonzero(_finite(quat, f"{where}.rotation"), f"{where}.rotation")
         rotation = tuple(float(x) for x in normalize(rotation))
     elif has_axis:
         if "rotation_axis" not in obj or "rotation_angle" not in obj:
             raise ScriptError(f"{where} needs both rotation_axis and rotation_angle")
-        axis = _vec3(obj["rotation_axis"], f"{where}.rotation_axis")
-        _check_nonzero(axis, f"{where}.rotation_axis")
+        axis = _nonzero(_vec3(obj["rotation_axis"], f"{where}.rotation_axis"), f"{where}.rotation_axis")
         angle = _number(obj["rotation_angle"], f"{where}.rotation_angle")
         rotation = tuple(float(x) for x in from_axis_angle(axis, angle))
     else:
@@ -230,7 +240,9 @@ def validate_script(model: RiggedModel, doc) -> list:
                 raise ScriptError(f"{where}.plane needs exactly normal and d")
             normal = _vec3(plane["normal"], f"{where}.plane.normal")
             norm = math.sqrt(sum(x * x for x in normal))
-            if not 1e-12 <= norm < math.inf:  # the squares can overflow
+            if norm in (0.0, math.inf):  # the squares underflowed or overflowed
+                norm = math.hypot(*normal)
+            if not 1e-12 <= norm < math.inf:
                 raise ScriptError(f"{where}.plane.normal must have a finite non-zero length")
             d = _number(plane["d"], f"{where}.plane.d")
             act["normal"] = tuple(x / norm for x in normal)
@@ -548,9 +560,12 @@ def main(argv=None) -> int:
             },
         )
     if args.command == "bench":
-        name = "cylinders_tear.json" if args.rig == "cylinders" else "arm_tear.json"
+        if args.rig not in _FIXTURES:  # the bundled tear scripts stroke their own fixture
+            print(f"error: bench takes a bundled fixture ({', '.join(sorted(_FIXTURES))}), "
+                  f"not {args.rig!r}", file=sys.stderr)
+            return 2
         try:
-            script = bundled_script_path(name)
+            script = bundled_script_path(f"{args.rig}_tear.json")
         except ScriptError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -65,7 +65,6 @@ class CutResult:
     m1: RiggedModel
     m2: RiggedModel
     polylines: tuple  # chains of CutPoints; closed chains repeat no entry
-    provenance: dict  # side -> {new vertex index -> (edge lo, edge hi, lam)}
     cut_points: tuple
 
 
@@ -88,7 +87,7 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     positive = section.signs > 0
     if positive.all() or not positive.any():
         # plane misses the mesh entirely: keep the model whole as M1
-        return CutResult(model, _empty_like(model), (), {"m1": {}, "m2": {}}, ())
+        return CutResult(model, _empty_like(model), (), ())
 
     signs = section.signs
     seam_weights = weight_by_edge(model.weights, section.edges[:, 0], section.edges[:, 1], section.lam)
@@ -152,9 +151,4 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
         )
         validate_model(half)
         halves[side] = half
-
-    provenance = {
-        label: {base[side] + cp.ordinal: (cp.edge[0], cp.edge[1], cp.lam) for cp in points}
-        for label, side in (("m1", 1), ("m2", -1))
-    }
-    return CutResult(halves[1], halves[-1], polylines, provenance, tuple(points))
+    return CutResult(halves[1], halves[-1], polylines, tuple(points))

@@ -30,6 +30,9 @@ Conventions baked in here:
   * bone transforms compose translation * rotation * uniform scale,
   * the root bone binds at the identity and its offset is the identity,
   * every bone's offset must invert its global bind transform to 1e-6,
+  * these bone checks pass once per bones tuple: cut halves, torn and
+    keyed models keep their source's tuple and share that pass through
+    its Skeleton,
   * meshes are triangle soups that form an orientable manifold with
     boundary: no directed edge may appear twice.
 """
@@ -434,8 +437,10 @@ class Skeleton:
     the rows of their parents (a child's parent row is the latest row
     before it with the parent's id), as slices for a lone row.  rows maps
     a bone id to its row, the last of equal ids.  On first use,
-    global_binds chains the bones' bind versors in order, and
     offset_versors and offset_matrices stack their offsets in bones order.
+    check() proves the bone transforms well formed; every model on one
+    bones tuple shares its skeleton, so a pass is proved once for all of
+    them, while a failure raises again on every call.
     """
 
     def __init__(self, bones):
@@ -451,11 +456,31 @@ class Skeleton:
         parents, depth = np.array(parents, dtype=np.int64), np.array(depth, dtype=np.int64)
         levels = (np.flatnonzero(depth == d) for d in range(1, depth.max(initial=0) + 1))
         self.levels = tuple(_level(rows, parents[rows]) for rows in levels)
+        self._passed = False
 
-    @functools.cached_property
-    def global_binds(self) -> np.ndarray:
-        """Global bind versors (B, 32), in order."""
-        return chain(self, trs_versors(*trs_rows(b.bind for b in self.order)), geometric_products)
+    def check(self) -> None:
+        """Check the bone transforms; raises a typed RigError on failure.
+
+        In bones order, each offset and then each bind has finite fields,
+        a unit quaternion and a positive scale; the root (order[0], the one
+        root once validate_model's hierarchy checks pass) binds at the
+        identity; and each offset inverts its bone's global bind, composed
+        parents first.  Only a pass is remembered: frozen bones in a tuple
+        cannot change under it.
+        """
+        if not self._passed:
+            for b in self.bones:  # well formed before any versor is built from them
+                _check_trs_fields(b.offset, f"bone {b.id} offset")
+                _check_trs_fields(b.bind, f"bone {b.id} bind")
+            global_bind = chain(self, trs_versors(*trs_rows(b.bind for b in self.order)), geometric_products)
+            if not _versors_are_identity(global_bind[:1], _ROOT_TOL)[0]:  # a root keeps its leaf
+                raise HierarchyError(f"root bone {self.order[0].id} must bind at the identity")
+            prod = geometric_products(self.offset_versors[0], global_bind[[self.rows[b.id] for b in self.bones]])
+            inverted = _versors_are_identity(prod, _OFFSET_TOL)
+            if not inverted.all():
+                bad = self.bones[int(np.argmin(inverted))]
+                raise OffsetError(f"bone {bad.id}: offset does not invert the global bind transform")
+            self._passed = True
 
     @functools.cached_property
     def offset_versors(self) -> tuple:
@@ -602,22 +627,9 @@ def validate_model(model: RiggedModel) -> None:
     roots = [b for b in model.bones if b.parent is None]
     if len(roots) != 1:
         raise HierarchyError(f"skeleton must have exactly one root, found {len(roots)}")
-    skeleton = model.skeleton  # every parent exists and no ancestry loops
-    # bone transforms are well formed before any versor is built from them
-    for b in model.bones:
-        _check_trs_fields(b.offset, f"bone {b.id} offset")
-        _check_trs_fields(b.bind, f"bone {b.id} bind")
-    global_bind = skeleton.global_binds  # the one root is row 0, which keeps its leaf
-    if not _versors_are_identity(global_bind[:1], _ROOT_TOL)[0]:
-        raise HierarchyError(f"root bone {roots[0].id} must bind at the identity")
-
-    # offsets must invert the global bind transforms, composed parents first
-    offsets, _ = skeleton.offset_versors
-    prod = geometric_products(offsets, global_bind[[skeleton.rows[b.id] for b in model.bones]])
-    inverted = _versors_are_identity(prod, _OFFSET_TOL)
-    if not inverted.all():
-        bad = model.bones[int(np.argmin(inverted))]
-        raise OffsetError(f"bone {bad.id}: offset does not invert the global bind transform")
+    # model.skeleton: every parent exists and no ancestry loops; check():
+    # the bone transforms, proved once per bones tuple
+    model.skeleton.check()
 
     # weights
     if len(model.weights) != len(model.mesh.vertices):

@@ -49,7 +49,7 @@ from mvskin.rig import (
 from mvskin.tear import FaceBVH, ScalpelState, open_tear, scalpel_hit, tear
 
 from cga_oracle import transform_points
-from mesh_helpers import mesh_area
+from mesh_helpers import mesh_area, seam_vertices
 from tear_oracle import scan_scalpel_hit
 
 BACKENDS = {"cga": skin_cga, "lbs": skin_lbs, "dq": skin_dq}
@@ -288,8 +288,8 @@ def test_criterion_5_cutting_properties():
         area = mesh_area(result.m1.mesh) + mesh_area(result.m2.mesh)
         worst_area = max(worst_area, abs(area - area0) / area0)
 
-        for half, label in ((result.m1, "m1"), (result.m2, "m2")):
-            new_idx = sorted(result.provenance[label])
+        for half in (result.m1, result.m2):
+            new_idx = sorted(seam_vertices(half, result.cut_points))
             if new_idx:
                 dists = plane_distances(half.mesh.vertices[new_idx], plane)
                 worst_plane = max(worst_plane, float(np.max(np.abs(dists))))

@@ -23,7 +23,8 @@ from mvskin.cli import (
     validate_script,
 )
 from mvskin.errors import MvskinError, ScriptError
-from mvskin.rig import Trs, compose_trs, dump_rig, make_arm_model, make_cylinders_model
+from mvskin.quaternions import from_axis_angle
+from mvskin.rig import Trs, compose_trs, dump_rig, make_arm_model, make_cylinders_model, save_rig
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +106,8 @@ def test_validate_rejects_unknown_bone(cylinders):
 
 
 def test_validate_rejects_zero_normal(cylinders):
-    # the squared length of [1e200, 0, 0] overflows to inf
-    for normal in ([0, 0, 0], [1e200, 0, 0]):
+    # a length below 1e-12, or one beyond the float range
+    for normal in ([0, 0, 0], [1e-200, 0, 0], [1.5e308, 1.5e308, 0]):
         doc = {
             "script_version": 1,
             "actions": [{"action": "cut", "plane": {"normal": normal, "d": 1.0}}],
@@ -131,6 +132,22 @@ def test_validate_rejects_bad_rotations(cylinders):
     # a non-unit quaternion is accepted and normalized
     doc["actions"][0]["trs"] = {"rotation": [2, 0, 0, 0]}
     assert validate_script(cylinders, doc)[0]["trs"].rotation == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_vectors_whose_squared_norm_overflows_or_underflows_are_rescaled(cylinders):
+    def one(action):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return validate_script(cylinders, {"script_version": 1, "actions": [action]})[0]
+
+    cut_action = one({"action": "cut", "plane": {"normal": [0, 0, 1e160], "d": 1e160}})
+    assert (cut_action["normal"], cut_action["d"]) == ((0.0, 0.0, 1.0), 1.0)
+    key = {"action": "set_keyframe", "clip": "c", "bone": 1, "time": 0.0}
+    for rotation in ([1e200, 0, 0, 0], [1e-200, 0, 0, 0]):
+        assert one({**key, "trs": {"rotation": rotation}})["trs"].rotation == (1.0, 0.0, 0.0, 0.0)
+    want = tuple(float(x) for x in from_axis_angle((0.0, 0.0, 1.0), 0.7))
+    for axis in ([0, 0, 1e200], [0, 0, 1e-200]):
+        assert one({**key, "trs": {"rotation_axis": axis, "rotation_angle": 0.7}})["trs"].rotation == want
 
 
 @pytest.mark.parametrize("field", ["translation", "rotation", "rotation_axis", "normal", "tip", "tail"])
@@ -759,6 +776,17 @@ def test_bench_subcommand_reports_tear_metrics(tmp_path):
     assert rec["action"] == "tear"
     assert rec["intersection_points"] == 17
     assert rec["wall_time_s"] > 0.0
+
+
+def test_bench_takes_only_a_bundled_fixture(tmp_path, capsys):
+    # a rig file, even one that holds a fixture, has no bundled tear script
+    rig = tmp_path / "tube.json"
+    save_rig(make_cylinders_model(), rig)
+    out = tmp_path / "out"
+    assert main(["bench", "--rig", str(rig), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench takes a bundled fixture (arm, cylinders)")
+    assert not out.exists()
 
 
 def test_bad_times_argument_exits_2(tmp_path, capsys):

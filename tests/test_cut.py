@@ -40,7 +40,7 @@ from mvskin.section import Section, section_eps
 from mvskin.tear import tear
 
 from cga_oracle import sandwich, transform_points
-from mesh_helpers import mesh_area
+from mesh_helpers import mesh_area, seam_vertices
 
 
 def one_bone_model(verts, faces):
@@ -374,7 +374,7 @@ def test_missed_plane_is_a_no_op(cylinders):
         assert len(res.m2.mesh.faces) == 0
         assert res.polylines == ()
         assert res.cut_points == ()
-        assert res.provenance == {"m1": {}, "m2": {}}
+        assert seam_vertices(res.m1, res.cut_points) == seam_vertices(res.m2, res.cut_points) == {}
 
 
 def test_halves_partition_area_and_validate(cylinders):
@@ -418,8 +418,8 @@ def test_on_plane_vertices_keep_their_positions(cylinders):
 def test_provenance_reconstructs_seam_positions(cylinders):
     plane = make_plane(tuple(unit((0.2, 0.1, 1.0))), 9.0)
     res = cut(cylinders, plane)
-    for label, half in (("m1", res.m1), ("m2", res.m2)):
-        mapping = res.provenance[label]
+    for half in (res.m1, res.m2):
+        mapping = seam_vertices(half, res.cut_points)
         assert len(mapping) == len(res.cut_points)
         for idx, (lo, hi, lam) in mapping.items():
             want = (1 - lam) * cylinders.mesh.vertices[lo] + lam * cylinders.mesh.vertices[hi]

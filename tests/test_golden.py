@@ -52,6 +52,8 @@ from mvskin.rig import Bone, Mesh, RiggedModel, Trs, dump_rig, make_arm_model, m
 from mvskin.section import Section
 from mvskin.tear import ScalpelState, tear
 
+from mesh_helpers import seam_vertices
+
 # test id -> (script, rig, backend, {artifact: sha256})
 GOLDEN = {
     "cylinders_cut_deform.json": ("cylinders_cut_deform.json", "cylinders", "cga", {
@@ -259,7 +261,8 @@ def cut_batch(models):
 
 # sha256 over every cut's halves (vertices, faces, weight table), its cut
 # points (edge, lam, ordinal, position, weights), polylines (as ordinals)
-# and provenance, for cut_batch; a typed error enters as its type name
+# and each half's seam vertices (index -> edge, lam), for cut_batch; a
+# typed error enters as its type name
 CUT_GOLDEN = "345a97755510bf4ecb143fc008bac443150986324cb292d210f5742cf461a0a8"
 
 
@@ -282,7 +285,8 @@ def test_seeded_cut_batch_matches_golden_digest():
         for cp in res.cut_points:
             digest.update(repr((cp.edge, cp.lam, cp.ordinal, cp.position, cp.weights)).encode())
         digest.update(repr([[cp.ordinal for cp in chain] for chain in res.polylines]).encode())
-        digest.update(repr(sorted((side, sorted(m.items())) for side, m in res.provenance.items())).encode())
+        seams = {"m1": seam_vertices(res.m1, res.cut_points), "m2": seam_vertices(res.m2, res.cut_points)}
+        digest.update(repr(sorted((side, sorted(m.items())) for side, m in seams.items())).encode())
         open_chains += len(res.polylines) > 1
         shifted += not np.array_equal(Section(model.mesh, plane).work, model.mesh.vertices)
         misses += not res.cut_points

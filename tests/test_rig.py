@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mvskin.quaternions as quat
+import mvskin.rig as rig
 from mvskin import _objtext
-from mvskin.algebra import Multivector
+from mvskin.algebra import Multivector, make_plane
+from mvskin.cli import bundled_script_path
+from mvskin.cut import cut
 from mvskin.errors import (
     HierarchyError,
     MeshError,
@@ -46,6 +49,7 @@ from mvskin.rig import (
     validate_mesh,
     validate_model,
 )
+from mvskin.tear import ScalpelState, tear
 from mvskin.weights import SkinWeights
 
 from cga_oracle import transform_points
@@ -373,6 +377,84 @@ def test_offset_must_invert_global_bind():
     bones = (m.bones[0], Bone(1, 0, Trs(translation=(0, 0, -2)), Trs(translation=(0, 0, 1))))
     with pytest.raises(OffsetError, match="bone 1"):
         validate_model(RiggedModel(m.mesh, bones, m.weights))
+
+
+def _bone_defects():
+    """(name, bones of the cylinders fixture with one defect, error type, message)."""
+    b0, b1, b2 = make_cylinders_model().bones
+    replace = dataclasses.replace
+    nan = float("nan")
+    return [
+        ("duplicate id", (b0, b1, replace(b2, id=1)), HierarchyError, "duplicate bone ids: [0, 1, 1]"),
+        ("negative id", (b0, b1, replace(b2, id=-5)), HierarchyError, "bone -5: bone ids must be nonnegative"),
+        ("two roots", (b0, b1, replace(b2, parent=None)), HierarchyError,
+         "skeleton must have exactly one root, found 2"),
+        ("unknown parent", (b0, b1, replace(b2, parent=99)), HierarchyError, "bone 2 has unknown parent 99"),
+        ("parent cycle", (b0, replace(b1, parent=2), b2), HierarchyError, "bone parentage cycle through bone 1"),
+        ("non-finite offset translation", (b0, replace(b1, offset=replace(b1.offset, translation=(nan, 0.0, 0.0))), b2),
+         SchemaError, "bone 1 offset: bad translation (nan, 0.0, 0.0)"),
+        ("non-unit bind quaternion", (b0, replace(b1, bind=replace(b1.bind, rotation=(2.0, 0.0, 0.0, 0.0))), b2),
+         SchemaError, "bone 1 bind: rotation_quat is not unit length"),
+        ("zero scale", (b0, b1, replace(b2, offset=replace(b2.offset, scale=0.0))), SchemaError,
+         "bone 2 offset: scale must be a positive number, got 0.0"),
+        ("root bind off the identity", (replace(b0, bind=Trs(translation=(1.0, 0.0, 0.0))), b1, b2), HierarchyError,
+         "root bone 0 must bind at the identity"),
+        ("offset not inverting", (b0, b1, replace(b2, offset=Trs(translation=(0.0, 0.0, -2.0)))), OffsetError,
+         "bone 2: offset does not invert the global bind transform"),
+    ]
+
+
+def _cylinders_tear_states():
+    doc = json.loads(bundled_script_path("cylinders_tear.json").read_text(encoding="utf-8"))
+    return [ScalpelState(s["time"], tuple(s["tip"]), tuple(s["tail"])) for s in doc["actions"][0]["states"]]
+
+
+def _raised(call, *args):
+    with pytest.raises(MvskinError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name, bones, kind, message", _bone_defects(), ids=[c[0] for c in _bone_defects()])
+def test_a_bone_defect_raises_alike_on_the_model_its_halves_and_its_tear(name, bones, kind, message):
+    # a failed bone check is not remembered: the halves and the torn model
+    # share the defective tuple, and each raises the same error again
+    m = make_cylinders_model()
+    model = RiggedModel(m.mesh, bones, m.weights, m.clips)
+    states = _cylinders_tear_states()
+    assert _raised(validate_model, model) == (kind, message)
+    assert _raised(cut, model, make_plane((0.0, 0.0, 1.0), 10.0)) == (kind, message)
+    assert _raised(tear, model, states) == (kind, message)
+    assert _raised(validate_model, model) == (kind, message)
+    # a bad mesh is still named before bad bones
+    vertices = m.mesh.vertices.copy()
+    vertices[5] = np.nan
+    with pytest.raises(MeshError, match="non-finite"):
+        validate_model(RiggedModel(Mesh(vertices, m.mesh.faces), bones, m.weights))
+
+
+def test_a_bones_tuple_is_checked_once_for_every_model_on_it(monkeypatch):
+    calls = []
+    check = rig._check_trs_fields
+
+    def counted(trs, where):
+        calls.append(where)
+        check(trs, where)
+
+    monkeypatch.setattr(rig, "_check_trs_fields", counted)
+    m = make_cylinders_model()
+    assert len(calls) == 2 * len(m.bones)
+    calls.clear()
+    res = cut(m, make_plane((0.0, 0.0, 1.0), 4.0))
+    states = _cylinders_tear_states()  # a stroke at z = 10, in the upper half
+    tear(m, states)
+    tear(res.m1, states)
+    assert calls == []
+    # an equal but distinct tuple has a skeleton of its own, checked in full
+    twin = RiggedModel(m.mesh, tuple(list(m.bones)), m.weights, m.clips)
+    assert twin.bones == m.bones and twin.bones is not m.bones
+    validate_model(twin)
+    assert len(calls) == 2 * len(m.bones)
 
 
 def test_weight_validation_errors():
