@@ -1,12 +1,10 @@
 """Batch command line driver.
 
 ``mvskin run`` executes a JSON script against a rig and writes OBJ
-artifacts plus a ``metrics.json`` into the output directory.  The
-subcommands animate, cut, tear and compare are thin wrappers that build
-a one-action script and hand it to the same runner; ``bench`` runs a
-bundled fixture's own tear script (``arm_tear.json`` or
-``cylinders_tear.json``) through it, and ``info`` only prints model
-statistics.
+artifacts plus a ``metrics.json`` into the output directory.  ``bench``
+runs a bundled fixture's own tear script (``arm_tear.json`` or
+``cylinders_tear.json``) through the same runner, and ``info`` only
+prints model statistics.
 
 Script schema (version 1)::
 
@@ -446,19 +444,6 @@ def run(rig: str, script_path, out_dir, backend: str = "cga") -> int:
     return 0
 
 
-def _one_action_run(args, action: dict) -> int:
-    script = {"script_version": SCRIPT_VERSION, "actions": [action]}
-    out = Path(args.out)
-    path = out / "script.json"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(script, indent=1) + "\n", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(args.rig, path, out, backend=args.backend)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rig", required=True, help="rig path or fixture name (cylinders, arm)")
     parser.add_argument("--out", required=True, help="output directory")
@@ -472,28 +457,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a JSON script")
     _add_common(p_run)
     p_run.add_argument("--script", required=True, help="script path or bundled script name")
-
-    p_anim = sub.add_parser("animate", help="sample a clip to OBJ frames")
-    _add_common(p_anim)
-    p_anim.add_argument("--clip", required=True)
-    p_anim.add_argument("--times", required=True, help="comma-separated sample times")
-
-    p_cut = sub.add_parser("cut", help="cut the model with a plane")
-    _add_common(p_cut)
-    p_cut.add_argument("--normal", required=True, help="comma-separated plane normal")
-    p_cut.add_argument("--d", type=float, required=True, help="plane offset along the normal")
-
-    p_tear = sub.add_parser("tear", help="tear along a scalpel script")
-    _add_common(p_tear)
-    p_tear.add_argument("--states", required=True, help="JSON file with a list of scalpel states")
-    p_tear.add_argument("--delta", type=float, default=None, help="opening displacement")
-
-    p_cmp = sub.add_parser("compare", help="compare two skinning backends")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--reference", choices=sorted(SKIN_BACKENDS), default="dq")
-    p_cmp.add_argument("--test", choices=sorted(SKIN_BACKENDS), default="cga")
-    p_cmp.add_argument("--clip", default=None)
-    p_cmp.add_argument("--time", type=float, default=0.0)
 
     p_bench = sub.add_parser("bench", help="run the bundled tear benchmark for a fixture")
     _add_common(p_bench)
@@ -522,43 +485,6 @@ def main(argv=None) -> int:
             except ScriptError:
                 pass  # run() serializes the unreadable-path error into metrics
         return run(args.rig, script, args.out, backend=args.backend)
-    if args.command == "animate":
-        try:
-            times = [float(t) for t in args.times.split(",") if t.strip()]
-        except ValueError:
-            print("error: --times must be comma-separated numbers", file=sys.stderr)
-            return 2
-        return _one_action_run(args, {"action": "sample", "clip": args.clip, "times": times})
-    if args.command == "cut":
-        try:
-            normal = [float(x) for x in args.normal.split(",")]
-        except ValueError:
-            print("error: --normal must be comma-separated numbers", file=sys.stderr)
-            return 2
-        return _one_action_run(
-            args, {"action": "cut", "plane": {"normal": normal, "d": args.d}}
-        )
-    if args.command == "tear":
-        try:
-            states = json.loads(Path(args.states).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            print(f"error: cannot read scalpel states: {exc}", file=sys.stderr)
-            return 2
-        action = {"action": "tear", "states": states}
-        if args.delta is not None:
-            action["delta"] = args.delta
-        return _one_action_run(args, action)
-    if args.command == "compare":
-        return _one_action_run(
-            args,
-            {
-                "action": "compare",
-                "reference": args.reference,
-                "test": args.test,
-                "clip": args.clip,
-                "time": args.time,
-            },
-        )
     if args.command == "bench":
         if args.rig not in _FIXTURES:  # the bundled tear scripts stroke their own fixture
             print(f"error: bench takes a bundled fixture ({', '.join(sorted(_FIXTURES))}), "

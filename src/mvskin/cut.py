@@ -8,9 +8,9 @@ original vertices keep their true positions.  Then:
   M2 (negative).  These faces are renumbered in one array pass.
 * Each straddling edge of the section's edge table is one CutPoint, so
   ordinals follow the order in which a scan of the crossed faces, in
-  ascending id, first meets the edges; its weights interpolate along the
-  edge, truncated to four influences.  An edge on more than two faces
-  raises NonManifoldCut.
+  ascending id, first meets the edges.  Its seam vertex's weights
+  interpolate along the edge, truncated to four influences.  An edge on
+  more than two faces raises NonManifoldCut.
 * Only the crossed faces are walked, in ascending id.  Each splits into
   three children: one triangle on the lone-vertex side and two tiling
   the quad on the other, split along its shorter diagonal.  Ties and
@@ -55,7 +55,6 @@ class CutPoint:
     edge: tuple  # (lo, hi) original vertex indices
     lam: float  # interpolation parameter from lo toward hi, in (0, 1)
     ordinal: int  # creation rank; the seam vertex index is len(side) + ordinal
-    weights: tuple  # (bone, w) pairs, at most four
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,9 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     signs = section.signs
     seam_weights = weight_by_edge(model.weights, section.edges[:, 0], section.edges[:, 1], section.lam)
     points = [
-        CutPoint(tuple(pos), tuple(key), lam, o, weights)
-        for o, (key, lam, pos, weights) in enumerate(
-            zip(section.edges.tolist(), section.lam.tolist(), section.positions.tolist(), seam_weights)
+        CutPoint(tuple(pos), tuple(key), lam, o)
+        for o, (key, lam, pos) in enumerate(
+            zip(section.edges.tolist(), section.lam.tolist(), section.positions.tolist())
         )
     ]
     if (section.borders > 2).any():

@@ -134,9 +134,21 @@ def from_matrix(m) -> np.ndarray:
 
 
 def from_axis_angle(axis, angle: float) -> np.ndarray:
+    """The unit quaternion of a rotation by angle about axis.
+
+    An axis whose norm underflows to 0 or overflows is first divided by
+    its largest |component|; a zero or non-finite axis is a ValueError.
+    """
     u = np.asarray(axis, dtype=np.float64)
-    n = float(np.linalg.norm(u))
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(u))
+    if not 0.0 < n < math.inf:  # NaN fails both
+        top = float(np.max(np.abs(u)))
+        if not math.isfinite(top):
+            raise ValueError("rotation axis must be finite")
+        if top == 0.0:
+            raise ValueError("rotation axis must be nonzero")
+        u = u / top
+        n = float(np.linalg.norm(u))
     h = 0.5 * float(angle)
     return np.concatenate([[math.cos(h)], math.sin(h) * (u / n)])

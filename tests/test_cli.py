@@ -382,18 +382,17 @@ def test_relative_keyframe_composes_on_bind(tmp_path, cylinders):
 
 
 def test_cut_action_writes_both_halves_and_counts(tmp_path):
-    script = write_script(
-        tmp_path / "s.json",
-        [{"action": "cut", "plane": {"normal": [0, 0, 1], "d": 10.0}}],
-    )
-    out = tmp_path / "out"
-    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
-    metrics = read_metrics(out)
-    rec = metrics["actions"][0]
-    assert rec["intersection_points"] == 62
-    assert rec["polylines"] == [62]
-    assert rec["m1"]["vertices"] + rec["m2"]["vertices"] == 634 + 2 * 62
-    assert (out / "cut_M1.obj").exists() and (out / "cut_M2.obj").exists()
+    # the second plane is the first with its normal and d scaled by 5
+    for k, plane in enumerate([{"normal": [0, 0, 1], "d": 10.0}, {"normal": [0, 0, 5], "d": 50}]):
+        script = write_script(tmp_path / f"s{k}.json", [{"action": "cut", "plane": plane}])
+        out = tmp_path / f"out{k}"
+        assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
+        metrics = read_metrics(out)
+        rec = metrics["actions"][0]
+        assert rec["intersection_points"] == 62
+        assert rec["polylines"] == [62]
+        assert rec["m1"]["vertices"] + rec["m2"]["vertices"] == 634 + 2 * 62
+        assert (out / "cut_M1.obj").exists() and (out / "cut_M2.obj").exists()
 
 
 def test_cut_continues_with_positive_half(tmp_path):
@@ -571,12 +570,16 @@ def test_run_leaves_no_frozen_objects(tmp_path):
 
 
 def test_unreadable_script_reports_error(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["run", "--rig", "cylinders", "--script", str(tmp_path / "nope.json"), "--out", str(out)])
-    assert rc == 1
-    metrics = read_metrics(out)
-    check_metrics_schema(metrics)
-    assert metrics["actions"] == [] and metrics["error"]["action_index"] is None
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe[\x00]\x00")
+    (tmp_path / "text.json").write_text("not json\n", encoding="utf-8")
+    for name in ("nope.json", "latin1.json", "text.json"):
+        out = tmp_path / f"out_{name}"
+        rc = main(["run", "--rig", "cylinders", "--script", str(tmp_path / name), "--out", str(out)])
+        assert rc == 1, name
+        metrics = read_metrics(out)
+        check_metrics_schema(metrics)
+        assert metrics["actions"] == [], name
+        assert metrics["error"]["action_index"] is None and metrics["error"]["files"] == [], name
 
 
 def test_cga_sum_backend_runs_and_compares(tmp_path):
@@ -711,52 +714,25 @@ def test_rerun_over_larger_old_artifacts_is_byte_identical(tmp_path, rig, script
 
 
 # ---------------------------------------------------------------------------
-# subcommand wrappers
+# the command set and bench
 
 
-def test_animate_subcommand_writes_script_and_frames(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["animate", "--rig", "cylinders", "--clip", "bind", "--times", "0,1",
-               "--out", str(out)])
-    assert rc == 0
-    doc = json.loads((out / "script.json").read_text())
-    assert doc["actions"] == [{"action": "sample", "clip": "bind", "times": [0.0, 1.0]}]
-    assert (out / "frame_0000.obj").exists() and (out / "frame_0001.obj").exists()
-
-
-def test_cut_subcommand_normalizes_normal(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["cut", "--rig", "cylinders", "--normal", "0,0,5", "--d", "50",
-               "--out", str(out)])
-    assert rc == 0
-    assert read_metrics(out)["actions"][0]["intersection_points"] == 62
-
-
-def test_tear_subcommand_reads_states_file(tmp_path):
-    states = json.loads(bundled_script_path("cylinders_tear.json").read_text())
-    states = states["actions"][0]["states"]
-    state_file = tmp_path / "states.json"
-    state_file.write_text(json.dumps(states))
-    out = tmp_path / "out"
-    rc = main(["tear", "--rig", "cylinders", "--states", str(state_file),
-               "--delta", "0.1", "--out", str(out)])
-    assert rc == 0
-    assert read_metrics(out)["actions"][0]["intersection_points"] == 17
-
-
-def test_tear_states_that_are_not_utf8_exit_2(tmp_path, capsys):
-    state_file = tmp_path / "states.json"
-    state_file.write_bytes(b"\xff\xfe[\x00]\x00")
-    rc = main(["tear", "--rig", "cylinders", "--states", str(state_file), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot read scalpel states: ") and "utf-8" in err
-    assert not (tmp_path / "out").exists()
+def test_only_run_bench_and_info_are_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{run,bench,info}" in capsys.readouterr().out
+    for command in ("animate", "cut", "tear", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--rig", "cylinders", "--out", "unused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
     ["run", "--script", "cylinders_tear.json"],
-    ["cut", "--normal", "0,0,1", "--d", "10"],
+    ["bench"],
 ])
 def test_out_naming_an_existing_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
     out = tmp_path / "taken"
@@ -787,10 +763,3 @@ def test_bench_takes_only_a_bundled_fixture(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bench takes a bundled fixture (arm, cylinders)")
     assert not out.exists()
-
-
-def test_bad_times_argument_exits_2(tmp_path, capsys):
-    rc = main(["animate", "--rig", "cylinders", "--clip", "bind", "--times", "a,b",
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "comma-separated numbers" in capsys.readouterr().err

@@ -155,15 +155,21 @@ def test_cut_points_lie_on_plane_with_interior_lambda(cylinders):
 
 
 def test_cut_point_weights_come_from_edge_endpoints(cylinders):
-    plane = make_plane((0.0, 0.0, 1.0), 7.5)
-    for cp in cut(cylinders, plane).cut_points:
+    res = cut(cylinders, make_plane((0.0, 0.0, 1.0), 7.5))
+    assert res.cut_points
+    for cp in res.cut_points:
         lo, hi = cp.edge
         host = {b for b, _ in cylinders.weights[lo]} | {b for b, _ in cylinders.weights[hi]}
-        bones = [b for b, _ in cp.weights]
+        rows = [
+            half.weights[len(half.mesh.vertices) - len(res.cut_points) + cp.ordinal]
+            for half in (res.m1, res.m2)
+        ]
+        assert rows[0] == rows[1]
+        bones = [b for b, _ in rows[0]]
         assert set(bones) <= host
         assert len(bones) <= 4
-        assert abs(math.fsum(w for _, w in cp.weights) - 1.0) < 1e-9
-        assert all(w > 0 for _, w in cp.weights)
+        assert abs(math.fsum(w for _, w in rows[0]) - 1.0) < 1e-9
+        assert all(w > 0 for _, w in rows[0])
 
 
 # ---------------------------------------------------------------- retriangulation

@@ -282,8 +282,11 @@ def test_seeded_cut_batch_matches_golden_digest():
             mesh, weights = half.mesh, half.weights
             for array in (mesh.vertices, mesh.faces, weights.ids, weights.ws):
                 digest.update(repr(array.shape).encode() + array.tobytes())
+        # each seam point with M1's weight row for it
+        seam_base = len(res.m1.mesh.vertices) - len(res.cut_points)
         for cp in res.cut_points:
-            digest.update(repr((cp.edge, cp.lam, cp.ordinal, cp.position, cp.weights)).encode())
+            seam_row = res.m1.weights[seam_base + cp.ordinal]
+            digest.update(repr((cp.edge, cp.lam, cp.ordinal, cp.position, seam_row)).encode())
         digest.update(repr([[cp.ordinal for cp in chain] for chain in res.polylines]).encode())
         seams = {"m1": seam_vertices(res.m1, res.cut_points), "m2": seam_vertices(res.m2, res.cut_points)}
         digest.update(repr(sorted((side, sorted(m.items())) for side, m in seams.items())).encode())

@@ -88,3 +88,23 @@ def test_from_matrix_rejects_unnormalizable_input_like_the_oracle():
 def test_nlerp_raises_degenerate_blend_on_a_zero_blend(a, b, t):
     with pytest.raises(DegenerateBlend, match="collapsed to zero"):
         quat.nlerp(a, b, t)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1e200), (0.0, 0.0, 1e-200)], ids=["overflow", "underflow"])
+def test_from_axis_angle_rescales_an_axis_whose_norm_under_or_overflows(axis):
+    assert_same_bytes(quat.from_axis_angle(axis, 0.7), quat.from_axis_angle((0, 0, 1), 0.7))
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ((0.0, 0.0, 0.0), "rotation axis must be nonzero"),
+        ((np.nan, 0.0, 0.0), "rotation axis must be finite"),
+        ((np.inf, 0.0, 0.0), "rotation axis must be finite"),
+        ((1e200, np.nan, 0.0), "rotation axis must be finite"),
+    ],
+    ids=["zero", "nan", "inf", "huge-and-nan"],
+)
+def test_from_axis_angle_rejects_a_zero_or_non_finite_axis(axis, message):
+    with pytest.raises(ValueError, match=message):
+        quat.from_axis_angle(axis, 0.7)
