@@ -382,17 +382,30 @@ def test_relative_keyframe_composes_on_bind(tmp_path, cylinders):
 
 
 def test_cut_action_writes_both_halves_and_counts(tmp_path):
-    # the second plane is the first with its normal and d scaled by 5
-    for k, plane in enumerate([{"normal": [0, 0, 1], "d": 10.0}, {"normal": [0, 0, 5], "d": 50}]):
+    script = write_script(
+        tmp_path / "s.json",
+        [{"action": "cut", "plane": {"normal": [0, 0, 1], "d": 10.0}}],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
+    metrics = read_metrics(out)
+    rec = metrics["actions"][0]
+    assert rec["intersection_points"] == 62
+    assert rec["polylines"] == [62]
+    assert rec["m1"]["vertices"] + rec["m2"]["vertices"] == 634 + 2 * 62
+    assert (out / "cut_M1.obj").exists() and (out / "cut_M2.obj").exists()
+
+
+def test_cut_subcommand_normalizes_normal(tmp_path):
+    """A one-action cut script on normal [0, 0, 5], d 50 cuts the plane z = 10."""
+    halves = []
+    for k, plane in enumerate([{"normal": [0, 0, 5], "d": 50}, {"normal": [0, 0, 1], "d": 10.0}]):
         script = write_script(tmp_path / f"s{k}.json", [{"action": "cut", "plane": plane}])
         out = tmp_path / f"out{k}"
         assert main(["run", "--rig", "cylinders", "--script", script, "--out", str(out)]) == 0
-        metrics = read_metrics(out)
-        rec = metrics["actions"][0]
-        assert rec["intersection_points"] == 62
-        assert rec["polylines"] == [62]
-        assert rec["m1"]["vertices"] + rec["m2"]["vertices"] == 634 + 2 * 62
-        assert (out / "cut_M1.obj").exists() and (out / "cut_M2.obj").exists()
+        assert read_metrics(out)["actions"][0]["intersection_points"] == 62
+        halves.append([(out / name).read_bytes() for name in ("cut_M1.obj", "cut_M2.obj")])
+    assert halves[0] == halves[1]
 
 
 def test_cut_continues_with_positive_half(tmp_path):
