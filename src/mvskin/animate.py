@@ -31,9 +31,11 @@ only stored form:
   cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
            from cga only where a dilation skews the conformal weights,
   lbs      sum_n w_n M_n v,
-  dq       normalized linear blend of unit dual quaternions; uniform scale
-           is factored out of each bone matrix and applied to the input
-           point first, since dual quaternions only cover rigid motion.
+  dq       normalize(sum_n w_n s_n q_n) applied to (sum_n w_n c_n) v, the
+           linearly blended scale applied to the rest point first: q_n the
+           unit dual quaternion of M_n's rigid part, c_n its uniform scale,
+           which dual quaternions do not cover, and s_n = sign(q_p . q_n)
+           for the vertex's pivot bone p, folded into the weight.
 
 The conformal backends read only grade 1.  A sandwich preserves grade, so
 a vertex lifts to its five e1..e5 coefficients (up_block) and each bone
@@ -340,18 +342,17 @@ def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
 def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Dual-quaternion skinning with per-bone uniform scale factored out.
 
-    Each deformation matrix splits into rigid * scale; the blended scale
-    multiplies the rest position first, then the hemisphere-corrected
-    normalized dual-quaternion blend applies the rigid part.  One stacked
-    pass over the bone matrices (one det, one from_matrix, one multiply)
-    gives every bone's part.  Hemisphere correction pivots on each vertex's
-    largest-weight influence (ties go to the lower bone id).  The first
-    bone in model.bones whose offset trs_matrices rejects raises its error;
-    the first bone matrix without a finite positive determinant, as an
-    overflowing pose gives, raises NumericalFailure.
+    Each bone matrix splits into a unit dual quaternion q_n = (r_n, d_n)
+    and a scale c_n, all bones in one stacked pass.  The rest point is
+    scaled by sum_n w_n c_n, then moved by the normalized sum_n w_n s_n q_n,
+    s_n = sign(r_p . r_n) folded into the weight (exactly), p the vertex's
+    largest-weight influence (ties go to the lower bone id).  The tail runs
+    on (9, n) planes in quat.multiply's and quat.rotate's operation order.
+    The first bone in model.bones whose offset trs_matrices rejects raises
+    its error; the first bone matrix without a finite positive determinant,
+    as an overflowing pose gives, raises NumericalFailure.
     """
     bones = model.bones
-    slot = {b.id: i for i, b in enumerate(bones)}  # the last of equal ids wins
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
         m, rejected = _deform_matrices(model, pose)
         if rejected:
@@ -366,24 +367,30 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
         dual = 0.5 * quat.multiply(np.concatenate([np.zeros((len(bones), 1)), m[:, :3, 3]], axis=1), real)
         parts = np.column_stack([real, dual, scale])
 
-    # the real part of each distinct pivot bone, by slot; a row with no pivot bone reads zeros
-    pivots, pivot_of_row = model.weights.pivot_bones
-    pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
-
-    groups = model.weights.bone_groups
-
-    def image(g, rows):
-        part = parts[slot[groups[g][0]]]
-        sgn = np.where(pivot_real[pivot_of_row[rows]] @ part[:4] < 0.0, -1.0, 1.0)
-        return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
-
-    acc = _blend(model, 9, image)
-    norm = np.linalg.norm(acc[:, :4], axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qr, qd = acc[:, :4] / norm, acc[:, 4:8] / norm
-        trans = 2.0 * quat.multiply(qd, quat.conjugate(qr))[:, 1:]
-        out = quat.rotate(qr, acc[:, 8:] * model.mesh.vertices) + trans
-    return SkinnedFrame(out, "dq", pose.time)
+        # kept per model: each group's slot in bones (the last of equal ids;
+        # a KeyError for a bone id with no bone) and its rows' pivot slots,
+        # len(bones) for a pivot that names no bone
+        cached = model.pose_cache.get("dq")
+        if cached is None:
+            slot = {b.id: i for i, b in enumerate(bones)}
+            pivot_ids, pivot_of_row = model.weights.pivot_bones
+            pivot_slots = np.array([slot.get(p, len(bones)) for p in pivot_ids.tolist()], dtype=np.int64)
+            groups = model.weights.bone_groups
+            cached = model.pose_cache["dq"] = [(slot[b], pivot_slots[pivot_of_row[rows]]) for b, rows, _ in groups]
+        pivot_real = np.concatenate([real, np.zeros((1, 4))])
+        acc = np.zeros((len(model.mesh.vertices), 9))
+        for (_, rows, weights), (s, pivot) in zip(model.weights.bone_groups, cached):
+            part = parts[s]
+            term = np.where(np.take(pivot_real, pivot, axis=0) @ part[:4] < 0.0, -weights, weights)[:, None] * part
+            term[:, 8] = weights * part[8]  # the scale column takes the unsigned weight
+            acc[rows] += term
+        acc = acc.T.copy()  # (9, n) planes, each coefficient one contiguous row; worked in place
+        acc[:8] /= np.sqrt(acc[0] * acc[0] + acc[1] * acc[1] + acc[2] * acc[2] + acc[3] * acc[3])
+        trans = quat.multiply(acc[4:8], quat.conjugate(acc[:4].T).T, axis=0)[1:]
+        trans *= 2.0
+        out = quat.rotate(acc[:4], acc[8] * model.mesh.vertices.T, axis=0)
+        out += trans
+    return SkinnedFrame(np.ascontiguousarray(out.T), "dq", pose.time)
 
 
 SKIN_BACKENDS = {"cga": skin_cga, "cga_sum": skin_cga_sum, "lbs": skin_lbs, "dq": skin_dq}

@@ -36,9 +36,9 @@ def normalize(q) -> np.ndarray:
     return q / n
 
 
-def multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+def multiply(a, b, axis: int = -1) -> np.ndarray:
+    """Products a b of quaternions whose (w, x, y, z) run along axis, broadcast."""
+    (aw, ax, ay, az), (bw, bx, by, bz) = _components(a, axis), _components(b, axis)
     return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -46,7 +46,7 @@ def multiply(a, b) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ],
-        axis=-1,
+        axis=axis,
     )
 
 
@@ -54,12 +54,24 @@ def conjugate(q) -> np.ndarray:
     return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def rotate(q, v) -> np.ndarray:
-    """Rotate 3-vectors (..., 3) by unit quaternions (..., 4)."""
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w, u = q[..., :1], q[..., 1:]
-    return v + 2.0 * w * np.cross(u, v) + 2.0 * np.cross(u, np.cross(u, v))
+def rotate(q, v, axis: int = -1) -> np.ndarray:
+    """Rotate 3-vectors by unit quaternions, the components of both along axis.
+
+    With u = q's (x, y, z): c1 = u x v and c2 = u x c1 as np.cross rounds
+    them, then (v + (2w) c1) + 2 c2, one component at a time.
+    """
+    (w, x, y, z), v = _components(q, axis), _components(v, axis)
+    c1 = (y * v[2] - z * v[1], z * v[0] - x * v[2], x * v[1] - y * v[0])
+    c2 = (y * c1[2] - z * c1[1], z * c1[0] - x * c1[2], x * c1[1] - y * c1[0])
+    w2 = 2.0 * w
+    return np.stack([(a + w2 * b) + 2.0 * c for a, b, c in zip(v, c1, c2)], axis=axis)
+
+
+def _components(a, axis: int) -> list:
+    """The k float64 arrays along axis of an array (..., k, ...), as views."""
+    a = np.asarray(a, dtype=np.float64)
+    lead = (slice(None),) * (axis % a.ndim)
+    return [a[lead + (i,)] for i in range(a.shape[axis])]
 
 
 def nlerp(a, b, t) -> np.ndarray:

@@ -221,21 +221,14 @@ def trs_matrices(translations, rotations, scales) -> np.ndarray:
 def compose_trs(a: Trs, b: Trs) -> Trs:
     """Trs of (a then b applied first): a.matrix @ b.matrix, still a Trs.
 
-    b's translation is rotated in Python floats by quat.rotate's
-    operations in its order: c1 = u x v and c2 = u x c1 as np.cross
-    rounds them, then (v + 2w c1) + 2 c2.  The bytes are quat.rotate's,
-    without the overhead of three np.cross calls on one 3-vector.
+    The translation is a.translation + a.scale * quat.rotate(qa, b's), qa
+    a's rotation over its norm; an overflow gives inf or NaN, not a warning.
     """
     qa = quat.normalize(a.rotation)
-    w, x, y, z = qa.tolist()
-    vx, vy, vz = (float(c) for c in b.translation)
-    c1x, c1y, c1z = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
-    c2x, c2y, c2z = y * c1z - z * c1y, z * c1x - x * c1z, x * c1y - y * c1x
-    w2 = 2.0 * w
-    rotated = ((vx + w2 * c1x) + 2.0 * c2x, (vy + w2 * c1y) + 2.0 * c2y, (vz + w2 * c1z) + 2.0 * c2z)
-    t = tuple(float(at) + a.scale * r for at, r in zip(a.translation, rotated))
+    with np.errstate(all="ignore"):
+        t = np.asarray(a.translation, dtype=np.float64) + a.scale * quat.rotate(qa, b.translation)
     q = quat.normalize(quat.multiply(qa, b.rotation))
-    return Trs(t, tuple(float(x) for x in q), a.scale * b.scale)
+    return Trs(tuple(t.tolist()), tuple(float(x) for x in q), a.scale * b.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from mvskin.errors import DegenerateBlend, NumericalFailure, SingularVersor
 from mvskin.rig import Trs, parent_first
 
 from cga_oracle import BASIS, GP, argmax_gather
+from quaternion_oracle import multiply, rotate
 
 # x -> a x as a (j, k) matrix, and y -> y w as one
 _LEFT = argmax_gather(GP, 0)
@@ -200,7 +201,7 @@ def skin_dq(model, pose):
             raise NumericalFailure(f"dq skinning: bone {bones[b].id} has no finite positive scale (det {det[b]:.3e})")
         scale = np.array([d ** (1.0 / 3.0) for d in det.tolist()])
         real = quat.from_matrix(m[:, :3, :3] / scale[:, None, None])
-        dual = 0.5 * quat.multiply(np.concatenate([np.zeros((len(bones), 1)), m[:, :3, 3]], axis=1), real)
+        dual = 0.5 * multiply(np.concatenate([np.zeros((len(bones), 1)), m[:, :3, 3]], axis=1), real)
         parts = np.column_stack([real, dual, scale])
 
     pivots, pivot_of_row = model.weights.pivot_bones
@@ -215,8 +216,8 @@ def skin_dq(model, pose):
     norm = np.linalg.norm(acc[:, :4], axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         qr, qd = acc[:, :4] / norm, acc[:, 4:8] / norm
-        trans = 2.0 * quat.multiply(qd, quat.conjugate(qr))[:, 1:]
-        out = quat.rotate(qr, acc[:, 8:] * model.mesh.vertices) + trans
+        trans = 2.0 * multiply(qd, quat.conjugate(qr))[:, 1:]
+        out = rotate(qr, acc[:, 8:] * model.mesh.vertices) + trans
     return SkinnedFrame(out, "dq", pose.time)
 
 

@@ -1,8 +1,12 @@
-"""The one-matrix quaternion extraction, kept as the byte oracle.
+"""Earlier forms of the quaternion helpers, kept as their byte oracles.
 
 scalar_from_matrix is Shepperd's method written with four scalar
 branches, one matrix at a time, as mvskin.quaternions.from_matrix was
-before it broadcast.  The broadcasting version must return the same bytes.
+before it broadcast.  multiply and rotate are the array forms that
+mvskin.quaternions.multiply and rotate had before they worked one
+component at a time: moveaxis and np.stack for the product, three
+np.cross calls for the rotation.  The package's versions must return the
+same bytes.
 """
 
 import math
@@ -10,6 +14,28 @@ import math
 import numpy as np
 
 from mvskin.quaternions import normalize
+
+
+def multiply(a, b) -> np.ndarray:
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
+def rotate(q, v) -> np.ndarray:
+    """Rotate 3-vectors (..., 3) by unit quaternions (..., 4)."""
+    q = np.asarray(q, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    w, u = q[..., :1], q[..., 1:]
+    return v + 2.0 * w * np.cross(u, v) + 2.0 * np.cross(u, np.cross(u, v))
 
 
 def scalar_from_matrix(m) -> np.ndarray:

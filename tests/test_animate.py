@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import random
 import re
 import sys
 from dataclasses import replace
@@ -10,6 +11,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvskin.quaternions as quat
 import mvskin.rig
@@ -52,6 +55,7 @@ from mvskin.rig import (
 from mvskin.tear import open_tear, tear
 from mvskin.weights import SkinWeights
 
+import dq_oracle
 from cga_oracle import dense_sandwich_matrix, transform_points
 
 
@@ -545,6 +549,34 @@ def test_dq_overflow_names_the_first_bad_bone_in_bones_order(flip):
     first = 2 if flip else 1
     with pytest.raises(NumericalFailure, match=f"dq skinning: bone {first} has no finite positive scale"):
         skin_dq(m, global_pose_at(m, "c", 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 200), st.integers(0, 2**64 - 1))
+def test_dq_frame_has_the_bytes_of_the_column_stack_oracle(n_bones, n_vertices, seed):
+    # hemisphere flips, pivot ties, zero weights, non-unit scales, repeated
+    # ids and overflowing poses (dq_oracle.random_rig); tests/dq_sweep.py
+    # runs the same check on more rigs than the tier-1 budget holds
+    model, t = dq_oracle.random_rig(random.Random(seed), n_bones, n_vertices)
+    pose = global_pose_at(model, "c", t)
+    assert dq_oracle.outcome(skin_dq, model, pose) == dq_oracle.outcome(dq_oracle.skin_dq, model, pose)
+
+
+def test_dq_oracle_rigs_reach_every_outcome():
+    # the property's rigs skin, and fail in each way skin_dq fails: a bone id
+    # with no bone, a bone matrix without a finite positive scale, a vertex
+    # moved to inf or NaN
+    kinds = set()
+    for seed in range(60):
+        model, t = dq_oracle.random_rig(random.Random(seed))
+        kind, result = dq_oracle.outcome(skin_dq, model, global_pose_at(model, "c", t))
+        kinds.add(kind if kind != "NumericalFailure" else re.sub(r"\d.*", "", result))
+    assert kinds == {
+        "ok",
+        "KeyError",
+        "dq skinning: bone ",
+        "dq skinning produced a non-finite position at vertex ",
+    }
 
 
 def test_weight_partition_property():

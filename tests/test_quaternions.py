@@ -1,4 +1,4 @@
-"""The broadcasting quaternion extraction against its one-matrix oracle, and nlerp's degenerate blends."""
+"""The quaternion helpers against their oracles' bytes, and nlerp's degenerate blends."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 import mvskin.quaternions as quat
 from mvskin.errors import DegenerateBlend
 
+import quaternion_oracle as oracle
 from quaternion_oracle import scalar_from_matrix, shepperd_branch
 
 
@@ -108,3 +109,33 @@ def test_from_axis_angle_rescales_an_axis_whose_norm_under_or_overflows(axis):
 def test_from_axis_angle_rejects_a_zero_or_non_finite_axis(axis, message):
     with pytest.raises(ValueError, match=message):
         quat.from_axis_angle(axis, 0.7)
+
+
+def odd_values(rng, shape):
+    """Floats of a shape with signed zeros, magnitudes near 1e-150 and 1e150, inf and NaN among them."""
+    x = rng.normal(size=shape) * 10.0 ** rng.choice([0.0, -150.0, 150.0, -160.0, 160.0], size=shape)
+    odd = rng.random(shape)
+    x[odd < 0.05] = 0.0
+    x[(0.05 <= odd) & (odd < 0.1)] = -0.0
+    x[(0.1 <= odd) & (odd < 0.12)] = np.nan
+    x[(0.12 <= odd) & (odd < 0.13)] = -np.inf
+    return x
+
+
+# (shape of a, shape of b) for multiply; rotate reads b's last axis as 3
+SHAPES = [((4,), (4,)), ((500, 4), (500, 4)), ((20, 30, 4), (20, 30, 4)), ((500, 4), (4,)), ((20, 30, 4), (30, 4))]
+
+
+@pytest.mark.parametrize("a_shape, b_shape", SHAPES, ids=["one", "rows", "grid", "rows-by-one", "grid-by-rows"])
+def test_multiply_and_rotate_have_the_bytes_of_their_array_forms(a_shape, b_shape):
+    rng = np.random.default_rng(17)
+    v_shape = b_shape[:-1] + (3,)
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            a, b, v = odd_values(rng, a_shape), odd_values(rng, b_shape), odd_values(rng, v_shape)
+            assert_same_bytes(quat.multiply(a, b), oracle.multiply(a, b))
+            assert_same_bytes(quat.rotate(a, v), oracle.rotate(a, v))
+            # the components along the first axis, as skin_dq's planes
+            if len(a_shape) == len(b_shape) > 1:
+                assert_same_bytes(quat.multiply(a.T, b.T, axis=0), oracle.multiply(a, b).T)
+                assert_same_bytes(quat.rotate(a.T, v.T, axis=0), oracle.rotate(a, v).T)
