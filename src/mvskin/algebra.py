@@ -165,7 +165,7 @@ def _gathered(gather: tuple, x: np.ndarray) -> np.ndarray:
     tensordot's sum gives.
     """
     index, sign = gather
-    table = np.take(x, index.ravel(), axis=-1).reshape(*x.shape[:-1], *index.shape)
+    table = x.take(index, axis=-1)
     table *= sign
     table += 0.0
     return table

@@ -23,9 +23,11 @@ C-contiguous: a strided slice takes another BLAS path, which rounds
 differently.  Norms and dots use np.vecdot, which rounds as np.dot and
 np.linalg.norm do; np.einsum does not.
 
-Every backend blends over a vertex's influences (n, w_n) in one loop on
-the model's weights, the packed (n, 4) SkinWeights table that is their
-only stored form:
+cga, cga_sum and lbs write every bone group's images into one term
+buffer, weight it once, and add it in at most four slot passes: slot s
+holds each vertex's s-th term in group order (SkinWeights.blend_terms),
+so every vertex sums its terms in the order a loop over the groups did.
+dq keeps its own loop over the groups.  The backends compute:
 
   cga      sum_n w_n down(S_n up(v) ~S_n), projected per term: lbs to rounding,
   cga_sum  down(sum_n w_n S_n up(v) ~S_n), the README equation; it departs
@@ -42,10 +44,9 @@ a vertex lifts to its five e1..e5 coefficients (up_block) and each bone
 applies the 5x5 grade-1 block of its sandwich matrix, not the full 32x32
 map; one stacked pass (sandwich_blocks) gives the blocks of all weighted
 bones, and the products behind them gather the one Cayley-table term of
-each slot rather than contracting the table.  Every backend walks the
-model's cached bone groups (bone, rows, weights), so a frame does no
-per-bone search of the influence table; the lifted rest vertices and
-each vertex's dq pivot bone are cached per model the same way.
+each entry rather than contracting the table.  The bone groups, the term
+table, the lifted rest vertices and the dq pivot bones are cached per
+model, so a frame does no per-bone search of the influence table.
 
 Sample times outside a track's key range clamp to the nearest key; a
 missing track holds the bone's local bind transform.  Tracks, if any,
@@ -232,21 +233,6 @@ def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose
 # skinning backends
 
 
-def _blend(model: RiggedModel, width: int, image) -> np.ndarray:
-    """Per-vertex sum of w * image(group, rows) over the model's weights.
-
-    The terms come from the model's cached bone groups: bones in
-    first-use order, each bone's rows ascending, so every backend adds
-    the same terms in the same order.  image gets the group's index.  The
-    output has a row per mesh vertex.
-    """
-    out = np.zeros((len(model.mesh.vertices), width))
-    with np.errstate(all="ignore"):
-        for g, (_, rows, weights) in enumerate(model.weights.bone_groups):
-            out[rows] += weights[:, None] * image(g, rows)
-    return out
-
-
 def _group_bones(model: RiggedModel, skeleton: Skeleton) -> tuple:
     """(pose rows, bone indices, missing) of the model's bone groups, kept per skeleton.
 
@@ -265,47 +251,62 @@ def _group_bones(model: RiggedModel, skeleton: Skeleton) -> tuple:
     return pose_rows, indices, missing
 
 
-def _deform_versors(model: RiggedModel, pose: Pose):
-    """image(group, rows) for the conformal backends: grade-1 sandwich images (k, 5) of the lifted rows.
+def _blend(model: RiggedModel, skeleton: Skeleton, rejected, build, singular, source, mats, shifts=None, project=None):
+    """Each vertex's sum of w * project(source[rows] @ mats[g] + shifts[g]) over its bone groups g.
 
-    Every group's deform versor global * offset and its sandwich block come
-    from one stacked pass.  A group raises on its turn, in this order, a
-    KeyError for a bone id the pose lacks, the error of an offset that
-    trs_versors rejects, or the SingularVersor of its deform versor.
+    The groups write their images, group-major, into one term buffer
+    (SkinWeights.blend_terms) up to the first that fails, which raises after
+    project: a KeyError for a bone id skeleton lacks, else the error of an
+    offset that build rejects, else singular[g].  One pass per slot then
+    adds the weighted terms from zeros, each vertex's in group order; a
+    vertex without one reads 0.
     """
-    if not model.weights.bone_groups:
-        return None
-    lifted = model.mesh.lifted_vertices
-    pose_rows, indices, missing = _group_bones(model, pose.skeleton)
-    offsets, rejected = model.skeleton.offset_versors
-    deform = geometric_products(pose.global_versors[pose_rows], offsets[indices])
-    blocks, singular = sandwich_blocks(deform)
+    _, bounds, _, weights, slots, verts = model.weights.blend_terms
+    _, indices, missing = _group_bones(model, skeleton)
+    unbuilt = np.flatnonzero(np.isin(indices, list(rejected))).tolist() if rejected else ()
+    stop = min([*missing, *unbuilt, *singular], default=len(indices))
+    terms = np.empty((bounds[stop], mats.shape[2]))
+    for g, (_, rows, _) in enumerate(model.weights.bone_groups[:stop]):
+        np.matmul(source[rows], mats[g], out=terms[bounds[g] : bounds[g + 1]])
+        if shifts is not None:
+            terms[bounds[g] : bounds[g + 1]] += shifts[g]
+    terms = terms if project is None else project(terms)
+    if stop in missing:
+        raise KeyError(missing[stop])
+    if stop in unbuilt:
+        build(*trs_rows([model.bones[indices[stop]].offset]))
+    if stop in singular:
+        raise singular[stop]
+    terms *= weights
+    acc = np.zeros((len(verts), terms.shape[1]))
+    for index in slots:
+        acc[: len(index)] += terms.take(index, axis=0)
+    out = np.zeros((len(model.mesh.vertices), terms.shape[1]))
+    out[verts] = acc
+    return out
 
-    def image(g, rows):
-        if g in missing:
-            raise KeyError(missing[g])
-        if indices[g] in rejected:
-            trs_versors(*trs_rows([model.bones[indices[g]].offset]))
-        if g in singular:
-            raise singular[g]
-        return lifted[rows] @ blocks[g]
 
-    return image
+def _sandwich_blend(model: RiggedModel, pose: Pose, project=None) -> np.ndarray:
+    """_blend of the lifted rows' grade-1 images (T, 5) under each group's deform versor global * offset."""
+    blocks, singular, rejected = np.empty((0, 5, 5)), {}, ()
+    if model.weights.bone_groups:  # a rig without weights reads no pose and no offset
+        pose_rows, indices, _ = _group_bones(model, pose.skeleton)
+        offsets, rejected = model.skeleton.offset_versors
+        blocks, singular = sandwich_blocks(geometric_products(pose.global_versors[pose_rows], offsets[indices]))
+    return _blend(model, pose.skeleton, rejected, trs_versors, singular, model.mesh.lifted_vertices, blocks, None, project)
 
 
 def skin_cga(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Conformal skinning, projecting each term: sum_n w_n down(S_n up(v))."""
     with np.errstate(all="ignore"):
-        sandwich = _deform_versors(model, pose)
-    out = _blend(model, 3, lambda g, rows: down_block(sandwich(g, rows), rows))
+        out = _sandwich_blend(model, pose, lambda images: down_block(images, model.weights.blend_terms[2]))
     return SkinnedFrame(out, "cga", pose.time)
 
 
 def skin_cga_sum(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Conformal skinning, projecting once: down(sum_n w_n S_n up(v))."""
     with np.errstate(all="ignore"):
-        acc = _blend(model, 5, _deform_versors(model, pose))
-        out = down_block(acc)
+        out = down_block(_sandwich_blend(model, pose))
     return SkinnedFrame(out, "cga_sum", pose.time)
 
 
@@ -321,22 +322,15 @@ def _deform_matrices(model: RiggedModel, pose: Pose) -> tuple:
 
 
 def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
-    """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v."""
-    if not model.weights.bone_groups:
-        return SkinnedFrame(_blend(model, 3, None), "lbs", pose.time)
+    """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v, as v @ R_n.T + t_n."""
+    mats, shifts, rejected = np.empty((0, 3, 3)), None, ()
     with np.errstate(all="ignore"):
-        deform, rejected = _deform_matrices(model, pose)
-    _, indices, missing = _group_bones(model, pose.skeleton)
-
-    def image(g, rows):
-        if g in missing:
-            raise KeyError(missing[g])
-        if indices[g] in rejected:
-            trs_matrices(*trs_rows([model.bones[indices[g]].offset]))
-        m = deform[indices[g]]
-        return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
-
-    return SkinnedFrame(_blend(model, 3, image), "lbs", pose.time)
+        if model.weights.bone_groups:
+            deform, rejected = _deform_matrices(model, pose)
+            m = deform[_group_bones(model, pose.skeleton)[1]]
+            mats, shifts = m[:, :3, :3].transpose(0, 2, 1), m[:, :3, 3]
+        out = _blend(model, pose.skeleton, rejected, trs_matrices, {}, model.mesh.vertices, mats, shifts)
+    return SkinnedFrame(out, "lbs", pose.time)
 
 
 def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:

@@ -83,21 +83,42 @@ class SkinWeights:
 
     @functools.cached_property
     def bone_groups(self) -> tuple:
-        """(bone id, rows, weights) per influencing bone, built on first use.
+        """(bone id, rows, weights) per influencing bone, read-only views of blend_terms.
 
         Bones go in the order of their first use in the weights table;
         rows ascend and weights[i] is row rows[i]'s weight for the bone.
         """
-        ids, ws = self.ids, self.ws
-        bones, first = np.unique(ids[ids >= 0], return_index=True)
-        groups = []
-        for bone_id in bones[np.argsort(first)].tolist():
-            rows, cols = np.nonzero(ids == bone_id)
-            weights = ws[rows, cols]
-            rows.setflags(write=False)
-            weights.setflags(write=False)
-            groups.append((bone_id, rows, weights))
-        return tuple(groups)
+        bones, bounds, rows, weights, _, _ = self.blend_terms
+        return tuple((b, rows[i:j], weights[i:j, 0]) for b, i, j in zip(bones, bounds[:-1], bounds[1:]))
+
+    @functools.cached_property
+    def blend_terms(self) -> tuple:
+        """(bones, bounds, rows, weights, slots, verts): every influence as a term, group-major, read-only.
+
+        Group g, of bone id bones[g], holds terms bounds[g]:bounds[g + 1];
+        term t weights row rows[t] by weights[t], a (T, 1) column.  verts
+        lists the rows with a term, most terms first, and slots[s][i] is the
+        s-th term, in group order, of row verts[i].  Of a row that lists a
+        bone twice only the later term is in a slot, as out[rows] += x keeps
+        a repeated row's last write.
+        """
+        ids = self.ids.ravel()
+        entries = np.flatnonzero(ids >= 0)  # row-major: rows ascend, then slots
+        bones, first, group = np.unique(ids[entries], return_index=True, return_inverse=True)
+        group = np.argsort(np.argsort(first))[group]  # numbered in the bones' first-use order
+        by_group = np.argsort(group, kind="stable")
+        group, entries = group[by_group], entries[by_group]
+        rows, weights = entries // MAX_INFLUENCES, self.ws.ravel()[entries][:, None]
+        bounds = tuple(np.searchsorted(group, np.arange(len(bones) + 1)).tolist())
+        kept = np.flatnonzero(np.diff(group * len(self) + rows, append=-1) != 0)  # of a bone a row lists twice, the later term
+        order = kept[np.argsort(rows[kept], kind="stable")]  # each vertex's terms in group order
+        count = np.bincount(rows[kept], minlength=len(self))
+        verts = np.argsort(-count, kind="stable")[: np.count_nonzero(count)]
+        start = (np.cumsum(count) - count)[verts]
+        slots = tuple(order[start[: np.count_nonzero(count > s)] + s] for s in range(count.max(initial=0)))
+        for a in (rows, weights, *slots, verts):
+            a.setflags(write=False)
+        return tuple(bones[np.argsort(first)].tolist()), bounds, rows, weights, slots, verts
 
     @functools.cached_property
     def pivot_bones(self) -> tuple:

@@ -55,6 +55,7 @@ from mvskin.rig import (
 from mvskin.tear import open_tear, tear
 from mvskin.weights import SkinWeights
 
+import blend_oracle
 import dq_oracle
 from cga_oracle import dense_sandwich_matrix, transform_points
 
@@ -555,7 +556,7 @@ def test_dq_overflow_names_the_first_bad_bone_in_bones_order(flip):
 @given(st.integers(1, 70), st.integers(1, 200), st.integers(0, 2**64 - 1))
 def test_dq_frame_has_the_bytes_of_the_column_stack_oracle(n_bones, n_vertices, seed):
     # hemisphere flips, pivot ties, zero weights, non-unit scales, repeated
-    # ids and overflowing poses (dq_oracle.random_rig); tests/dq_sweep.py
+    # ids and overflowing poses (dq_oracle.random_rig); tests/skin_sweep.py
     # runs the same check on more rigs than the tier-1 budget holds
     model, t = dq_oracle.random_rig(random.Random(seed), n_bones, n_vertices)
     pose = global_pose_at(model, "c", t)
@@ -577,6 +578,105 @@ def test_dq_oracle_rigs_reach_every_outcome():
         "dq skinning: bone ",
         "dq skinning produced a non-finite position at vertex ",
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 200), st.integers(0, 2**64 - 1))
+def test_slot_blend_has_the_bytes_of_the_per_group_oracle(n_bones, n_vertices, seed):
+    # cga, cga_sum and lbs against one fancy-index add per bone group
+    # (tests/blend_oracle.py) on dq_oracle.random_rig rigs: the frame's bytes,
+    # or the error's type and message; tests/skin_sweep.py checks more rigs
+    model, t = dq_oracle.random_rig(random.Random(seed), n_bones, n_vertices)
+    pose = global_pose_at(model, "c", t)
+    for name, oracle in blend_oracle.SKIN.items():
+        assert dq_oracle.outcome(SKIN_BACKENDS[name], model, pose) == dq_oracle.outcome(oracle, model, pose), name
+
+
+def three_bone_model(weights):
+    """Three unit bones off a root, keyed so that each moves its rows differently; weights unvalidated."""
+    bones = (Bone(0, None), Bone(1, 0), Bone(2, 0))
+    vertices = [[0.3, -0.2, 0.9], [1.3, 0.0, 0.9], [0.3, 1.0, 0.9], [-0.7, 0.4, 0.2]]
+    m = RiggedModel(Mesh(vertices, [[0, 1, 2]]), bones, weights, {})
+    m = keyed(m, "c", 1, 0.0, translation=(0.5, -1.0, 2.0), scale=1.5)
+    return keyed(m, "c", 2, 0.0, rotation=tuple(quat.from_axis_angle((1.0, 2.0, 0.0), 0.6)))
+
+
+def test_a_vertex_without_influence_and_a_repeated_bone_keep_the_per_group_result():
+    # validate_model rejects both rows, but a RiggedModel holds them: a vertex
+    # with no influence reads 0, and of a row that lists a bone twice only the
+    # later term counts, as the fancy-index add keeps a repeated row's last write
+    m = three_bone_model((((0, 0.5), (1, 0.5)), (), ((1, 0.25), (2, 0.5), (1, 0.75)), ((2, 1.0),)))
+    pose = global_pose_at(m, "c", 0.0)
+    for name, oracle in blend_oracle.SKIN.items():
+        assert dq_oracle.outcome(SKIN_BACKENDS[name], m, pose) == dq_oracle.outcome(oracle, m, pose), name
+    with pytest.raises(PointAtInfinity, match="point 1:"):  # the zero sum has no Euclidean point
+        skin_cga_sum(m, pose)
+    moved = {b: pose.global_matrices[pose.skeleton.rows[b]] for b in (1, 2)}
+    image = {b: moved[b][:3, :3] @ m.mesh.vertices[2] + moved[b][:3, 3] for b in (1, 2)}
+    for fn in (skin_cga, skin_lbs):
+        positions = fn(m, pose).positions
+        assert positions[1].tobytes() == np.zeros(3).tobytes()
+        assert np.allclose(positions[2], 0.75 * image[1] + 0.5 * image[2], rtol=0.0, atol=1e-12)
+        assert not np.allclose(positions[2], 0.25 * image[1] + 0.75 * image[1] + 0.5 * image[2], rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 5, "5 weighted"])
+def test_a_weight_table_of_another_length_than_the_mesh_keeps_the_per_group_result(rows):
+    # unvalidated: the vertices past a short table read 0, a long table's
+    # empty rows are never read, and a weighted row past the mesh raises the
+    # IndexError of the per-group gather
+    one = ((1, 0.5), (2, 0.5))
+    weights = {0: (), 2: (one, one), 5: (one,) * 4 + ((),), "5 weighted": (one,) * 5}[rows]
+    m = three_bone_model(weights)
+    pose = global_pose_at(m, "c", 0.0)
+    for name, oracle in blend_oracle.SKIN.items():
+        got = dq_oracle.outcome(SKIN_BACKENDS[name], m, pose)
+        assert got == dq_oracle.outcome(oracle, m, pose), name
+        assert (got[0] == "IndexError") == (rows == "5 weighted"), name
+
+
+@pytest.mark.parametrize("far_first", [True, False])
+def test_the_first_group_that_fails_raises_its_own_error(far_first):
+    # cga projects each group's images before a later group's error; cga_sum
+    # projects only the sum, and lbs has no projection, so a bone id with no
+    # bone wins there wherever its group falls
+    far = ((0, 1.0),)  # vertex 0, at 1e9 along x, has no Euclidean image
+    unknown = ((9, 1.0),)
+    weights = (far, unknown, unknown, far) if far_first else (unknown, far, far, unknown)
+    m = RiggedModel(Mesh([[1e9, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [1e9, 1.0, 0.0]], [[0, 1, 2]]),
+                    (Bone(0, None),), weights, {})
+    pose = global_pose_at(m, None, 0.0)
+    expect = {"cga": "PointAtInfinity" if far_first else "KeyError", "cga_sum": "KeyError", "lbs": "KeyError"}
+    for name, oracle in blend_oracle.SKIN.items():
+        got = dq_oracle.outcome(SKIN_BACKENDS[name], m, pose)
+        assert got == dq_oracle.outcome(oracle, m, pose) and got[0] == expect[name], name
+    if far_first:
+        assert dq_oracle.outcome(skin_cga, m, pose)[1].startswith("point 0:")
+
+
+@pytest.mark.parametrize("name", ["cylinders", "arm", "tube16"])
+def test_blend_slots_hold_each_vertex_terms_in_group_order(name):
+    model = {"cylinders": make_cylinders_model, "arm": make_arm_model, "tube16": chain_tube_model}[name]()
+    ids, ws = model.weights.ids, model.weights.ws
+    table = model.weights.blend_terms
+    assert table is model.weights.blend_terms
+    bones, bounds, rows, weights, slots, verts = table
+    # the bone groups are views of the table, as the per-bone search over ids built them
+    order = list(dict.fromkeys(ids[ids >= 0].tolist()))
+    assert bones == tuple(order) and len(bounds) == len(bones) + 1
+    for (bone_id, rows_g, weights_g), b, i, j in zip(model.weights.bone_groups, bones, bounds, bounds[1:]):
+        r, c = np.nonzero(ids == b)
+        assert bone_id == b and rows_g.tobytes() == r.tobytes() == rows[i:j].tobytes()
+        assert weights_g.tobytes() == ws[r, c].tobytes() == weights[i:j, 0].tobytes()
+    assert weights.shape == (len(rows), 1) and bounds[-1] == len(rows)
+    assert 0 < len(slots) <= 4 and [len(s) for s in slots] == sorted(map(len, slots), reverse=True)
+    assert sorted(verts.tolist()) == np.flatnonzero((ids >= 0).any(axis=1)).tolist()
+    terms = [[] for _ in range(len(model.weights))]
+    for index in slots:
+        for v, t in zip(verts.tolist(), index.tolist()):
+            terms[v].append(t)
+    assert terms == [np.flatnonzero(rows == v).tolist() for v in range(len(model.weights))]
+    assert not any(a.flags.writeable for a in (rows, weights, *slots, verts))
 
 
 def test_weight_partition_property():
@@ -727,7 +827,13 @@ def test_edited_models_build_their_own_caches():
     m = make_cylinders_model()
     doc = json.loads(resources.files("mvskin.data").joinpath("cylinders_tear.json").read_text())
     (act,) = validate_script(m, doc)
-    caches = (m.weights.bone_groups, m.mesh.lifted_vertices, m.weights.pivot_bones, m.mesh.obj_face_block)
+    caches = (
+        m.weights.bone_groups,
+        m.mesh.lifted_vertices,
+        m.weights.pivot_bones,
+        m.mesh.obj_face_block,
+        m.weights.blend_terms,
+    )
     halves = cut(m, make_plane((0.0, 0.0, 1.0), 10.0))
     derived = {
         "cut_m1": halves.m1,
@@ -737,6 +843,10 @@ def test_edited_models_build_their_own_caches():
     for name, d in derived.items():
         assert d.weights.bone_groups is not caches[0], name
         assert sum(len(rows) for _, rows, _ in d.weights.bone_groups) == int((d.weights.ids >= 0).sum())
+        # the slot table of the blend: every influence a term, each vertex's in its slots
+        _, bounds, rows, _, slots, _ = d.weights.blend_terms
+        assert d.weights.blend_terms is not caches[4], name
+        assert bounds[-1] == len(rows) == sum(map(len, slots)) == int((d.weights.ids >= 0).sum()), name
         assert d.mesh.lifted_vertices is not caches[1], name
         assert d.mesh.lifted_vertices.tobytes() == up_block(d.mesh.vertices).tobytes(), name
         assert not d.mesh.lifted_vertices.flags.writeable
@@ -836,7 +946,8 @@ def test_generate_keyframe_keeps_the_clip_free_caches():
     # the caches live on the mesh and the weight table, which a keyed model shares
     assert m2.mesh is m.mesh and m2.weights is m.weights
     assert {"lifted_vertices"} <= m.mesh.__dict__.keys()
-    assert {"bone_groups", "pivot_bones"} <= m.weights.__dict__.keys()
+    assert {"bone_groups", "pivot_bones", "blend_terms"} <= m.weights.__dict__.keys()
+    terms = m.weights.blend_terms  # built once per table, shared by every frame of every model on it
     assert m2.skeleton is m.skeleton  # and so does the skeleton, on the same bones tuple
     # a model with the same clips and no caches skins to the same bytes
     fresh = RiggedModel(
@@ -846,13 +957,14 @@ def test_generate_keyframe_keeps_the_clip_free_caches():
         m2.clips,
     )
     assert "lifted_vertices" not in fresh.mesh.__dict__
-    assert not {"bone_groups", "pivot_bones"} & fresh.weights.__dict__.keys()
+    assert not {"bone_groups", "pivot_bones", "blend_terms"} & fresh.weights.__dict__.keys()
     assert fresh.skeleton is not m2.skeleton
     for name, backend in SKIN_BACKENDS.items():
         for t in (0.0, 0.6, 1.0):
             a = backend(m2, global_pose_at(m2, "c", t)).positions
             b = backend(fresh, global_pose_at(fresh, "c", t)).positions
             assert a.tobytes() == b.tobytes(), (name, t)
+    assert m2.weights.blend_terms is terms and fresh.weights.blend_terms is not terms
 
 
 def test_generate_keyframe_unknown_bone():

@@ -147,14 +147,23 @@ def compare_pose(model, t):
             by_row = [getattr(ref, globals_)[b.id] for b in pose.skeleton.order]
             assert same_outcome(outcome(lambda: getattr(pose, stack)), ("ok", by_row), bytes_of=canonical)
 
-    # deform transforms: each weight group's grade-1 images in blend order, up
-    # to the first error; every bone's deform matrix whose offset builds
+    # deform transforms: each weight group's grade-1 images in the term buffer,
+    # group-major, up to the first error; every bone's deform matrix whose offset builds
     groups = model.weights.bone_groups
     if chained["global_versors"] and groups:
-        _, image = outcome(lambda: animate._deform_versors(model, pose))
+        images = []
+
+        def keep(terms):  # the images of the groups before the first that fails, before weighting
+            images.append(terms.copy())
+            return terms
+
+        error = outcome(lambda: animate._sandwich_blend(model, pose, keep))
+        (terms,) = images
+        bounds = model.weights.blend_terms[1]
         ref_image = oracle.sandwich_images(model, ref)
         for g, (bone_id, rows_g, _) in enumerate(groups):
-            if not same_outcome(outcome(lambda: image(g, rows_g)), outcome(lambda: ref_image(bone_id, rows_g))):
+            got = ("ok", terms[bounds[g] : bounds[g + 1]]) if bounds[g + 1] <= len(terms) else error
+            if not same_outcome(got, outcome(lambda: ref_image(bone_id, rows_g))):
                 break
     if chained["global_matrices"]:
         _, (stack, rejected) = outcome(lambda: animate._deform_matrices(model, pose))
