@@ -40,7 +40,7 @@ import numpy as np
 
 from .algebra import Multivector
 from .errors import NonManifoldCut
-from .rig import Mesh, RiggedModel, validate_model
+from .rig import Mesh, RiggedModel, _derived_mesh, validate_model
 from .section import Section, in_parent_order
 from .weights import weight_by_edge
 
@@ -139,13 +139,18 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     halves = {}
     for side in (1, -1):
         kept = np.flatnonzero(face_side == side)
+        rows = np.flatnonzero(signs == side)
+        faces, _ = in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side])
         half = RiggedModel(
-            Mesh(
-                np.vstack([verts[signs == side], positions]),
-                in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side]),
+            # its original vertices copy their rows; its faces are renumbered
+            _derived_mesh(
+                np.vstack([verts[rows], positions]),
+                faces,
+                mesh,
+                np.concatenate([rows, np.full(len(positions), -1)]),
             ),
             model.bones,
-            model.weights.take(signs == side).extend(seam_weights),
+            model.weights.take(rows).extend(seam_weights),
             model.clips,
         )
         validate_model(half)

@@ -286,10 +286,20 @@ class Bone:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Triangle mesh: float64 vertices (n, 3) and int64 faces (m, 3)."""
+    """Triangle mesh: float64 vertices (n, 3) and int64 faces (m, 3).
+
+    A mesh caches the OBJ text of its own rows, built once and only when
+    an export reads it.  A mesh made by cut, tear or open_tear also
+    carries a private row map onto the mesh its rows came from
+    (_derived_mesh), and export_obj takes the rows that map names from
+    that mesh's text.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
+    # (root mesh, root vertex row of each vertex, root face row of each
+    # face), -1 for a new row; None for a mesh that is its own root
+    _rows = None
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -300,15 +310,23 @@ class Mesh:
         object.__setattr__(self, "faces", f)
 
     @functools.cached_property
-    def obj_face_block(self) -> bytes:
-        """The bytes of the OBJ "f a b c" lines (1-based) of the faces, built on first export.
+    def _vertex_table(self) -> tuple:
+        """(text, offsets) of the OBJ "v" lines of the vertices, built once: _line_table."""
+        return _line_table(self.vertices, faces=False)
 
-        _objtext.face_lines formats _objtext.CHUNK_ROWS faces per call, so
-        its temporaries stay those of one chunk; every export of this mesh
-        writes the same bytes.
+    @functools.cached_property
+    def _face_table(self) -> tuple:
+        """(text, offsets) of the OBJ "f" lines (1-based) of the faces, built once: _line_table."""
+        return _line_table(self.faces, faces=True)
+
+    @functools.cached_property
+    def obj_face_block(self) -> bytes:
+        """The bytes of the OBJ "f a b c" lines (1-based) of the faces, built on first read.
+
+        Every frame export of this mesh writes them as they are.  For a
+        mesh that is its own root they are the text of its face table.
         """
-        rows = _objtext.CHUNK_ROWS
-        return b"".join(_objtext.face_lines(self.faces[i : i + rows] + 1) for i in range(0, len(self.faces), rows))
+        return b"".join(_obj_lines(self, faces=True))
 
     @functools.cached_property
     def lifted_vertices(self) -> np.ndarray:
@@ -932,6 +950,87 @@ def save_rig(model: RiggedModel, path) -> None:
 # OBJ export
 
 
+def _line_table(rows: np.ndarray, faces: bool) -> tuple:
+    """(text, offsets): the OBJ lines of rows and where each begins, then the end.
+
+    One routine for both kinds of line: _objtext.vertex_lines, or
+    _objtext.face_lines of rows + 1 (1-based), formats
+    _objtext.CHUNK_ROWS rows per call, so its temporaries stay those of
+    one chunk.  The len(rows) + 1 offsets come from the newlines, as each
+    line ends in the only one it holds.
+    """
+    step = _objtext.CHUNK_ROWS
+    chunks = (rows[i : i + step] for i in range(0, len(rows), step))
+    text = b"".join(_objtext.face_lines(c + 1) if faces else _objtext.vertex_lines(c) for c in chunks)
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
+    return text, np.concatenate([np.zeros(1, np.intp), ends])
+
+
+def _derived_mesh(vertices, faces, source: Mesh, vertex_rows=None, face_rows=None) -> Mesh:
+    """Mesh(vertices, faces) with a row map onto the root of source.
+
+    vertex_rows[i] (face_rows[i]) is the row of source that vertex (face)
+    i copies, or -1 for a new row; None makes every row new.  When source
+    has a map of its own, the two compose, so the map always names the
+    root: a chain of edits never keeps its intermediate meshes alive.
+    """
+    mesh = Mesh(vertices, faces)
+    root, *through = source._rows or (source, None, None)
+    maps = []
+    for rows, n, via in zip((vertex_rows, face_rows), (len(mesh.vertices), len(mesh.faces)), through):
+        out = np.full(n, -1, dtype=np.int64)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            copied = rows >= 0
+            out[copied] = rows[copied] if via is None else via[rows[copied]]
+        out.setflags(write=False)
+        maps.append(out)
+    object.__setattr__(mesh, "_rows", (root, *maps))
+    return mesh
+
+
+def _obj_lines(mesh: Mesh, faces: bool):
+    """The OBJ v (or f) lines of mesh, as pieces of text to write in order.
+
+    A mesh that is its own root gives one piece, its cached table.  Else
+    a row is taken from its root's cached table where the row map names a
+    root row and the two rows are equal bit for bit (compared as int64, so
+    -0.0 and NaN payloads count); each maximal run of such rows with
+    consecutive root rows is one slice of that text.  Every other row is
+    formatted, _objtext.CHUNK_ROWS at a time, so a wrong map costs time
+    but never a byte, and a map that reuses no row never builds the
+    root's table.
+    """
+    table = "_face_table" if faces else "_vertex_table"
+    if mesh._rows is None:
+        yield getattr(mesh, table)[0]
+        return
+    root, source = mesh._rows[0], mesh._rows[2 if faces else 1]
+    rows, root_rows = (mesh.faces, root.faces) if faces else (mesh.vertices, root.vertices)
+    copied = (source >= 0) & (source < len(root_rows))
+    if copied.any():
+        # one gather and three column passes: numpy would reduce a 3-wide
+        # row axis row by row
+        bits = rows.view(np.int64) ^ root_rows.view(np.int64).take(np.where(copied, source, 0), axis=0)
+        copied &= (bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0
+    new = ~copied
+    text, offsets = _line_table(rows[new], faces)
+    if new.all():
+        yield text
+        return
+    root_text, root_offsets = getattr(root, table)
+    # each row's text as [begin, end) in the root's text, or in the new
+    # rows' text shifted past it by one, so no piece spans both
+    shift = len(root_text) + 1
+    begin, end = np.empty(len(rows), np.intp), np.empty(len(rows), np.intp)
+    begin[copied], end[copied] = root_offsets[source[copied]], root_offsets[source[copied] + 1]
+    begin[new], end[new] = offsets[:-1] + shift, offsets[1:] + shift
+    breaks = np.flatnonzero(begin[1:] != end[:-1]) + 1
+    root_view = memoryview(root_text)
+    for a, b in zip(begin[np.append(0, breaks)].tolist(), end[np.append(breaks, len(rows)) - 1].tolist()):
+        yield root_view[a:b] if a < shift else text[a - shift : b - shift]
+
+
 def export_obj(mesh: Mesh, path, vertices=None) -> None:
     """Write a minimal OBJ file: v lines at full precision, 1-based faces.
 
@@ -941,25 +1040,37 @@ def export_obj(mesh: Mesh, path, vertices=None) -> None:
     "v %.17g %.17g %.17g" line per vertex and one "f %d %d %d" line per
     face.
 
-    The v lines come from a numpy kernel, _objtext.vertex_lines, one
-    call and one write per _objtext.CHUNK_ROWS (512) rows; a whole arm
-    frame at once raised the benchmark's peak RSS by 8%.  Its fast set
-    is 1e-4 <= |x| < 1e16, and 0: %g writes such an x in fixed notation
-    from the 17 digits D = round(|x| * 10**(16 - e)), and 10**(16 - e)
-    is a double there, as 16 - e <= 21.  Dekker's two-product gives D
-    exactly as hi + lo; hi is an even integer, so rint's ties to even
-    on lo round D half to even, as %g does.  Any other coordinate
-    (subnormal, tiny, huge, inf, nan) is written by "%.17g" %.
+    The lines come from two numpy kernels, _objtext.vertex_lines and
+    _objtext.face_lines, one call per _objtext.CHUNK_ROWS (512) rows; a
+    whole arm frame at once raised the benchmark's peak RSS by 8%.  The
+    vertex kernel's fast set is 1e-4 <= |x| < 1e16, and 0: %g writes
+    such an x in fixed notation from the 17 digits
+    D = round(|x| * 10**(16 - e)), and 10**(16 - e) is a double there,
+    as 16 - e <= 21.  Dekker's two-product gives D exactly as hi + lo;
+    hi is an even integer, so rint's ties to even on lo round D half to
+    even, as %g does.  Any other coordinate (subnormal, tiny, huge, inf,
+    nan) is written by "%.17g" %.  The face kernel writes each index from
+    the ASCII words of its 4-digit groups, the first without leading
+    zeros; a negative index (an int64 that wrapped in faces + 1) is
+    written by "%d" %.
 
-    The f lines are mesh.obj_face_block, bytes built on the first export
-    of the mesh by a second kernel, _objtext.face_lines, and written as
-    they are by every later one: every frame of a model shares its mesh,
-    and a cut or torn model has a new mesh that builds its own block.
-    The kernel writes each index from the ASCII words of its 4-digit
-    groups, the first without leading zeros; a negative index (an int64
-    that wrapped in faces + 1) is written by "%d" %.
+    With vertices given, each chunk of v lines is formatted and written,
+    then mesh.obj_face_block, built on the first frame and written as
+    it is by every later one: every frame of a model shares its mesh.
+
+    Without vertices, the mesh's own rows are written (_obj_lines).  A
+    mesh that is its own root writes its cached text.  A cut half or a
+    torn model writes every row it copies bit for bit from its root as a
+    slice of the root's cached text, one slice per run of consecutive
+    root rows, and formats only its other rows: its seam points, inserted
+    points, twins and split faces.
     """
-    vertices = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
+    if vertices is None:
+        with open(path, "wb") as fh:
+            fh.writelines(_obj_lines(mesh, faces=False))
+            fh.writelines(_obj_lines(mesh, faces=True))
+        return
+    vertices = np.asarray(vertices, dtype=np.float64)
     if vertices.shape != mesh.vertices.shape:
         raise ValueError(f"vertices must have shape {mesh.vertices.shape}, got {vertices.shape}")
     with open(path, "wb") as fh:

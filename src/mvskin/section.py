@@ -147,13 +147,15 @@ class Section:
         return chains
 
 
-def in_parent_order(kept: np.ndarray, kept_ids: np.ndarray, children: list, parents: list) -> np.ndarray:
+def in_parent_order(kept: np.ndarray, kept_ids: np.ndarray, children: list, parents: list) -> tuple:
     """Kept faces and split children as one (n, 3) face array in parent face order.
 
     kept[i] is face kept_ids[i] itself, and children[j] is a child of
     face parents[j].  The sort is stable, so the children of one face
-    keep the order they were emitted in.
+    keep the order they were emitted in.  Returns the faces and, per
+    face, the kept id it came from or -1 for a child.
     """
     faces = np.concatenate([kept, np.array(children, dtype=np.int64).reshape(-1, 3)])
     order = np.argsort(np.concatenate([kept_ids, np.array(parents, dtype=np.int64)]), kind="stable")
-    return faces[order]
+    sources = np.concatenate([kept_ids, np.full(len(children), -1, dtype=np.int64)])
+    return faces[order], sources[order]

@@ -72,7 +72,7 @@ from .errors import (
     NoIntersection,
     PathNotFound,
 )
-from .rig import Mesh, RiggedModel, bbox_diagonal, validate_model
+from .rig import Mesh, RiggedModel, _derived_mesh, bbox_diagonal, validate_model
 from .section import Section, in_parent_order, section_eps, unit_plane
 from .weights import MAX_INFLUENCES, SkinWeights, weight_by_barycentric, weight_by_edge
 
@@ -159,6 +159,18 @@ class TearResult:
 # --------------------------------------------------------------- scalpel hit
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two float64 3-vectors, bit for bit, as Python floats.
+
+    The same products and differences in np.cross's order, without its
+    moveaxis and axis checks, which cost more than the arithmetic for one
+    pair.  An overflow gives inf or nan as there, with no warning.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
     """Transversal segment-triangle crossing, or None.
 
@@ -169,7 +181,7 @@ def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
     a = verts[tri[0]]
     e1 = verts[tri[1]] - a
     e2 = verts[tri[2]] - a
-    h = np.cross(dvec, e2)
+    h = _cross(dvec, e2)
     det = float(e1 @ h)
     if abs(det) < 1e-300:
         return None
@@ -178,7 +190,7 @@ def _face_hit(verts: np.ndarray, tri, p0: np.ndarray, dvec: np.ndarray):
     u = float(s @ h) * inv
     if not 0.0 <= u <= 1.0:
         return None
-    q = np.cross(s, e1)
+    q = _cross(s, e1)
     v = float(dvec @ q) * inv
     if v < 0.0 or u + v > 1.0:
         return None
@@ -289,7 +301,7 @@ def build_tear_plane(anchor: TearAnchor, scalpel_next: ScalpelState) -> Multivec
     s = np.asarray(anchor.point, dtype=np.float64)
     a = np.asarray(scalpel_next.tip, dtype=np.float64) - s
     b = np.asarray(scalpel_next.tail, dtype=np.float64) - s
-    n = np.cross(a, b)
+    n = _cross(a, b)
     norm = float(np.linalg.norm(n))
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     if norm <= 1e-12 * scale or scale == 0.0:
@@ -409,7 +421,7 @@ def _clear_of_slivers(corners: np.ndarray) -> np.ndarray:
     """Which triangles of an (m, 3, 3) corner array surely pass the sliver test.
 
     The cross products are elementwise, so each matches the per-child
-    np.cross bit for bit; only the squared norm may round differently,
+    _cross bit for bit; only the squared norm may round differently,
     which _SLIVER_CLEAR allows for.  A non-finite norm is never clear.
     """
     with np.errstate(all="ignore"):
@@ -540,7 +552,7 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
         if sure and tri[0] not in remap and tri[1] not in remap and tri[2] not in remap:
             continue  # its corners are its own: the batched area decides
         a, b, c = (positions[find(v)] for v in tri)
-        if 0.5 * np.linalg.norm(np.cross(b - a, c - a)) >= 1e-12:
+        if 0.5 * np.linalg.norm(_cross(b - a, c - a)) >= 1e-12:
             continue
         for i, j in ((0, 1), (1, 2), (2, 0)):
             vi, vj = find(tri[i]), find(tri[j])
@@ -603,9 +615,11 @@ def _apply_paths(model: RiggedModel, paths: Sequence[TearPath]) -> RiggedModel:
         path.duplicates = duplicates
 
     kept_ids = np.delete(np.arange(len(mesh.faces)), split)
-    faces = in_parent_order(mesh.faces[kept_ids], kept_ids, children, parents)
+    faces, face_rows = in_parent_order(mesh.faces[kept_ids], kept_ids, children, parents)
+    # the original vertices keep their rows and the kept faces their corners
+    rows = np.asarray(rows, dtype=np.int64)
     torn = RiggedModel(
-        Mesh(positions[rows], faces),
+        _derived_mesh(positions[rows], faces, mesh, np.where(rows < n_orig, rows, -1), face_rows),
         model.bones,
         model.weights.extend(SkinWeights(new_ids, new_ws)).take(rows),
         model.clips,
@@ -625,13 +639,20 @@ def open_tear(model: RiggedModel, path: TearPath, delta: float = None) -> Rigged
         raise ValueError("opening displacement must be non-negative")
     if delta == 0.0 or not path.duplicates:
         return model
-    n_hat = unit_plane(path.plane)[1]
-    verts = np.array(model.mesh.vertices)
-    for left, right in path.duplicates.values():
-        verts[left] += delta * n_hat
-        verts[right] -= delta * n_hat
+    step = delta * unit_plane(path.plane)[1]
+    left, right = np.array(list(path.duplicates.values()), dtype=np.int64).T
+    mesh = model.mesh
+    # the copies are distinct rows: one add moves each, by the same step
+    verts = np.array(mesh.vertices)
+    verts[left] += step
+    verts[right] -= step
+    moved = np.arange(len(verts))
+    moved[left] = moved[right] = -1
     return RiggedModel(
-        Mesh(verts, model.mesh.faces), model.bones, model.weights, model.clips
+        _derived_mesh(verts, mesh.faces, mesh, moved, np.arange(len(mesh.faces))),
+        model.bones,
+        model.weights,
+        model.clips,
     )
 
 

@@ -799,10 +799,14 @@ def recorded_passes(mp):
 
 
 def counted_apply(mp):
-    """Count the np.cross and plane_distances calls made while _apply_paths runs."""
+    """Count the cross products and plane_distances calls made while _apply_paths runs.
+
+    A cross product is a call of np.cross or of the 3-vector tear._cross.
+    """
     counts = {"cross": 0, "plane_distances": 0}
     inside = []
     apply, cross, distances = tear_module._apply_paths, np.cross, tear_module.plane_distances
+    vector_cross = tear_module._cross
 
     def counted(*args, **kwargs):
         inside.append(True)
@@ -820,6 +824,7 @@ def counted_apply(mp):
 
     mp.setattr(tear_module, "_apply_paths", counted)
     mp.setattr(np, "cross", counter("cross", cross))
+    mp.setattr(tear_module, "_cross", counter("cross", vector_cross))
     mp.setattr(tear_module, "plane_distances", counter("plane_distances", distances))
     return counts
 
@@ -871,6 +876,20 @@ def test_batched_passes_leave_non_finite_children_to_the_scalar_tests():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning):
             sliver_passes(*corners[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(width=64), min_size=3, max_size=3),
+    st.lists(st.floats(width=64), min_size=3, max_size=3),
+)
+def test_vector_cross_has_the_bits_of_np_cross(a, b):
+    # _face_hit, build_tear_plane and the scalar sliver test form their
+    # cross products as Python floats
+    a, b = np.array(a), np.array(b)
+    with np.errstate(all="ignore"):
+        want = np.cross(a, b)
+    assert tear_module._cross(a, b).tobytes() == want.tobytes()
 
 
 def test_bundled_arm_tear_makes_no_per_child_numpy_calls(arm, monkeypatch):
