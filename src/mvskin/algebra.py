@@ -547,7 +547,11 @@ def plane_distances(points: np.ndarray, plane: Multivector) -> np.ndarray:
     Computed as the scalar part of the contraction up(p) . plane, which for
     a unit-normal plane equals the Euclidean signed distance.
     """
-    plane = _as_mv(plane, "plane")
+    return up_points(points) @ _contraction_weights(_as_mv(plane, "plane"))[0]
+
+
+def _contraction_weights(plane: Multivector) -> tuple:
+    """(w, w[e1..e5]): <x . plane>_0 = x @ w, finite where the plane is; a lift up_block(p) fills only e1..e5."""
     # <x . plane>_0 = sum_i x[i] plane[i] CAYLEY_SIGNS[i, i]; + 0.0 turns -0 into +0
-    contraction_to_scalar = CAYLEY_SIGNS.diagonal() * plane.coeffs + 0.0
-    return up_points(points) @ contraction_to_scalar
+    w = CAYLEY_SIGNS.diagonal() * plane.coeffs + 0.0
+    return w, w[_G1]

@@ -23,6 +23,15 @@ C-contiguous: a strided slice takes another BLAS path, which rounds
 differently.  Norms and dots use np.vecdot, which rounds as np.dot and
 np.linalg.norm do; np.einsum does not.
 
+Every backend checks, then blends.  Before its first term it raises a
+pose error, then the first offset in model.bones that cannot be built,
+then: cga, cga_sum and lbs the first bone group whose id names no bone,
+and cga and cga_sum the first group whose deform versor is singular; dq
+the first bone matrix without a finite positive determinant, then the
+first unknown id.  Only the blend fails after that: a weight row past
+the mesh (IndexError), a point at infinity (PointAtInfinity) or a
+non-finite vertex (NumericalFailure).
+
 cga, cga_sum and lbs write every bone group's images into one term
 buffer, weight it once, and add it in at most four slot passes: slot s
 holds each vertex's s-th term in group order (SkinWeights.blend_terms),
@@ -234,49 +243,37 @@ def global_pose_at(model: RiggedModel, clip: Optional[str], time: float) -> Pose
 
 
 def _group_bones(model: RiggedModel, skeleton: Skeleton) -> tuple:
-    """(pose rows, bone indices, missing) of the model's bone groups, kept per skeleton.
+    """(pose rows, bone indices) of the model's bone groups, kept per skeleton.
 
     Group g's bone is row pose_rows[g] of a pose on skeleton (the last of
-    equal ids) and model.bones[bone_indices[g]] (the first); missing maps
-    a group whose bone id names no bone to that id, and its entries read 0.
+    equal ids) and model.bones[bone_indices[g]] (the first).  The first
+    group whose bone id names no bone raises KeyError(id).
     """
     cached = model.pose_cache.get("groups")
     if cached is not None and cached[0] is skeleton:
         return cached[1]
     ids = [bone_id for bone_id, _, _ in model.weights.bone_groups]
-    missing = {g: bone_id for g, bone_id in enumerate(ids) if bone_id not in skeleton.rows}
-    pose_rows = np.array([skeleton.rows.get(bone_id, 0) for bone_id in ids], dtype=np.int64)
-    indices = np.array([model.bone_index.get(bone_id, 0) for bone_id in ids], dtype=np.int64)
-    model.pose_cache["groups"] = (skeleton, (pose_rows, indices, missing))
-    return pose_rows, indices, missing
+    pose_rows = np.array([skeleton.rows[bone_id] for bone_id in ids], dtype=np.int64)
+    indices = np.array([model.bone_index[bone_id] for bone_id in ids], dtype=np.int64)
+    model.pose_cache["groups"] = (skeleton, (pose_rows, indices))
+    return pose_rows, indices
 
 
-def _blend(model: RiggedModel, skeleton: Skeleton, rejected, build, singular, source, mats, shifts=None, project=None):
+def _blend(model: RiggedModel, source, mats, shifts=None, project=None):
     """Each vertex's sum of w * project(source[rows] @ mats[g] + shifts[g]) over its bone groups g.
 
     The groups write their images, group-major, into one term buffer
-    (SkinWeights.blend_terms) up to the first that fails, which raises after
-    project: a KeyError for a bone id skeleton lacks, else the error of an
-    offset that build rejects, else singular[g].  One pass per slot then
-    adds the weighted terms from zeros, each vertex's in group order; a
-    vertex without one reads 0.
+    (SkinWeights.blend_terms), and project maps the whole buffer.  One pass
+    per slot then adds the weighted terms from zeros, each vertex's in
+    group order; a vertex without one reads 0.
     """
     _, bounds, _, weights, slots, verts = model.weights.blend_terms
-    _, indices, missing = _group_bones(model, skeleton)
-    unbuilt = np.flatnonzero(np.isin(indices, list(rejected))).tolist() if rejected else ()
-    stop = min([*missing, *unbuilt, *singular], default=len(indices))
-    terms = np.empty((bounds[stop], mats.shape[2]))
-    for g, (_, rows, _) in enumerate(model.weights.bone_groups[:stop]):
+    terms = np.empty((bounds[-1], mats.shape[2]))
+    for g, (_, rows, _) in enumerate(model.weights.bone_groups):
         np.matmul(source[rows], mats[g], out=terms[bounds[g] : bounds[g + 1]])
         if shifts is not None:
             terms[bounds[g] : bounds[g + 1]] += shifts[g]
     terms = terms if project is None else project(terms)
-    if stop in missing:
-        raise KeyError(missing[stop])
-    if stop in unbuilt:
-        build(*trs_rows([model.bones[indices[stop]].offset]))
-    if stop in singular:
-        raise singular[stop]
     terms *= weights
     acc = np.zeros((len(verts), terms.shape[1]))
     for index in slots:
@@ -288,12 +285,14 @@ def _blend(model: RiggedModel, skeleton: Skeleton, rejected, build, singular, so
 
 def _sandwich_blend(model: RiggedModel, pose: Pose, project=None) -> np.ndarray:
     """_blend of the lifted rows' grade-1 images (T, 5) under each group's deform versor global * offset."""
-    blocks, singular, rejected = np.empty((0, 5, 5)), {}, ()
+    blocks = np.empty((0, 5, 5))
     if model.weights.bone_groups:  # a rig without weights reads no pose and no offset
-        pose_rows, indices, _ = _group_bones(model, pose.skeleton)
-        offsets, rejected = model.skeleton.offset_versors
-        blocks, singular = sandwich_blocks(geometric_products(pose.global_versors[pose_rows], offsets[indices]))
-    return _blend(model, pose.skeleton, rejected, trs_versors, singular, model.mesh.lifted_vertices, blocks, None, project)
+        globals_, offsets = pose.global_versors, model.skeleton.offset_versors
+        pose_rows, indices = _group_bones(model, pose.skeleton)
+        blocks, singular = sandwich_blocks(geometric_products(globals_[pose_rows], offsets[indices]))
+        if singular:
+            raise singular[min(singular)]
+    return _blend(model, model.mesh.lifted_vertices, blocks, None, project)
 
 
 def skin_cga(model: RiggedModel, pose: Pose) -> SkinnedFrame:
@@ -310,26 +309,24 @@ def skin_cga_sum(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     return SkinnedFrame(out, "cga_sum", pose.time)
 
 
-def _deform_matrices(model: RiggedModel, pose: Pose) -> tuple:
-    """(deform, rejected): global @ offset of every bone, (B, 4, 4) in bones order, from one stacked product.
+def _deform_matrices(model: RiggedModel, pose: Pose) -> np.ndarray:
+    """global @ offset of every bone, (B, 4, 4) in bones order, from one stacked product.
 
-    Bone j pairs its own offset with the pose's global of its id.  rejected
-    holds the bones whose offset trs_matrices rejects; their rows are garbage.
+    Bone j pairs its own offset with the pose's global of its id.  A pose
+    error raises first, then the first offset that trs_matrices rejects.
     """
-    offsets, rejected = model.skeleton.offset_matrices
     rows = [pose.skeleton.rows[b.id] for b in model.bones]
-    return np.matmul(pose.global_matrices[rows], offsets), rejected
+    return np.matmul(pose.global_matrices[rows], model.skeleton.offset_matrices)
 
 
 def skin_lbs(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     """Linear blend skinning with homogeneous matrices: sum_n w_n M_n v, as v @ R_n.T + t_n."""
-    mats, shifts, rejected = np.empty((0, 3, 3)), None, ()
+    mats, shifts = np.empty((0, 3, 3)), None
     with np.errstate(all="ignore"):
         if model.weights.bone_groups:
-            deform, rejected = _deform_matrices(model, pose)
-            m = deform[_group_bones(model, pose.skeleton)[1]]
+            m = _deform_matrices(model, pose)[_group_bones(model, pose.skeleton)[1]]
             mats, shifts = m[:, :3, :3].transpose(0, 2, 1), m[:, :3, 3]
-        out = _blend(model, pose.skeleton, rejected, trs_matrices, {}, model.mesh.vertices, mats, shifts)
+        out = _blend(model, model.mesh.vertices, mats, shifts)
     return SkinnedFrame(out, "lbs", pose.time)
 
 
@@ -342,15 +339,13 @@ def skin_dq(model: RiggedModel, pose: Pose) -> SkinnedFrame:
     s_n = sign(r_p . r_n) folded into the weight (exactly), p the vertex's
     largest-weight influence (ties go to the lower bone id).  The tail runs
     on (9, n) planes in quat.multiply's and quat.rotate's operation order.
-    The first bone in model.bones whose offset trs_matrices rejects raises
-    its error; the first bone matrix without a finite positive determinant,
-    as an overflowing pose gives, raises NumericalFailure.
+    The first bone matrix without a finite positive determinant, as an
+    overflowing pose gives, raises NumericalFailure (the module docstring
+    gives the order of the checks).
     """
     bones = model.bones
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
-        m, rejected = _deform_matrices(model, pose)
-        if rejected:
-            trs_matrices(*trs_rows([bones[min(rejected)].offset]))
+        m = _deform_matrices(model, pose)
         det = np.linalg.det(m[:, :3, :3])
         ok = (0.0 < det) & (det < np.inf)
         if not ok.all():

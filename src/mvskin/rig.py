@@ -310,23 +310,30 @@ class Mesh:
         object.__setattr__(self, "faces", f)
 
     @functools.cached_property
-    def _vertex_table(self) -> tuple:
-        """(text, offsets) of the OBJ "v" lines of the vertices, built once: _line_table."""
-        return _line_table(self.vertices, faces=False)
-
-    @functools.cached_property
-    def _face_table(self) -> tuple:
-        """(text, offsets) of the OBJ "f" lines (1-based) of the faces, built once: _line_table."""
-        return _line_table(self.faces, faces=True)
+    def _vertex_text(self) -> bytes:
+        """The OBJ "v" lines of the vertices, built once: _line_text."""
+        return _line_text(self.vertices, faces=False)
 
     @functools.cached_property
     def obj_face_block(self) -> bytes:
         """The bytes of the OBJ "f a b c" lines (1-based) of the faces, built on first read.
 
-        Every frame export of this mesh writes them as they are.  For a
-        mesh that is its own root they are the text of its face table.
+        Every frame export of this mesh writes them as they are.  A root
+        formats them whole (_line_text), any other mesh through _obj_lines.
         """
+        if self._rows is None:
+            return _line_text(self.faces, faces=True)
         return b"".join(_obj_lines(self, faces=True))
+
+    @functools.cached_property
+    def _vertex_offsets(self) -> np.ndarray:
+        """_line_offsets of _vertex_text, built when a derived mesh first reuses a line of it."""
+        return _line_offsets(self._vertex_text)
+
+    @functools.cached_property
+    def _face_offsets(self) -> np.ndarray:
+        """_line_offsets of obj_face_block, built when a derived mesh first reuses a line of it."""
+        return _line_offsets(self.obj_face_block)
 
     @functools.cached_property
     def lifted_vertices(self) -> np.ndarray:
@@ -447,8 +454,9 @@ class Skeleton:
     levels holds, for each depth from 1 down, the rows at that depth and
     the rows of their parents (a child's parent row is the latest row
     before it with the parent's id), as slices for a lone row.  rows maps
-    a bone id to its row, the last of equal ids.  On first use,
-    offset_versors and offset_matrices stack their offsets in bones order.
+    a bone id to its row, the last of equal ids.  offset_versors and
+    offset_matrices stack their offsets in bones order on first read; where
+    an offset cannot be built, each read raises the first such offset's error.
     check() proves the bone transforms well formed; every model on one
     bones tuple shares its skeleton, so a pass is proved once for all of
     them, while a failure raises again on every call.
@@ -486,7 +494,7 @@ class Skeleton:
             global_bind = chain(self, trs_versors(*trs_rows(b.bind for b in self.order)), geometric_products)
             if not _versors_are_identity(global_bind[:1], _ROOT_TOL)[0]:  # a root keeps its leaf
                 raise HierarchyError(f"root bone {self.order[0].id} must bind at the identity")
-            prod = geometric_products(self.offset_versors[0], global_bind[[self.rows[b.id] for b in self.bones]])
+            prod = geometric_products(self.offset_versors, global_bind[[self.rows[b.id] for b in self.bones]])
             inverted = _versors_are_identity(prod, _OFFSET_TOL)
             if not inverted.all():
                 bad = self.bones[int(np.argmin(inverted))]
@@ -494,14 +502,14 @@ class Skeleton:
             self._passed = True
 
     @functools.cached_property
-    def offset_versors(self) -> tuple:
-        """_offsets(bones, trs_versors): (stack, rejected)."""
-        return _offsets(self.bones, trs_versors)
+    def offset_versors(self) -> np.ndarray:
+        """trs_versors of the bones' offsets, (B, 32) in bones order."""
+        return trs_versors(*trs_rows(b.offset for b in self.bones))
 
     @functools.cached_property
-    def offset_matrices(self) -> tuple:
-        """_offsets(bones, trs_matrices): (stack, rejected)."""
-        return _offsets(self.bones, trs_matrices)
+    def offset_matrices(self) -> np.ndarray:
+        """trs_matrices of the bones' offsets, (B, 4, 4) in bones order."""
+        return trs_matrices(*trs_rows(b.offset for b in self.bones))
 
 
 _SKELETONS = weakref.WeakValueDictionary()  # id(bones) -> the live Skeleton of that tuple
@@ -525,28 +533,6 @@ def chain(skeleton: Skeleton, leaves: np.ndarray, compose) -> np.ndarray:
     for rows, parents in skeleton.levels:
         out[rows] = compose(out[parents], leaves[rows])
     return out
-
-
-def _offsets(bones, build) -> tuple:
-    """(stack, rejected): build (trs_versors or trs_matrices) over the bones' offsets.
-
-    The stack has a row per bone, in bones order.  rejected holds the rows
-    whose offset build rejects; they read as the identity, and a caller
-    that reaches one raises its error by building that offset alone.
-    """
-    rows = trs_rows(b.offset for b in bones)
-    try:
-        return build(*rows), frozenset()
-    except ValueError:
-        pass
-    rejected = set()
-    for i in range(len(bones)):
-        try:
-            build(*(r[i : i + 1] for r in rows))
-        except ValueError:
-            rejected.add(i)
-    kept = trs_rows(IDENTITY_TRS if i in rejected else b.offset for i, b in enumerate(bones))
-    return build(*kept), frozenset(rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -950,39 +936,47 @@ def save_rig(model: RiggedModel, path) -> None:
 # OBJ export
 
 
-def _line_table(rows: np.ndarray, faces: bool) -> tuple:
-    """(text, offsets): the OBJ lines of rows and where each begins, then the end.
+def _line_text(rows: np.ndarray, faces: bool) -> bytes:
+    """The OBJ lines of rows: _objtext.vertex_lines, or _objtext.face_lines of rows + 1 (1-based).
 
-    One routine for both kinds of line: _objtext.vertex_lines, or
-    _objtext.face_lines of rows + 1 (1-based), formats
-    _objtext.CHUNK_ROWS rows per call, so its temporaries stay those of
-    one chunk.  The len(rows) + 1 offsets come from the newlines, as each
-    line ends in the only one it holds.
+    One routine for both kinds of line formats _objtext.CHUNK_ROWS rows
+    per call, so its temporaries stay those of one chunk.
     """
     step = _objtext.CHUNK_ROWS
     chunks = (rows[i : i + step] for i in range(0, len(rows), step))
-    text = b"".join(_objtext.face_lines(c + 1) if faces else _objtext.vertex_lines(c) for c in chunks)
+    return b"".join(_objtext.face_lines(c + 1) if faces else _objtext.vertex_lines(c) for c in chunks)
+
+
+def _line_offsets(text: bytes) -> np.ndarray:
+    """Where each line of text begins, then its end, from the newlines: each line ends in its only one."""
     ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
-    return text, np.concatenate([np.zeros(1, np.intp), ends])
+    return np.concatenate([np.zeros(1, np.intp), ends])
 
 
-def _derived_mesh(vertices, faces, source: Mesh, vertex_rows=None, face_rows=None) -> Mesh:
+def _derived_mesh(vertices, faces, source: Mesh, vertex_rows=None, face_rows=None, same_faces=False) -> Mesh:
     """Mesh(vertices, faces) with a row map onto the root of source.
 
     vertex_rows[i] (face_rows[i]) is the row of source that vertex (face)
     i copies, or -1 for a new row; None makes every row new.  When source
     has a map of its own, the two compose, so the map always names the
     root: a chain of edits never keeps its intermediate meshes alive.
+    same_faces says that faces are source's own, row for row: the mesh
+    then shares source's face map (a root's rows name themselves), and
+    face_rows is not read.
     """
     mesh = Mesh(vertices, faces)
     root, *through = source._rows or (source, None, None)
     maps = []
-    for rows, n, via in zip((vertex_rows, face_rows), (len(mesh.vertices), len(mesh.faces)), through):
-        out = np.full(n, -1, dtype=np.int64)
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            copied = rows >= 0
-            out[copied] = rows[copied] if via is None else via[rows[copied]]
+    sizes = (len(mesh.vertices), len(mesh.faces))
+    for rows, n, via, same in zip((vertex_rows, face_rows), sizes, through, (False, same_faces)):
+        if same:
+            out = np.arange(n, dtype=np.int64) if via is None else via
+        else:
+            out = np.full(n, -1, dtype=np.int64)
+            if rows is not None:
+                rows = np.asarray(rows, dtype=np.int64)
+                copied = rows >= 0
+                out[copied] = rows[copied] if via is None else via[rows[copied]]
         out.setflags(write=False)
         maps.append(out)
     object.__setattr__(mesh, "_rows", (root, *maps))
@@ -992,18 +986,18 @@ def _derived_mesh(vertices, faces, source: Mesh, vertex_rows=None, face_rows=Non
 def _obj_lines(mesh: Mesh, faces: bool):
     """The OBJ v (or f) lines of mesh, as pieces of text to write in order.
 
-    A mesh that is its own root gives one piece, its cached table.  Else
-    a row is taken from its root's cached table where the row map names a
+    A mesh that is its own root gives one piece, its cached text.  Else
+    a row is taken from its root's cached text where the row map names a
     root row and the two rows are equal bit for bit (compared as int64, so
     -0.0 and NaN payloads count); each maximal run of such rows with
     consecutive root rows is one slice of that text.  Every other row is
     formatted, _objtext.CHUNK_ROWS at a time, so a wrong map costs time
-    but never a byte, and a map that reuses no row never builds the
-    root's table.
+    but never a byte, and a map that reuses no row reads neither the
+    root's text nor its line offsets.
     """
-    table = "_face_table" if faces else "_vertex_table"
+    text_of, offsets_of = ("obj_face_block", "_face_offsets") if faces else ("_vertex_text", "_vertex_offsets")
     if mesh._rows is None:
-        yield getattr(mesh, table)[0]
+        yield getattr(mesh, text_of)
         return
     root, source = mesh._rows[0], mesh._rows[2 if faces else 1]
     rows, root_rows = (mesh.faces, root.faces) if faces else (mesh.vertices, root.vertices)
@@ -1014,11 +1008,11 @@ def _obj_lines(mesh: Mesh, faces: bool):
         bits = rows.view(np.int64) ^ root_rows.view(np.int64).take(np.where(copied, source, 0), axis=0)
         copied &= (bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0
     new = ~copied
-    text, offsets = _line_table(rows[new], faces)
+    text = _line_text(rows[new], faces)
     if new.all():
         yield text
         return
-    root_text, root_offsets = getattr(root, table)
+    offsets, root_text, root_offsets = _line_offsets(text), getattr(root, text_of), getattr(root, offsets_of)
     # each row's text as [begin, end) in the root's text, or in the new
     # rows' text shifted past it by one, so no piece spans both
     shift = len(root_text) + 1

@@ -65,7 +65,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import CAYLEY_SIGNS, Multivector, make_plane, plane_distances, up_block
+from .algebra import Multivector, _contraction_weights, make_plane, plane_distances, up_block
 from .errors import (
     AmbiguousIntersection,
     DegenerateTearStep,
@@ -439,10 +439,9 @@ def _sides(lifted: np.ndarray, plane: Multivector) -> np.ndarray:
     _SIDE_SLACK * W + 1e-300 (the absolute term covers underflowing
     products); NaN, infinities and a non-finite plane leave it at 0.
     """
-    w = CAYLEY_SIGNS.diagonal() * plane.coeffs + 0.0  # as plane_distances
-    if not np.isfinite(w).all():
+    every, w = _contraction_weights(plane)  # as plane_distances
+    if not np.isfinite(every).all():
         return np.zeros(len(lifted), dtype=np.int64)
-    w = w[1:6]  # e1..e5, the blades a lift fills
     with np.errstate(all="ignore"):
         p = lifted * w
         d = p.sum(axis=2)
@@ -649,7 +648,7 @@ def open_tear(model: RiggedModel, path: TearPath, delta: float = None) -> Rigged
     moved = np.arange(len(verts))
     moved[left] = moved[right] = -1
     return RiggedModel(
-        _derived_mesh(verts, mesh.faces, mesh, moved, np.arange(len(mesh.faces))),
+        _derived_mesh(verts, mesh.faces, mesh, moved, same_faces=True),
         model.bones,
         model.weights,
         model.clips,

@@ -5,8 +5,11 @@ builds a (k, 9) block with `np.column_stack`, the hemisphere sign applied
 to the bone's part, and rotates with the three `np.cross` calls of
 `quaternion_oracle.rotate`.  The package's `skin_dq` folds the sign into
 the weight and works in (9, n) planes; it must return the same bytes, or
-raise the same error.  The code is a copy, not an import of the package's
-passes, so that a change to those passes shows up against it.
+raise the same error.  Like the package it checks before it blends: a
+pose error, the first offset that cannot be built, the first bone matrix
+without a finite positive determinant, then the first bone id with no
+bone.  The code is a copy, not an import of the package's passes, so
+that a change to those passes shows up against it.
 
 `random_rig` draws the rigs that `test_animate` and `dq_sweep.py` check
 the package against the oracle on, and `outcome` is what they compare.
@@ -19,7 +22,7 @@ import numpy as np
 from mvskin import quaternions as quat
 from mvskin.animate import SkinnedFrame
 from mvskin.errors import NumericalFailure
-from mvskin.rig import Bone, Mesh, RiggedModel, Trs, TrsKey, trs_matrices, trs_rows
+from mvskin.rig import Bone, Mesh, RiggedModel, Trs, TrsKey
 
 from quaternion_oracle import multiply, rotate
 
@@ -32,19 +35,17 @@ def blend(model, width: int, image) -> np.ndarray:
     return out
 
 
-def deform_matrices(model, pose) -> tuple:
-    offsets, rejected = model.skeleton.offset_matrices
+def deform_matrices(model, pose) -> np.ndarray:
+    """Every bone's global @ offset; a pose error raises first, then the first offset that cannot be built."""
     rows = [pose.skeleton.rows[b.id] for b in model.bones]
-    return np.matmul(pose.global_matrices[rows], offsets), rejected
+    return np.matmul(pose.global_matrices[rows], model.skeleton.offset_matrices)
 
 
 def skin_dq(model, pose) -> SkinnedFrame:
     bones = model.bones
     slot = {b.id: i for i, b in enumerate(bones)}  # the last of equal ids wins
     with np.errstate(all="ignore"):  # an overflowing pose fails below, or in SkinnedFrame
-        m, rejected = deform_matrices(model, pose)
-        if rejected:
-            trs_matrices(*trs_rows([bones[min(rejected)].offset]))
+        m = deform_matrices(model, pose)
         det = np.linalg.det(m[:, :3, :3])
         ok = (0.0 < det) & (det < np.inf)
         if not ok.all():
@@ -59,10 +60,11 @@ def skin_dq(model, pose) -> SkinnedFrame:
     pivots, pivot_of_row = model.weights.pivot_bones
     pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
-    groups = model.weights.bone_groups
+    # every group's part before the blend: the first bone id with no bone raises
+    group_parts = [parts[slot[bone_id]] for bone_id, _, _ in model.weights.bone_groups]
 
     def image(g, rows):
-        part = parts[slot[groups[g][0]]]
+        part = group_parts[g]
         sgn = np.where(pivot_real[pivot_of_row[rows]] @ part[:4] < 0.0, -1.0, 1.0)
         return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
 
@@ -113,7 +115,10 @@ def random_rig(r, n=None, n_vertices=None):
     full turns, so neighbours fall in opposite hemispheres; scales are not
     1, and about one rig in eight has a pose that overflows.  Some rigs
     repeat a bone id (the last of equal ids is the one dq skins with),
-    weight an unknown bone, or have a vertex at a signed zero.
+    weight an unknown bone, or have a vertex at a signed zero.  About one
+    rig in twenty has an offset that cannot be built, on a bone that
+    vertices weight or on one that none does: a zero quaternion, or a
+    zero scale, which only the conformal backends reject.
     """
     n = n or r.randint(1, 70)
     n_vertices = n_vertices or r.randint(1, 200)
@@ -147,5 +152,16 @@ def random_rig(r, n=None, n_vertices=None):
         weights.append(tuple(zip(picked, ws)))
     if r.random() < 0.05:  # a vertex whose weights are all 0 fails as non-finite
         weights[r.randrange(n_vertices)] = ((r.choice(known), 0.0),)
+    time = r.choice((0.0, 0.5, 1.0, r.random()))
+    if r.random() < 0.05:  # drawn last, so that every other rig keeps its draws
+        weighted = r.random() < 0.5
+        used = {bone_id for row in weights for bone_id, _ in row}
+        b = r.choice([i for i, bone in enumerate(bones) if (bone.id in used) == weighted] or range(len(bones)))
+        offset = bones[b].offset
+        if r.random() < 0.5:  # no backend builds a zero quaternion
+            offset = Trs(offset.translation, (0.0, 0.0, 0.0, 0.0), offset.scale)
+        else:  # a zero scale has no versor, but lbs and dq build its matrix
+            offset = Trs(offset.translation, offset.rotation, 0.0)
+        bones[b] = Bone(bones[b].id, bones[b].parent, offset, bones[b].bind)
     model = RiggedModel(Mesh(vertices, np.zeros((0, 3))), tuple(bones), tuple(weights), {"c": tracks})
-    return model, r.choice((0.0, 0.5, 1.0, r.random()))
+    return model, time

@@ -6,9 +6,13 @@ did for each bone.  `trs_versor` and
 `trs_matrix` build one bone's leaf from the scalar versor constructors
 and 1-D products, `chain` composes it onto its parent's global transform
 one bone at a time, and the `SKIN` backends read one bone's deform
-transform and one `sandwich_block` per weight group.  Versors are (32,)
-coefficient arrays; their products and sandwich blocks gather the dense
-table of `cga_oracle`.  Each is a copy, not an import of the package's
+transform and one `sandwich_block` per weight group.  Like the package,
+each backend checks before it blends: the pose, every bone's offset in
+bones order, each group's bone id, then (`cga`, `cga_sum`) each group's
+sandwich block, or (`dq`) each bone's determinant before the bone ids;
+the blend takes every group's images before it projects any.  Versors
+are (32,) coefficient arrays; their products and sandwich blocks gather
+the dense table of `cga_oracle`.  Each is a copy, not an import of the package's
 passes, so that a change to those passes shows up against it.
 """
 
@@ -145,28 +149,46 @@ def pose_at(model, clip, time: float) -> OraclePose:
     return OraclePose(float(time), tuple((b, local_transform_at(model, clip, b.id, time)) for b in bones))
 
 
-def blend(model, width: int, image) -> np.ndarray:
+def blend(model, width: int, image, project=None) -> np.ndarray:
+    """Each group's images, then each projected, then one fancy-index add per group."""
+    groups = model.weights.bone_groups
     out = np.zeros((len(model.mesh.vertices), width))
     with np.errstate(all="ignore"):
-        for bone_id, rows, weights in model.weights.bone_groups:
-            out[rows] += weights[:, None] * image(bone_id, rows)
+        images = [image(bone_id, rows) for bone_id, rows, _ in groups]
+        if project is not None:
+            images = [project(x, rows) for x, (_, rows, _) in zip(images, groups)]
+        for x, (_, rows, weights) in zip(images, groups):
+            out[rows] += weights[:, None] * x
     return out
 
 
+def check_bones(model, globals_, leaf) -> None:
+    """The package's checks before a blend: every bone's offset leaf in bones order, then each group's bone id."""
+    for bone in model.bones:
+        leaf(bone.offset)
+    for bone_id, _, _ in model.weights.bone_groups:
+        globals_[bone_id]
+
+
 def sandwich_images(model, pose):
-    """image(bone, rows): the rows' grade-1 images under the bone's deform versor, one sandwich_block each."""
+    """image(bone, rows): the rows' grade-1 images under the bone's deform versor, one sandwich_block each.
+
+    Every check runs first: the pose, the offsets and the bone ids
+    (check_bones), then each group's sandwich block, in group order.
+    """
+    groups = model.weights.bone_groups
+    if not groups:  # a rig without weights reads no pose and no offset
+        return None
     lifted = model.mesh.lifted_vertices
-
-    def image(bone_id, rows):
-        deform = product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset))
-        return lifted[rows] @ sandwich_block(deform)
-
-    return image
+    check_bones(model, pose.versors, trs_versor)
+    blocks = {}
+    for bone_id, _, _ in groups:
+        blocks[bone_id] = sandwich_block(product(pose.versors[bone_id], trs_versor(model.bone(bone_id).offset)))
+    return lambda bone_id, rows: lifted[rows] @ blocks[bone_id]
 
 
 def skin_cga(model, pose):
-    sandwich = sandwich_images(model, pose)
-    out = blend(model, 3, lambda bone_id, rows: down_block(sandwich(bone_id, rows), rows))
+    out = blend(model, 3, sandwich_images(model, pose), down_block)
     return SkinnedFrame(out, "cga", pose.time)
 
 
@@ -182,6 +204,9 @@ def deform_matrix(model, pose, bone):
 
 
 def skin_lbs(model, pose):
+    if model.weights.bone_groups:
+        check_bones(model, pose.matrices, trs_matrix)
+
     def image(bone_id, rows):
         m = pose.matrices[bone_id] @ trs_matrix(model.bone(bone_id).offset)
         return model.mesh.vertices[rows] @ m[:3, :3].T + m[:3, 3]
@@ -207,8 +232,11 @@ def skin_dq(model, pose):
     pivots, pivot_of_row = model.weights.pivot_bones
     pivot_real = np.array([real[slot[p]] if p in slot else np.zeros(4) for p in pivots.tolist()])
 
+    # the first bone id with no bone raises before the blend
+    group_parts = {bone_id: parts[slot[bone_id]] for bone_id, _, _ in model.weights.bone_groups}
+
     def image(bone_id, rows):
-        part = parts[slot[bone_id]]
+        part = group_parts[bone_id]
         sgn = np.where(pivot_real[pivot_of_row[rows]] @ part[:4] < 0.0, -1.0, 1.0)
         return np.column_stack([sgn[:, None] * part[:8], np.full(len(rows), part[8])])
 

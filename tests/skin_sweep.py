@@ -4,7 +4,8 @@
 
 Rig i is dq_oracle.random_rig(random.Random(f"{SEED}:{i}")): 1-70 bones,
 1-200 vertices with 1-4 influences each, hemisphere flips, pivot ties,
-zero weights, non-unit scales and overflowing poses.  Each frame of
+zero weights, non-unit scales, overflowing poses and offsets that
+cannot be built.  Each frame of
 cga, cga_sum and lbs must have the bytes of tests/blend_oracle.py's
 per-group blend, and each dq frame those of tests/dq_oracle.py, or raise
 the oracle's error type with its message.  Exits 1 at the first rig that

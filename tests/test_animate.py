@@ -564,9 +564,9 @@ def test_dq_frame_has_the_bytes_of_the_column_stack_oracle(n_bones, n_vertices, 
 
 
 def test_dq_oracle_rigs_reach_every_outcome():
-    # the property's rigs skin, and fail in each way skin_dq fails: a bone id
-    # with no bone, a bone matrix without a finite positive scale, a vertex
-    # moved to inf or NaN
+    # the property's rigs skin, and fail in each way skin_dq fails: an offset
+    # that cannot be built, a bone id with no bone, a bone matrix without a
+    # finite positive scale, a vertex moved to inf or NaN
     kinds = set()
     for seed in range(60):
         model, t = dq_oracle.random_rig(random.Random(seed))
@@ -574,9 +574,51 @@ def test_dq_oracle_rigs_reach_every_outcome():
         kinds.add(kind if kind != "NumericalFailure" else re.sub(r"\d.*", "", result))
     assert kinds == {
         "ok",
+        "ValueError",
         "KeyError",
         "dq skinning: bone ",
         "dq skinning produced a non-finite position at vertex ",
+    }
+
+
+def test_blend_oracle_rigs_reach_every_outcome():
+    # the slot-blend property's rigs skin, and fail in each way the check and
+    # the blend fail: an offset that cannot be built, a bone id with no bone,
+    # a singular deform versor (cga), a point at infinity (cga) and a vertex
+    # moved to inf or NaN.  An offset that cannot be built raises first
+    # wherever it is, on a weighted bone or on one no vertex uses
+    kinds = {"cga": set(), "lbs": set()}
+    places = set()
+    for seed in range(400):
+        model, t = dq_oracle.random_rig(random.Random(seed))
+        pose = global_pose_at(model, "c", t)
+        got = {name: dq_oracle.outcome(SKIN_BACKENDS[name], model, pose) for name in kinds}
+        for name, (kind, result) in got.items():
+            kinds[name].add(kind if kind not in ("NumericalFailure", "ValueError") else re.sub(r"\d.*", "", result))
+        used = {bone_id for bone_id, _, _ in model.weights.bone_groups}
+        for bone in model.bones:
+            zero_scale = bone.offset.scale == 0.0
+            if not zero_scale and any(bone.offset.rotation):  # random_rig's unbuildable offsets only
+                continue
+            places.add((bone.id in used, zero_scale))
+            assert got["cga"][0] == "ValueError"
+            if not zero_scale:  # lbs builds a zero scale's matrix
+                assert got["lbs"][0] == "ValueError"
+    assert places == {(True, True), (True, False), (False, True), (False, False)}
+    assert kinds["cga"] == {
+        "ok",
+        "cannot normalize quaternion with norm ",
+        "scale must be positive and finite, got ",
+        "KeyError",
+        "SingularVersor",
+        "PointAtInfinity",
+        "cga skinning produced a non-finite position at vertex ",
+    }
+    assert kinds["lbs"] == {
+        "ok",
+        "cannot normalize quaternion with norm ",
+        "KeyError",
+        "lbs skinning produced a non-finite position at vertex ",
     }
 
 
@@ -635,22 +677,52 @@ def test_a_weight_table_of_another_length_than_the_mesh_keeps_the_per_group_resu
         assert (got[0] == "IndexError") == (rows == "5 weighted"), name
 
 
-@pytest.mark.parametrize("far_first", [True, False])
-def test_the_first_group_that_fails_raises_its_own_error(far_first):
-    # cga projects each group's images before a later group's error; cga_sum
-    # projects only the sum, and lbs has no projection, so a bone id with no
-    # bone wins there wherever its group falls
-    far = ((0, 1.0),)  # vertex 0, at 1e9 along x, has no Euclidean image
-    unknown = ((9, 1.0),)
-    weights = (far, unknown, unknown, far) if far_first else (unknown, far, far, unknown)
-    m = RiggedModel(Mesh([[1e9, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [1e9, 1.0, 0.0]], [[0, 1, 2]]),
-                    (Bone(0, None),), weights, {})
-    pose = global_pose_at(m, None, 0.0)
-    expect = {"cga": "PointAtInfinity" if far_first else "KeyError", "cga_sum": "KeyError", "lbs": "KeyError"}
-    for name, oracle in blend_oracle.SKIN.items():
-        got = dq_oracle.outcome(SKIN_BACKENDS[name], m, pose)
-        assert got == dq_oracle.outcome(oracle, m, pose) and got[0] == expect[name], name
-    if far_first:
+def failing_model(failures) -> RiggedModel:
+    """Two bones and four vertices, unvalidated, with each named failure in it.
+
+    offset: bone 1's offset has a zero quaternion.  unknown: vertex 3 weights
+    bone 9, which does not exist.  singular: bone 1 is keyed at scale 1e300,
+    whose versor has a zero norm and whose matrix no finite determinant.
+    index: a fifth weight row, past the mesh.  far: vertex 0 at 1e9 along x,
+    which has no Euclidean image.
+    """
+    offset = Trs(rotation=(0.0, 0.0, 0.0, 0.0)) if "offset" in failures else IDENTITY_TRS
+    bones = (Bone(0, None), Bone(1, 0, offset))
+    vertices = [[1e9 if "far" in failures else 0.2, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    weights = [((0, 1.0),), ((1, 1.0),), ((1, 0.5), (0, 0.5)), ((9 if "unknown" in failures else 0, 1.0),)]
+    weights += [((0, 1.0),)] if "index" in failures else []
+    clips = {"c": {1: (TrsKey(0.0, scale=1e300),)}} if "singular" in failures else {}
+    return RiggedModel(Mesh(vertices, [[0, 1, 2]]), bones, tuple(weights), clips)
+
+
+CHECK_ORDER = ("offset", "unknown", "singular", "index", "far")
+# each backend's outcome on a model with every failure from the key on
+FIRST_ERRORS = {
+    "offset": {"cga": "ValueError", "cga_sum": "ValueError", "lbs": "ValueError", "dq": "ValueError"},
+    # dq checks every bone's determinant before the bone ids
+    "unknown": {"cga": "KeyError", "cga_sum": "KeyError", "lbs": "KeyError", "dq": "NumericalFailure"},
+    # lbs builds the scale: its blend's gather then fails
+    "singular": {"cga": "SingularVersor", "cga_sum": "SingularVersor", "lbs": "IndexError", "dq": "NumericalFailure"},
+    # every group's images are taken before any is projected
+    "index": {"cga": "IndexError", "cga_sum": "IndexError", "lbs": "IndexError", "dq": "IndexError"},
+    "far": {"cga": "PointAtInfinity", "cga_sum": "PointAtInfinity", "lbs": "ok", "dq": "ok"},
+}
+
+
+@pytest.mark.parametrize("first", CHECK_ORDER)
+def test_each_backend_checks_then_blends(first):
+    # the model holds every failure from first on in CHECK_ORDER; each
+    # backend raises the first its checks reach, then its blend's, and
+    # matches its oracle's error type and message, or bytes
+    m = failing_model(CHECK_ORDER[CHECK_ORDER.index(first) :])
+    pose = global_pose_at(m, "c", 0.0)
+    oracles = {**blend_oracle.SKIN, "dq": dq_oracle.skin_dq}
+    for name, skin in SKIN_BACKENDS.items():
+        got = dq_oracle.outcome(skin, m, pose)
+        assert got == dq_oracle.outcome(oracles[name], m, pose) and got[0] == FIRST_ERRORS[first][name], (name, got)
+    if first == "unknown":
+        assert dq_oracle.outcome(skin_cga, m, pose)[1] == "9"  # an unknown id beats a far vertex
+    if first == "far":
         assert dq_oracle.outcome(skin_cga, m, pose)[1].startswith("point 0:")
 
 

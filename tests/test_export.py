@@ -151,6 +151,39 @@ def test_torn_models_format_only_inserted_rows_twins_and_split_children(monkeypa
     assert counts == {"v": n + 2 * (len(torn.vertices) - n), "f": m + 2 * children}
 
 
+def test_a_framed_root_keeps_no_line_offsets_and_formats_its_faces_once(monkeypatch, tmp_path):
+    # a frame export formats the face text alone; a torn model that reuses
+    # its lines later takes the offsets from that same text, not a second format
+    arm = make_arm_model()
+    states, delta = bundled_tear(arm, "arm_tear.json")
+    torn = tear(arm, states, delta=delta).model.mesh
+    n, m = len(arm.mesh.vertices), len(arm.mesh.faces)
+    split = {tuple(f) for f in arm.mesh.faces.tolist()} - {tuple(f) for f in torn.faces.tolist()}
+    children = len(torn.faces) - (m - len(split))
+    counts = counted_rows(monkeypatch)
+    cached = set(vars(arm.mesh))
+    export_obj(arm.mesh, tmp_path / "f.obj", arm.mesh.vertices)
+    block = arm.mesh.obj_face_block
+    assert counts == {"v": n, "f": m}
+    assert set(vars(arm.mesh)) - cached == {"obj_face_block"}  # no text or offsets beside it
+    assert exported(torn, tmp_path / "t.obj") == oracle_bytes(torn)
+    assert counts == {"v": 2 * n + len(torn.vertices) - n, "f": m + children}
+    assert arm.mesh.obj_face_block is block and "_face_offsets" in vars(arm.mesh)
+
+
+def test_an_opened_tear_shares_its_source_face_map():
+    # open_tear moves vertices only: its mesh takes its source's face map as
+    # it is, and a root's faces name themselves
+    arm = make_arm_model()
+    states, _ = bundled_tear(arm, "arm_tear.json")
+    closed = tear(arm, states, delta=0.0)
+    opened = open_tear(closed.model, closed.paths[0], 0.3).mesh
+    assert opened._rows[0] is arm.mesh and opened._rows[2] is closed.model.mesh._rows[2]
+    root = RiggedModel(Mesh(closed.model.mesh.vertices, closed.model.mesh.faces), arm.bones, closed.model.weights)
+    faces = open_tear(root, closed.paths[0], 0.3).mesh._rows[2]
+    assert faces.tolist() == list(range(len(root.mesh.faces))) and not faces.flags.writeable
+
+
 def test_a_chain_keeps_no_intermediate_mesh_alive(monkeypatch, tmp_path):
     arm = make_arm_model()
     closed = []
