@@ -677,6 +677,23 @@ def test_a_weight_table_of_another_length_than_the_mesh_keeps_the_per_group_resu
         assert (got[0] == "IndexError") == (rows == "5 weighted"), name
 
 
+@pytest.mark.parametrize("far_first", [True, False])
+def test_the_first_group_that_fails_raises_its_own_error(far_first):
+    # every backend checks its bone ids before it blends, so the group whose
+    # id names no bone raises its KeyError wherever it falls, before cga's
+    # projection of an earlier group's far vertex
+    far = ((0, 1.0),)  # vertex 0, at 1e9 along x, has no Euclidean image
+    unknown = ((9, 1.0),)
+    weights = (far, unknown, unknown, far) if far_first else (unknown, far, far, unknown)
+    m = RiggedModel(Mesh([[1e9, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [1e9, 1.0, 0.0]], [[0, 1, 2]]),
+                    (Bone(0, None),), weights, {})
+    pose = global_pose_at(m, None, 0.0)
+    oracles = {**blend_oracle.SKIN, "dq": dq_oracle.skin_dq}
+    for name, skin in SKIN_BACKENDS.items():
+        got = dq_oracle.outcome(skin, m, pose)
+        assert got == dq_oracle.outcome(oracles[name], m, pose) and got == ("KeyError", "9"), (name, got)
+
+
 def failing_model(failures) -> RiggedModel:
     """Two bones and four vertices, unvalidated, with each named failure in it.
 
