@@ -483,10 +483,13 @@ def make_plane(normal: Sequence[float], d: float) -> Multivector:
     """Plane {p : normal.p = d} as the grade-1 element normal + d*ninf."""
     n = _check_vec3(normal, "normal")
     _check_unit(n, "normal")
+    d = float(d)
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d!r}")
     c = np.zeros(DIM)
     c[1:4] = n
-    c[_E4] = float(d)
-    c[_E5] = float(d)
+    c[_E4] = d
+    c[_E5] = d
     return Multivector._wrap(c)
 
 

@@ -11,9 +11,9 @@ original vertices keep their true positions.  Then:
   ascending id, first meets the edges.  Its seam vertex's weights
   interpolate along the edge, truncated to four influences.  An edge on
   more than two faces raises NonManifoldCut.
-* Only the crossed faces are walked, in ascending id.  Each splits into
-  three children: one triangle on the lone-vertex side and two tiling
-  the quad on the other, split along its shorter diagonal.  Ties and
+* The crossed faces split in one array pass.  Each gives three
+  children: one triangle on the lone-vertex side and two tiling the
+  quad on the other, split along its shorter diagonal.  Ties and
   near-ties (1e-9 relative) take the diagonal from the first cut point,
   which keeps the choice stable under rigid motion.  Children inherit
   the parent's winding.
@@ -101,38 +101,36 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
         raise NonManifoldCut(f"cut edge {points[o].edge} borders {section.borders[o]} faces")
     polylines = tuple(tuple(points[o] for o in chain) for chain in section.chains())
 
-    # rank[v]: v's position among the original vertices on its side
+    # rank[v]: v's position among the original vertices on its side; the
+    # seam vertices of side k follow its originals, from base[1 + k]
     rank = np.where(positive, np.cumsum(positive), np.cumsum(~positive)) - 1
-    base = {1: int(positive.sum()), -1: int((~positive).sum())}
-    children: dict = {1: [], -1: []}  # per side: the children of crossed faces
-    parents: dict = {1: [], -1: []}  # per side: the crossed face of each child
+    base = np.array([(~positive).sum(), 0, positive.sum()])
     verts = mesh.vertices
     positions = section.positions
-    side_of = signs.tolist()
-    rank_of = rank.tolist()
     crossed = section.crossed
-    for fi, face, (e0, e1) in zip(crossed.tolist(), mesh.faces[crossed].tolist(), section.face_edges.tolist()):
-        s = [side_of[v] for v in face]
-        # the lone vertex is the corner whose side the other two do not share;
-        # pa is the cut edge leaving it, pb the one entering it, and corner
-        # order lists pb first unless the lone vertex is the first corner
-        i = 0 if s[1] == s[2] else (1 if s[0] == s[2] else 2)
-        lv, av, bv = face[i], face[i - 2], face[i - 1]
-        pa, pb = (e0, e1) if i == 0 else (e1, e0)
-        lone, quad = s[i], -s[i]
-        children[lone].append((rank_of[lv], base[lone] + pa, base[lone] + pb))
-        parents[lone].append(fi)
-        # quad (pa, av, bv, pb): split along its shorter diagonal; ties and
-        # near-ties (1e-9 relative) take the first diagonal so the choice is
-        # stable under rigid motion of the whole model
-        qa, qb, ra, rb = base[quad] + pa, base[quad] + pb, rank_of[av], rank_of[bv]
-        d1 = np.linalg.norm(positions[pa] - verts[bv])
-        d2 = np.linalg.norm(verts[av] - positions[pb])
-        if d1 <= d2 + 1e-9 * (d1 + d2):
-            children[quad] += [(qa, ra, rb), (qa, rb, qb)]
-        else:
-            children[quad] += [(qa, ra, qb), (ra, rb, qb)]
-        parents[quad] += [fi, fi]
+    # the lone vertex is the corner whose side the other two do not share;
+    # each crossed face, rotated to start there, reads (lv, av, bv).  pa is
+    # the cut edge leaving lv, pb the one entering it, and corner order
+    # lists pb first unless the lone vertex is the first corner
+    corners = mesh.faces[crossed]
+    s = signs[corners]
+    i = np.where(s[:, 1] == s[:, 2], 0, np.where(s[:, 0] == s[:, 2], 1, 2))
+    lv, av, bv = np.take_along_axis(corners, (i[:, None] + [0, 1, 2]) % 3, axis=1).T
+    pa, pb = np.where(i == 0, section.face_edges.T, section.face_edges.T[::-1])
+    lone = signs[lv]
+    # quad (pa, av, bv, pb): split along its shorter diagonal; ties and
+    # near-ties (1e-9 relative) take the first diagonal so the choice is
+    # stable under rigid motion of the whole model
+    x1, x2 = positions[pa] - verts[bv], verts[av] - positions[pb]
+    d1, d2 = np.sqrt(np.vecdot(x1, x1)), np.sqrt(np.vecdot(x2, x2))
+    first = d1 <= d2 + 1e-9 * (d1 + d2)
+    # per face the lone-side child, then the two quad children, from the
+    # corners (lv, pa, pb) of the lone side and (pa, av, bv, pb) of the quad's
+    lb, qb = base[1 + lone], base[1 - lone]
+    pool = np.stack([rank[lv], lb + pa, lb + pb, qb + pa, rank[av], rank[bv], qb + pb], axis=1)
+    pick = np.where(first[:, None], [0, 1, 2, 3, 4, 5, 3, 5, 6], [0, 1, 2, 3, 4, 6, 4, 5, 6])
+    children = np.take_along_axis(pool, pick, axis=1).reshape(-1, 3)
+    child_side = np.stack([lone, -lone, -lone], axis=1).ravel()
 
     face_side = signs[mesh.faces[:, 0]]
     face_side[crossed] = 0  # a crossed face goes to neither half whole
@@ -140,7 +138,8 @@ def cut(model: RiggedModel, plane: Multivector) -> CutResult:
     for side in (1, -1):
         kept = np.flatnonzero(face_side == side)
         rows = np.flatnonzero(signs == side)
-        faces, _ = in_parent_order(rank[mesh.faces[kept]], kept, children[side], parents[side])
+        mine = child_side == side
+        faces, _ = in_parent_order(rank[mesh.faces[kept]], kept, children[mine], np.repeat(crossed, 3)[mine])
         half = RiggedModel(
             # its original vertices copy their rows; its faces are renumbered
             _derived_mesh(

@@ -961,10 +961,12 @@ def _derived_mesh(vertices, faces, source: Mesh, vertex_rows=None, face_rows=Non
     has a map of its own, the two compose, so the map always names the
     root: a chain of edits never keeps its intermediate meshes alive.
     same_faces says that faces are source's own, row for row: the mesh
-    then shares source's face map (a root's rows name themselves), and
-    face_rows is not read.
+    then shares source's read-only face array and face map (a root's rows
+    name themselves), and face_rows is not read.
     """
-    mesh = Mesh(vertices, faces)
+    mesh = Mesh(vertices, () if same_faces else faces)
+    if same_faces:
+        object.__setattr__(mesh, "faces", source.faces)
     root, *through = source._rows or (source, None, None)
     maps = []
     sizes = (len(mesh.vertices), len(mesh.faces))

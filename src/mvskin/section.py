@@ -18,7 +18,8 @@ exactly two straddling edges, so the only choice is where to start.
 Planar cuts (cut.py) read their seam points and polylines from the
 table and its walk, and tear-plane traces (tear.py) follow the same
 walk, so on a shared edge they report the same crossing bit for bit.
-Both split only some faces in Python and put the children back among
+Cut splits every crossed face in one array pass, tear splits the faces
+its path crosses one at a time, and both put the children back among
 the faces they kept with in_parent_order.
 """
 
@@ -147,7 +148,7 @@ class Section:
         return chains
 
 
-def in_parent_order(kept: np.ndarray, kept_ids: np.ndarray, children: list, parents: list) -> tuple:
+def in_parent_order(kept: np.ndarray, kept_ids: np.ndarray, children: np.ndarray | list, parents: np.ndarray | list) -> tuple:
     """Kept faces and split children as one (n, 3) face array in parent face order.
 
     kept[i] is face kept_ids[i] itself, and children[j] is a child of

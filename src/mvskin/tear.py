@@ -634,8 +634,8 @@ def open_tear(model: RiggedModel, path: TearPath, delta: float = None) -> Rigged
     if delta is None:
         delta = 0.01 * bbox_diagonal(model.mesh)
     delta = float(delta)
-    if delta < 0.0:
-        raise ValueError("opening displacement must be non-negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("opening displacement must be finite and non-negative")
     if delta == 0.0 or not path.duplicates:
         return model
     step = delta * unit_plane(path.plane)[1]

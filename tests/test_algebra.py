@@ -276,6 +276,11 @@ def test_constructor_validation():
         make_dilator(-1.5)
     with pytest.raises(ValueError):
         make_plane([1.0, 1.0, 0.0], 0.0)  # non-unit normal
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^normal must be finite"):
+            make_plane([bad, 0.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match=r"^d must be finite, got (nan|inf|-inf)$"):
+            make_plane([0.0, 0.0, 1.0], bad)
     with pytest.raises(ValueError):
         up([1.0, 2.0])
     with pytest.raises(ValueError):

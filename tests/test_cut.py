@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from mvskin.quaternions import from_axis_angle
 from mvskin.section import Section, section_eps
 from mvskin.tear import tear
 
+import cut_oracle
 from cga_oracle import sandwich, transform_points
 from mesh_helpers import mesh_area, seam_vertices
 
@@ -296,6 +298,48 @@ def test_children_keep_parent_winding():
             assert np.dot(child_n, parent_n) > 0
             children += 1
     assert children == 3
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    return cut_oracle.models()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(cut_oracle.PLANE_KINDS), st.integers(0, 2**64 - 1))
+def test_cut_matches_the_per_face_oracle(oracle_models, which, kind, seed):
+    # the array split against the per-face loop (tests/cut_oracle.py) on both
+    # fixtures and a cut half of each: both halves' bytes and row maps, the
+    # cut points and the polylines; tests/cut_sweep.py runs more planes
+    model = oracle_models[which]
+    plane = cut_oracle.random_plane(np.random.default_rng(seed), model, kind)
+    assert cut_oracle.outcome(cut, model, plane) == cut_oracle.outcome(cut_oracle.cut, model, plane)
+
+
+def test_oracle_planes_reach_both_diagonals_and_near_ties(oracle_models):
+    # on every model the property's planes split quads along the first
+    # diagonal, along the second, and along the first by the 1e-9 near-tie
+    # rule (horizontal planes through a tube's band)
+    for model in oracle_models:
+        seen = Counter()
+        for seed in range(8):
+            for kind in cut_oracle.PLANE_KINDS:
+                diagonals = []
+                cut_oracle.cut(model, cut_oracle.random_plane(np.random.default_rng(seed), model, kind), diagonals)
+                seen.update(diagonals)
+        assert set(seen) == {"first", "second", "near tie"}
+
+
+def test_a_plane_between_components_splits_no_face():
+    # the plane parts the vertices but crosses no face: the array split runs
+    # on empty arrays, and each half keeps its component whole
+    verts = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, -1.0), (0.0, 1.0, -1.0)]
+    model = one_bone_model(verts, [(0, 1, 2), (3, 4, 5)])
+    plane = make_plane((0.0, 0.0, 1.0), 0.0)
+    res = cut(model, plane)
+    assert res.cut_points == () and res.polylines == ()
+    assert res.m1.mesh.faces.tolist() == res.m2.mesh.faces.tolist() == [[0, 1, 2]]
+    assert cut_oracle.outcome(cut, model, plane) == cut_oracle.outcome(cut_oracle.cut, model, plane)
 
 
 # ---------------------------------------------------------------- polylines

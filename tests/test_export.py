@@ -184,6 +184,20 @@ def test_an_opened_tear_shares_its_source_face_map():
     assert faces.tolist() == list(range(len(root.mesh.faces))) and not faces.flags.writeable
 
 
+def test_an_opened_tear_shares_its_source_faces(tmp_path):
+    # open_tear moves vertices only: its mesh keeps its source's read-only
+    # face array, not a copy, and writes the bytes of "%"; a mesh built by
+    # hand still copies the faces it is given
+    arm = make_arm_model()
+    states, _ = bundled_tear(arm, "arm_tear.json")
+    closed = tear(arm, states, delta=0.0)
+    opened = open_tear(closed.model, closed.paths[0], 0.3).mesh
+    assert np.shares_memory(opened.faces, closed.model.mesh.faces) and not opened.faces.flags.writeable
+    assert not np.shares_memory(Mesh(opened.vertices, opened.faces).faces, opened.faces)
+    export_obj(opened, tmp_path / "opened.obj")
+    assert (tmp_path / "opened.obj").read_bytes() == oracle_bytes(opened)
+
+
 def test_a_chain_keeps_no_intermediate_mesh_alive(monkeypatch, tmp_path):
     arm = make_arm_model()
     closed = []

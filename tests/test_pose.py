@@ -9,7 +9,7 @@ type with the same message.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import pose_oracle as oracle
@@ -53,12 +53,16 @@ def rigs(draw):
 
     Roots, odd key and offset values, far-hemisphere keys, bones without
     a track or without weights, and weights on an unknown bone all occur;
-    half the rigs have no odd offset.
+    half the rigs have no odd offset.  A quarter of the rigs are valid but
+    for one bone's huge or tiny key scales.
     """
     n = draw(st.integers(1, 9))
+    # a huge or tiny scale passes every check before the blend, which finds
+    # the deform versor singular; any other odd field would raise first
+    odd_scale_bone = draw(st.integers(0, n - 1)) if draw(st.integers(0, 3)) == 0 else None
     # every backend checks every offset before its first term, so half the
     # rigs keep their offsets valid and reach the blend
-    offset_odd_rate = draw(st.sampled_from((0, 12)))
+    offset_odd_rate = 0 if odd_scale_bone is not None else draw(st.sampled_from((0, 12)))
     parents = [None if i == 0 or draw(st.integers(0, 4)) == 0 else draw(st.integers(0, i - 1)) for i in range(n)]
     ids = draw(st.permutations(range(n)))
     bones = sorted(
@@ -71,7 +75,7 @@ def rigs(draw):
     n_vertices = draw(st.integers(1, 8))
     vertices = draw(st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), min_size=n_vertices, max_size=n_vertices))
     known = st.integers(0, n - 1)
-    bone_ids = st.one_of(known, known, known, known, known, known, known, known, known, st.just(n))
+    bone_ids = known if odd_scale_bone is not None else st.one_of(*[known] * 9, st.just(n))
     weights = []
     for _ in range(n_vertices):
         picked = draw(st.lists(bone_ids, min_size=1, max_size=4, unique=True))
@@ -79,14 +83,16 @@ def rigs(draw):
         weights.append(tuple((b, w / sum(ws)) for b, w in zip(picked, ws)))
     tracks = {}
     for b in range(n):
-        times = sorted(draw(st.lists(st.sampled_from(KEY_TIMES), max_size=4, unique=True)))
+        odd_scale = b == odd_scale_bone
+        times = sorted(draw(st.lists(st.sampled_from(KEY_TIMES), min_size=int(odd_scale), max_size=4, unique=True)))
         keys = []
         for t in times:
-            trs = draw(transforms(15))
+            trs = draw(transforms(0 if odd_scale_bone is not None else 15))
             q = trs.rotation
             if keys and draw(st.booleans()):  # the next key in the far hemisphere
                 q = tuple(-x for x in keys[-1].rotation)
-            keys.append(TrsKey(t, trs.translation, q, trs.scale))
+            scale = draw(st.sampled_from((1e-300, 1e300))) if odd_scale else trs.scale
+            keys.append(TrsKey(t, trs.translation, q, scale))
         if keys:
             tracks[b] = tuple(keys)
     model = RiggedModel(Mesh(vertices, np.zeros((0, 3))), tuple(bones), tuple(weights), {"c": tracks})
@@ -187,6 +193,25 @@ def compare_pose(model, t):
 @given(rigs())
 def test_stacked_pose_passes_match_the_per_bone_oracle(drawn):
     model, times = drawn
+    for t in times:
+        check_pose(model, t)
+
+
+def test_rigs_reach_a_singular_deform_versor():
+    # the property's rigs reach the blend's singular-versor check, which
+    # every other check runs before; the oracle raises there too
+    def singular(drawn):
+        model, times = drawn
+        with np.errstate(all="ignore"):
+            return any(
+                outcome(lambda: SKIN_BACKENDS[name](model, global_pose_at(model, "c", t)))[0] == "SingularVersor"
+                for t in times
+                for name in ("cga", "cga_sum")
+            )
+
+    model, times = find(
+        rigs(), singular, settings=settings(max_examples=300, derandomize=True, database=None, phases=[Phase.generate])
+    )
     for t in times:
         check_pose(model, t)
 

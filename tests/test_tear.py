@@ -646,8 +646,11 @@ def test_open_tear_default_delta_is_one_percent(cylinders):
 
 def test_open_tear_argument_errors(cylinders):
     res = run_bundled_style_tear(cylinders, delta=0.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        open_tear(res.model, res.paths[0], -0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^opening displacement must be finite and non-negative$"):
+            open_tear(res.model, res.paths[0], bad)
+        with pytest.raises(ValueError, match="^opening displacement must be finite and non-negative$"):
+            run_bundled_style_tear(cylinders, delta=bad)
     from mvskin.tear import TearPath
 
     blank = TearPath(res.paths[0].start, res.paths[0].end, res.paths[0].plane, (), 0.0)
